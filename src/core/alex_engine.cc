@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
@@ -9,12 +10,91 @@
 
 namespace alex::core {
 
+namespace {
+
+// Calls fn(pair, added) for every pair of two disjoint ascending lists, in
+// ascending PairId order.
+template <typename Fn>
+void WalkSortedDelta(const std::vector<PairId>& added,
+                     const std::vector<PairId>& removed, const Fn& fn) {
+  size_t a = 0;
+  size_t r = 0;
+  while (a < added.size() || r < removed.size()) {
+    if (r == removed.size() || (a < added.size() && added[a] < removed[r])) {
+      fn(added[a++], true);
+    } else {
+      fn(removed[r++], false);
+    }
+  }
+}
+
+}  // namespace
+
 PartitionAlex::PartitionAlex(FeatureSpace space, const AlexOptions* options,
                              uint64_t seed)
     : space_(std::move(space)),
       options_(options),
+      candidates_(space_.pairs().size()),
+      pair_state_(space_.pairs().size()),
       policy_(options->epsilon),
+      rollback_(space_.pairs().size()),
       rng_(seed) {}
+
+FeatureSpace::GrowthResult PartitionAlex::GrowSpace(
+    const rdf::TripleStore& left,
+    const std::vector<rdf::TermId>& new_left_subjects,
+    const std::vector<uint32_t>* candidate_old_lefts, size_t old_right_count,
+    FeatureCatalog* catalog, bool rebuild_indexes,
+    const BlockingIndex* delta_index) {
+  FeatureSpace::GrowthResult grown =
+      space_.Grow(left, new_left_subjects, candidate_old_lefts,
+                  old_right_count, catalog, options_->space, rebuild_indexes,
+                  delta_index);
+  const size_t pairs = space_.pairs().size();
+  candidates_.Grow(pairs);
+  rollback_.Grow(pairs);
+  pair_state_.reserve(pairs);
+  pair_state_.resize(pairs);
+  return grown;
+}
+
+std::vector<PairId> PartitionAlex::blacklist() const {
+  std::vector<PairId> out;
+  for (PairId pair = 0; pair < pair_state_.size(); ++pair) {
+    if (IsBlacklisted(pair)) out.push_back(pair);
+  }
+  return out;
+}
+
+bool PartitionAlex::AddStrike(PairId pair) {
+  uint8_t& strikes = pair_state_[pair].strikes;
+  int64_t count;
+  if (strikes < kStrikeSpill) {
+    count = ++strikes;
+  } else {
+    // Spilled counts are at least kStrikeSpill, so (pair, 0) sorts first.
+    auto it = std::lower_bound(strike_spill_.begin(), strike_spill_.end(),
+                               std::pair<PairId, int64_t>(pair, 0));
+    if (it == strike_spill_.end() || it->first != pair) {
+      it = strike_spill_.insert(it, {pair, kStrikeSpill});
+    }
+    count = ++it->second;
+  }
+  return count >= options_->blacklist_strikes;
+}
+
+void PartitionAlex::Confirm(PairId pair) {
+  PairState& state = pair_state_[pair];
+  state.flags |= kConfirmed;
+  if (state.strikes == kStrikeSpill) {
+    auto it = std::lower_bound(strike_spill_.begin(), strike_spill_.end(),
+                               std::pair<PairId, int64_t>(pair, 0));
+    if (it != strike_spill_.end() && it->first == pair) {
+      strike_spill_.erase(it);
+    }
+  }
+  state.strikes = 0;
+}
 
 double PartitionAlex::TopFeatureScore(PairId pair) const {
   double best = 0.0;
@@ -45,10 +125,9 @@ PartitionAlex::FeedbackOutcome PartitionAlex::ProcessFeedback(PairId pair,
   }
 
   if (positive) {
-    confirmed_.insert(pair);
     // A positive observation clears earlier (possibly erroneous) negative
     // strikes; see AlexOptions::blacklist_strikes.
-    negative_strikes_.erase(pair);
+    Confirm(pair);
     if (!candidates_.Contains(pair)) return outcome;
     const FeatureSet& actions = space_.pair(pair).features;
     if (actions.empty()) return outcome;
@@ -75,7 +154,7 @@ PartitionAlex::FeedbackOutcome PartitionAlex::ProcessFeedback(PairId pair,
     added_scratch_.clear();
     for (const ScoreEntry& entry : in_range) {
       if (entry.pair == pair) continue;
-      if (options_->use_blacklist && blacklist_.count(entry.pair) > 0) {
+      if (options_->use_blacklist && IsBlacklisted(entry.pair)) {
         continue;  // known-incorrect links are never re-proposed (§6.3)
       }
       if (candidates_.Add(entry.pair)) {
@@ -91,10 +170,9 @@ PartitionAlex::FeedbackOutcome PartitionAlex::ProcessFeedback(PairId pair,
   // Negative feedback: remove the incorrect link (§3.2).
   outcome.removed = candidates_.Remove(pair);
   if (outcome.removed) SamplerRemove(pair);
-  confirmed_.erase(pair);
-  if (options_->use_blacklist &&
-      ++negative_strikes_[pair] >= options_->blacklist_strikes) {
-    blacklist_.insert(pair);
+  pair_state_[pair].flags &= ~kConfirmed;
+  if (options_->use_blacklist && AddStrike(pair)) {
+    pair_state_[pair].flags |= kBlacklisted;
   }
   if (options_->use_rollback) {
     for (const StateAction& sa :
@@ -104,7 +182,7 @@ PartitionAlex::FeedbackOutcome PartitionAlex::ProcessFeedback(PairId pair,
         if (generated == pair) continue;
         // Links the user approved are kept; links removed here are NOT
         // blacklisted — they may be correct and rediscoverable (§6.3).
-        if (confirmed_.count(generated) > 0) continue;
+        if ((pair_state_[generated].flags & kConfirmed) != 0) continue;
         if (candidates_.Remove(generated)) {
           ++outcome.rolled_back_links;
           SamplerRemove(generated);
@@ -302,11 +380,10 @@ Status AlexEngine::Initialize(
       partitions_[partition].AddInitialCandidate(pair);
     } else {
       // Outside every feature space: kept, but cannot be explored around.
-      PairId extra_id = static_cast<PairId>(extras_links_.size());
       extras_links_.push_back(link);
-      extras_alive_.Add(extra_id);
     }
   }
+  ResetExtras();
 
   MarkCandidateBaseline();
   init_seconds_ = timer.ElapsedSeconds();
@@ -315,12 +392,62 @@ Status AlexEngine::Initialize(
 }
 
 void AlexEngine::MarkCandidateBaseline() {
-  for (PartitionAlex& partition : partitions_) {
-    partition.SyncSpaceToCandidates();
-    partition.mutable_candidates().TakeEpochChanges();
-  }
-  extras_alive_.TakeEpochChanges();
+  CloseCandidateEpoch(/*notify=*/false);
   prev_candidate_count_ = CandidateCount();
+}
+
+void AlexEngine::ResetExtras() {
+  extras_alive_ = CandidateSet(extras_links_.size());
+  for (PairId extra = 0; extra < extras_links_.size(); ++extra) {
+    extras_alive_.Add(extra);
+  }
+}
+
+size_t AlexEngine::CloseCandidateEpoch(bool notify) {
+  // Each partition's sort, frontier sync (arena compaction included) and
+  // epoch reset touch only that partition, so they run on the pool; the
+  // sorted delta stays in the partition for the walk below.
+  auto close = [this](size_t p) {
+    partitions_[p].SyncSpaceToCandidates();
+    partitions_[p].mutable_candidates().TakeEpochChanges();
+  };
+  if (pool_ != nullptr && partitions_.size() > 1) {
+    for (size_t p = 0; p < partitions_.size(); ++p) {
+      pool_->Schedule([&close, p] { close(p); });
+    }
+    pool_->Wait();
+  } else {
+    for (size_t p = 0; p < partitions_.size(); ++p) close(p);
+  }
+
+  // The observer walk stays on this thread in one fixed order: partitions
+  // in index order, ascending PairId within each, then the extras. One
+  // scratch Link carries every partition change.
+  const bool observe = notify && link_observer_ != nullptr;
+  size_t changed = 0;
+  linking::Link link;
+  for (const PartitionAlex& partition : partitions_) {
+    changed +=
+        partition.synced_added().size() + partition.synced_removed().size();
+    if (!observe) continue;
+    const FeatureSpace& space = partition.space();
+    WalkSortedDelta(partition.synced_added(), partition.synced_removed(),
+                    [&](PairId pair, bool added) {
+                      link.left = space.LeftIri(pair);
+                      link.right = space.RightIri(pair);
+                      link_observer_(link, added);
+                    });
+  }
+  if (observe) {
+    std::vector<PairId> added;
+    std::vector<PairId> removed;
+    extras_alive_.SortedEpochDelta(&added, &removed);
+    WalkSortedDelta(added, removed, [&](PairId extra, bool is_added) {
+      link_observer_(extras_links_[extra], is_added);
+    });
+  }
+  changed += extras_alive_.TakeEpochChanges();
+  return changed;
 }
 
 Status AlexEngine::IngestTriples(IngestStats* stats_out) {
@@ -614,31 +741,12 @@ EpisodeStats AlexEngine::RunEpisode(const FeedbackFn& feedback) {
     stats.rolled_back_links += s.rolled_back_links;
   }
 
-  // Walk the net membership deltas (partitions in order, then extras)
-  // through the link-change observer, fold the same deltas into each
-  // partition's feature-space frontier (main thread, ascending-PairId
-  // order — identical physical index state at any thread count), then fold
-  // them into change_fraction. The candidate sets tracked their own net
-  // changes during the episode, so the symmetric difference with the
-  // episode-start state is a counter read, not a rebuild-sort-diff over
-  // every candidate.
-  size_t changed = 0;
-  for (PartitionAlex& partition : partitions_) {
-    if (link_observer_) {
-      const FeatureSpace& space = partition.space();
-      for (const auto& [pair, net] : partition.candidates().epoch_delta()) {
-        link_observer_({space.LeftIri(pair), space.RightIri(pair)}, net > 0);
-      }
-    }
-    partition.SyncSpaceToCandidates();
-    changed += partition.mutable_candidates().TakeEpochChanges();
-  }
-  if (link_observer_) {
-    for (const auto& [extra, net] : extras_alive_.epoch_delta()) {
-      link_observer_(extras_links_[extra], net > 0);
-    }
-  }
-  changed += extras_alive_.TakeEpochChanges();
+  // Fold the net membership deltas into each partition's frontier, walk
+  // them through the link-change observer, and into change_fraction. The
+  // candidate sets tracked their own net changes during the episode, so the
+  // symmetric difference with the episode-start state is a counter read,
+  // not a rebuild-sort-diff over every candidate.
+  const size_t changed = CloseCandidateEpoch(/*notify=*/true);
   stats.change_fraction =
       static_cast<double>(changed) /
       static_cast<double>(std::max<size_t>(1, prev_candidate_count_));
@@ -806,32 +914,33 @@ void AlexEngine::SampleFeedbackLinks(size_t count,
   }
 }
 
-void AlexEngine::ApplyLinkFeedback(const linking::Link& link, bool positive) {
+PartitionAlex::FeedbackOutcome AlexEngine::ApplyLinkFeedback(
+    const linking::Link& link, bool positive) {
+  PartitionAlex::FeedbackOutcome outcome;
   auto it = partition_by_left_iri_.find(link.left);
   if (it != partition_by_left_iri_.end()) {
     PartitionAlex& partition = partitions_[it->second];
     PairId pair = partition.space().FindPair(link.left, link.right);
     if (pair != kInvalidPairId && partition.candidates().Contains(pair)) {
-      partition.ProcessFeedback(pair, positive);
-      return;
+      return partition.ProcessFeedback(pair, positive);
     }
   }
   // Spaceless extras: negative feedback removes them.
   if (!positive) {
     for (PairId extra : extras_alive_.items()) {
       if (extras_links_[extra] == link) {
-        extras_alive_.Remove(extra);
-        return;
+        outcome.removed = extras_alive_.Remove(extra);
+        break;
       }
     }
   }
+  return outcome;
 }
 
 void AlexEngine::ReplaceCandidates(
     const std::vector<linking::Link>& links) {
   for (PartitionAlex& partition : partitions_) partition.ClearCandidates();
   extras_links_.clear();
-  extras_alive_ = CandidateSet();
   for (const linking::Link& link : links) {
     auto it = partition_by_left_iri_.find(link.left);
     PairId pair = kInvalidPairId;
@@ -843,11 +952,10 @@ void AlexEngine::ReplaceCandidates(
     if (pair != kInvalidPairId) {
       partitions_[partition].AddInitialCandidate(pair);
     } else {
-      PairId extra_id = static_cast<PairId>(extras_links_.size());
       extras_links_.push_back(link);
-      extras_alive_.Add(extra_id);
     }
   }
+  ResetExtras();
   MarkCandidateBaseline();
 }
 
@@ -904,27 +1012,8 @@ void AlexEngine::BeginExternalEpisode() {
 
 size_t AlexEngine::EndExternalEpisode() {
   for (PartitionAlex& partition : partitions_) partition.EndEpisode();
-  // Same delta walk as RunEpisode: notify the observer of every net
-  // membership change, sync each partition's frontier index, all in
-  // deterministic partition order, and consume the epoch counters.
-  size_t changed = 0;
-  for (PartitionAlex& partition : partitions_) {
-    if (link_observer_) {
-      const FeatureSpace& space = partition.space();
-      for (const auto& [pair, net] : partition.candidates().epoch_delta()) {
-        link_observer_({space.LeftIri(pair), space.RightIri(pair)}, net > 0);
-      }
-    }
-    partition.SyncSpaceToCandidates();
-    changed += partition.mutable_candidates().TakeEpochChanges();
-  }
-  if (link_observer_) {
-    for (const auto& [extra, net] : extras_alive_.epoch_delta()) {
-      link_observer_(extras_links_[extra], net > 0);
-    }
-  }
-  changed += extras_alive_.TakeEpochChanges();
-  return changed;
+  // The same boundary as RunEpisode's.
+  return CloseCandidateEpoch(/*notify=*/true);
 }
 
 }  // namespace alex::core

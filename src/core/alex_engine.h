@@ -24,7 +24,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
@@ -212,15 +211,25 @@ struct EpisodeStats {
 using FeedbackFn = std::function<bool(const linking::Link&)>;
 
 // Observes net candidate-link membership changes, called by the engine once
-// per episode per changed link (on the main thread, in deterministic order):
-// `added` is true when the link entered the candidate set this episode,
-// false when it left. Used for incremental quality evaluation (see
-// eval::QualityTracker).
+// per episode per changed link, on the thread that closes the episode
+// (RunEpisode, EndExternalEpisode): `added` is true when the link entered
+// the candidate set this episode, false when it left. The order is fixed at
+// any thread count: partitions in index order, each partition's changes in
+// ascending PairId, then the spaceless extras in the order they were seeded
+// (Initialize, ReplaceCandidates). The Link is a scratch object reused
+// across calls; copy it to keep it. Used for incremental quality evaluation
+// (see eval::QualityTracker).
 using LinkChangeFn = std::function<void(const linking::Link&, bool added)>;
 
 // One partition of the search space with its own candidate links, policy,
 // learner, blacklist and rollback log. Public mainly for white-box tests;
 // most callers use AlexEngine.
+//
+// Per-pair episode state is kept in flat arrays over the space's dense
+// PairIds, sized exactly from space().pairs().size() at construction and
+// extended by GrowSpace: 5 bytes in the candidate set, 4 bytes and a bit in
+// the rollback log, and 2 bytes of feedback state here (blacklisted and
+// confirmed flags, negative strikes) — under 12 bytes per scored pair.
 class PartitionAlex {
  public:
   PartitionAlex(FeatureSpace space, const AlexOptions* options,
@@ -280,26 +289,33 @@ class PartitionAlex {
 
   // Folds the candidate set's net epoch delta into the feature space's
   // live set (new candidates leave the explorable frontier, removed ones
-  // return to it), in ascending-PairId order. Called by the engine on the
-  // main thread at every episode boundary, BEFORE TakeEpochChanges; the
-  // exploration span probes of the next episode then see the updated
-  // frontier. Honors AlexOptions::incremental_space_maintenance. Public
-  // mainly for white-box tests driving ProcessFeedback directly.
+  // return to it), in ascending-PairId order, and keeps that delta in
+  // synced_added() / synced_removed(). Called by the engine at every
+  // episode boundary, BEFORE TakeEpochChanges, on a pool worker when the
+  // engine has a pool (it touches only this partition); the exploration
+  // span probes of the next episode then see the updated frontier. Honors
+  // AlexOptions::incremental_space_maintenance. Public mainly for white-box
+  // tests driving ProcessFeedback directly.
   void SyncSpaceToCandidates();
+
+  // The net epoch delta of the last SyncSpaceToCandidates, ascending PairId:
+  // pairs that became candidates, and pairs that stopped being candidates.
+  const std::vector<PairId>& synced_added() const {
+    return delta_added_scratch_;
+  }
+  const std::vector<PairId>& synced_removed() const {
+    return delta_removed_scratch_;
+  }
 
   // Extends this partition's feature space after a triple-ingest epoch (see
   // FeatureSpace::Grow; called by AlexEngine::IngestTriples on the main
-  // thread, in partition order).
+  // thread, in partition order), and the per-pair arrays with it.
   FeatureSpace::GrowthResult GrowSpace(
       const rdf::TripleStore& left,
       const std::vector<rdf::TermId>& new_left_subjects,
       const std::vector<uint32_t>* candidate_old_lefts,
       size_t old_right_count, FeatureCatalog* catalog, bool rebuild_indexes,
-      const BlockingIndex* delta_index = nullptr) {
-    return space_.Grow(left, new_left_subjects, candidate_old_lefts,
-                       old_right_count, catalog, options_->space,
-                       rebuild_indexes, delta_index);
-  }
+      const BlockingIndex* delta_index = nullptr);
 
   // Warms the space's per-left probe-key cache (incremental ingest only;
   // see FeatureSpace::PrepareForwardProbes).
@@ -309,11 +325,13 @@ class PartitionAlex {
   // restores the full feature space as explorable frontier, since the
   // per-pair delta trail is lost with the set.
   void ClearCandidates() {
-    candidates_ = CandidateSet();
+    candidates_ = CandidateSet(space_.pairs().size());
     space_.MarkAllLive();
     sampler_.Clear();
   }
-  void RestoreBlacklistEntry(PairId pair) { blacklist_.insert(pair); }
+  void RestoreBlacklistEntry(PairId pair) {
+    pair_state_[pair].flags |= kBlacklisted;
+  }
   void RestorePolicyEntry(PairId state, FeatureId action) {
     policy_.SetGreedy(state, action);
   }
@@ -327,7 +345,12 @@ class PartitionAlex {
   CandidateSet& mutable_candidates() { return candidates_; }
   const EpsilonGreedyPolicy& policy() const { return policy_; }
   const McLearner& learner() const { return learner_; }
-  const std::unordered_set<PairId>& blacklist() const { return blacklist_; }
+  // Blacklisted pairs in ascending PairId order (O(space); for export and
+  // tests).
+  std::vector<PairId> blacklist() const;
+  bool IsBlacklisted(PairId pair) const {
+    return (pair_state_[pair].flags & kBlacklisted) != 0;
+  }
   const FeedbackSampler& sampler() const { return sampler_; }
   Rng* rng() { return &rng_; }
 
@@ -349,13 +372,32 @@ class PartitionAlex {
     if (options_->prioritized_sampling) sampler_.Remove(pair);
   }
 
+  // Negative feedback on `pair`: counts a strike and reports whether the
+  // pair has now reached AlexOptions::blacklist_strikes.
+  bool AddStrike(PairId pair);
+  // Positive feedback on `pair`: confirms it and clears its strikes.
+  void Confirm(PairId pair);
+
+  // PairState::flags bits.
+  static constexpr uint8_t kBlacklisted = 1;
+  // The pair's latest feedback was positive (rollbacks keep it).
+  static constexpr uint8_t kConfirmed = 2;
+  // A strike count that reaches kStrikeSpill continues exactly in
+  // strike_spill_ (only possible when blacklist_strikes exceeds it).
+  static constexpr uint8_t kStrikeSpill = UINT8_MAX;
+  struct PairState {
+    uint8_t flags = 0;
+    // Negative feedback items since the pair's last positive one.
+    uint8_t strikes = 0;
+  };
+
   FeatureSpace space_;
   const AlexOptions* options_;
   CandidateSet candidates_;
   FeedbackSampler sampler_;
-  std::unordered_set<PairId> blacklist_;
-  std::unordered_map<PairId, int> negative_strikes_;
-  std::unordered_set<PairId> confirmed_;  // links with positive feedback
+  std::vector<PairState> pair_state_;  // indexed by PairId
+  // (pair, strikes) of the pairs at kStrikeSpill, sorted by PairId.
+  std::vector<std::pair<PairId, int64_t>> strike_spill_;
   EpsilonGreedyPolicy policy_;
   McLearner learner_;
   RollbackLog rollback_;
@@ -364,7 +406,7 @@ class PartitionAlex {
   std::vector<PairId> added_scratch_;
   std::vector<StateAction> ancestors_scratch_;
   std::vector<PairId> improve_scratch_;
-  // Epoch-delta scratch for SyncSpaceToCandidates.
+  // The epoch delta of the last SyncSpaceToCandidates.
   std::vector<PairId> delta_added_scratch_;
   std::vector<PairId> delta_removed_scratch_;
 };
@@ -428,8 +470,8 @@ class AlexEngine {
   EpisodeStats RunEpisode(const FeedbackFn& feedback);
 
   // Registers an observer of net candidate-link changes, invoked once per
-  // changed link at the end of every episode (main thread, deterministic
-  // order). Pass nullptr to unregister.
+  // changed link at the end of every episode, in the order LinkChangeFn
+  // documents. Pass nullptr to unregister.
   void SetLinkChangeObserver(LinkChangeFn observer) {
     link_observer_ = std::move(observer);
   }
@@ -468,8 +510,11 @@ class AlexEngine {
 
   // Feedback entry point for integration with the federated query engine:
   // attributes approve/reject of a query answer to one of its provenance
-  // links. Unknown or non-candidate links are ignored.
-  void ApplyLinkFeedback(const linking::Link& link, bool positive);
+  // links, and returns what it changed (a spaceless extra removed by
+  // negative feedback counts as removed). Unknown or non-candidate links
+  // are ignored.
+  PartitionAlex::FeedbackOutcome ApplyLinkFeedback(const linking::Link& link,
+                                                   bool positive);
 
   // When driving feedback externally (ApplyLinkFeedback), call these to
   // delimit episodes. EndExternalEpisode fires the link-change observer
@@ -525,6 +570,17 @@ class AlexEngine {
   // Resets the incremental change tracking (candidate-set epoch deltas and
   // the baseline count) to the current candidate state.
   void MarkCandidateBaseline();
+
+  // The episode boundary shared by RunEpisode, EndExternalEpisode and
+  // MarkCandidateBaseline: every partition folds its net epoch delta into
+  // its frontier (SyncSpaceToCandidates, on the pool); then, on this
+  // thread, the link observer sees every change in the order LinkChangeFn
+  // documents (when `notify`), and the epoch counters are consumed.
+  // Returns the number of net membership changes.
+  size_t CloseCandidateEpoch(bool notify);
+
+  // Rebuilds extras_alive_ over every extras_links_ entry, all present.
+  void ResetExtras();
 
   // Processes up to `quota` feedback items on the spaceless extras,
   // sampling live with the engine RNG (extras have no partition worker;

@@ -4,37 +4,60 @@
 
 namespace alex::core {
 
+CandidateSet::CandidateSet(size_t universe)
+    : positions_(universe, kAbsent), delta_(universe, 0) {}
+
+void CandidateSet::Grow(size_t universe) {
+  if (universe <= positions_.size()) return;
+  positions_.reserve(universe);
+  positions_.resize(universe, kAbsent);
+  delta_.reserve(universe);
+  delta_.resize(universe, 0);
+}
+
 bool CandidateSet::Add(PairId pair) {
-  auto [it, inserted] = positions_.emplace(pair, items_.size());
-  if (!inserted) return false;
+  uint32_t& position = positions_[pair];
+  if (position != kAbsent) return false;
+  position = static_cast<uint32_t>(items_.size());
   items_.push_back(pair);
-  BumpDelta(pair, +1);
+  BumpDelta(pair, kNetAdded);
   return true;
 }
 
 bool CandidateSet::Remove(PairId pair) {
-  auto it = positions_.find(pair);
-  if (it == positions_.end()) return false;
-  size_t pos = it->second;
+  const uint32_t position = positions_[pair];
+  if (position == kAbsent) return false;
   PairId last = items_.back();
-  items_[pos] = last;
-  positions_[last] = pos;
+  items_[position] = last;
+  positions_[last] = position;
   items_.pop_back();
-  positions_.erase(it);
-  BumpDelta(pair, -1);
+  positions_[pair] = kAbsent;
+  BumpDelta(pair, kNetRemoved);
   return true;
 }
 
-void CandidateSet::BumpDelta(PairId pair, int direction) {
-  auto [it, inserted] = delta_.emplace(pair, direction);
-  if (inserted) return;
-  it->second += direction;
-  if (it->second == 0) delta_.erase(it);
+void CandidateSet::BumpDelta(PairId pair, uint8_t net) {
+  uint8_t& state = delta_[pair];
+  if ((state & kTouched) == 0) {
+    state = kTouched;
+    touched_.push_back(pair);
+  }
+  // Add and Remove alternate per pair, so a non-zero net is always undone
+  // by the next mutation: the pair returns to its epoch-start membership.
+  if ((state & (kNetAdded | kNetRemoved)) != 0) {
+    state = kTouched;
+    --changed_;
+  } else {
+    state |= net;
+    ++changed_;
+  }
 }
 
 size_t CandidateSet::TakeEpochChanges() {
-  size_t changes = delta_.size();
-  delta_.clear();
+  for (PairId pair : touched_) delta_[pair] = 0;
+  touched_.clear();
+  const size_t changes = changed_;
+  changed_ = 0;
   return changes;
 }
 
@@ -46,8 +69,13 @@ void CandidateSet::SortedEpochDelta(std::vector<PairId>* added,
                                     std::vector<PairId>* removed) const {
   added->clear();
   removed->clear();
-  for (const auto& [pair, net] : delta_) {
-    (net > 0 ? added : removed)->push_back(pair);
+  for (PairId pair : touched_) {
+    const uint8_t state = delta_[pair];
+    if ((state & kNetAdded) != 0) {
+      added->push_back(pair);
+    } else if ((state & kNetRemoved) != 0) {
+      removed->push_back(pair);
+    }
   }
   std::sort(added->begin(), added->end());
   std::sort(removed->begin(), removed->end());

@@ -1,48 +1,77 @@
 #include "core/rollback_log.h"
 
-#include <deque>
 #include <unordered_set>
 
 namespace alex::core {
+
+namespace {
+
+size_t BitWords(size_t universe) { return (universe + 63) / 64; }
+
+}  // namespace
+
+RollbackLog::RollbackLog(size_t universe)
+    : parent_slot_(universe, 0), visited_(BitWords(universe), 0) {}
+
+void RollbackLog::Grow(size_t universe) {
+  if (universe <= parent_slot_.size()) return;
+  parent_slot_.reserve(universe);
+  parent_slot_.resize(universe, 0);
+  visited_.reserve(BitWords(universe));
+  visited_.resize(BitWords(universe), 0);
+}
 
 void RollbackLog::RecordGeneration(const StateAction& sa,
                                    const std::vector<PairId>& pairs) {
   if (pairs.empty()) return;
   std::vector<PairId>& generated = generated_by_[sa];
   generated.insert(generated.end(), pairs.begin(), pairs.end());
-  for (PairId pair : pairs) parents_[pair].push_back(sa);
+  for (PairId pair : pairs) {
+    uint32_t& slot = parent_slot_[pair];
+    if (slot == 0) {
+      if (free_lists_.empty()) {
+        parent_lists_.emplace_back();
+        slot = static_cast<uint32_t>(parent_lists_.size());
+      } else {
+        slot = free_lists_.back();
+        free_lists_.pop_back();
+      }
+    }
+    parent_lists_[slot - 1].push_back(sa);
+  }
 }
 
 const std::vector<StateAction>& RollbackLog::ParentsOf(PairId pair) const {
-  auto it = parents_.find(pair);
-  if (it == parents_.end()) return empty_;
-  return it->second;
+  const uint32_t slot = parent_slot_[pair];
+  return slot == 0 ? empty_ : parent_lists_[slot - 1];
 }
 
-std::vector<StateAction> RollbackLog::AncestorsOf(PairId pair) const {
+std::vector<StateAction> RollbackLog::AncestorsOf(PairId pair) {
   std::vector<StateAction> out;
   AncestorsOf(pair, &out);
   return out;
 }
 
-void RollbackLog::AncestorsOf(PairId pair,
-                              std::vector<StateAction>* out) const {
+void RollbackLog::AncestorsOf(PairId pair, std::vector<StateAction>* out) {
   out->clear();
+  if (parent_slot_[pair] == 0) return;
   std::unordered_set<StateAction, StateActionHash> seen;
-  std::unordered_set<PairId> visited_states;
-  std::deque<PairId> frontier;
-  frontier.push_back(pair);
-  visited_states.insert(pair);
-  while (!frontier.empty()) {
-    PairId current = frontier.front();
-    frontier.pop_front();
-    for (const StateAction& sa : ParentsOf(current)) {
+  auto visit = [this](PairId state) {
+    uint64_t& word = visited_[state / 64];
+    const uint64_t bit = uint64_t{1} << (state % 64);
+    if ((word & bit) != 0) return;
+    word |= bit;
+    walk_.push_back(state);
+  };
+  walk_.clear();
+  visit(pair);
+  for (size_t head = 0; head < walk_.size(); ++head) {
+    for (const StateAction& sa : ParentsOf(walk_[head])) {
       if (seen.insert(sa).second) out->push_back(sa);
-      if (visited_states.insert(sa.state).second) {
-        frontier.push_back(sa.state);
-      }
+      visit(sa.state);
     }
   }
+  for (PairId state : walk_) visited_[state / 64] = 0;
 }
 
 std::vector<StateAction> RollbackLog::AddNegative(PairId pair,
@@ -68,9 +97,9 @@ std::vector<PairId> RollbackLog::TakeGenerated(const StateAction& sa) {
   // future negative feedback is not attributed to a generator that has
   // already been rolled back.
   for (PairId pair : out) {
-    auto pit = parents_.find(pair);
-    if (pit == parents_.end()) continue;
-    std::vector<StateAction>& list = pit->second;
+    uint32_t& slot = parent_slot_[pair];
+    if (slot == 0) continue;
+    std::vector<StateAction>& list = parent_lists_[slot - 1];
     for (size_t i = 0; i < list.size();) {
       if (list[i] == sa) {
         list[i] = list.back();
@@ -79,7 +108,10 @@ std::vector<PairId> RollbackLog::TakeGenerated(const StateAction& sa) {
         ++i;
       }
     }
-    if (list.empty()) parents_.erase(pit);
+    if (list.empty()) {
+      free_lists_.push_back(slot);
+      slot = 0;
+    }
   }
   return out;
 }

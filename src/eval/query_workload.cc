@@ -211,7 +211,10 @@ ExperimentResult RunQueryDrivenExperiment(
         for (const linking::Link& link : answer.links_used) {
           if (!judged.insert(link).second) continue;
           bool approved = oracle.Feedback(link);
-          engine->ApplyLinkFeedback(link, approved);
+          const core::PartitionAlex::FeedbackOutcome outcome =
+              engine->ApplyLinkFeedback(link, approved);
+          stats.rollbacks += outcome.rollbacks;
+          stats.rolled_back_links += outcome.rolled_back_links;
           ++stats.feedback_items;
           if (approved) {
             ++stats.positive_feedback;

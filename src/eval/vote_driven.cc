@@ -115,7 +115,10 @@ ExperimentResult RunVoteDrivenExperiment(core::AlexEngine* engine,
     // whole batch is applied before the single EndExternalEpisode sync.
     for (const feedback::LinkVerdict& verdict :
          aggregator.DrainVerdicts(static_cast<uint64_t>(episode))) {
-      engine->ApplyLinkFeedback(verdict.link, verdict.approve);
+      const core::PartitionAlex::FeedbackOutcome outcome =
+          engine->ApplyLinkFeedback(verdict.link, verdict.approve);
+      stats.rollbacks += outcome.rollbacks;
+      stats.rolled_back_links += outcome.rolled_back_links;
       ++stats.feedback_items;
       if (verdict.approve) {
         ++stats.positive_feedback;

@@ -227,7 +227,10 @@ ServingRunResult RunServingExperiment(core::AlexEngine* engine,
         for (const linking::Link& link : answer.links_used) {
           if (!judged.insert(link).second) continue;
           bool approved = oracle.Feedback(link);
-          engine->ApplyLinkFeedback(link, approved);
+          const core::PartitionAlex::FeedbackOutcome outcome =
+              engine->ApplyLinkFeedback(link, approved);
+          stats.rollbacks += outcome.rollbacks;
+          stats.rolled_back_links += outcome.rolled_back_links;
           ++stats.feedback_items;
           if (approved) {
             ++stats.positive_feedback;
@@ -261,7 +264,10 @@ ServingRunResult RunServingExperiment(core::AlexEngine* engine,
     if (aggregator != nullptr) {
       for (const feedback::LinkVerdict& verdict :
            aggregator->DrainVerdicts(static_cast<uint64_t>(episode))) {
-        engine->ApplyLinkFeedback(verdict.link, verdict.approve);
+        const core::PartitionAlex::FeedbackOutcome outcome =
+            engine->ApplyLinkFeedback(verdict.link, verdict.approve);
+        stats.rollbacks += outcome.rollbacks;
+        stats.rolled_back_links += outcome.rolled_back_links;
         ++stats.feedback_items;
         if (verdict.approve) {
           ++stats.positive_feedback;

@@ -8,8 +8,11 @@
 namespace alex::core {
 namespace {
 
+// Covers every PairId the tests below use.
+constexpr size_t kUniverse = 500;
+
 TEST(CandidateSetTest, AddRemoveContains) {
-  CandidateSet set;
+  CandidateSet set(kUniverse);
   EXPECT_TRUE(set.Add(5));
   EXPECT_FALSE(set.Add(5));
   EXPECT_TRUE(set.Contains(5));
@@ -21,7 +24,7 @@ TEST(CandidateSetTest, AddRemoveContains) {
 }
 
 TEST(CandidateSetTest, SwapPopKeepsConsistency) {
-  CandidateSet set;
+  CandidateSet set(kUniverse);
   for (PairId id = 0; id < 10; ++id) set.Add(id);
   set.Remove(0);  // removes head, swaps in tail
   set.Remove(9);
@@ -34,7 +37,7 @@ TEST(CandidateSetTest, SwapPopKeepsConsistency) {
 }
 
 TEST(CandidateSetTest, SampleIsUniformish) {
-  CandidateSet set;
+  CandidateSet set(kUniverse);
   for (PairId id = 0; id < 10; ++id) set.Add(id);
   Rng rng(5);
   std::map<PairId, int> counts;
@@ -47,7 +50,7 @@ TEST(CandidateSetTest, SampleIsUniformish) {
 }
 
 TEST(CandidateSetTest, SortedSnapshot) {
-  CandidateSet set;
+  CandidateSet set(kUniverse);
   set.Add(9);
   set.Add(1);
   set.Add(5);
@@ -55,7 +58,7 @@ TEST(CandidateSetTest, SortedSnapshot) {
 }
 
 TEST(CandidateSetTest, ReAddAfterRemove) {
-  CandidateSet set;
+  CandidateSet set(kUniverse);
   set.Add(3);
   set.Remove(3);
   EXPECT_TRUE(set.Add(3));
@@ -63,7 +66,7 @@ TEST(CandidateSetTest, ReAddAfterRemove) {
 }
 
 TEST(CandidateSetTest, EpochChangesCountNetMembership) {
-  CandidateSet set;
+  CandidateSet set(kUniverse);
   set.Add(1);
   set.Add(2);
   EXPECT_EQ(set.EpochChangeCount(), 2u);
@@ -89,7 +92,7 @@ TEST(CandidateSetTest, EpochChangesCountNetMembership) {
 }
 
 TEST(CandidateSetTest, EpochChangesMatchSymmetricDifference) {
-  CandidateSet set;
+  CandidateSet set(kUniverse);
   Rng rng(23);
   for (PairId id = 0; id < 100; id += 2) set.Add(id);
   set.TakeEpochChanges();
@@ -110,7 +113,7 @@ TEST(CandidateSetTest, EpochChangesMatchSymmetricDifference) {
 }
 
 TEST(CandidateSetTest, StressAddRemove) {
-  CandidateSet set;
+  CandidateSet set(kUniverse);
   Rng rng(11);
   std::set<PairId> reference;
   for (int i = 0; i < 20000; ++i) {

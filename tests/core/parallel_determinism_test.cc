@@ -1,12 +1,14 @@
 // Parallel episodes must be a pure performance knob: the full observable
 // result of a run — every EpisodeStats field except wall-clock timings, the
-// candidate links, the per-episode quality stream, convergence — has to be
-// identical at any thread count (see DESIGN.md, "The episode loop").
+// candidate links, the per-episode quality stream, the link-change observer
+// stream, convergence — has to be identical at any thread count (see
+// DESIGN.md, "The episode loop").
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +23,22 @@
 namespace alex::core {
 namespace {
 
+// Where a changed link lives, in the order the observer contract fixes:
+// (partition index, PairId) for a link in a feature space, and (number of
+// partitions, index in `initial`) for a spaceless extra.
+std::pair<size_t, size_t> ObserverKey(const AlexEngine& engine,
+                                      const std::vector<linking::Link>& initial,
+                                      const linking::Link& link) {
+  const std::vector<PartitionAlex>& partitions = engine.partitions();
+  for (size_t p = 0; p < partitions.size(); ++p) {
+    PairId pair = partitions[p].space().FindPair(link.left, link.right);
+    if (pair != kInvalidPairId) return {p, pair};
+  }
+  auto extra = std::find(initial.begin(), initial.end(), link);
+  EXPECT_NE(extra, initial.end()) << link.left << " -> " << link.right;
+  return {partitions.size(), static_cast<size_t>(extra - initial.begin())};
+}
+
 void AppendBits(std::ostringstream* out, double v) {
   uint64_t bits;
   static_assert(sizeof(bits) == sizeof(v));
@@ -29,8 +47,11 @@ void AppendBits(std::ostringstream* out, double v) {
 }
 
 // Runs one engine to completion and serializes everything observable about
-// the run. Wall-clock fields (seconds, max/avg_partition_seconds) are the
-// only EpisodeStats members excluded.
+// the run, the link-change observer stream included. Wall-clock fields
+// (seconds, max/avg_partition_seconds) are the only EpisodeStats members
+// excluded. Also checks the observer order of every episode: partitions in
+// index order, ascending PairId within each, then the extras in initial-link
+// order.
 std::string RunSerialized(const datagen::GeneratedWorld& world,
                           const std::vector<linking::Link>& initial,
                           const feedback::GroundTruth& truth,
@@ -43,9 +64,12 @@ std::string RunSerialized(const datagen::GeneratedWorld& world,
 
   eval::QualityTracker tracker(&truth);
   tracker.Reset(engine.CandidateLinks());
+  std::vector<std::pair<std::pair<size_t, size_t>, bool>> changes;
+  size_t extras_changes = 0;
   engine.SetLinkChangeObserver(
-      [&tracker](const linking::Link& link, bool added) {
+      [&](const linking::Link& link, bool added) {
         tracker.OnLinkChange(link, added);
+        changes.push_back({ObserverKey(engine, initial, link), added});
       });
   feedback::Oracle oracle(&truth, error_rate, options.seed + 17);
 
@@ -53,6 +77,18 @@ std::string RunSerialized(const datagen::GeneratedWorld& world,
   AlexEngine::RunResult result = engine.Run(
       [&oracle](const linking::Link& link) { return oracle.Feedback(link); },
       [&](const EpisodeStats& stats) {
+        for (size_t i = 0; i < changes.size(); ++i) {
+          if (changes[i].first.first == engine.partitions().size()) {
+            ++extras_changes;
+          }
+          if (i > 0) {
+            EXPECT_LT(changes[i - 1].first, changes[i].first)
+                << "episode " << stats.episode << ", change " << i;
+          }
+          out << changes[i].first.first << ':' << changes[i].first.second
+              << (changes[i].second ? '+' : '-') << ' ';
+        }
+        changes.clear();
         out << stats.episode << ' ' << stats.feedback_items << ' '
             << stats.positive_feedback << ' ' << stats.negative_feedback
             << ' ' << stats.links_added << ' ' << stats.links_removed << ' '
@@ -66,6 +102,7 @@ std::string RunSerialized(const datagen::GeneratedWorld& world,
         AppendBits(&out, quality.f_measure);
         out << '\n';
       });
+  EXPECT_GT(extras_changes, 0u) << "no spaceless extra changed";
   out << "converged " << result.converged << " episodes " << result.episodes
       << " relaxed " << result.relaxed_episode << '\n';
   std::vector<linking::Link> links = engine.CandidateLinks();
@@ -84,6 +121,10 @@ void CheckProfile(datagen::WorldProfile profile, double error_rate) {
     linking::ParisOptions paris;
     std::vector<linking::Link> initial = linking::FilterByScore(
         linking::RunParis(world.left, world.right, paris), 0.95);
+    // Two spaceless extras, so the observer walk always has extras to put
+    // last.
+    initial.push_back({"http://l/ghost1", "http://r/ghost1", 1.0});
+    initial.push_back({"http://l/ghost2", "http://r/ghost2", 1.0});
     feedback::GroundTruth truth(world.ground_truth);
 
     AlexOptions options;

@@ -10,8 +10,11 @@
 namespace alex::core {
 namespace {
 
+// Covers every PairId the tests below use.
+constexpr size_t kUniverse = 128;
+
 TEST(RollbackLogTest, ParentsTracked) {
-  RollbackLog log;
+  RollbackLog log(kUniverse);
   log.RecordGeneration({1, 10}, {5, 6, 7});
   EXPECT_EQ(log.ParentsOf(5).size(), 1u);
   EXPECT_EQ(log.ParentsOf(5)[0], (StateAction{1, 10}));
@@ -19,7 +22,7 @@ TEST(RollbackLogTest, ParentsTracked) {
 }
 
 TEST(RollbackLogTest, MultipleGenerators) {
-  RollbackLog log;
+  RollbackLog log(kUniverse);
   log.RecordGeneration({1, 10}, {5});
   log.RecordGeneration({2, 20}, {5});
   EXPECT_EQ(log.ParentsOf(5).size(), 2u);
@@ -28,7 +31,7 @@ TEST(RollbackLogTest, MultipleGenerators) {
 TEST(RollbackLogTest, AncestorsWalkTheChain) {
   // s1 --a1--> s2 --a2--> s3: feedback on s3 reaches both generators
   // (the paper's return-propagation example in §4.4.1).
-  RollbackLog log;
+  RollbackLog log(kUniverse);
   log.RecordGeneration({1, 10}, {2});
   log.RecordGeneration({2, 20}, {3});
   std::vector<StateAction> ancestors = log.AncestorsOf(3);
@@ -42,7 +45,7 @@ TEST(RollbackLogTest, AncestorsWalkTheChain) {
 }
 
 TEST(RollbackLogTest, AncestorsHandleCycles) {
-  RollbackLog log;
+  RollbackLog log(kUniverse);
   log.RecordGeneration({1, 10}, {2});
   log.RecordGeneration({2, 20}, {1});  // cycle
   std::vector<StateAction> ancestors = log.AncestorsOf(1);
@@ -50,12 +53,12 @@ TEST(RollbackLogTest, AncestorsHandleCycles) {
 }
 
 TEST(RollbackLogTest, AncestorsOfRoot) {
-  RollbackLog log;
+  RollbackLog log(kUniverse);
   EXPECT_TRUE(log.AncestorsOf(42).empty());
 }
 
 TEST(RollbackLogTest, NegativeThresholdFires) {
-  RollbackLog log;
+  RollbackLog log(kUniverse);
   log.RecordGeneration({1, 10}, {5, 6});
   EXPECT_TRUE(log.AddNegative(5, 3).empty());
   EXPECT_TRUE(log.AddNegative(6, 3).empty());
@@ -65,7 +68,7 @@ TEST(RollbackLogTest, NegativeThresholdFires) {
 }
 
 TEST(RollbackLogTest, CounterResetsAfterFiring) {
-  RollbackLog log;
+  RollbackLog log(kUniverse);
   log.RecordGeneration({1, 10}, {5});
   log.AddNegative(5, 2);
   EXPECT_EQ(log.AddNegative(5, 2).size(), 1u);  // second hit fires
@@ -73,7 +76,7 @@ TEST(RollbackLogTest, CounterResetsAfterFiring) {
 }
 
 TEST(RollbackLogTest, TakeGeneratedReturnsAndClears) {
-  RollbackLog log;
+  RollbackLog log(kUniverse);
   log.RecordGeneration({1, 10}, {5, 6});
   log.RecordGeneration({1, 10}, {7});  // same generator, appended
   std::vector<PairId> generated = log.TakeGenerated({1, 10});
@@ -83,7 +86,7 @@ TEST(RollbackLogTest, TakeGeneratedReturnsAndClears) {
 }
 
 TEST(RollbackLogTest, TakeGeneratedDetachesParents) {
-  RollbackLog log;
+  RollbackLog log(kUniverse);
   log.RecordGeneration({1, 10}, {5});
   log.RecordGeneration({2, 20}, {5});
   log.TakeGenerated({1, 10});
@@ -97,14 +100,14 @@ TEST(RollbackLogTest, TakeGeneratedDetachesParents) {
 }
 
 TEST(RollbackLogTest, EmptyGenerationIgnored) {
-  RollbackLog log;
+  RollbackLog log(kUniverse);
   log.RecordGeneration({1, 10}, {});
   EXPECT_EQ(log.generation_count(), 0u);
   EXPECT_TRUE(log.TakeGenerated({1, 10}).empty());
 }
 
 TEST(RollbackLogTest, NegativeOnUnknownPairIsNoop) {
-  RollbackLog log;
+  RollbackLog log(kUniverse);
   EXPECT_TRUE(log.AddNegative(123, 1).empty());
 }
 

@@ -126,5 +126,32 @@ TEST(VoteDrivenTest, PrioritizedSamplingIsDeterministicAndConverges) {
   EXPECT_GT(best_f, a.series[0].quality.f_measure);
 }
 
+TEST(VoteDrivenTest, NoisyVotesReportRollbacks) {
+  // Negative verdicts on explored links reach the actions that generated
+  // them, so rollbacks fire; the episode stats must count them.
+  datagen::GeneratedWorld world = SmallWorld();
+  feedback::GroundTruth truth(world.ground_truth);
+  std::vector<linking::Link> initial = linking::FilterByScore(
+      linking::RunParis(world.left, world.right), 0.95);
+  core::AlexEngine engine(&world.left, &world.right,
+                          EngineOptions(/*prioritized=*/false));
+  ASSERT_TRUE(engine.Initialize(initial).ok());
+  VoteDrivenOptions options;
+  options.links_per_episode = 150;
+  options.users_per_link = 3;
+  options.vote_error_rate = 0.3;
+  options.max_episodes = 12;
+  options.aggregator.quorum = 2;
+  ExperimentResult result = RunVoteDrivenExperiment(&engine, truth, options);
+  size_t rollbacks = 0;
+  size_t rolled_back_links = 0;
+  for (const EpisodePoint& point : result.series) {
+    rollbacks += point.stats.rollbacks;
+    rolled_back_links += point.stats.rolled_back_links;
+  }
+  EXPECT_GT(rollbacks, 0u);
+  EXPECT_GT(rolled_back_links, 0u) << rollbacks << " rollbacks";
+}
+
 }  // namespace
 }  // namespace alex::eval

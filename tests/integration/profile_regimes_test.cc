@@ -4,6 +4,7 @@
 // benchmark sizes so the whole sweep stays fast.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "datagen/profiles.h"
@@ -20,6 +21,13 @@ struct RegimeCase {
   // Required final quality.
   double min_final_f = 0.9;
 };
+
+// gtest would otherwise print the case as raw bytes, which include the
+// address of `profile` and so give the test a different name in every run.
+void PrintTo(const RegimeCase& c, std::ostream* os) {
+  *os << c.profile << "(P0<=" << c.max_initial_precision
+     << ",R0<=" << c.max_initial_recall << ",F>=" << c.min_final_f << ")";
+}
 
 class ProfileRegimeTest : public ::testing::TestWithParam<RegimeCase> {};
 

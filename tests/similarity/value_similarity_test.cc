@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
+namespace alex::rdf {
+
+// Prints a term parameter as text; gtest would otherwise dump its bytes,
+// which hold a heap address and padding, into the test's name.
+void PrintTo(const Term& term, std::ostream* os) { *os << term.ToString(); }
+
+}  // namespace alex::rdf
+
 namespace alex::sim {
 namespace {
 
