@@ -148,6 +148,7 @@ alex::eval::ExperimentResult RunVoteDriven(
   options.num_partitions = 2;
   options.num_threads = 1;
   options.prioritized_sampling = prioritized;
+  options.max_episodes = 20;
   alex::core::AlexEngine engine(&world.left, &world.right, options);
   alex::Status status = engine.Initialize(initial);
   ALEX_CHECK(status.ok()) << status.ToString();
@@ -157,7 +158,6 @@ alex::eval::ExperimentResult RunVoteDriven(
   vote_options.links_per_episode = 150;
   vote_options.users_per_link = 5;
   vote_options.vote_error_rate = 0.1;
-  vote_options.max_episodes = 20;
   vote_options.vote_threads = 2;
   vote_options.aggregator.quorum = 3;
   return alex::eval::RunVoteDrivenExperiment(&engine, truth, vote_options);

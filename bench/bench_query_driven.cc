@@ -33,8 +33,6 @@ int main() {
   ALEX_CHECK(st.ok()) << st.ToString();
   alex::eval::QueryDrivenOptions qd;
   qd.workload.num_queries = 600;
-  qd.episode_size = 1000;
-  qd.max_episodes = 20;
   alex::eval::ExperimentResult query_run =
       alex::eval::RunQueryDrivenExperiment(&engine, world, truth, qd);
 

@@ -170,13 +170,13 @@ int main(int argc, char** argv) {
     alex::core::AlexOptions alex_options;
     alex_options.num_partitions = 2;
     alex_options.num_threads = 1;
+    alex_options.episode_size = 150;
+    alex_options.max_episodes = 8;
     alex::core::AlexEngine engine(&world.left, &world.right, alex_options);
     ALEX_CHECK(engine.Initialize(initial).ok());
 
     alex::serving::ServingLoopOptions options;
     options.workload.num_queries = 200;
-    options.episode_size = 150;
-    options.max_episodes = 8;
     options.num_streams = streams;
     options.verify_identity = true;
     auto start = std::chrono::steady_clock::now();

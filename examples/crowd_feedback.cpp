@@ -71,7 +71,6 @@ int main() {
     vote_options.links_per_episode = 400;
     vote_options.users_per_link = kVotesPerItem;
     vote_options.vote_error_rate = kUserErrorRate;
-    vote_options.max_episodes = 12;
     vote_options.vote_threads = 2;
     vote_options.aggregator.quorum = kVotesPerItem;
     alex::eval::ExperimentResult result =

@@ -28,6 +28,18 @@ void WalkSortedDelta(const std::vector<PairId>& added,
   }
 }
 
+// Locates the (partition, pair) of a link; false if outside every space.
+bool FindPartitionPair(
+    const std::vector<PartitionAlex>& partitions,
+    const std::unordered_map<std::string, uint32_t>& by_left_iri,
+    const linking::Link& link, uint32_t* partition, PairId* pair) {
+  auto it = by_left_iri.find(link.left);
+  if (it == by_left_iri.end()) return false;
+  *partition = it->second;
+  *pair = partitions[*partition].space().FindPair(link.left, link.right);
+  return *pair != kInvalidPairId;
+}
+
 }  // namespace
 
 PartitionAlex::PartitionAlex(FeatureSpace space, const AlexOptions* options,
@@ -228,8 +240,30 @@ void PartitionAlex::EndEpisode() {
   }
 }
 
+void PartitionAlex::FeedbackCounts::Add(bool positive,
+                                        const FeedbackOutcome& outcome) {
+  ++feedback_items;
+  ++(positive ? positive_feedback : negative_feedback);
+  links_added += outcome.added;
+  links_removed += (outcome.removed ? 1 : 0) + outcome.rolled_back_links;
+  rollbacks += outcome.rollbacks;
+  rolled_back_links += outcome.rolled_back_links;
+}
+
+PartitionAlex::FeedbackCounts& PartitionAlex::FeedbackCounts::operator+=(
+    const FeedbackCounts& other) {
+  feedback_items += other.feedback_items;
+  positive_feedback += other.positive_feedback;
+  negative_feedback += other.negative_feedback;
+  links_added += other.links_added;
+  links_removed += other.links_removed;
+  rollbacks += other.rollbacks;
+  rolled_back_links += other.rolled_back_links;
+  return *this;
+}
+
 void PartitionAlex::RunEpisodeItems(size_t items, const FeedbackFn& feedback,
-                                    ShardStats* stats) {
+                                    FeedbackCounts* counts) {
   BeginEpisode();
   for (size_t item = 0; item < items; ++item) {
     PairId pair = SampleFeedbackPair();
@@ -237,19 +271,8 @@ void PartitionAlex::RunEpisodeItems(size_t items, const FeedbackFn& feedback,
     linking::Link link;
     link.left = space_.LeftIri(pair);
     link.right = space_.RightIri(pair);
-    bool approved = feedback(link);
-    ++stats->feedback_items;
-    if (approved) {
-      ++stats->positive_feedback;
-    } else {
-      ++stats->negative_feedback;
-    }
-    FeedbackOutcome outcome = ProcessFeedback(pair, approved);
-    stats->links_added += outcome.added;
-    if (outcome.removed) ++stats->links_removed;
-    stats->rollbacks += outcome.rollbacks;
-    stats->links_removed += outcome.rolled_back_links;
-    stats->rolled_back_links += outcome.rolled_back_links;
+    const bool approved = feedback(link);
+    counts->Add(approved, ProcessFeedback(pair, approved));
   }
   EndEpisode();
 }
@@ -657,27 +680,52 @@ Status AlexEngine::IngestTriples(IngestStats* stats_out) {
 }
 
 void AlexEngine::ProcessExtras(size_t quota, const FeedbackFn& feedback,
-                               EpisodeStats* stats) {
+                               PartitionAlex::FeedbackCounts* counts) {
   for (size_t item = 0; item < quota; ++item) {
     if (extras_alive_.empty()) break;
     PairId extra = extras_alive_.Sample(&rng_);
-    bool approved = feedback(extras_links_[extra]);
-    ++stats->feedback_items;
-    if (approved) {
-      ++stats->positive_feedback;
-    } else {
-      ++stats->negative_feedback;
-      extras_alive_.Remove(extra);
-      ++stats->links_removed;
-    }
+    const bool approved = feedback(extras_links_[extra]);
+    PartitionAlex::FeedbackOutcome outcome;
+    if (!approved) outcome.removed = extras_alive_.Remove(extra);
+    counts->Add(approved, outcome);
   }
+}
+
+size_t AlexEngine::CloseEpisode(const PartitionAlex::FeedbackCounts& counts,
+                                EpisodeStats* stats) {
+  // Fold the net membership deltas into each partition's frontier, walk
+  // them through the link-change observer, and into change_fraction. The
+  // candidate sets tracked their own net changes during the episode, so the
+  // symmetric difference with the episode-start state is a counter read,
+  // not a rebuild-sort-diff over every candidate.
+  const size_t changed = CloseCandidateEpoch(/*notify=*/true);
+  stats->episode = episodes_run_;
+  stats->feedback_items = counts.feedback_items;
+  stats->positive_feedback = counts.positive_feedback;
+  stats->negative_feedback = counts.negative_feedback;
+  stats->links_added = counts.links_added;
+  stats->links_removed = counts.links_removed;
+  stats->rollbacks = counts.rollbacks;
+  stats->rolled_back_links = counts.rolled_back_links;
+  stats->change_fraction =
+      static_cast<double>(changed) /
+      static_cast<double>(std::max<size_t>(1, prev_candidate_count_));
+  prev_candidate_count_ = CandidateCount();
+  stats->candidate_count = prev_candidate_count_;
+  // Cumulative live-ingest accounting (zero for engines never driven
+  // through IngestTriples).
+  stats->triples_ingested = triples_ingested_;
+  stats->entities_added = entities_added_;
+  stats->blocking_merges = static_cast<size_t>(BlockingMergeCount());
+  stats->space_overflow_pairs = space_overflow_pairs_;
+  stats->ingest_epochs = ingest_epochs_;
+  return changed;
 }
 
 EpisodeStats AlexEngine::RunEpisode(const FeedbackFn& feedback) {
   ALEX_CHECK(initialized_) << "call Initialize() first";
   Stopwatch episode_timer;
-  EpisodeStats stats;
-  stats.episode = ++episodes_run_;
+  ++episodes_run_;
 
   // Allocate each shard's feedback quota up front: episode_size multinomial
   // draws from the engine RNG, weighted by the episode-START candidate
@@ -709,7 +757,8 @@ EpisodeStats AlexEngine::RunEpisode(const FeedbackFn& feedback) {
     }
   }
 
-  std::vector<PartitionAlex::ShardStats> shard(partitions_.size());
+  // One slice per partition, then the extras' slice.
+  std::vector<PartitionAlex::FeedbackCounts> shard(partitions_.size() + 1);
   std::vector<double> partition_seconds(partitions_.size(), 0.0);
   auto run_partition = [&](size_t p) {
     Stopwatch partition_timer;
@@ -723,42 +772,17 @@ EpisodeStats AlexEngine::RunEpisode(const FeedbackFn& feedback) {
     }
     // Extras have no partition; process them on this thread while the
     // partition shards run.
-    ProcessExtras(quota.back(), feedback, &stats);
+    ProcessExtras(quota.back(), feedback, &shard.back());
     pool_->Wait();
   } else {
     for (size_t p = 0; p < partitions_.size(); ++p) run_partition(p);
-    ProcessExtras(quota.back(), feedback, &stats);
+    ProcessExtras(quota.back(), feedback, &shard.back());
   }
 
-  // Deterministic partition-ordered merge of the shard stats.
-  for (const PartitionAlex::ShardStats& s : shard) {
-    stats.feedback_items += s.feedback_items;
-    stats.positive_feedback += s.positive_feedback;
-    stats.negative_feedback += s.negative_feedback;
-    stats.links_added += s.links_added;
-    stats.links_removed += s.links_removed;
-    stats.rollbacks += s.rollbacks;
-    stats.rolled_back_links += s.rolled_back_links;
-  }
-
-  // Fold the net membership deltas into each partition's frontier, walk
-  // them through the link-change observer, and into change_fraction. The
-  // candidate sets tracked their own net changes during the episode, so the
-  // symmetric difference with the episode-start state is a counter read,
-  // not a rebuild-sort-diff over every candidate.
-  const size_t changed = CloseCandidateEpoch(/*notify=*/true);
-  stats.change_fraction =
-      static_cast<double>(changed) /
-      static_cast<double>(std::max<size_t>(1, prev_candidate_count_));
-  prev_candidate_count_ = CandidateCount();
-  stats.candidate_count = CandidateCount();
-  // Cumulative live-ingest accounting (zero for engines never driven
-  // through IngestTriples).
-  stats.triples_ingested = triples_ingested_;
-  stats.entities_added = entities_added_;
-  stats.blocking_merges = static_cast<size_t>(BlockingMergeCount());
-  stats.space_overflow_pairs = space_overflow_pairs_;
-  stats.ingest_epochs = ingest_epochs_;
+  PartitionAlex::FeedbackCounts counts;
+  for (const PartitionAlex::FeedbackCounts& s : shard) counts += s;
+  EpisodeStats stats;
+  CloseEpisode(counts, &stats);
   stats.seconds = episode_timer.ElapsedSeconds();
   double sum = 0.0;
   for (double s : partition_seconds) {
@@ -917,16 +941,13 @@ void AlexEngine::SampleFeedbackLinks(size_t count,
 PartitionAlex::FeedbackOutcome AlexEngine::ApplyLinkFeedback(
     const linking::Link& link, bool positive) {
   PartitionAlex::FeedbackOutcome outcome;
-  auto it = partition_by_left_iri_.find(link.left);
-  if (it != partition_by_left_iri_.end()) {
-    PartitionAlex& partition = partitions_[it->second];
-    PairId pair = partition.space().FindPair(link.left, link.right);
-    if (pair != kInvalidPairId && partition.candidates().Contains(pair)) {
-      return partition.ProcessFeedback(pair, positive);
-    }
-  }
-  // Spaceless extras: negative feedback removes them.
-  if (!positive) {
+  uint32_t partition = 0;
+  PairId pair = kInvalidPairId;
+  if (FindPartitionPair(partitions_, partition_by_left_iri_, link,
+                        &partition, &pair) &&
+      partitions_[partition].candidates().Contains(pair)) {
+    outcome = partitions_[partition].ProcessFeedback(pair, positive);
+  } else if (!positive) {
     for (PairId extra : extras_alive_.items()) {
       if (extras_links_[extra] == link) {
         outcome.removed = extras_alive_.Remove(extra);
@@ -934,6 +955,7 @@ PartitionAlex::FeedbackOutcome AlexEngine::ApplyLinkFeedback(
       }
     }
   }
+  external_counts_.Add(positive, outcome);
   return outcome;
 }
 
@@ -958,22 +980,6 @@ void AlexEngine::ReplaceCandidates(
   ResetExtras();
   MarkCandidateBaseline();
 }
-
-namespace {
-
-// Locates the (partition, pair) of a link; false if outside every space.
-bool FindPartitionPair(
-    const std::vector<PartitionAlex>& partitions,
-    const std::unordered_map<std::string, uint32_t>& by_left_iri,
-    const linking::Link& link, uint32_t* partition, PairId* pair) {
-  auto it = by_left_iri.find(link.left);
-  if (it == by_left_iri.end()) return false;
-  *partition = it->second;
-  *pair = partitions[*partition].space().FindPair(link.left, link.right);
-  return *pair != kInvalidPairId;
-}
-
-}  // namespace
 
 void AlexEngine::RestoreBlacklistEntry(const linking::Link& link) {
   uint32_t partition = 0;
@@ -1007,13 +1013,15 @@ void AlexEngine::RestoreReturnEntry(const linking::Link& state,
 }
 
 void AlexEngine::BeginExternalEpisode() {
+  ++episodes_run_;
+  external_counts_ = {};
   for (PartitionAlex& partition : partitions_) partition.BeginEpisode();
 }
 
-size_t AlexEngine::EndExternalEpisode() {
+size_t AlexEngine::EndExternalEpisode(EpisodeStats* stats) {
   for (PartitionAlex& partition : partitions_) partition.EndEpisode();
-  // The same boundary as RunEpisode's.
-  return CloseCandidateEpoch(/*notify=*/true);
+  EpisodeStats unused;
+  return CloseEpisode(external_counts_, stats != nullptr ? stats : &unused);
 }
 
 }  // namespace alex::core

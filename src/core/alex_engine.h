@@ -253,16 +253,22 @@ class PartitionAlex {
   // feedback removes the link and may fire rollbacks.
   FeedbackOutcome ProcessFeedback(PairId pair, bool positive);
 
-  // Per-partition slice of an episode's statistics, merged by the engine in
-  // partition order.
-  struct ShardStats {
+  // An episode's feedback items and what they changed. Every episode's
+  // counts come from Add: per partition and for the extras in RunEpisode
+  // (summed in a fixed order), per ApplyLinkFeedback call in an external
+  // episode.
+  struct FeedbackCounts {
     size_t feedback_items = 0;
     size_t positive_feedback = 0;
     size_t negative_feedback = 0;
     size_t links_added = 0;
-    size_t links_removed = 0;
+    size_t links_removed = 0;  // rolled-back links included
     size_t rollbacks = 0;
     size_t rolled_back_links = 0;
+
+    // Counts one feedback item and its outcome.
+    void Add(bool positive, const FeedbackOutcome& outcome);
+    FeedbackCounts& operator+=(const FeedbackCounts& other);
   };
 
   // Runs this partition's share of one episode: BeginEpisode, then up to
@@ -272,7 +278,7 @@ class PartitionAlex {
   // shares concurrently; the result depends only on this partition's
   // history, never on thread interleaving.
   void RunEpisodeItems(size_t items, const FeedbackFn& feedback,
-                       ShardStats* stats);
+                       FeedbackCounts* counts);
 
   // One feedback draw from this partition's candidates, with the
   // partition's own RNG: the prioritized uncertainty sampler when
@@ -512,18 +518,25 @@ class AlexEngine {
   // attributes approve/reject of a query answer to one of its provenance
   // links, and returns what it changed (a spaceless extra removed by
   // negative feedback counts as removed). Unknown or non-candidate links
-  // are ignored.
+  // change nothing. Every call counts as one feedback item of the current
+  // external episode.
   PartitionAlex::FeedbackOutcome ApplyLinkFeedback(const linking::Link& link,
                                                    bool positive);
 
   // When driving feedback externally (ApplyLinkFeedback), call these to
-  // delimit episodes. EndExternalEpisode fires the link-change observer
-  // once per net candidate membership change since the previous episode
-  // boundary (exactly like RunEpisode) and returns the number of changes,
-  // so external drivers can maintain a LinkSet / query cache incrementally
-  // and compute change fractions without re-materializing CandidateLinks().
+  // delimit episodes. BeginExternalEpisode starts the next episode number
+  // and its counts. EndExternalEpisode closes the episode at RunEpisode's
+  // boundary (the link-change observer sees every net candidate change),
+  // fills in `stats` the fields RunEpisode fills — feedback counts, episode
+  // number, change_fraction, candidate_count and the cumulative ingest
+  // counters — leaving the driver's own fields as they are, and returns the
+  // number of net changes.
   void BeginExternalEpisode();
-  size_t EndExternalEpisode();
+  size_t EndExternalEpisode(EpisodeStats* stats = nullptr);
+
+  // Episodes begun so far, by RunEpisode or BeginExternalEpisode: during an
+  // external episode, that episode's number.
+  int episodes_run() const { return episodes_run_; }
 
   // Persistence support (see core/engine_state.h). These operate on an
   // initialized engine; links outside every feature space become spaceless
@@ -582,11 +595,19 @@ class AlexEngine {
   // Rebuilds extras_alive_ over every extras_links_ entry, all present.
   void ResetExtras();
 
+  // Closes an episode of either kind (RunEpisode, EndExternalEpisode) at
+  // CloseCandidateEpoch's boundary, and fills `stats`: `counts`, the episode
+  // number, change_fraction against the candidate count of the previous
+  // boundary, candidate_count and the cumulative ingest counters. Returns
+  // the number of net membership changes.
+  size_t CloseEpisode(const PartitionAlex::FeedbackCounts& counts,
+                      EpisodeStats* stats);
+
   // Processes up to `quota` feedback items on the spaceless extras,
   // sampling live with the engine RNG (extras have no partition worker;
   // they run on the calling thread).
   void ProcessExtras(size_t quota, const FeedbackFn& feedback,
-                     EpisodeStats* stats);
+                     PartitionAlex::FeedbackCounts* counts);
 
   // Total sidecar-into-CSR merge compactions across the engine's blocking
   // indexes (the shared right index plus the left reverse-probe index).
@@ -658,6 +679,8 @@ class AlexEngine {
   // deltas, so no full snapshot is rebuilt per episode.
   size_t prev_candidate_count_ = 0;
   int episodes_run_ = 0;
+  // Counts of the current external episode (ApplyLinkFeedback).
+  PartitionAlex::FeedbackCounts external_counts_;
 };
 
 }  // namespace alex::core

@@ -1,6 +1,8 @@
-// The experiment driver: generate a data set pair from a profile, produce
-// initial candidate links with PARIS, run ALEX against the feedback oracle,
-// and record per-episode quality — the exact pipeline of §7.1.
+// The episode loop every experiment driver shares (RunEpisodes; each
+// driver supplies only its feedback source), and the batch driver:
+// generate a data set pair from a profile, produce initial candidate links
+// with PARIS, run ALEX against the feedback oracle, and record per-episode
+// quality — the exact pipeline of §7.1.
 #ifndef ALEX_EVAL_EXPERIMENT_H_
 #define ALEX_EVAL_EXPERIMENT_H_
 
@@ -50,7 +52,7 @@ struct ExperimentResult {
   size_t new_links_discovered = 0; // correct links ALEX added
   bool converged = false;
   int episodes = 0;
-  int relaxed_episode = -1;  // first episode with <5% change, -1 if never
+  int relaxed_episode = -1;  // first below relaxed_change_fraction, or -1
   double init_seconds = 0.0;     // pre-processing (feature spaces)
   double total_seconds = 0.0;    // episodes only
   uint64_t total_pairs = 0;      // raw cross product
@@ -59,6 +61,36 @@ struct ExperimentResult {
 
   const Quality& final_quality() const { return series.back().quality; }
 };
+
+// Runs one episode on the engine — RunEpisode, or ApplyLinkFeedback
+// between BeginExternalEpisode and EndExternalEpisode(&stats) — and returns
+// its stats.
+using EpisodeFn = std::function<Result<core::EpisodeStats>()>;
+
+// What a driver adds to RunEpisodes besides its episodes; all optional.
+struct EpisodeHooks {
+  // Sees every net candidate change after the quality tracker.
+  core::LinkChangeFn on_link_change;
+  // Sees each episode point as it is produced, episode 0 included.
+  std::function<void(const EpisodePoint&)> on_point;
+  // Stop, converged, at the first episode that changes no candidate link.
+  // Ingest turns it off: every growth epoch runs.
+  bool stop_when_converged = true;
+};
+
+// The episode loop of every driver (§4.4), until the candidate links stop
+// changing or `max_episodes` episodes ran. It owns the result header, the
+// episode-0 point and initial counts (the engine's candidates when the
+// loop starts), per-episode quality (a QualityTracker on the engine's
+// link-change observer, installed for the run), the relaxed episode (the
+// engine's AlexOptions::relaxed_change_fraction), the stop rule,
+// NewCorrectLinks and the run's timing. Episode numbers and counts come
+// from the engine. `truth` may grow during the run (ingest).
+Result<ExperimentResult> RunEpisodes(core::AlexEngine* engine,
+                                     const feedback::GroundTruth& truth,
+                                     std::string name, int max_episodes,
+                                     const EpisodeFn& run_episode,
+                                     const EpisodeHooks& hooks = {});
 
 // Runs the full pipeline. `on_point` (optional) observes each episode point
 // as it is produced (episode 0 included).

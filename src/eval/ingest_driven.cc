@@ -1,9 +1,5 @@
 #include "eval/ingest_driven.h"
 
-#include <utility>
-
-#include "common/stopwatch.h"
-
 namespace alex::eval {
 
 Result<ExperimentResult> RunIngestDrivenExperiment(
@@ -11,80 +7,44 @@ Result<ExperimentResult> RunIngestDrivenExperiment(
     datagen::GeneratedWorld* world,
     const std::vector<linking::Link>& initial_links,
     const std::function<void(const EpisodePoint&)>& on_point) {
-  ExperimentResult result;
-  result.profile_name = config.profile.name;
-
-  feedback::GroundTruth truth(world->ground_truth);
-  result.initial_link_count = initial_links.size();
-  for (const linking::Link& link : initial_links) {
-    if (truth.Contains(link)) ++result.initial_correct;
-  }
-
   core::AlexEngine engine(&world->left, &world->right, config.alex);
   // No prepared right context: IngestTriples mutates it, so the engine must
   // own it.
   ALEX_RETURN_IF_ERROR(engine.Initialize(initial_links));
-  result.init_seconds = engine.init_seconds();
 
   // The growth schedule is a pure function of (profile, seed, fraction,
   // epochs) — the differential harness replays the same schedule against an
   // incremental and a rebuild engine and compares fingerprints.
-  datagen::GrowthSchedule schedule =
+  const datagen::GrowthSchedule schedule =
       datagen::GrowWorld(config.profile, ingest.growth_seed,
                          ingest.growth_fraction, ingest.epochs);
-
-  QualityTracker tracker(&truth);
-  tracker.Reset(engine.CandidateLinks());
-  engine.SetLinkChangeObserver(
-      [&tracker](const linking::Link& link, bool added) {
-        tracker.OnLinkChange(link, added);
-      });
-
-  EpisodePoint start;
-  start.episode = 0;
-  start.quality = tracker.Snapshot();
-  result.series.push_back(start);
-  if (on_point) on_point(start);
-
+  feedback::GroundTruth truth(world->ground_truth);
   feedback::Oracle oracle(&truth, config.feedback_error_rate,
                           config.oracle_seed);
-  auto feedback_fn = [&oracle](const linking::Link& link) {
+  const core::FeedbackFn judge = [&oracle](const linking::Link& link) {
     return oracle.Feedback(link);
   };
 
-  Stopwatch run_timer;
-  for (const datagen::GrowthEpoch& epoch : schedule.epochs) {
+  size_t next_epoch = 0;
+  auto grow_then_learn = [&]() -> Result<core::EpisodeStats> {
     // Grow the stores, fold the growth into the engine, extend the truth —
     // all BEFORE the episode, so this episode's feedback already judges
     // links involving the new entities correctly.
+    const datagen::GrowthEpoch& epoch = schedule.epochs[next_epoch++];
     datagen::ApplyGrowthEpoch(epoch, &world->left, &world->right);
-    core::AlexEngine::IngestStats ingest_stats;
-    ALEX_RETURN_IF_ERROR(engine.IngestTriples(&ingest_stats));
+    ALEX_RETURN_IF_ERROR(engine.IngestTriples());
     for (const linking::Link& link : epoch.new_ground_truth) {
       truth.Add(link);
       world->ground_truth.push_back(link);
     }
-
-    core::EpisodeStats stats = engine.RunEpisode(feedback_fn);
-    EpisodePoint point;
-    point.episode = stats.episode;
-    point.stats = stats;
-    point.quality = tracker.Snapshot();
-    result.series.push_back(point);
-    if (on_point) on_point(point);
-    ++result.episodes;
-    if (result.relaxed_episode < 0 &&
-        stats.change_fraction < config.alex.relaxed_change_fraction) {
-      result.relaxed_episode = stats.episode;
-    }
-  }
-  result.total_seconds = run_timer.ElapsedSeconds();
-  result.ground_truth_size = truth.size();
-  result.total_pairs = engine.total_pair_count();
-  result.filtered_pairs = engine.filtered_pair_count();
-  result.new_links_discovered =
-      NewCorrectLinks(initial_links, engine.CandidateLinks(), truth);
-  return result;
+    return engine.RunEpisode(judge);
+  };
+  EpisodeHooks hooks;
+  hooks.on_point = on_point;
+  hooks.stop_when_converged = false;
+  return RunEpisodes(&engine, truth, config.profile.name,
+                     static_cast<int>(schedule.epochs.size()),
+                     grow_then_learn, hooks);
 }
 
 }  // namespace alex::eval

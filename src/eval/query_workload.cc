@@ -6,7 +6,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "common/stopwatch.h"
 #include "federation/federated_engine.h"
 #include "federation/query_cache.h"
 #include "rdf/entity_view.h"
@@ -87,32 +86,75 @@ std::vector<WorkloadQuery> GenerateWorkload(
   return queries;
 }
 
+void JudgeQueryAnswers(core::AlexEngine* engine,
+                       const std::vector<WorkloadQuery>& workload,
+                       const QueryExecutor& execute,
+                       feedback::Oracle* oracle, Rng* rng,
+                       core::EpisodeStats* stats) {
+  const size_t budget = engine->options().episode_size;
+  std::vector<size_t> order(workload.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  rng->Shuffle(&order);
+
+  // One feedback item per judged link: judged.size() is the item count.
+  std::unordered_set<linking::Link, linking::LinkHash> judged;
+  // Provenance links of incomplete answer sets.
+  std::unordered_set<linking::Link, linking::LinkHash> skipped;
+  for (size_t index : order) {
+    if (judged.size() >= budget) break;
+    Result<fed::FederatedResult> executed = execute(workload[index].text);
+    if (!executed.ok()) continue;
+    const fed::FederatedResult& result_set = executed.value();
+    stats->query_probes += result_set.probes;
+    stats->query_retries += result_set.retries;
+    stats->breaker_short_circuits += result_set.short_circuits;
+    if (!result_set.complete) {
+      // Degraded evidence: an answer set with missing rows or sources
+      // must not judge links. Positive verdicts could reward a link that
+      // only looks good because contradicting rows are missing.
+      ++stats->incomplete_queries;
+      for (const fed::FederatedAnswer& answer : result_set.answers) {
+        skipped.insert(answer.links_used.begin(), answer.links_used.end());
+      }
+      continue;
+    }
+    for (const fed::FederatedAnswer& answer : result_set.answers) {
+      if (judged.size() >= budget) break;
+      // §3.2: the user judges the ANSWER; the verdict applies to every
+      // link in its provenance.
+      for (const linking::Link& link : answer.links_used) {
+        if (!judged.insert(link).second) continue;
+        engine->ApplyLinkFeedback(link, oracle->Feedback(link));
+      }
+    }
+  }
+  for (const linking::Link& link : skipped) {
+    if (judged.find(link) == judged.end()) ++stats->skipped_feedback;
+  }
+}
+
+void TakeCacheStats(fed::FederatedQueryCache* cache,
+                    sparql::PlanCache* plan_cache, core::EpisodeStats* stats) {
+  if (cache != nullptr) {
+    const fed::FederatedQueryCache::Stats taken = cache->TakeStats();
+    stats->query_cache_hits = taken.hits;
+    stats->query_cache_misses = taken.misses;
+  }
+  if (plan_cache != nullptr) {
+    const sparql::PlanCache::Stats taken = plan_cache->TakeStats();
+    stats->plan_cache_hits = taken.parse_hits + taken.plan_hits;
+    stats->plan_cache_misses = taken.parse_misses + taken.plan_misses;
+  }
+}
+
 ExperimentResult RunQueryDrivenExperiment(
     core::AlexEngine* engine, const datagen::GeneratedWorld& world,
     const feedback::GroundTruth& truth, const QueryDrivenOptions& options) {
-  ExperimentResult result;
-  result.profile_name = "query_driven";
-  result.ground_truth_size = truth.size();
-  result.total_pairs = engine->total_pair_count();
-  result.filtered_pairs = engine->filtered_pair_count();
-  result.init_seconds = engine->init_seconds();
-
-  std::vector<linking::Link> initial_links = engine->CandidateLinks();
-  result.initial_link_count = initial_links.size();
-  for (const linking::Link& link : initial_links) {
-    if (truth.Contains(link)) ++result.initial_correct;
-  }
-
-  std::vector<WorkloadQuery> workload =
+  const std::vector<WorkloadQuery> workload =
       GenerateWorkload(world, options.workload);
   feedback::Oracle oracle(&truth, options.feedback_error_rate,
                           options.oracle_seed);
   Rng rng(options.workload.seed ^ 0x5eedf00dULL);
-
-  EpisodePoint start;
-  start.episode = 0;
-  start.quality = Evaluate(engine->CandidateLinks(), truth);
-  result.series.push_back(start);
 
   // Persistent federation state. The link set is maintained incrementally:
   // the engine reports net candidate membership changes at every episode
@@ -122,7 +164,7 @@ ExperimentResult RunQueryDrivenExperiment(
   // The same deltas invalidate exactly the cached query results whose
   // consulted link neighborhoods changed.
   fed::LinkSet links;
-  for (const linking::Link& link : initial_links) links.Add(link);
+  for (const linking::Link& link : engine->CandidateLinks()) links.Add(link);
   fed::FederatedQueryCache cache;
   std::vector<const rdf::TripleStore*> sources = {&world.left, &world.right};
   // With a non-zero fault profile every source becomes an unreliable
@@ -153,122 +195,40 @@ ExperimentResult RunQueryDrivenExperiment(
   fed::FederatedOptions fed_options;
   fed_options.pool = options.pool;
   fed_options.deadline_micros = options.deadline_micros;
-  engine->SetLinkChangeObserver(
-      [&links, &cache](const linking::Link& link, bool added) {
-        if (added) {
-          links.Add(link);
-        } else {
-          links.Remove(link.left, link.right);
-        }
-        cache.InvalidateLink(link);
-      });
 
-  Stopwatch run_timer;
-  size_t previous_candidates = engine->CandidateCount();
-  for (int episode = 1; episode <= options.max_episodes; ++episode) {
+  auto episode = [&] {
     core::EpisodeStats stats;
-    stats.episode = episode;
     engine->BeginExternalEpisode();
-
-    std::vector<size_t> order(workload.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    rng.Shuffle(&order);
-
-    // Each link is judged at most once per episode: different answers often
-    // share the same provenance link, and re-judging it adds no
-    // information (mirrors the engine's first-visit semantics).
-    std::unordered_set<linking::Link, linking::LinkHash> judged;
-    // Provenance links seen only through incomplete answer sets. They
-    // receive no feedback (a degraded answer set can misrepresent a link's
-    // effect); the count of those never judged elsewhere this episode is
-    // reported as skipped_feedback.
-    std::unordered_set<linking::Link, linking::LinkHash> skipped;
-    for (size_t index : order) {
-      if (stats.feedback_items >= options.episode_size) break;
-      Result<fed::FederatedResult> executed =
-          fed_engine.ExecuteText(workload[index].text, fed_options);
-      if (!executed.ok()) continue;
-      const fed::FederatedResult& result_set = executed.value();
-      stats.query_probes += result_set.probes;
-      stats.query_retries += result_set.retries;
-      stats.breaker_short_circuits += result_set.short_circuits;
-      if (!result_set.complete) {
-        // Degraded evidence: an answer set with missing rows or sources
-        // must not judge links. Positive verdicts could reward a link that
-        // only looks good because contradicting rows are missing.
-        ++stats.incomplete_queries;
-        for (const fed::FederatedAnswer& answer : result_set.answers) {
-          for (const linking::Link& link : answer.links_used) {
-            skipped.insert(link);
-          }
-        }
-        continue;
-      }
-      for (const fed::FederatedAnswer& answer : result_set.answers) {
-        if (stats.feedback_items >= options.episode_size) break;
-        // §3.2: the user judges the ANSWER; the verdict applies to every
-        // link in its provenance.
-        for (const linking::Link& link : answer.links_used) {
-          if (!judged.insert(link).second) continue;
-          bool approved = oracle.Feedback(link);
-          const core::PartitionAlex::FeedbackOutcome outcome =
-              engine->ApplyLinkFeedback(link, approved);
-          stats.rollbacks += outcome.rollbacks;
-          stats.rolled_back_links += outcome.rolled_back_links;
-          ++stats.feedback_items;
-          if (approved) {
-            ++stats.positive_feedback;
-          } else {
-            ++stats.negative_feedback;
-          }
-        }
-      }
-    }
-    for (const linking::Link& link : skipped) {
-      if (judged.find(link) == judged.end()) ++stats.skipped_feedback;
-    }
-    fed::FederatedQueryCache::Stats cache_stats = cache.TakeStats();
-    stats.query_cache_hits = cache_stats.hits;
-    stats.query_cache_misses = cache_stats.misses;
-    sparql::PlanCache::Stats plan_stats = plan_cache.TakeStats();
-    stats.plan_cache_hits = plan_stats.parse_hits + plan_stats.plan_hits;
-    stats.plan_cache_misses =
-        plan_stats.parse_misses + plan_stats.plan_misses;
+    JudgeQueryAnswers(
+        engine, workload,
+        [&](const std::string& text) {
+          return fed_engine.ExecuteText(text, fed_options);
+        },
+        &oracle, &rng, &stats);
+    TakeCacheStats(&cache, &plan_cache, &stats);
     fed::FederatedEngine::FaultStats fault_stats =
         fed_engine.TakeFaultStats();
     stats.breaker_opens = fault_stats.breaker_opens;
     stats.breaker_half_opens = fault_stats.breaker_half_opens;
     stats.breaker_closes = fault_stats.breaker_closes;
-    // The episode boundary: fires the observer above (updating links and
-    // invalidating cache entries) and reports the net membership changes —
-    // the symmetric difference with the episode start, not a count delta.
-    size_t changed = engine->EndExternalEpisode();
-
-    stats.candidate_count = engine->CandidateCount();
-    stats.change_fraction =
-        static_cast<double>(changed) /
-        static_cast<double>(std::max<size_t>(1, previous_candidates));
-    previous_candidates = stats.candidate_count;
-
-    EpisodePoint point;
-    point.episode = episode;
-    point.stats = stats;
-    point.quality = Evaluate(engine->CandidateLinks(), truth);
-    result.series.push_back(point);
-    ++result.episodes;
-    if (result.relaxed_episode < 0 && stats.change_fraction < 0.05) {
-      result.relaxed_episode = episode;
+    // The episode boundary: fires the observer below (updating links and
+    // invalidating cache entries).
+    engine->EndExternalEpisode(&stats);
+    return stats;
+  };
+  EpisodeHooks hooks;
+  hooks.on_link_change = [&links, &cache](const linking::Link& link,
+                                          bool added) {
+    if (added) {
+      links.Add(link);
+    } else {
+      links.Remove(link.left, link.right);
     }
-    if (stats.feedback_items == 0 || stats.change_fraction == 0.0) {
-      result.converged = stats.change_fraction == 0.0;
-      break;
-    }
-  }
-  engine->SetLinkChangeObserver(nullptr);
-  result.total_seconds = run_timer.ElapsedSeconds();
-  result.new_links_discovered =
-      NewCorrectLinks(initial_links, engine->CandidateLinks(), truth);
-  return result;
+    cache.InvalidateLink(link);
+  };
+  return RunEpisodes(engine, truth, "query_driven",
+                     engine->options().max_episodes, episode, hooks)
+      .value();
 }
 
 }  // namespace alex::eval

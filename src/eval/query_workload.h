@@ -14,7 +14,8 @@
 //   * RunQueryDrivenExperiment alternates episodes in which the queries are
 //     executed against the current candidate links, every answer is judged
 //     by the ground truth, and the feedback flows into the ALEX engine via
-//     ApplyLinkFeedback.
+//     ApplyLinkFeedback (JudgeQueryAnswers, which the serving loop in
+//     serving/serving_loop.h shares).
 //
 // Query-driven feedback differs from uniform link sampling in coverage:
 // only links that actually answer queries receive feedback. The
@@ -22,6 +23,7 @@
 #ifndef ALEX_EVAL_QUERY_WORKLOAD_H_
 #define ALEX_EVAL_QUERY_WORKLOAD_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,7 +34,9 @@
 #include "eval/experiment.h"
 #include "federation/fault_injection.h"
 #include "federation/federated_engine.h"
+#include "federation/query_cache.h"
 #include "feedback/oracle.h"
+#include "sparql/plan_cache.h"
 
 namespace alex::eval {
 
@@ -55,12 +59,32 @@ struct WorkloadQuery {
 std::vector<WorkloadQuery> GenerateWorkload(
     const datagen::GeneratedWorld& world, const WorkloadOptions& options);
 
+// Executes one federated query against the driver's current links.
+using QueryExecutor =
+    std::function<Result<fed::FederatedResult>(const std::string& text)>;
+
+// The feedback of one query-driven episode (§3.2), between the caller's
+// BeginExternalEpisode and EndExternalEpisode: the workload runs in a fresh
+// `rng` shuffle through `execute` until AlexOptions::episode_size links
+// were judged or every query ran once. The oracle judges each provenance
+// link of a complete answer set at most once per episode (the engine's
+// first-visit semantics). Fills the query, probe and skipped-feedback
+// counters of `stats`.
+void JudgeQueryAnswers(core::AlexEngine* engine,
+                       const std::vector<WorkloadQuery>& workload,
+                       const QueryExecutor& execute,
+                       feedback::Oracle* oracle, Rng* rng,
+                       core::EpisodeStats* stats);
+
+// Moves the traffic counters of the caches since the last call into
+// `stats`; either cache may be null (not attached).
+void TakeCacheStats(fed::FederatedQueryCache* cache,
+                    sparql::PlanCache* plan_cache, core::EpisodeStats* stats);
+
+// Episode size and cap come from the engine's AlexOptions (episode_size,
+// max_episodes).
 struct QueryDrivenOptions {
   WorkloadOptions workload;
-  // Feedback items per episode (an "episode" re-runs queries until this
-  // many link-feedback items were produced or every query ran once).
-  size_t episode_size = 1000;
-  int max_episodes = 30;
   double feedback_error_rate = 0.0;
   uint64_t oracle_seed = 99;
   // Reuse federated query results across episodes through a

@@ -16,10 +16,11 @@
 //
 // Determinism: link draws come from the engine's own RNG streams
 // (AlexEngine::SampleFeedbackLinks), each user's flip is a pure hash of
-// (seed, link, draw, user), and the aggregator's verdict batch depends only
-// on per-link vote multisets — so the full episode series is
-// bitwise-identical at any vote_threads and any aggregator shard count
-// (asserted by tests/eval/vote_driven_test.cc and bench_feedback).
+// (seed, link, draw, user) by feedback::HashToUnit, and the aggregator's
+// verdict batch depends only on per-link vote multisets — so the full
+// episode series is bitwise-identical at any vote_threads and any
+// aggregator shard count (asserted by tests/eval/vote_driven_test.cc and
+// bench_feedback).
 #ifndef ALEX_EVAL_VOTE_DRIVEN_H_
 #define ALEX_EVAL_VOTE_DRIVEN_H_
 
@@ -42,20 +43,28 @@ struct VoteDrivenOptions {
   // here per vote, to be outvoted by the quorum).
   double vote_error_rate = 0.1;
   uint64_t vote_seed = 777;
-  int max_episodes = 30;
   // Concurrent vote-stream writers into the aggregator (votes are striped
   // across them). The series is identical at any count.
   int vote_threads = 1;
   feedback::AggregatorOptions aggregator;
 };
 
-// Runs the vote-driven pipeline on an initialized engine; `truth` is both
-// the ground truth the users approximate and the quality yardstick.
-// Aggregator counters land in each EpisodePoint's stats (votes_recorded,
-// verdicts_emitted, aggregator_pending, votes_suppressed, tallies_evicted).
+// Runs the vote-driven pipeline on an initialized engine for up to the
+// engine's AlexOptions::max_episodes; `truth` is both the ground truth the
+// users approximate and the quality yardstick. Aggregator counters land in
+// each EpisodePoint's stats (votes_recorded, verdicts_emitted,
+// aggregator_pending, votes_suppressed, tallies_evicted).
 ExperimentResult RunVoteDrivenExperiment(core::AlexEngine* engine,
                                          const feedback::GroundTruth& truth,
                                          const VoteDrivenOptions& options);
+
+// Drains one verdict batch for the engine's current external episode,
+// applies it with ApplyLinkFeedback, and copies the aggregator's counters
+// into `stats`; returns the verdicts applied. The vote-driven and the
+// serving loop's crowd votes share it.
+size_t ApplyVerdictBatch(core::AlexEngine* engine,
+                         feedback::FeedbackAggregator* aggregator,
+                         core::EpisodeStats* stats);
 
 }  // namespace alex::eval
 

@@ -22,7 +22,8 @@ uint64_t Mix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// Uniform double in [0, 1) from (seed, link, k).
+}  // namespace
+
 double HashToUnit(uint64_t seed, const linking::Link& link, uint64_t k) {
   uint64_t h = Fnv1a(link.left, 0xcbf29ce484222325ull);
   h ^= 0x01;  // separator so ("ab", "c") and ("a", "bc") differ
@@ -31,8 +32,6 @@ double HashToUnit(uint64_t seed, const linking::Link& link, uint64_t k) {
   h = Mix(h ^ Mix(seed) ^ Mix(k * 0x632be59bd9b4e019ull + 1));
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
-
-}  // namespace
 
 bool Oracle::Feedback(const linking::Link& link) {
   const bool correct = truth_->Contains(link);

@@ -38,6 +38,12 @@ class GroundTruth {
   std::unordered_set<linking::Link, linking::LinkHash> links_;
 };
 
+// Uniform double in [0, 1) from (seed, link, k): a pure hash, so a flip
+// drawn from it depends on what is judged, never on which thread judges it
+// or in what order. The oracle's k-th answer on a link and the simulated
+// users' votes (eval/vote_driven.h, serving/serving_loop.h) flip by it.
+double HashToUnit(uint64_t seed, const linking::Link& link, uint64_t k);
+
 // A feedback oracle with an error rate: with probability `error_rate` the
 // correct feedback is flipped (approve a wrong answer / reject a correct
 // one).

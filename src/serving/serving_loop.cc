@@ -4,12 +4,10 @@
 #include <atomic>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
-#include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "eval/metrics.h"
+#include "eval/vote_driven.h"
 
 namespace alex::serving {
 namespace {
@@ -22,25 +20,6 @@ void MixBytes(uint64_t* hash, const std::string& bytes) {
   // Separator so concatenation ambiguity cannot collide fields.
   *hash ^= 0xff;
   *hash *= 1099511628211ull;
-}
-
-// SplitMix64 finalizer — turns a structured hash into uniform bits.
-uint64_t MixWord(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-// Uniform double in [0, 1) from (seed, link, k) — the pure-hash vote-flip
-// construction shared with eval::RunVoteDrivenExperiment: each vote's error
-// is a function of what is voted on, never of which stream cast it.
-double VoteUnit(uint64_t seed, const linking::Link& link, uint64_t k) {
-  uint64_t h = 1469598103934665603ull;
-  MixBytes(&h, link.left);
-  MixBytes(&h, link.right);
-  h = MixWord(h ^ MixWord(seed) ^ MixWord(k * 0x632be59bd9b4e019ull + 1));
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
 // One stream query observation, enough to replay it exactly.
@@ -75,31 +54,13 @@ ServingRunResult RunServingExperiment(core::AlexEngine* engine,
                                       const feedback::GroundTruth& truth,
                                       const ServingLoopOptions& options) {
   ServingRunResult out;
-  eval::ExperimentResult& result = out.experiment;
-  result.profile_name = "serving";
-  result.ground_truth_size = truth.size();
-  result.total_pairs = engine->total_pair_count();
-  result.filtered_pairs = engine->filtered_pair_count();
-  result.init_seconds = engine->init_seconds();
-
-  std::vector<linking::Link> initial_links = engine->CandidateLinks();
-  result.initial_link_count = initial_links.size();
-  for (const linking::Link& link : initial_links) {
-    if (truth.Contains(link)) ++result.initial_correct;
-  }
-
-  std::vector<eval::WorkloadQuery> workload =
+  const std::vector<eval::WorkloadQuery> workload =
       eval::GenerateWorkload(world, options.workload);
   feedback::Oracle oracle(&truth, options.feedback_error_rate,
                           options.oracle_seed);
   // Same stream as the plain query-driven loop, so the two runs shuffle the
   // workload identically — a precondition for series identity.
   Rng rng(options.workload.seed ^ 0x5eedf00dULL);
-
-  eval::EpisodePoint start;
-  start.episode = 0;
-  start.quality = eval::Evaluate(initial_links, truth);
-  result.series.push_back(start);
 
   // Warm the store indexes before any concurrent reads (index build is
   // lazy and not thread-safe on first touch).
@@ -113,19 +74,13 @@ ServingRunResult RunServingExperiment(core::AlexEngine* engine,
   serving_options.use_query_cache = options.use_query_cache;
   serving_options.use_plan_cache = options.use_plan_cache;
   serving_options.merge_fraction = options.merge_fraction;
-  ServingEngine serving(serving_options, initial_links);  // publishes epoch 0
+  // Publishes epoch 0.
+  ServingEngine serving(serving_options, engine->CandidateLinks());
 
   // Epoch retention for the identity replay.
   std::unordered_map<uint64_t, std::shared_ptr<const EpochSnapshot>> retained;
   std::shared_ptr<const EpochSnapshot> current = serving.Pin();
   if (options.verify_identity) retained[current->epoch()] = current;
-
-  // The learner stages every net candidate change; the next Publish turns
-  // them into the next epoch (and invalidates exactly those cache entries).
-  engine->SetLinkChangeObserver(
-      [&serving](const linking::Link& link, bool added) {
-        serving.StageLink(link, added);
-      });
 
   // -- Crowd votes riding on stream traffic --------------------------------
   // Opt-in: every answer a stream serves yields votes_per_answer_link noisy
@@ -177,7 +132,8 @@ ServingRunResult RunServingExperiment(core::AlexEngine* engine,
                   for (int v = 0; v < votes_per_link; ++v) {
                     bool vote = truth.Contains(link);
                     if (options.vote_error_rate > 0.0 &&
-                        VoteUnit(options.vote_seed, link, vote_index) <
+                        feedback::HashToUnit(options.vote_seed, link,
+                                             vote_index) <
                             options.vote_error_rate) {
                       vote = !vote;
                     }
@@ -193,101 +149,39 @@ ServingRunResult RunServingExperiment(core::AlexEngine* engine,
     }
   }
 
-  // -- The learner (publisher) loop ---------------------------------------
-  Stopwatch run_timer;
-  size_t previous_candidates = engine->CandidateCount();
-  for (int episode = 1; episode <= options.max_episodes; ++episode) {
+  // -- The learner (publisher) episodes ------------------------------------
+  auto episode = [&] {
     core::EpisodeStats stats;
-    stats.episode = episode;
     engine->BeginExternalEpisode();
-
-    std::vector<size_t> order(workload.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    rng.Shuffle(&order);
-
     // The learner executes against the snapshot it last published — the
     // exact link content the mutable LinkSet would hold at this point — on
     // this thread, sequentially: the episode series cannot depend on what
     // the reader streams are doing.
-    std::unordered_set<linking::Link, linking::LinkHash> judged;
-    for (size_t index : order) {
-      if (stats.feedback_items >= options.episode_size) break;
-      Result<fed::FederatedResult> executed =
-          current->ExecuteText(workload[index].text);
-      if (!executed.ok()) continue;
-      const fed::FederatedResult& result_set = executed.value();
-      if (!result_set.complete) {
-        ++stats.incomplete_queries;
-        continue;
-      }
-      for (const fed::FederatedAnswer& answer : result_set.answers) {
-        if (stats.feedback_items >= options.episode_size) break;
-        // §3.2: the verdict on an answer applies to every link in its
-        // provenance; each link is judged at most once per episode.
-        for (const linking::Link& link : answer.links_used) {
-          if (!judged.insert(link).second) continue;
-          bool approved = oracle.Feedback(link);
-          const core::PartitionAlex::FeedbackOutcome outcome =
-              engine->ApplyLinkFeedback(link, approved);
-          stats.rollbacks += outcome.rollbacks;
-          stats.rolled_back_links += outcome.rolled_back_links;
-          ++stats.feedback_items;
-          if (approved) {
-            ++stats.positive_feedback;
-          } else {
-            ++stats.negative_feedback;
-          }
-        }
-      }
-    }
+    eval::JudgeQueryAnswers(
+        engine, workload,
+        [&current](const std::string& text) {
+          return current->ExecuteText(text);
+        },
+        &oracle, &rng, &stats);
 
     // Per-epoch cache traffic. Under concurrent streams these counters
     // include stream hits/misses too — they are traffic accounting, not
     // part of the deterministic series.
-    if (current->cache() != nullptr) {
-      fed::FederatedQueryCache::Stats cache_stats =
-          current->cache()->TakeStats();
-      stats.query_cache_hits = cache_stats.hits;
-      stats.query_cache_misses = cache_stats.misses;
-    }
-    if (current->plan_cache() != nullptr) {
-      sparql::PlanCache::Stats plan_stats = current->plan_cache()->TakeStats();
-      stats.plan_cache_hits = plan_stats.parse_hits + plan_stats.plan_hits;
-      stats.plan_cache_misses =
-          plan_stats.parse_misses + plan_stats.plan_misses;
-    }
+    eval::TakeCacheStats(current->cache(), current->plan_cache(), &stats);
 
     // Crowd verdicts: one drained batch per epoch, applied before the
     // boundary sync so the votes the streams cast during this episode land
     // in the epoch about to publish. Quorums the crowd has not reached yet
     // stay pending in the aggregator for the next boundary.
     if (aggregator != nullptr) {
-      for (const feedback::LinkVerdict& verdict :
-           aggregator->DrainVerdicts(static_cast<uint64_t>(episode))) {
-        const core::PartitionAlex::FeedbackOutcome outcome =
-            engine->ApplyLinkFeedback(verdict.link, verdict.approve);
-        stats.rollbacks += outcome.rollbacks;
-        stats.rolled_back_links += outcome.rolled_back_links;
-        ++stats.feedback_items;
-        if (verdict.approve) {
-          ++stats.positive_feedback;
-        } else {
-          ++stats.negative_feedback;
-        }
-        ++out.crowd_verdicts;
-      }
-      feedback::AggregatorStats agg = aggregator->stats();
-      stats.votes_recorded = agg.votes_recorded;
-      stats.verdicts_emitted = agg.verdicts_emitted;
-      stats.aggregator_pending = agg.pending;
-      stats.votes_suppressed = agg.votes_suppressed;
-      stats.tallies_evicted = agg.tallies_evicted;
+      out.crowd_verdicts +=
+          eval::ApplyVerdictBatch(engine, aggregator.get(), &stats);
     }
 
     // The episode boundary: fires the observer (staging the net membership
-    // changes) and reports their count; Publish then freezes them into the
-    // next epoch while in-flight stream queries keep their pinned epochs.
-    size_t changed = engine->EndExternalEpisode();
+    // changes); Publish then freezes them into the next epoch while
+    // in-flight stream queries keep their pinned epochs.
+    engine->EndExternalEpisode(&stats);
     current = serving.Publish();
     if (options.verify_identity) retained[current->epoch()] = current;
 
@@ -295,37 +189,24 @@ ServingRunResult RunServingExperiment(core::AlexEngine* engine,
     stats.epochs_published = serving_stats.epochs_published;
     stats.snapshots_retired = serving_stats.snapshots_retired;
     stats.max_concurrent_readers = serving_stats.max_concurrent_readers;
-
-    stats.candidate_count = engine->CandidateCount();
-    stats.change_fraction =
-        static_cast<double>(changed) /
-        static_cast<double>(std::max<size_t>(1, previous_candidates));
-    previous_candidates = stats.candidate_count;
-
-    eval::EpisodePoint point;
-    point.episode = episode;
-    point.stats = stats;
-    point.quality = eval::Evaluate(engine->CandidateLinks(), truth);
-    result.series.push_back(point);
-    ++result.episodes;
-    if (result.relaxed_episode < 0 && stats.change_fraction < 0.05) {
-      result.relaxed_episode = episode;
-    }
-    if (stats.feedback_items == 0 || stats.change_fraction == 0.0) {
-      result.converged = stats.change_fraction == 0.0;
-      break;
-    }
-  }
-  engine->SetLinkChangeObserver(nullptr);
+    return stats;
+  };
+  // The learner stages every net candidate change; the next Publish turns
+  // them into the next epoch (and invalidates exactly those cache entries).
+  eval::EpisodeHooks hooks;
+  hooks.on_link_change = [&serving](const linking::Link& link, bool added) {
+    serving.StageLink(link, added);
+  };
+  out.experiment = eval::RunEpisodes(engine, truth, "serving",
+                                     engine->options().max_episodes, episode,
+                                     hooks)
+                       .value();
 
   stop.store(true, std::memory_order_release);
   if (streams != nullptr) streams->Wait();
   if (aggregator != nullptr) {
     out.stream_votes = aggregator->stats().votes_recorded;
   }
-  result.total_seconds = run_timer.ElapsedSeconds();
-  result.new_links_discovered =
-      eval::NewCorrectLinks(initial_links, engine->CandidateLinks(), truth);
 
   // -- Identity gate: sequential replay at the pinned epochs ---------------
   for (const std::vector<StreamRecord>& records : stream_records) {

@@ -2,10 +2,11 @@
 //
 // RunServingExperiment reproduces eval::RunQueryDrivenExperiment's
 // feedback loop — same workload, same shuffle RNG, same oracle, same
-// episode boundaries — but routes all federation state through the serving
-// tier: the learner stages its per-episode link changes and publishes an
-// EpochSnapshot at every boundary, while `num_streams` reader threads
-// continuously execute the workload against whatever epoch each query pins.
+// episode boundaries, the same eval::JudgeQueryAnswers — but routes all
+// federation state through the serving tier: the learner stages its
+// per-episode link changes and publishes an EpochSnapshot at every
+// boundary, while `num_streams` reader threads continuously execute the
+// workload against whatever epoch each query pins.
 //
 // Properties this construction guarantees (and tests/bench assert):
 //
@@ -36,10 +37,10 @@
 
 namespace alex::serving {
 
+// Episode size and cap come from the engine's AlexOptions (episode_size,
+// max_episodes), as in the plain query-driven loop.
 struct ServingLoopOptions {
   eval::WorkloadOptions workload;
-  size_t episode_size = 1000;
-  int max_episodes = 30;
   double feedback_error_rate = 0.0;
   uint64_t oracle_seed = 99;
   bool use_query_cache = true;

@@ -137,7 +137,9 @@ TEST_F(IncrementalSpaceTest, RandomChurnMatchesRebuild) {
     }
     // Thresholds actually change physical behavior: eager compaction fires
     // under threshold 0 for this workload.
-    if (threshold == 0) EXPECT_GT(incremental.compaction_count(), 0u);
+    if (threshold == 0) {
+      EXPECT_GT(incremental.compaction_count(), 0u);
+    }
   }
 }
 

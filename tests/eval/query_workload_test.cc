@@ -76,13 +76,13 @@ TEST(QueryDrivenTest, ImprovesLinksThroughQueries) {
   core::AlexOptions alex_options;
   alex_options.num_partitions = 2;
   alex_options.num_threads = 1;
+  alex_options.episode_size = 120;
+  alex_options.max_episodes = 15;
   core::AlexEngine engine(&world.left, &world.right, alex_options);
   ASSERT_TRUE(engine.Initialize(initial).ok());
 
   QueryDrivenOptions options;
   options.workload.num_queries = 150;
-  options.episode_size = 120;
-  options.max_episodes = 15;
   ExperimentResult result =
       RunQueryDrivenExperiment(&engine, world, truth, options);
 
@@ -104,20 +104,20 @@ TEST(QueryDrivenTest, FeedbackCountsAreConsistent) {
   core::AlexOptions alex_options;
   alex_options.num_partitions = 1;
   alex_options.num_threads = 1;
+  alex_options.episode_size = 50;
+  alex_options.max_episodes = 3;
   core::AlexEngine engine(&world.left, &world.right, alex_options);
   ASSERT_TRUE(engine.Initialize(initial).ok());
 
   QueryDrivenOptions options;
   options.workload.num_queries = 60;
-  options.episode_size = 50;
-  options.max_episodes = 3;
   ExperimentResult result =
       RunQueryDrivenExperiment(&engine, world, truth, options);
   for (size_t i = 1; i < result.series.size(); ++i) {
     const core::EpisodeStats& stats = result.series[i].stats;
     EXPECT_EQ(stats.positive_feedback + stats.negative_feedback,
               stats.feedback_items);
-    EXPECT_LE(stats.feedback_items, options.episode_size);
+    EXPECT_LE(stats.feedback_items, alex_options.episode_size);
   }
 }
 

@@ -21,6 +21,7 @@ core::AlexOptions EngineOptions(bool prioritized) {
   options.num_partitions = 2;
   options.num_threads = 1;
   options.prioritized_sampling = prioritized;
+  options.max_episodes = 12;
   return options;
 }
 
@@ -38,7 +39,6 @@ ExperimentResult RunOnce(const datagen::GeneratedWorld& world,
   options.links_per_episode = 150;
   options.users_per_link = 5;
   options.vote_error_rate = 0.1;
-  options.max_episodes = 12;
   options.vote_threads = vote_threads;
   options.aggregator.quorum = 3;
   options.aggregator.num_shards = num_shards;
@@ -140,7 +140,6 @@ TEST(VoteDrivenTest, NoisyVotesReportRollbacks) {
   options.links_per_episode = 150;
   options.users_per_link = 3;
   options.vote_error_rate = 0.3;
-  options.max_episodes = 12;
   options.aggregator.quorum = 2;
   ExperimentResult result = RunVoteDrivenExperiment(&engine, truth, options);
   size_t rollbacks = 0;

@@ -380,12 +380,12 @@ TEST(QueryDrivenCacheTest, SeriesIdenticalWithAndWithoutCache) {
     core::AlexOptions alex_options;
     alex_options.num_partitions = 2;
     alex_options.num_threads = 1;
+    alex_options.episode_size = 60;
+    alex_options.max_episodes = 6;
     core::AlexEngine engine(&world.left, &world.right, alex_options);
     EXPECT_TRUE(engine.Initialize(initial).ok());
     eval::QueryDrivenOptions options;
     options.workload.num_queries = 80;
-    options.episode_size = 60;
-    options.max_episodes = 6;
     options.use_query_cache = use_cache;
     options.pool = pool;
     return eval::RunQueryDrivenExperiment(&engine, world, truth, options);
@@ -441,12 +441,12 @@ TEST(QueryDrivenCacheTest, PlanCacheSeriesIdenticalOnOrOff) {
     core::AlexOptions alex_options;
     alex_options.num_partitions = 2;
     alex_options.num_threads = 1;
+    alex_options.episode_size = 60;
+    alex_options.max_episodes = 6;
     core::AlexEngine engine(&world.left, &world.right, alex_options);
     EXPECT_TRUE(engine.Initialize(initial).ok());
     eval::QueryDrivenOptions options;
     options.workload.num_queries = 80;
-    options.episode_size = 60;
-    options.max_episodes = 6;
     options.use_plan_cache = use_plan_cache;
     options.pool = pool;
     return eval::RunQueryDrivenExperiment(&engine, world, truth, options);

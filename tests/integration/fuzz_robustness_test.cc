@@ -298,14 +298,14 @@ FaultRegimeOutcome RunFaultRegime(const datagen::GeneratedWorld& world,
   options.num_partitions = 2;
   options.num_threads = threads;
   options.seed = 55;
+  options.episode_size = 60;
+  options.max_episodes = 6;
   core::AlexEngine engine(&world.left, &world.right, options);
   Status status = engine.Initialize(initial);
   ALEX_CHECK(status.ok()) << status.ToString();
 
   eval::QueryDrivenOptions query_options;
   query_options.workload.num_queries = 80;
-  query_options.episode_size = 60;
-  query_options.max_episodes = 6;
   query_options.use_query_cache = use_cache;
   query_options.fault_profile = profile;
   ThreadPool pool(threads);

@@ -211,6 +211,8 @@ struct LoopFixture {
     core::AlexOptions options;
     options.num_partitions = 2;
     options.num_threads = 1;
+    options.episode_size = 60;
+    options.max_episodes = 5;
     auto engine =
         std::make_unique<core::AlexEngine>(&world.left, &world.right, options);
     EXPECT_TRUE(engine->Initialize(initial).ok());
@@ -220,8 +222,6 @@ struct LoopFixture {
   ServingLoopOptions LoopOptions() {
     ServingLoopOptions options;
     options.workload.num_queries = 80;
-    options.episode_size = 60;
-    options.max_episodes = 5;
     return options;
   }
 
@@ -237,8 +237,6 @@ TEST(ServingLoopTest, EpisodeSeriesUnchangedServingOnOrOff) {
 
   eval::QueryDrivenOptions plain_options;
   plain_options.workload.num_queries = 80;
-  plain_options.episode_size = 60;
-  plain_options.max_episodes = 5;
   auto plain_engine = fixture.MakeEngine();
   eval::ExperimentResult plain = eval::RunQueryDrivenExperiment(
       plain_engine.get(), fixture.world, fixture.truth, plain_options);

@@ -28,6 +28,7 @@
 #include "rdf/snapshot.h"
 #include "core/alex_engine.h"
 #include "datagen/profiles.h"
+#include "eval/experiment.h"
 #include "eval/metrics.h"
 #include "eval/report.h"
 #include "feedback/oracle.h"
@@ -193,18 +194,22 @@ int RunExplore(const CommandLine& cmd) {
   feedback::Oracle oracle(&truth, cmd.GetDouble("error-rate", 0.0),
                           static_cast<uint64_t>(cmd.GetInt("seed", 42)));
 
+  const core::FeedbackFn judge = [&oracle](const linking::Link& link) {
+    return oracle.Feedback(link);
+  };
   std::cout << "episode precision recall f-measure candidates\n";
-  auto report = [&](int episode) {
-    eval::Quality q = eval::Evaluate(engine.CandidateLinks(), truth);
-    std::printf("%7d %9.3f %6.3f %9.3f %10zu\n", episode, q.precision,
+  eval::EpisodeHooks hooks;
+  hooks.on_point = [](const eval::EpisodePoint& point) {
+    const eval::Quality& q = point.quality;
+    std::printf("%7d %9.3f %6.3f %9.3f %10zu\n", point.episode, q.precision,
                 q.recall, q.f_measure, q.candidates);
   };
-  report(0);
-  core::AlexEngine::RunResult run = engine.Run(
-      [&oracle](const linking::Link& link) { return oracle.Feedback(link); },
-      [&report](const core::EpisodeStats& stats) { report(stats.episode); });
-  std::cout << (run.converged ? "converged" : "episode cap reached")
-            << " after " << run.episodes << " episodes\n";
+  Result<eval::ExperimentResult> run = eval::RunEpisodes(
+      &engine, truth, "explore", engine.options().max_episodes,
+      [&] { return engine.RunEpisode(judge); }, hooks);
+  if (!run.ok()) return Fail(run.status());
+  std::cout << (run->converged ? "converged" : "episode cap reached")
+            << " after " << run->episodes << " episodes\n";
   if (cmd.Has("report-features")) {
     std::cout << "\nlearned feature usage (greedy states, avg return):\n";
     int shown = 0;
