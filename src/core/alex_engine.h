@@ -485,7 +485,7 @@ class AlexEngine {
   struct RunResult {
     bool converged = false;          // strict: no change in candidate links
     int episodes = 0;                // episodes actually run
-    int relaxed_episode = -1;        // first episode with <5% change
+    int relaxed_episode = -1;        // first below relaxed_change_fraction
     std::vector<EpisodeStats> history;
   };
 

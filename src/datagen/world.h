@@ -97,8 +97,8 @@ GeneratedWorld Generate(const WorldProfile& profile);
 // entities — fresh IRIs on both sides plus their ground-truth links —
 // without ever touching the triples of pre-existing entities (the additive
 // contract AlexEngine::IngestTriples enforces). The same schedule object
-// drives the ingest-differential tests and bench_ingest, so both see
-// byte-identical growth.
+// drives the ingest-differential tests and bench_gates' ingest gate, so
+// both see byte-identical growth.
 
 // One triple of a growth epoch, in term (not id) form: ids are assigned by
 // the store the epoch is applied to.

@@ -14,6 +14,7 @@ Result<ExperimentResult> RunEpisodes(core::AlexEngine* engine,
   ExperimentResult result;
   result.profile_name = std::move(name);
   result.init_seconds = engine->init_seconds();
+  result.relaxed_change_fraction = engine->options().relaxed_change_fraction;
   const std::vector<linking::Link> initial_links = engine->CandidateLinks();
   result.initial_link_count = initial_links.size();
 
@@ -53,8 +54,7 @@ Result<ExperimentResult> RunEpisodes(core::AlexEngine* engine,
     record(point);
     ++result.episodes;
     if (result.relaxed_episode < 0 &&
-        stats->change_fraction <
-            engine->options().relaxed_change_fraction) {
+        stats->change_fraction < result.relaxed_change_fraction) {
       result.relaxed_episode = stats->episode;
     }
     if (hooks.stop_when_converged && stats->change_fraction == 0.0) {

@@ -53,6 +53,7 @@ struct ExperimentResult {
   bool converged = false;
   int episodes = 0;
   int relaxed_episode = -1;  // first below relaxed_change_fraction, or -1
+  double relaxed_change_fraction = 0.05;  // the engine's, when the run began
   double init_seconds = 0.0;     // pre-processing (feature spaces)
   double total_seconds = 0.0;    // episodes only
   uint64_t total_pairs = 0;      // raw cross product

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <iomanip>
 #include <ostream>
+#include <sstream>
 
 namespace alex::eval {
 
@@ -26,7 +27,9 @@ void PrintSeries(std::ostream& os, const std::string& title,
        << point.quality.candidates;
     if (result.relaxed_episode >= 0 &&
         point.episode == result.relaxed_episode) {
-      os << "   <- relaxed convergence (<5% change)";
+      std::ostringstream percent;  // default format: 0.05 -> "5"
+      percent << result.relaxed_change_fraction * 100.0;
+      os << "   <- relaxed convergence (<" << percent.str() << "% change)";
     }
     os << "\n";
   }

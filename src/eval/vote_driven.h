@@ -19,8 +19,7 @@
 // (seed, link, draw, user) by feedback::HashToUnit, and the aggregator's
 // verdict batch depends only on per-link vote multisets — so the full
 // episode series is bitwise-identical at any vote_threads and any
-// aggregator shard count (asserted by tests/eval/vote_driven_test.cc and
-// bench_feedback).
+// aggregator shard count (asserted by tests/eval/vote_driven_test.cc).
 #ifndef ALEX_EVAL_VOTE_DRIVEN_H_
 #define ALEX_EVAL_VOTE_DRIVEN_H_
 

@@ -22,8 +22,8 @@
 // Because verdicts depend only on the per-link vote MULTISET at drain time
 // (never on per-vote arrival order), the drained batch is bitwise-identical
 // for any interleaving of the same votes — the property the vote-stream
-// identity gates in tests/feedback/aggregator_test.cc and bench_feedback
-// assert at 1/2/4 threads.
+// identity gates in tests/feedback/aggregator_test.cc assert at 1/2/4
+// threads.
 //
 // Tallies that never become quorate (ties, links nobody re-votes on) would
 // otherwise accumulate forever; DrainVerdicts evicts tallies that went
@@ -62,7 +62,7 @@ struct AggregatorOptions {
   // a link re-emits at a later drain only if new votes arrived since.
   bool reset_after_verdict = true;
   // Number of tally shards; rounded up to a power of two. 1 is the
-  // single-lock baseline the differential tests and bench_feedback compare
+  // single-lock baseline the differential tests and bench_gates compare
   // the sharded default against.
   size_t num_shards = 16;
   // A tally with no new votes for this many drains is evicted as stale

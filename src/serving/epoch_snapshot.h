@@ -4,11 +4,10 @@
 // consistent point of the learning timeline: the frozen link view published
 // at an episode boundary, the per-epoch federated result cache (cloned from
 // the parent epoch minus the entries the epoch delta invalidated), the
-// SPARQL plan cache shared across epochs while statistics drift allows, the
-// per-source DatasetStats the epoch was published under, and a
-// FederatedEngine wired over all of them. Once constructed it never
-// changes, so any number of reader threads execute against it without
-// locks; the caches it holds are internally thread-safe.
+// SPARQL parse/plan cache shared across epochs, and a FederatedEngine wired
+// over all of them. Once constructed it never changes, so any number of
+// reader threads execute against it without locks; the caches it holds are
+// internally thread-safe.
 //
 // Lifetime IS the reclamation protocol: snapshots are held only through
 // shared_ptr. The ServingEngine's atomic current-snapshot pointer holds one
@@ -31,7 +30,6 @@
 #include "federation/federated_engine.h"
 #include "federation/link_set.h"
 #include "federation/query_cache.h"
-#include "rdf/dataset_stats.h"
 #include "rdf/triple_store.h"
 #include "sparql/plan_cache.h"
 
@@ -49,8 +47,6 @@ class EpochSnapshot {
     std::shared_ptr<sparql::PlanCache> plan_cache;
     // Immutable stores; must outlive every snapshot over them.
     std::vector<const rdf::TripleStore*> sources;
-    // Statistics the epoch was published under (one per source).
-    std::vector<rdf::DatasetStats> stats;
     // Bumped once by the destructor; may be null.
     std::shared_ptr<std::atomic<uint64_t>> retired_counter;
   };
@@ -73,9 +69,6 @@ class EpochSnapshot {
   fed::FederatedQueryCache* cache() const { return components_.cache.get(); }
   sparql::PlanCache* plan_cache() const {
     return components_.plan_cache.get();
-  }
-  const std::vector<rdf::DatasetStats>& stats() const {
-    return components_.stats;
   }
   const fed::FederatedEngine& engine() const { return engine_; }
 

@@ -10,14 +10,12 @@ ServingEngine::ServingEngine(ServingOptions options,
                              std::span<const linking::Link> initial_links)
     : options_(std::move(options)),
       retired_(std::make_shared<std::atomic<uint64_t>>(0)) {
-  source_stats_.reserve(options_.sources.size());
+  // size() builds a store's lazy indexes; every later read only reads them.
   for (const rdf::TripleStore* source : options_.sources) {
-    source_stats_.push_back(rdf::ComputeStats(*source));
+    (void)source->size();
   }
   if (options_.use_plan_cache) {
-    plan_cache_ =
-        std::make_shared<sparql::PlanCache>(options_.plan_drift_threshold);
-    plan_cache_stats_ = source_stats_;
+    plan_cache_ = std::make_shared<sparql::PlanCache>();
   }
   for (const linking::Link& link : initial_links) StageLink(link, true);
   Publish();
@@ -31,12 +29,11 @@ std::shared_ptr<const EpochSnapshot> ServingEngine::Freeze() {
   EpochSnapshot::Components parts;
   parts.epoch = next_epoch_++;
   parts.sources = options_.sources;
-  parts.stats = source_stats_;
   parts.retired_counter = retired_;
 
   // Order matters: take the per-epoch delta before Publish clears it.
   std::vector<linking::Link> delta = staged_.TakeEpochDelta();
-  parts.links = staged_.Publish(options_.merge_fraction);
+  parts.links = staged_.Publish();
 
   if (options_.use_query_cache) {
     std::shared_ptr<const EpochSnapshot> parent = current_.Load();
@@ -56,15 +53,7 @@ std::shared_ptr<const EpochSnapshot> ServingEngine::Freeze() {
       parts.cache = std::make_shared<fed::FederatedQueryCache>();
     }
   }
-  if (options_.use_plan_cache) {
-    if (replace_plan_cache_) {
-      plan_cache_ =
-          std::make_shared<sparql::PlanCache>(options_.plan_drift_threshold);
-      plan_cache_stats_ = source_stats_;
-      replace_plan_cache_ = false;
-    }
-    parts.plan_cache = plan_cache_;
-  }
+  parts.plan_cache = plan_cache_;
   return std::make_shared<const EpochSnapshot>(std::move(parts));
 }
 
@@ -80,26 +69,7 @@ std::shared_ptr<const EpochSnapshot> ServingEngine::Publish() {
   return snapshot;
 }
 
-bool ServingEngine::NoteFreshStats(std::span<const rdf::DatasetStats> fresh) {
-  source_stats_.assign(fresh.begin(), fresh.end());
-  if (!options_.use_plan_cache || replace_plan_cache_) {
-    return replace_plan_cache_;
-  }
-  for (size_t i = 0; i < fresh.size() && i < plan_cache_stats_.size(); ++i) {
-    if (rdf::Drift(plan_cache_stats_[i], fresh[i]) >
-        options_.plan_drift_threshold) {
-      replace_plan_cache_ = true;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ServingEngine::NoteSourceIngest(
-    std::span<const rdf::DatasetStats> fresh) {
-  flush_query_cache_ = true;
-  return NoteFreshStats(fresh);
-}
+void ServingEngine::NoteSourceIngest() { flush_query_cache_ = true; }
 
 std::shared_ptr<const EpochSnapshot> ServingEngine::Pin() const {
   return current_.Load();

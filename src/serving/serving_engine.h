@@ -12,13 +12,12 @@
 //
 // Publish() freezes the staged delta into a new immutable EpochSnapshot —
 // links view, result cache carried forward from the parent epoch minus the
-// delta-invalidated entries, plan cache shared across epochs while dataset
-// statistics drift stays under the threshold — and swaps it in with an
-// RCU-style atomic store. Queries that pinned the old epoch keep running
-// against it unperturbed; the old snapshot is reclaimed when its last
-// reader drains (shared_ptr refcount = per-epoch reader count, so
-// reclamation is exact: never while a reader is in flight, immediately
-// after the last one leaves).
+// delta-invalidated entries, one parse/plan cache shared by every epoch —
+// and swaps it in with an RCU-style atomic store. Queries that pinned the
+// old epoch keep running against it unperturbed; the old snapshot is
+// reclaimed when its last reader drains (shared_ptr refcount = per-epoch
+// reader count, so reclamation is exact: never while a reader is in
+// flight, immediately after the last one leaves).
 //
 // Determinism: a query's answers depend only on the pinned snapshot, and a
 // snapshot never changes after publication, so every answer set is
@@ -40,7 +39,6 @@
 #include "common/latency_histogram.h"
 #include "common/status.h"
 #include "federation/federated_engine.h"
-#include "rdf/dataset_stats.h"
 #include "rdf/triple_store.h"
 #include "serving/epoch_snapshot.h"
 #include "serving/staged_link_set.h"
@@ -50,18 +48,13 @@ namespace alex::serving {
 
 struct ServingOptions {
   // Immutable stores to federate over; must outlive the engine and every
-  // snapshot it publishes.
+  // snapshot it publishes. The constructor builds their indexes.
   std::vector<const rdf::TripleStore*> sources;
   // Carry federated results across queries and epochs (exact epoch-delta
   // invalidation at publish time).
   bool use_query_cache = true;
   // Share one parse/plan cache across epochs.
   bool use_plan_cache = true;
-  // StagedLinkSet compaction threshold (delta/base fraction).
-  double merge_fraction = 0.25;
-  // NoteFreshStats replaces the shared plan cache when any source's
-  // statistics drifted past this fraction since the cache was built.
-  double plan_drift_threshold = 0.2;
 };
 
 // The epoch pivot: a shared_ptr readers copy and the publisher swaps,
@@ -101,11 +94,13 @@ class EpochPivot {
   std::shared_ptr<const EpochSnapshot> ptr_;
 };
 
-// Thread-safety: StageLink/Publish/NoteFreshStats from ONE publisher thread;
-// Pin/ExecuteText/stats from any thread concurrently with them.
+// Thread-safety: StageLink/Publish/NoteSourceIngest from ONE publisher
+// thread; Pin/ExecuteText/stats from any thread concurrently with them.
 class ServingEngine {
  public:
-  // Publishes epoch 0 containing `initial_links`.
+  // Builds the sources' indexes (a store builds them lazily on first read,
+  // which is not safe under concurrent readers), then publishes epoch 0
+  // containing `initial_links`.
   ServingEngine(ServingOptions options,
                 std::span<const linking::Link> initial_links);
 
@@ -123,26 +118,16 @@ class ServingEngine {
   // replay verification; retaining defers its retirement).
   std::shared_ptr<const EpochSnapshot> Publish();
 
-  // Presents fresh per-source statistics (same order as sources). When any
-  // source drifted past plan_drift_threshold relative to the statistics the
-  // shared plan cache was built under, the NEXT publish starts a fresh plan
-  // cache — epochs already published keep the one they hold. Returns true
-  // when the cache was marked for replacement.
-  bool NoteFreshStats(std::span<const rdf::DatasetStats> fresh);
-
   // Announces that the source stores were mutated in place by a triple
   // ingest (new triples, new entities). Epoch-delta invalidation is unsound
   // under ingest — new triples add answers to queries whose consulted set
   // never mentioned them — so the NEXT publish starts a cold federated
-  // query cache instead of carrying the parent's forward. The fresh
-  // statistics also feed the plan-drift check (NoteFreshStats), and the
-  // published snapshot's stats reflect the post-ingest stores. Snapshots
-  // already published are NOT safe to read concurrently with the ingest
-  // itself: quiesce in-flight readers of epochs that pinned the mutated
-  // stores before mutating, then call this and Publish. (Pinned snapshots
-  // remain valid for link-set reads; only federated execution touches the
-  // stores.)
-  bool NoteSourceIngest(std::span<const rdf::DatasetStats> fresh);
+  // query cache instead of carrying the parent's forward. Snapshots already
+  // published are NOT safe to read concurrently with the ingest itself:
+  // quiesce in-flight readers of epochs that pinned the mutated stores
+  // before mutating, then call this and Publish. (Pinned snapshots remain
+  // valid for link-set reads; only federated execution touches the stores.)
+  void NoteSourceIngest();
 
   // -- Reader side ---------------------------------------------------------
 
@@ -183,11 +168,8 @@ class ServingEngine {
   std::shared_ptr<const EpochSnapshot> Freeze();
 
   ServingOptions options_;
-  std::vector<rdf::DatasetStats> source_stats_;  // stats at construction
   StagedLinkSet staged_;
-  std::shared_ptr<sparql::PlanCache> plan_cache_;    // shared across epochs
-  std::vector<rdf::DatasetStats> plan_cache_stats_;  // stats it was built on
-  bool replace_plan_cache_ = false;
+  std::shared_ptr<sparql::PlanCache> plan_cache_;  // shared across epochs
   // Set by NoteSourceIngest; the next Freeze starts a cold query cache
   // (delta invalidation cannot see answers ADDED by new triples).
   bool flush_query_cache_ = false;

@@ -62,19 +62,9 @@ ServingRunResult RunServingExperiment(core::AlexEngine* engine,
   // workload identically — a precondition for series identity.
   Rng rng(options.workload.seed ^ 0x5eedf00dULL);
 
-  // Warm the store indexes before any concurrent reads (index build is
-  // lazy and not thread-safe on first touch).
-  for (const rdf::TripleStore* source :
-       {&world.left, &world.right}) {
-    (void)source->size();
-  }
-
   ServingOptions serving_options;
   serving_options.sources = {&world.left, &world.right};
-  serving_options.use_query_cache = options.use_query_cache;
-  serving_options.use_plan_cache = options.use_plan_cache;
-  serving_options.merge_fraction = options.merge_fraction;
-  // Publishes epoch 0.
+  // Builds the store indexes and publishes epoch 0.
   ServingEngine serving(serving_options, engine->CandidateLinks());
 
   // Epoch retention for the identity replay.

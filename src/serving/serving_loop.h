@@ -43,9 +43,6 @@ struct ServingLoopOptions {
   eval::WorkloadOptions workload;
   double feedback_error_rate = 0.0;
   uint64_t oracle_seed = 99;
-  bool use_query_cache = true;
-  bool use_plan_cache = true;
-  double merge_fraction = 0.25;
   // Concurrent reader streams executing the workload against the serving
   // engine while the learner runs. 0 = learner only (no reader threads).
   size_t num_streams = 0;

@@ -156,6 +156,8 @@ void ExpectSameSpace(const FeatureSpace& blocked,
   }
 }
 
+// The blocked build on 1 (no pool), 2, 4 and 8 workers against the
+// exhaustive build.
 void CheckBlockedEqualsExhaustive(const datagen::WorldProfile& profile) {
   datagen::GeneratedWorld world = datagen::Generate(profile);
   std::vector<rdf::TermId> left_subjects = world.left.Subjects();
@@ -179,6 +181,18 @@ void CheckBlockedEqualsExhaustive(const datagen::WorldProfile& profile) {
   EXPECT_EQ(blocked.pruned_pair_count(),
             blocked.total_pair_count() - blocked.scored_pair_count());
   ExpectSameSpace(blocked, exhaustive);
+
+  auto right_context =
+      RightContext::Prepare(world.right, right_subjects, blocked_options);
+  for (int workers : {2, 4, 8}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    ThreadPool pool(workers);
+    FeatureCatalog catalog;
+    ExpectSameSpace(FeatureSpace::Build(world.left, left_subjects,
+                                        right_context, &catalog,
+                                        blocked_options, &pool),
+                    exhaustive);
+  }
 }
 
 TEST(BlockedBuildTest, MatchesExhaustiveOnTinyWorld) {

@@ -2,7 +2,8 @@
 // result of a run — every EpisodeStats field except wall-clock timings, the
 // candidate links, the per-episode quality stream, the link-change observer
 // stream, convergence — has to be identical at any thread count (see
-// DESIGN.md, "The episode loop").
+// DESIGN.md, "The episode loop"). Along the way, the incremental quality
+// tracker must equal a full rescan of the candidates after every episode.
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -96,6 +97,13 @@ std::string RunSerialized(const datagen::GeneratedWorld& world,
             << stats.candidate_count << ' ';
         AppendBits(&out, stats.change_fraction);
         eval::Quality quality = tracker.Snapshot();
+        eval::Quality rescan = eval::Evaluate(engine.CandidateLinks(), truth);
+        EXPECT_EQ(quality.candidates, rescan.candidates);
+        EXPECT_EQ(quality.correct, rescan.correct);
+        EXPECT_EQ(quality.precision, rescan.precision);
+        EXPECT_EQ(quality.recall, rescan.recall);
+        EXPECT_EQ(quality.f_measure, rescan.f_measure)
+            << "episode " << stats.episode << ", " << threads << " threads";
         out << quality.candidates << ' ' << quality.correct << ' ';
         AppendBits(&out, quality.precision);
         AppendBits(&out, quality.recall);
@@ -135,7 +143,7 @@ void CheckProfile(datagen::WorldProfile profile, double error_rate) {
 
     std::string serial =
         RunSerialized(world, initial, truth, options, 1, error_rate);
-    for (int threads : {2, 4}) {
+    for (int threads : {2, 4, 8}) {
       std::string parallel =
           RunSerialized(world, initial, truth, options, threads, error_rate);
       EXPECT_EQ(parallel, serial)

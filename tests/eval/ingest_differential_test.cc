@@ -27,7 +27,6 @@
 #include "datagen/world.h"
 #include "feedback/oracle.h"
 #include "linking/paris.h"
-#include "rdf/dataset_stats.h"
 #include "rdf/triple_store.h"
 #include "serving/serving_engine.h"
 #include "serving/serving_loop.h"
@@ -411,9 +410,7 @@ TEST(ServingIngestTest, ReadersStayPinnedAcrossIngestEpochs) {
   for (const IngestRound& round : rounds) {
     sync.arrive_and_wait();  // A: readers quiesced (pins held, no queries)
     ApplyServingIngest(&dbpedia, &nytimes, round);
-    std::vector<rdf::DatasetStats> fresh = {rdf::ComputeStats(dbpedia),
-                                            rdf::ComputeStats(nytimes)};
-    serving.NoteSourceIngest(fresh);
+    serving.NoteSourceIngest();
     serving.StageLink(round.link, true);
     (void)serving.Publish();
 

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "datagen/profiles.h"
+#include "eval/experiment.h"
 #include "eval/report.h"
 
 namespace alex::eval {
@@ -177,7 +179,25 @@ TEST(ReportTest, SummaryShowsIngestBlockOnlyWhenStoresGrew) {
 TEST(ReportTest, SeriesMarksRelaxedConvergence) {
   std::ostringstream os;
   PrintSeries(os, "T", SampleResult());
-  EXPECT_NE(os.str().find("<- relaxed convergence"), std::string::npos);
+  EXPECT_NE(os.str().find("<- relaxed convergence (<5% change)"),
+            std::string::npos);
+}
+
+TEST(ReportTest, SeriesLabelsTheRelaxedFractionTheRunUsed) {
+  ExperimentConfig config;
+  config.profile = datagen::TinyTestProfile();
+  config.alex.num_partitions = 2;
+  config.alex.episode_size = 100;
+  config.alex.max_episodes = 8;
+  config.alex.relaxed_change_fraction = 0.1;
+  Result<ExperimentResult> result = RunExperiment(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GE(result->relaxed_episode, 0);
+  std::ostringstream os;
+  PrintSeries(os, "T", result.value());
+  EXPECT_NE(os.str().find("<- relaxed convergence (<10% change)"),
+            std::string::npos)
+      << os.str();
 }
 
 }  // namespace

@@ -16,23 +16,23 @@ datagen::GeneratedWorld SmallWorld() {
   return datagen::Generate(profile);
 }
 
-core::AlexOptions EngineOptions(bool prioritized) {
+core::AlexOptions EngineOptions(bool prioritized, int max_episodes = 12) {
   core::AlexOptions options;
   options.num_partitions = 2;
   options.num_threads = 1;
   options.prioritized_sampling = prioritized;
-  options.max_episodes = 12;
+  options.max_episodes = max_episodes;
   return options;
 }
 
 ExperimentResult RunOnce(const datagen::GeneratedWorld& world,
                          bool prioritized, int vote_threads,
-                         size_t num_shards) {
+                         size_t num_shards, int max_episodes = 12) {
   feedback::GroundTruth truth(world.ground_truth);
   std::vector<linking::Link> initial = linking::FilterByScore(
       linking::RunParis(world.left, world.right), 0.95);
   core::AlexEngine engine(&world.left, &world.right,
-                          EngineOptions(prioritized));
+                          EngineOptions(prioritized, max_episodes));
   EXPECT_TRUE(engine.Initialize(initial).ok());
 
   VoteDrivenOptions options;
@@ -124,6 +124,33 @@ TEST(VoteDrivenTest, PrioritizedSamplingIsDeterministicAndConverges) {
     best_f = std::max(best_f, point.quality.f_measure);
   }
   EXPECT_GT(best_f, a.series[0].quality.f_measure);
+}
+
+// First episode whose F-measure reaches `threshold`; max_episodes + 1 when
+// the run never gets there, so that "never" loses every comparison.
+int EpisodesToF(const ExperimentResult& result, double threshold,
+                int max_episodes) {
+  for (const EpisodePoint& point : result.series) {
+    if (point.quality.f_measure >= threshold) return point.episode;
+  }
+  return max_episodes + 1;
+}
+
+TEST(VoteDrivenTest, PrioritizedReachesHighFNoLaterThanUniform) {
+  // At an equal vote budget (150 links x 5 users per episode), prioritized
+  // (uncertainty-weighted) sampling reaches F >= 0.95 in no more episodes
+  // than uniform sampling.
+  const int kMaxEpisodes = 20;
+  datagen::GeneratedWorld world = SmallWorld();
+  const int uniform = EpisodesToF(
+      RunOnce(world, /*prioritized=*/false, /*vote_threads=*/2,
+              /*num_shards=*/16, kMaxEpisodes),
+      0.95, kMaxEpisodes);
+  const int prioritized = EpisodesToF(
+      RunOnce(world, /*prioritized=*/true, /*vote_threads=*/2,
+              /*num_shards=*/16, kMaxEpisodes),
+      0.95, kMaxEpisodes);
+  EXPECT_LE(prioritized, uniform);
 }
 
 TEST(VoteDrivenTest, NoisyVotesReportRollbacks) {

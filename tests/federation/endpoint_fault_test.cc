@@ -8,6 +8,10 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "datagen/profiles.h"
+#include "datagen/world.h"
+#include "eval/experiment.h"
+#include "eval/query_workload.h"
 #include "federation/endpoint.h"
 #include "federation/fault_injection.h"
 #include "federation/federated_engine.h"
@@ -15,6 +19,7 @@
 #include "federation/link_set.h"
 #include "federation/query_cache.h"
 #include "federation/retry_policy.h"
+#include "linking/paris.h"
 #include "sparql/parser.h"
 
 namespace alex::fed {
@@ -562,6 +567,51 @@ TEST_F(FaultyEngineTest, FaultSeededExecutionIsThreadCountInvariant) {
   EXPECT_EQ(sequential, run_series(&pool4));
   // Determinism across repeated runs, too.
   EXPECT_EQ(sequential, run_series(nullptr));
+}
+
+// Graceful degradation, not a cliff: the dbpedia_nytimes world's 250-query
+// workload over endpoints whose transient-error rate sweeps 0..0.4 (and
+// truncation rate half that, fault seed 0xfed5). Every query is complete at
+// rate 0; at rate 0.4 a share above 0, and below rate 0's, still is.
+TEST(FaultSweepTest, CompletenessDegradesGracefully) {
+  eval::ExperimentConfig config;
+  ASSERT_TRUE(datagen::ProfileByName("dbpedia_nytimes", &config.profile));
+  datagen::GeneratedWorld world = datagen::Generate(config.profile);
+  LinkSet links;
+  for (const Link& link : linking::FilterByScore(
+           linking::RunParis(world.left, world.right, config.paris),
+           config.paris_threshold)) {
+    links.Add(link);
+  }
+  eval::WorkloadOptions workload_options;
+  workload_options.num_queries = 250;
+  const std::vector<eval::WorkloadQuery> workload =
+      eval::GenerateWorkload(world, workload_options);
+
+  std::vector<double> completeness;
+  for (double rate : {0.0, 0.05, 0.1, 0.2, 0.4}) {
+    FaultProfile profile;
+    profile.seed = 0xfed5;
+    profile.transient_error_rate = rate;
+    profile.truncation_rate = rate / 2.0;
+    profile.truncation_keep_fraction = 0.5;
+    LocalEndpoint local0(&world.left), local1(&world.right);
+    FaultInjectingEndpoint faulty0(&local0, 0, profile);
+    FaultInjectingEndpoint faulty1(&local1, 1, profile);
+    std::vector<Endpoint*> endpoints = {&faulty0, &faulty1};
+    FederatedEngine engine(endpoints, &links);
+    size_t complete = 0;
+    for (const eval::WorkloadQuery& query : workload) {
+      Result<FederatedResult> result = engine.ExecuteText(query.text);
+      ASSERT_TRUE(result.ok()) << query.text;
+      if (result->complete) ++complete;
+    }
+    completeness.push_back(static_cast<double>(complete) /
+                           static_cast<double>(workload.size()));
+  }
+  EXPECT_EQ(completeness.front(), 1.0);
+  EXPECT_GT(completeness.back(), 0.0);
+  EXPECT_LT(completeness.back(), completeness.front());
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // queries over generated worlds. Enumeration ORDER may differ between
 // engines, so result multisets are compared canonically sorted; LIMIT
 // without a total order is checked by size plus inclusion in the unlimited
-// result. A separate test runs the same workload on 1 / 2 / 4 threads and
-// requires bitwise-identical row vectors per query.
+// result. A separate test runs the same workload on 1 / 2 / 4 / 8 threads
+// and requires bitwise-identical row vectors per query.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -310,7 +310,7 @@ TEST(DifferentialTest, WorkloadBitwiseIdenticalAcrossThreadCounts) {
     for (size_t i = 0; i < queries.size(); ++i) {
       baseline[i] = RunEngine(queries[i].text, store, engine, &stats);
     }
-    for (int threads : {1, 2, 4}) {
+    for (int threads : {1, 2, 4, 8}) {
       ThreadPool pool(threads);
       std::vector<std::vector<Binding>> got(queries.size());
       pool.ParallelFor(queries.size(), /*min_chunk=*/1,
