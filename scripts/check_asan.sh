@@ -3,21 +3,29 @@
 # paths (tombstone/pending-buffer churn, bucket compaction, rollback
 # resurrection, the parallel episode loop, epoch-snapshot reclamation in
 # the serving tier, the sharded feedback aggregator's tally churn, and the
-# live-ingest path's blocking-index sidecars and overflow arenas) under
-# AddressSanitizer and runs them. Uses its own build directory so the
-# regular build stays untouched. Override with BUILD_DIR=... .
+# live-ingest path's blocking-index sidecars and overflow arenas), and the
+# byte-level readers and kernels (the snapshot loader's garbage and
+# truncation tests, the N-Triples and Turtle parsers, the reference and
+# bit-parallel Levenshtein), under AddressSanitizer and UBSan and runs
+# them. A UBSan report fails the run (halt_on_error) instead of only being
+# printed. Uses its own build directory so the regular build stays
+# untouched. Override with BUILD_DIR=... .
 set -euo pipefail
 cd "$(dirname "$0")/.."
+export UBSAN_OPTIONS=${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}
 
 build_dir=${BUILD_DIR:-build-asan}
 cmake -B "$build_dir" -S . -DALEX_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build_dir" -j "$(nproc)" \
-  --target core_tests system_tests serving_tests feedback_tests ingest_tests
+  --target core_tests system_tests serving_tests feedback_tests ingest_tests \
+  rdf_tests similarity_tests
 
 "$build_dir"/tests/core_tests
 "$build_dir"/tests/system_tests
 "$build_dir"/tests/serving_tests
 "$build_dir"/tests/feedback_tests
 "$build_dir"/tests/ingest_tests
+"$build_dir"/tests/rdf_tests
+"$build_dir"/tests/similarity_tests
 echo "asan: clean"

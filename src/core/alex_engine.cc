@@ -558,7 +558,7 @@ Status AlexEngine::IngestTriples(IngestStats* stats_out) {
     // episodes, and the mutation is append-only.
     auto* context = const_cast<RightContext*>(right_context_.get());
     for (rdf::TermId subject : new_rights) {
-      context->entities.push_back(
+      context->Append(
           PrepareEntity(*right_, subject, options_.space.max_attributes));
     }
     if (options_.space.blocking.enabled) {

@@ -1,21 +1,21 @@
 #include "core/feature_set.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/strings.h"
 #include "similarity/string_metrics.h"
 
 namespace alex::core {
 
-FeatureId FeatureCatalog::Intern(const FeatureKey& key) {
-  std::string encoded = key.left_predicate + '\x01' + key.right_predicate;
+FeatureId FeatureCatalog::Intern(FeatureKeyView key) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(encoded);
+  auto it = index_.find(key);
   if (it != index_.end()) return it->second;
   FeatureId id = static_cast<FeatureId>(keys_.size());
-  keys_.push_back(key);
-  index_.emplace(std::move(encoded), id);
+  FeatureKey owned{std::string(key.left_predicate),
+                   std::string(key.right_predicate)};
+  keys_.push_back(owned);
+  index_.emplace(std::move(owned), id);
   return id;
 }
 
@@ -46,16 +46,17 @@ std::vector<FeatureId> FeatureCatalog::Canonicalize() {
     sorted[new_id] = std::move(keys_[order[new_id]]);
   }
   keys_ = std::move(sorted);
-  for (auto& [encoded, id] : index_) id = old_to_new[id];
+  for (auto& [key, id] : index_) id = old_to_new[id];
   return old_to_new;
 }
 
-FeatureId CatalogMemo::Intern(const FeatureKey& key) {
-  std::string encoded = key.left_predicate + '\x01' + key.right_predicate;
-  auto it = cache_.find(encoded);
+FeatureId CatalogMemo::Intern(FeatureKeyView key) {
+  auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
   FeatureId id = catalog_->Intern(key);
-  cache_.emplace(std::move(encoded), id);
+  cache_.emplace(FeatureKey{std::string(key.left_predicate),
+                            std::string(key.right_predicate)},
+                 id);
   return id;
 }
 
@@ -160,8 +161,80 @@ double SortedTokenJaccard(const std::vector<std::string>& a,
   return static_cast<double>(inter) / static_cast<double>(uni);
 }
 
-// Levenshtein on pre-lowered strings with reusable buffers. Exact above
-// min_interesting; may exit early (returning < min_interesting) below it.
+namespace {
+
+// Levenshtein distance of two non-empty strings by the bit-parallel
+// algorithm of Myers (JACM 1999), in Hyyrö's global-distance form with the
+// pattern split into 64-bit words (Hyyrö 2003). The shorter string is the
+// pattern. For one text column j, bit i of a word holds the vertical delta
+// D[i+1][j] - D[i][j] of one pattern row as a +1 (pv) or -1 (mv) flag, and a
+// constant number of word operations advances it by one column: O(n) per
+// word instead of the O(64 n) cells of a dynamic program. Words sweep the
+// text one after another, each with its state in registers, and hand the
+// horizontal delta of their last row to the next word through `carry`; the
+// first word's input is +1 because D[0][j] = j, and the last word's output
+// steps D[m][j].
+size_t BitParallelLevenshtein(const std::string& a, const std::string& b) {
+  const std::string& pattern = a.size() <= b.size() ? a : b;
+  const std::string& text = a.size() <= b.size() ? b : a;
+  const size_t m = pattern.size();
+  const size_t n = text.size();
+  const size_t words = (m + 63) / 64;
+  // Match masks: peq[c * words + w] bit i is set iff pattern[64w + i] == c.
+  // Every entry is zero between calls: the last loop of each call clears
+  // the entries its pattern set.
+  static thread_local std::vector<uint64_t> peq;
+  // Per text column, the delta leaving the previous word: bit 0 set for +1,
+  // bit 1 for -1.
+  static thread_local std::vector<uint8_t> carry;
+  if (peq.size() < 256 * words) peq.resize(256 * words, 0);
+  if (carry.size() < n) carry.resize(n);
+  for (size_t i = 0; i < m; ++i) {
+    peq[static_cast<unsigned char>(pattern[i]) * words + i / 64] |=
+        uint64_t{1} << (i % 64);
+  }
+  size_t dist = m;  // D[m][0]
+  for (size_t w = 0; w < words; ++w) {
+    const bool first_word = w == 0;
+    const bool last_word = w + 1 == words;
+    const unsigned out_bit = last_word ? (m - 1) % 64 : 63;
+    const uint64_t* eq_of = peq.data() + w;
+    uint64_t pv = ~uint64_t{0};  // D[i][0] = i: every vertical delta is +1
+    uint64_t mv = 0;
+    for (size_t j = 0; j < n; ++j) {
+      const uint64_t in = first_word ? 1 : carry[j];
+      const uint64_t ph_in = in & 1;
+      const uint64_t mh_in = in >> 1;
+      const uint64_t eq = eq_of[static_cast<unsigned char>(text[j]) * words];
+      const uint64_t xv = eq | mv;
+      const uint64_t xh = ((((eq | mh_in) & pv) + pv) ^ pv) | eq | mh_in;
+      uint64_t ph = mv | ~(xh | pv);
+      uint64_t mh = pv & xh;
+      const uint64_t ph_out = (ph >> out_bit) & 1;
+      const uint64_t mh_out = (mh >> out_bit) & 1;
+      if (last_word) {
+        dist += ph_out;
+        dist -= mh_out;
+      } else {
+        carry[j] = static_cast<uint8_t>(ph_out | (mh_out << 1));
+      }
+      ph = (ph << 1) | ph_in;
+      mh = (mh << 1) | mh_in;
+      pv = mh | ~(xv | ph);
+      mv = ph & xv;
+    }
+  }
+  for (size_t i = 0; i < m; ++i) {
+    peq[static_cast<unsigned char>(pattern[i]) * words + i / 64] = 0;
+  }
+  return dist;
+}
+
+}  // namespace
+
+// Normalized Levenshtein on pre-lowered strings. Exact above
+// min_interesting; returns a value below it when the length difference alone
+// rules the pair out.
 double FastNormalizedLevenshtein(const std::string& a, const std::string& b,
                                  double min_interesting) {
   if (a.empty() && b.empty()) return 1.0;
@@ -176,55 +249,12 @@ double FastNormalizedLevenshtein(const std::string& a, const std::string& b,
     return 1.0 -
            static_cast<double>(dist) / static_cast<double>(longest);
   };
-  // A similarity of min_interesting allows at most k edits; the band below
-  // never needs to leave the diagonal corridor of half-width k.
-  size_t k = longest;
-  if (min_interesting > 0.0) {
-    double approx =
-        std::floor((1.0 - min_interesting) * static_cast<double>(longest));
-    k = approx <= 0.0 ? 0 : static_cast<size_t>(approx);
-    if (k > longest) k = longest;
-    // The float product can land one off around ties (e.g. (1-0.9)*10 < 1).
-    // Pin k to the largest distance whose similarity still compares
-    // >= min_interesting in double arithmetic, so boundary scores are
-    // computed exactly and every early exit is strictly below the cutoff.
-    while (k < longest && to_similarity(k + 1) >= min_interesting) ++k;
-    while (k > 0 && to_similarity(k) < min_interesting) --k;
-  }
   // Cheap lower bound: the length difference alone is already that many
-  // edits, so the similarity can't reach min_interesting.
-  const size_t length_diff = n > m ? n - m : m - n;
-  if (length_diff > k) {
-    return std::max(0.0, to_similarity(length_diff));
-  }
-  static thread_local std::vector<size_t> prev;
-  static thread_local std::vector<size_t> curr;
-  prev.resize(m + 1);
-  curr.resize(m + 1);
-  const size_t kInf = n + m + 1;  // larger than any real distance
-  for (size_t j = 0; j <= m; ++j) prev[j] = j <= k ? j : kInf;
-  for (size_t i = 1; i <= n; ++i) {
-    // Ukkonen band: only cells with |i - j| <= k can end <= k edits.
-    const size_t j_lo = i > k ? i - k : 1;
-    const size_t j_hi = std::min(m, i + k);
-    if (j_lo > j_hi) return 0.0;
-    curr[0] = i <= k ? i : kInf;
-    if (j_lo > 1) curr[j_lo - 1] = kInf;
-    if (j_hi < m) curr[j_hi + 1] = kInf;
-    size_t row_min = kInf;
-    for (size_t j = j_lo; j <= j_hi; ++j) {
-      size_t cost = a[i - 1] == b[j - 1] ? 0 : 1;
-      curr[j] = std::min({prev[j] + 1, curr[j - 1] + 1, prev[j - 1] + cost});
-      row_min = std::min(row_min, curr[j]);
-    }
-    if (row_min > k) {
-      // Every continuation costs > k edits; the true similarity is below
-      // min_interesting, and so is this bound.
-      return std::max(0.0, to_similarity(row_min));
-    }
-    std::swap(prev, curr);
-  }
-  return to_similarity(prev[m]);
+  // edits, so when its similarity misses min_interesting so does the true
+  // one, and the bound itself is a value below the cutoff.
+  const double length_bound = to_similarity(n > m ? n - m : m - n);
+  if (length_bound < min_interesting) return length_bound;
+  return to_similarity(BitParallelLevenshtein(a, b));
 }
 
 namespace {
@@ -250,7 +280,8 @@ double PreparedSimilarity(const PreparedValue& a, const PreparedValue& b,
                                const PreparedValue& x,
                                const PreparedValue& y) {
     // Token Jaccard is cheap; compute it first so the Levenshtein pass can
-    // stop as soon as it provably cannot beat max(jaccard, min_interesting).
+    // skip a pair whose lengths alone cannot beat max(jaccard,
+    // min_interesting).
     double jaccard =
         mask.jaccard ? SortedTokenJaccard(x.tokens, y.tokens) : 0.0;
     if (!mask.levenshtein) return jaccard;

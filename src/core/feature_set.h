@@ -16,8 +16,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -31,17 +33,45 @@ namespace alex::core {
 using FeatureId = uint32_t;
 inline constexpr FeatureId kInvalidFeatureId = 0xffffffffu;
 
+// A borrowed pair of predicate IRIs. Interning through it copies the strings
+// only when the key is new.
+struct FeatureKeyView {
+  std::string_view left_predicate;
+  std::string_view right_predicate;
+
+  friend bool operator==(FeatureKeyView a, FeatureKeyView b) {
+    return a.left_predicate == b.left_predicate &&
+           a.right_predicate == b.right_predicate;
+  }
+};
+
 // A pair of predicate IRIs: (left data set predicate, right data set
 // predicate).
 struct FeatureKey {
   std::string left_predicate;
   std::string right_predicate;
 
+  operator FeatureKeyView() const { return {left_predicate, right_predicate}; }
   friend bool operator==(const FeatureKey& a, const FeatureKey& b) {
     return a.left_predicate == b.left_predicate &&
            a.right_predicate == b.right_predicate;
   }
 };
+
+// Transparent hash for FeatureKey-keyed maps: a FeatureKeyView probe hashes
+// the same as the owned key and needs no temporary string.
+struct FeatureKeyHash {
+  using is_transparent = void;
+  size_t operator()(FeatureKeyView key) const {
+    const size_t left = std::hash<std::string_view>{}(key.left_predicate);
+    const size_t right = std::hash<std::string_view>{}(key.right_predicate);
+    return left ^ (right + 0x9e3779b97f4a7c15ull + (left << 6) + (left >> 2));
+  }
+};
+
+template <typename Value>
+using FeatureKeyMap =
+    std::unordered_map<FeatureKey, Value, FeatureKeyHash, std::equal_to<>>;
 
 // Thread-safe interner for FeatureKeys.
 class FeatureCatalog {
@@ -50,7 +80,7 @@ class FeatureCatalog {
   FeatureCatalog(const FeatureCatalog&) = delete;
   FeatureCatalog& operator=(const FeatureCatalog&) = delete;
 
-  FeatureId Intern(const FeatureKey& key);
+  FeatureId Intern(FeatureKeyView key);
   // `id` must be valid.
   FeatureKey Key(FeatureId id) const;
   size_t size() const;
@@ -67,26 +97,27 @@ class FeatureCatalog {
  private:
   mutable std::mutex mu_;
   std::vector<FeatureKey> keys_;
-  std::unordered_map<std::string, FeatureId> index_;
+  FeatureKeyMap<FeatureId> index_;
 };
 
 // An unsynchronized FeatureKey -> FeatureId cache in front of a shared
 // FeatureCatalog. Each worker thread owns one, so the catalog mutex is only
 // taken the first time that worker sees a key — never in the steady-state
-// hot loop. Interning the same key through any memo of the same catalog
-// yields the same FeatureId (the catalog deduplicates under its lock).
+// hot loop, where a hit allocates nothing. Interning the same key through
+// any memo of the same catalog yields the same FeatureId (the catalog
+// deduplicates under its lock).
 class CatalogMemo {
  public:
   explicit CatalogMemo(FeatureCatalog* catalog) : catalog_(catalog) {}
 
-  FeatureId Intern(const FeatureKey& key);
+  FeatureId Intern(FeatureKeyView key);
 
   const FeatureCatalog* catalog() const { return catalog_; }
   size_t cache_size() const { return cache_.size(); }
 
  private:
   FeatureCatalog* catalog_;
-  std::unordered_map<std::string, FeatureId> cache_;
+  FeatureKeyMap<FeatureId> cache_;
 };
 
 // Sparse feature set: (feature, score) entries sorted by feature id.
@@ -140,15 +171,18 @@ PreparedEntity PrepareEntity(const rdf::TripleStore& store,
 double SortedTokenJaccard(const std::vector<std::string>& a,
                           const std::vector<std::string>& b);
 
-// Normalized Levenshtein similarity on pre-lowered strings with reusable
-// thread-local buffers. `min_interesting` is a cutoff in similarity space:
-// the result is exact whenever the true similarity is >= min_interesting;
-// below the cutoff the function may return early (length-difference bound,
-// Ukkonen band overflow) with some value < min_interesting. Callers that
-// only compare the result against min_interesting (or take a max with a
-// value >= it) therefore see identical behavior at a fraction of the cost:
-// the banded inner loop does O(max(n,m) * k) work for k allowed edits
-// instead of O(n * m).
+// Normalized Levenshtein similarity, 1 - dist / max(|a|, |b|), on
+// pre-lowered strings, bit-identical to sim::NormalizedLevenshtein. The
+// distance comes from a bit-parallel kernel (Myers 1999; Hyyrö's
+// multi-word global form, 2003) with reusable thread-local tables: for
+// lengths m <= n it takes O(n * ceil(m / 64)) word operations, exact for any
+// length.
+// `min_interesting` is a cutoff in similarity space: the result is exact
+// whenever the true similarity is >= min_interesting; below the cutoff the
+// function may return early, when the length difference alone rules the
+// pair out, with some value < min_interesting. Callers that only compare the
+// result against min_interesting (or take a max with a value >= it)
+// therefore see identical behavior.
 double FastNormalizedLevenshtein(const std::string& a, const std::string& b,
                                  double min_interesting = 0.0);
 
@@ -228,7 +262,8 @@ FeatureSet BuildFeatureSetWithMasks(const PreparedEntity& left,
         left.attributes[rows_from_left ? i : best_j];
     const PreparedAttribute& ra =
         right.attributes[rows_from_left ? best_j : i];
-    FeatureId id = interner->Intern(FeatureKey{la.predicate, ra.predicate});
+    FeatureId id =
+        interner->Intern(FeatureKeyView{la.predicate, ra.predicate});
     set.SetMax(id, best);
   }
   return set;

@@ -3,21 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace alex::core {
 namespace {
-
-std::string PairKey(const std::string& left_iri,
-                    const std::string& right_iri) {
-  std::string key;
-  key.reserve(left_iri.size() + right_iri.size() + 1);
-  key += left_iri;
-  key += '\x01';
-  key += right_iri;
-  return key;
-}
 
 // Similarity channels a blocked cell can still clear θ through, from the
 // bitmask of block-key channels its two values shared. Equality needs a
@@ -64,9 +55,33 @@ struct CellMaskProvider {
 
 PairId FeatureSpace::FindPair(const std::string& left_iri,
                               const std::string& right_iri) const {
-  auto it = pair_by_iris_.find(PairKey(left_iri, right_iri));
-  if (it == pair_by_iris_.end()) return kInvalidPairId;
-  return it->second;
+  auto left = left_by_iri_.find(left_iri);
+  if (left == left_by_iri_.end()) return kInvalidPairId;
+  auto right = right_->entity_by_iri.find(right_iri);
+  if (right == right_->entity_by_iri.end()) return kInvalidPairId;
+  const uint32_t l = left->second;
+  const uint32_t r = right->second;
+  if (l + 1 < build_pairs_of_left_.size()) {
+    const auto first = pairs_.begin() + build_pairs_of_left_[l];
+    const auto last = pairs_.begin() + build_pairs_of_left_[l + 1];
+    const auto it = std::lower_bound(
+        first, last, r, [](const EntityPairFeatures& pair, uint32_t index) {
+          return pair.right_index < index;
+        });
+    if (it != last && it->right_index == r) {
+      return static_cast<PairId>(it - pairs_.begin());
+    }
+  }
+  const auto it = std::lower_bound(
+      grown_pairs_.begin(), grown_pairs_.end(), std::pair{l, r},
+      [](const GrownPair& pair, const std::pair<uint32_t, uint32_t>& key) {
+        return std::pair{pair.left_index, pair.right_index} < key;
+      });
+  if (it != grown_pairs_.end() && it->left_index == l &&
+      it->right_index == r) {
+    return it->id;
+  }
+  return kInvalidPairId;
 }
 
 namespace {
@@ -294,12 +309,10 @@ void FeatureSpace::ResetMaintenanceState() {
   }
 }
 
-void FeatureSpace::BuildIndexes() {
-  pair_by_iris_.reserve(pairs_.size());
-  for (PairId id = 0; id < pairs_.size(); ++id) {
-    pair_by_iris_.emplace(PairKey(LeftIri(id), RightIri(id)), id);
-  }
-  BuildScoreIndex();
+void FeatureSpace::AppendLeft(PreparedEntity entity) {
+  left_by_iri_.emplace(entity.iri,
+                       static_cast<uint32_t>(left_entities_.size()));
+  left_entities_.push_back(std::move(entity));
 }
 
 void FeatureSpace::BuildScoreIndex() {
@@ -351,6 +364,11 @@ void FeatureSpace::BuildScoreIndex() {
   ResetMaintenanceState();
 }
 
+void RightContext::Append(PreparedEntity entity) {
+  entity_by_iri.emplace(entity.iri, static_cast<uint32_t>(entities.size()));
+  entities.push_back(std::move(entity));
+}
+
 std::shared_ptr<const RightContext> RightContext::Prepare(
     const rdf::TripleStore& right,
     const std::vector<rdf::TermId>& right_subjects,
@@ -367,6 +385,10 @@ std::shared_ptr<const RightContext> RightContext::Prepare(
     pool->ParallelFor(right_subjects.size(), 16, prepare_range);
   } else {
     prepare_range(0, right_subjects.size());
+  }
+  context->entity_by_iri.reserve(context->entities.size());
+  for (uint32_t i = 0; i < context->entities.size(); ++i) {
+    context->entity_by_iri.emplace(context->entities[i].iri, i);
   }
   if (options.blocking.enabled) {
     context->index = BlockingIndex::Build(context->entities, options.blocking,
@@ -386,8 +408,7 @@ FeatureSpace FeatureSpace::Build(const rdf::TripleStore& left,
   space.right_ = std::move(right);
   space.left_entities_.reserve(left_subjects.size());
   for (rdf::TermId subject : left_subjects) {
-    space.left_entities_.push_back(
-        PrepareEntity(left, subject, options.max_attributes));
+    space.AppendLeft(PrepareEntity(left, subject, options.max_attributes));
   }
   const std::vector<PreparedEntity>& rights = space.right_->entities;
   space.total_pair_count_ =
@@ -460,17 +481,22 @@ FeatureSpace FeatureSpace::Build(const rdf::TripleStore& left,
     for (size_t c = 0; c < chunks.size(); ++c) build_chunk(c);
   }
 
+  space.build_pairs_of_left_.assign(n + 1, 0);
   for (ChunkResult& result : results) {
     space.scored_pair_count_ += result.scored;
     for (EntityPairFeatures& pair : result.pairs) {
       ALEX_CHECK(space.pairs_.size() < kInvalidPairId);
+      ++space.build_pairs_of_left_[pair.left_index + 1];
       space.pairs_.push_back(std::move(pair));
     }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    space.build_pairs_of_left_[i + 1] += space.build_pairs_of_left_[i];
   }
   space.compaction_threshold_ = options.compaction_threshold;
   space.pair_alive_.assign(space.pairs_.size(), 1);
   space.live_pair_count_ = space.pairs_.size();
-  space.BuildIndexes();
+  space.BuildScoreIndex();
   return space;
 }
 
@@ -504,8 +530,7 @@ FeatureSpace::GrowthResult FeatureSpace::Grow(
       static_cast<uint64_t>(new_left_subjects.size()) * rights.size();
 
   for (rdf::TermId subject : new_left_subjects) {
-    left_entities_.push_back(
-        PrepareEntity(left, subject, options.max_attributes));
+    AppendLeft(PrepareEntity(left, subject, options.max_attributes));
   }
 
   // Delta discovery runs serially on purpose: ingest deltas are small, and
@@ -586,14 +611,24 @@ FeatureSpace::GrowthResult FeatureSpace::Grow(
   }
 
   const PairId first_new_pair = static_cast<PairId>(pairs_.size());
+  const size_t grown_before = grown_pairs_.size();
   for (EntityPairFeatures& pair : fresh) {
     ALEX_CHECK(pairs_.size() < kInvalidPairId);
     const PairId id = static_cast<PairId>(pairs_.size());
+    grown_pairs_.push_back({pair.left_index, pair.right_index, id});
     pairs_.push_back(std::move(pair));
     pair_alive_.push_back(1);  // new pairs join the explorable frontier
     ++live_pair_count_;
-    pair_by_iris_.emplace(PairKey(LeftIri(id), RightIri(id)), id);
   }
+  auto by_left_right = [](const GrownPair& a, const GrownPair& b) {
+    return std::pair{a.left_index, a.right_index} <
+           std::pair{b.left_index, b.right_index};
+  };
+  std::sort(grown_pairs_.begin() + grown_before, grown_pairs_.end(),
+            by_left_right);
+  std::inplace_merge(grown_pairs_.begin(),
+                     grown_pairs_.begin() + grown_before, grown_pairs_.end(),
+                     by_left_right);
   result.new_pairs = pairs_.size() - first_new_pair;
 
   if (rebuild_indexes) {

@@ -79,6 +79,13 @@ struct FeatureSpaceOptions {
 struct RightContext {
   std::vector<PreparedEntity> entities;
   BlockingIndex index;  // empty when blocking is disabled
+  // entities[i].iri -> i, for FeatureSpace::FindPair. Append keeps it in
+  // step with `entities`.
+  std::unordered_map<std::string, uint32_t> entity_by_iri;
+
+  // Adds one prepared entity (live ingest of a new right subject); the
+  // caller extends `index` over the appended entities.
+  void Append(PreparedEntity entity);
 
   // With a pool, entity preparation and the index build are sharded across
   // its workers; the resulting context is identical to the serial one.
@@ -242,7 +249,8 @@ class FeatureSpace {
   // Pair lookup by entity IRIs; kInvalidPairId when the pair was filtered
   // out of the space (or never existed). Membership-agnostic: tombstoned
   // (non-live) pairs are still found — callers that care about liveness
-  // check IsLive().
+  // check IsLive(). Two IRI hash probes then a binary search, over the
+  // left's Build pairs or the grown-pair sidecar.
   PairId FindPair(const std::string& left_iri,
                   const std::string& right_iri) const;
 
@@ -415,7 +423,8 @@ class FeatureSpace {
                             ThreadPool* pool = nullptr);
 
  private:
-  void BuildIndexes();
+  // Appends a prepared left entity and registers its IRI for FindPair.
+  void AppendLeft(PreparedEntity entity);
   void BuildScoreIndex();
   // Re-derives feature_live_end_ / dead_in_bucket_ / pending_ after a full
   // score-index (re)build: buckets hold every entry, dead ones tombstoned.
@@ -430,7 +439,19 @@ class FeatureSpace {
   std::vector<PreparedEntity> left_entities_;
   std::shared_ptr<const RightContext> right_;
   std::vector<EntityPairFeatures> pairs_;
-  std::unordered_map<std::string, PairId> pair_by_iris_;
+  // FindPair's index. Build emits pairs in (left, right) order, so left i's
+  // Build pairs are PairIds [build_pairs_of_left_[i],
+  // build_pairs_of_left_[i + 1]), ascending by right index; lefts that Grow
+  // appended have none. Grow's pairs sit in grown_pairs_, sorted by (left,
+  // right).
+  struct GrownPair {
+    uint32_t left_index;
+    uint32_t right_index;
+    PairId id;
+  };
+  std::unordered_map<std::string, uint32_t> left_by_iri_;
+  std::vector<uint32_t> build_pairs_of_left_;
+  std::vector<GrownPair> grown_pairs_;
   // CSR score index: score_entries_ holds every (score, pair), grouped by
   // feature and sorted by (score, pair) within each group; feature f's
   // entries occupy [feature_begin_[f], feature_live_end_[f]) — the tail up

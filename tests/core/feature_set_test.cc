@@ -1,6 +1,7 @@
 #include "core/feature_set.h"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -273,21 +274,62 @@ std::string RandomString(Rng* rng, size_t max_length) {
   return s;
 }
 
+// A pair of strings of up to 150 bytes, on both sides of the kernel's 64-bit
+// word, over an alphabet with bytes 0x80-0xff, which are negative as a
+// signed char. Half the pairs are a string and a copy with a few edits, so
+// that similarities near every cutoff occur.
+std::pair<std::string, std::string> RandomLongPair(Rng* rng) {
+  const char kAlphabet[] = {'a', 'b', '\x80', '\xc3', '\xff'};
+  auto random_string = [&] {
+    std::string s(rng->NextBounded(151), 'a');
+    for (char& c : s) c = kAlphabet[rng->NextBounded(sizeof(kAlphabet))];
+    return s;
+  };
+  std::string a = random_string();
+  if (rng->NextBounded(2) == 0) return {a, random_string()};
+  std::string b = a;
+  const int edits = static_cast<int>(rng->NextBounded(12));
+  for (int e = 0; e < edits; ++e) {
+    const size_t pos = rng->NextBounded(b.size() + 1);
+    const char c = kAlphabet[rng->NextBounded(sizeof(kAlphabet))];
+    if (pos == b.size() || rng->NextBounded(3) == 0) {
+      b.insert(b.begin() + pos, c);
+    } else if (rng->NextBounded(2) == 0) {
+      b.erase(pos, 1);
+    } else {
+      b[pos] = c;
+    }
+  }
+  return {a, b};
+}
+
+// Short pairs over {a, b, c}, then long pairs with high bytes.
+std::vector<std::pair<std::string, std::string>> KernelInputs(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<std::string, std::string>> inputs;
+  for (int i = 0; i < 500; ++i) {
+    std::string a = RandomString(&rng, 12);
+    inputs.emplace_back(a, RandomString(&rng, 12));
+  }
+  for (int i = 0; i < 300; ++i) inputs.push_back(RandomLongPair(&rng));
+  return inputs;
+}
+
 TEST(FastLevenshteinTest, ExactWithoutCutoff) {
-  const std::pair<const char*, const char*> kCases[] = {
+  const std::string word(64, 'a');
+  const std::pair<std::string, std::string> kCases[] = {
       {"", ""},           {"", "abc"},        {"abc", ""},
       {"abc", "abc"},     {"kitten", "sitting"}, {"smith", "smyth"},
       {"cuglia", "hugia"}, {"a", "b"},        {"ab", "ba"},
+      {word, word},       {word, word + "a"}, {word + "b", "b" + word},
+      {word + word + "\xff", "\xff" + word + word},
   };
   for (const auto& [a, b] : kCases) {
     EXPECT_DOUBLE_EQ(FastNormalizedLevenshtein(a, b),
                      sim::NormalizedLevenshtein(a, b))
         << "'" << a << "' vs '" << b << "'";
   }
-  Rng rng(1234);
-  for (int i = 0; i < 500; ++i) {
-    std::string a = RandomString(&rng, 12);
-    std::string b = RandomString(&rng, 12);
+  for (const auto& [a, b] : KernelInputs(1234)) {
     EXPECT_DOUBLE_EQ(FastNormalizedLevenshtein(a, b),
                      sim::NormalizedLevenshtein(a, b))
         << "'" << a << "' vs '" << b << "'";
@@ -298,11 +340,8 @@ TEST(FastLevenshteinTest, CutoffContractExactAboveUnderestimateBelow) {
   // Contract: with a cutoff, the result is exact whenever the true
   // similarity is >= the cutoff; otherwise it may be any value below the
   // cutoff (the caller only learns "not interesting").
-  Rng rng(99);
   const double kCutoffs[] = {0.3, 0.5, 0.58, 0.7, 0.9};
-  for (int i = 0; i < 500; ++i) {
-    std::string a = RandomString(&rng, 12);
-    std::string b = RandomString(&rng, 12);
+  for (const auto& [a, b] : KernelInputs(99)) {
     double exact = sim::NormalizedLevenshtein(a, b);
     for (double cutoff : kCutoffs) {
       double fast = FastNormalizedLevenshtein(a, b, cutoff);
@@ -319,7 +358,7 @@ TEST(FastLevenshteinTest, CutoffContractExactAboveUnderestimateBelow) {
 }
 
 TEST(FastLevenshteinTest, LengthDifferenceEarlyExit) {
-  // |10 - 2| = 8 edits minimum; with cutoff 0.5 the band is skipped
+  // |10 - 2| = 8 edits minimum; with cutoff 0.5 the kernel is skipped
   // entirely but the result must still be below the cutoff and sane.
   double fast = FastNormalizedLevenshtein("ab", "abcdefghij", 0.5);
   EXPECT_LT(fast, 0.5);

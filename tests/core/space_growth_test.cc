@@ -1,8 +1,8 @@
 // Differential oracle for feature-space frontier growth: after the stores
 // grow, FeatureSpace::Grow in incremental mode (pending-sidecar score
 // entries, deferred arena compaction) must yield the same logical space —
-// same PairIds, Fingerprint(), range answers — as rebuild mode, and both
-// must match a from-scratch Build over the grown stores.
+// same PairIds, Fingerprint(), range answers, FindPair answers — as rebuild
+// mode, and both must match a from-scratch Build over the grown stores.
 #include <map>
 #include <memory>
 #include <string>
@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/alex_engine.h"
 #include "core/feature_space.h"
+#include "linking/link.h"
 #include "rdf/triple_store.h"
 
 namespace alex::core {
@@ -76,8 +78,7 @@ void ExtendContext(const std::shared_ptr<const RightContext>& ctx,
   const size_t old_count = mut->entities.size();
   std::vector<rdf::TermId> subjects = right.Subjects();
   for (size_t i = old_count; i < subjects.size(); ++i) {
-    mut->entities.push_back(
-        PrepareEntity(right, subjects[i], options.max_attributes));
+    mut->Append(PrepareEntity(right, subjects[i], options.max_attributes));
   }
   if (rebuild) {
     mut->index =
@@ -107,6 +108,38 @@ void ExpectSameRangeAnswers(const FeatureSpace& a, const FeatureSpace& b,
       }
     }
   }
+}
+
+// FindPair against an oracle built from pairs(): every PairId, grown ones
+// included, round-trips through its IRIs; every other (left, right) of the
+// space's entities, which θ-filtering or blocking dropped, and every unknown
+// IRI answers kInvalidPairId.
+void ExpectFindPairMatchesPairs(const FeatureSpace& space,
+                                const std::string& context) {
+  std::map<std::pair<uint32_t, uint32_t>, PairId> ids;
+  for (PairId id = 0; id < space.pairs().size(); ++id) {
+    ASSERT_EQ(space.FindPair(space.LeftIri(id), space.RightIri(id)), id)
+        << context;
+    ids[{space.pair(id).left_index, space.pair(id).right_index}] = id;
+  }
+  size_t dropped = 0;
+  for (uint32_t l = 0; l < space.left_entities().size(); ++l) {
+    for (uint32_t r = 0; r < space.right_entities().size(); ++r) {
+      if (ids.count({l, r}) != 0) continue;
+      ++dropped;
+      EXPECT_EQ(space.FindPair(space.left_entities()[l].iri,
+                               space.right_entities()[r].iri),
+                kInvalidPairId)
+          << context << " left " << l << " right " << r;
+    }
+  }
+  EXPECT_GT(dropped, 0u) << context;
+  EXPECT_EQ(space.FindPair("http://l/unknown", space.RightIri(0)),
+            kInvalidPairId)
+      << context;
+  EXPECT_EQ(space.FindPair(space.LeftIri(0), "http://r/unknown"),
+            kInvalidPairId)
+      << context;
 }
 
 // PairId-order-independent view of a space: IRIs -> feature-key scores
@@ -192,6 +225,8 @@ TEST(SpaceGrowthTest, IncrementalGrowthMatchesRebuildAcrossThresholds) {
         ASSERT_EQ(inc.RightIri(id), reb.RightIri(id)) << context << " " << id;
       }
       ExpectSameRangeAnswers(inc, reb, cat_inc.size(), context);
+      ExpectFindPairMatchesPairs(inc, context + " incremental");
+      ExpectFindPairMatchesPairs(reb, context + " rebuild");
     }
     // Incremental growth routes entries through the pending sidecars.
     EXPECT_GT(total_overflow, 0u);
@@ -334,6 +369,60 @@ TEST(SpaceGrowthTest, ChurnAfterGrowthStaysDifferentiallyCorrect) {
   reb.RebuildIndexes();
   EXPECT_EQ(inc.Fingerprint(), reb.Fingerprint());
   ExpectSameRangeAnswers(inc, reb, cat_a.size(), "after resurrection");
+}
+
+TEST(SpaceGrowthTest, FeedbackOnGrownPairReachesItsPartition) {
+  // A link from a newly ingested left to an old right is a pair that Grow
+  // appended to its partition's space: negative feedback on it must remove
+  // it from that partition's candidates, not fall through to the spaceless
+  // extras.
+  for (bool incremental : {true, false}) {
+    SCOPED_TRACE(incremental ? "incremental ingest" : "rebuild ingest");
+    Stores stores;
+    auto add_entities = [&stores](int n) {
+      const std::string id = std::to_string(n);
+      stores.left.Add(Term::Iri("http://l/e" + id),
+                      Term::Iri("http://l/name"),
+                      Term::StringLiteral("Same Name"));
+      stores.right.Add(Term::Iri("http://r/x" + id),
+                       Term::Iri("http://r/label"),
+                       Term::StringLiteral("Same Name"));
+    };
+    for (int n = 0; n < 4; ++n) add_entities(n);
+    AlexOptions options;
+    options.num_partitions = 2;
+    options.num_threads = 1;
+    options.incremental_ingest = incremental;
+    AlexEngine engine(&stores.left, &stores.right, options);
+    const linking::Link seed{"http://l/e0", "http://r/x0", 1.0};
+    ASSERT_TRUE(engine.Initialize({seed}).ok());
+    for (int n = 4; n < 6; ++n) add_entities(n);
+    ASSERT_TRUE(engine.IngestTriples().ok());
+
+    // Lefts are dealt round-robin, so e4 joins e0's partition 0.
+    const linking::Link grown{"http://l/e4", "http://r/x1", 1.0};
+    const PartitionAlex& partition = engine.partitions()[0];
+    const FeatureSpace& space = partition.space();
+    PairId pair = kInvalidPairId;
+    for (PairId id = 0; id < space.pairs().size(); ++id) {
+      if (space.LeftIri(id) == grown.left &&
+          space.RightIri(id) == grown.right) {
+        pair = id;
+      }
+    }
+    ASSERT_NE(pair, kInvalidPairId);
+    EXPECT_EQ(space.FindPair(grown.left, grown.right), pair);
+
+    engine.BeginExternalEpisode();
+    // Approving the seed explores its partition, grown pairs included.
+    engine.ApplyLinkFeedback(seed, true);
+    ASSERT_TRUE(partition.candidates().Contains(pair));
+    const size_t candidates = engine.CandidateCount();
+    EXPECT_TRUE(engine.ApplyLinkFeedback(grown, false).removed);
+    EXPECT_FALSE(partition.candidates().Contains(pair));
+    EXPECT_EQ(engine.CandidateCount(), candidates - 1);
+    engine.EndExternalEpisode();
+  }
 }
 
 }  // namespace

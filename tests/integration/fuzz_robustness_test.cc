@@ -23,6 +23,7 @@
 #include "linking/link_io.h"
 #include "linking/paris.h"
 #include "rdf/ntriples.h"
+#include "rdf/turtle.h"
 #include "sparql/executor.h"
 #include "sparql/parser.h"
 #include "sparql/tokenizer.h"
@@ -68,6 +69,28 @@ TEST(FuzzTest, NTriplesParserNeverCrashes) {
     rdf::TripleStore store("fuzz");
     Status st = rdf::ParseNTriples(mutated, &store);
     // OK or a parse error; anything else is a bug.
+    if (!st.ok()) {
+      EXPECT_EQ(st.code(), StatusCode::kParseError) << mutated;
+    }
+  }
+}
+
+TEST(FuzzTest, TurtleParserNeverCrashes) {
+  const std::string seed_doc =
+      "@prefix ex: <http://x/> .\n"
+      "PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>\n"
+      "@base <http://base/> .\n"
+      "ex:s a ex:Type ; ex:name \"Ada \\\"L\\\"\"@en , \"B\\tc\" ;\n"
+      "  ex:born \"1815-12-10\"^^xsd:date ; ex:n -42 , 3.5 , true .\n"
+      "_:b0 <rel> <http://x/o> . # comment\n";
+  rdf::TripleStore seed_store("seed");
+  ASSERT_TRUE(rdf::ParseTurtle(seed_doc, &seed_store).ok());
+  EXPECT_EQ(seed_store.size(), 8u);
+  Rng rng(505);
+  for (int i = 0; i < 500; ++i) {
+    std::string mutated = Mutate(seed_doc, &rng);
+    rdf::TripleStore store("fuzz");
+    Status st = rdf::ParseTurtle(mutated, &store);
     if (!st.ok()) {
       EXPECT_EQ(st.code(), StatusCode::kParseError) << mutated;
     }
