@@ -9,7 +9,9 @@
 //
 // Prints a host block, then one line per gate: measured value, bound, PASS
 // or FAIL. Exits 1 if any gate fails. Every timing is the best of its
-// repeats; build the program in Release (scripts/ci.sh tier 3 does).
+// repeats, except the epoch-pin gate's, which compares the medians of
+// alternating blocks; build the program in Release (scripts/ci.sh tier 3
+// does).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -67,6 +69,14 @@ std::string Format(const char* format, double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), format, value);
   return buffer;
+}
+
+// Median of `values` (the mean of the middle two for an even count).
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : (values[mid - 1] + values[mid]) / 2.0;
 }
 
 int failures = 0;
@@ -513,7 +523,8 @@ void IngestGate() {
 // -- Epoch-pin indirection < 5% --------------------------------------------
 
 void PinIndirectionGate() {
-  const int kRepeats = 5;
+  const double kBlockMs = 200.0;
+  const int kRounds = 5;
   alex::eval::ExperimentConfig config =
       alex::bench::MakeConfig("dbpedia_nytimes");
   alex::datagen::GeneratedWorld world =
@@ -538,30 +549,50 @@ void PinIndirectionGate() {
   options.use_plan_cache = false;
   alex::serving::ServingEngine serving(options, initial);
 
-  auto best_ms = [&](auto&& execute) {
-    double best = -1.0;
-    for (int rep = 0; rep < kRepeats; ++rep) {
-      const double ms = TimeMs([&] {
-        for (const alex::eval::WorkloadQuery& query : workload) {
-          ALEX_CHECK(execute(query.text));
-        }
-      });
-      if (best < 0.0 || ms < best) best = ms;
-    }
-    return best;
+  auto run_direct = [&](const std::string& text) {
+    return direct.ExecuteText(text).ok();
   };
-  const double direct_ms = best_ms(
-      [&](const std::string& text) { return direct.ExecuteText(text).ok(); });
-  const double serving_ms = best_ms(
-      [&](const std::string& text) { return serving.ExecuteText(text).ok(); });
-  const double overhead = 100.0 * (serving_ms - direct_ms) / direct_ms;
+  auto run_serving = [&](const std::string& text) {
+    return serving.ExecuteText(text).ok();
+  };
+  // One pass takes milliseconds, shorter than the host's speed swings, so
+  // each block repeats whole passes for at least kBlockMs and yields its mean
+  // pass time. The blocks alternate in ABBA order, and the gate compares the
+  // engines' medians.
+  auto block_pass_ms = [&](auto&& execute) {
+    const auto start = std::chrono::steady_clock::now();
+    int passes = 0;
+    double elapsed_ms = 0.0;
+    do {
+      for (const alex::eval::WorkloadQuery& query : workload) {
+        ALEX_CHECK(execute(query.text));
+      }
+      ++passes;
+      elapsed_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+    } while (elapsed_ms < kBlockMs);
+    return elapsed_ms / passes;
+  };
+  std::vector<double> direct_ms;
+  std::vector<double> serving_ms;
+  for (int round = 0; round < kRounds; ++round) {
+    direct_ms.push_back(block_pass_ms(run_direct));
+    serving_ms.push_back(block_pass_ms(run_serving));
+    serving_ms.push_back(block_pass_ms(run_serving));
+    direct_ms.push_back(block_pass_ms(run_direct));
+  }
+  const double direct_median = Median(direct_ms);
+  const double serving_median = Median(serving_ms);
+  const double overhead =
+      100.0 * (serving_median - direct_median) / direct_median;
   Report("epoch-pin indirection", Format("%.2f%%", overhead), "< 5%",
          overhead < 5.0,
-         Format("(direct %.1f ms, ", direct_ms) +
-             Format("serving %.1f ms)", serving_ms));
+         Format("(median pass: direct %.2f ms, ", direct_median) +
+             Format("serving %.2f ms)", serving_median));
 }
 
-// -- Sharded aggregator >= 0.9x single-lock, each at its best ---------------
+// -- Sharded aggregator >= 0.9x single-lock at 4 writers, each at its best --
 
 // SplitMix64: cheap deterministic bits for the synthetic vote schedule.
 uint64_t Mix(uint64_t x) {
@@ -628,27 +659,37 @@ void ShardedAggregatorGate() {
     schedule[v].approve = Mix(v * 2 + 2) % 100 < 15 ? !leaning : leaning;
   }
 
-  // Best time of each design over 1/2/4 writers; the repeats interleave the
-  // two designs so that host drift hits both.
-  double single_ms = -1.0;
-  double sharded_ms = -1.0;
+  // Sharding exists for concurrent writers: the gate times 4 writers, where
+  // one lock serializes them. At 1 writer the two designs do the same work,
+  // so that ratio follows code layout and is printed for information only.
+  // The repeats interleave the two designs so that host drift hits both.
+  struct Best {
+    double single_ms = -1.0;
+    double sharded_ms = -1.0;
+  };
   bool drained = true;
-  for (int threads : {1, 2, 4}) {
+  auto best_at = [&](int threads) {
+    Best best;
     for (int rep = 0; rep < kRepeats; ++rep) {
       for (size_t shards : {size_t{1}, size_t{16}}) {
         auto [ms, verdicts] =
             CastAndDrain(links, schedule, kEpochs, threads, shards);
         drained = drained && verdicts > 0;
-        double& best = shards == 1 ? single_ms : sharded_ms;
-        if (best < 0.0 || ms < best) best = ms;
+        double& slot = shards == 1 ? best.single_ms : best.sharded_ms;
+        if (slot < 0.0 || ms < slot) slot = ms;
       }
     }
-  }
-  const double ratio = single_ms / sharded_ms;
-  Report("sharded vs single-lock aggregator", Format("%.2fx", ratio),
+    return best;
+  };
+  const Best one = best_at(1);
+  const Best four = best_at(4);
+  const double ratio = four.single_ms / four.sharded_ms;
+  Report("sharded vs single-lock, 4 writers", Format("%.2fx", ratio),
          ">= 0.9x", drained && ratio >= 0.9,
-         drained ? Format("(single %.1f ms, ", single_ms) +
-                       Format("sharded %.1f ms)", sharded_ms)
+         drained ? Format("(single %.1f ms, ", four.single_ms) +
+                       Format("sharded %.1f ms; ", four.sharded_ms) +
+                       Format("at 1 writer %.2fx, information only)",
+                              one.single_ms / one.sharded_ms)
                  : "a configuration drained no verdicts");
 }
 

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Builds the test suites most exposed to the in-place index maintenance
 # paths (tombstone/pending-buffer churn, bucket compaction, rollback
-# resurrection, the parallel episode loop, epoch-snapshot reclamation in
-# the serving tier, the sharded feedback aggregator's tally churn, and the
-# live-ingest path's blocking-index sidecars and overflow arenas), and the
+# resurrection, the parallel episode loop, epoch-snapshot reclamation and
+# the id-keyed link store in the serving tier, the federated query cache's
+# carry-forward and parallel per-source fan-out, the sharded feedback
+# aggregator's tally churn, and the live-ingest path's blocking-index
+# sidecars and overflow arenas), and the
 # byte-level readers and kernels (the snapshot loader's garbage and
 # truncation tests, the N-Triples and Turtle parsers, the reference and
 # bit-parallel Levenshtein), under AddressSanitizer and UBSan and runs
@@ -19,7 +21,7 @@ cmake -B "$build_dir" -S . -DALEX_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build_dir" -j "$(nproc)" \
   --target core_tests system_tests serving_tests feedback_tests ingest_tests \
-  rdf_tests similarity_tests
+  rdf_tests similarity_tests federation_tests
 
 "$build_dir"/tests/core_tests
 "$build_dir"/tests/system_tests
@@ -28,4 +30,5 @@ cmake --build "$build_dir" -j "$(nproc)" \
 "$build_dir"/tests/ingest_tests
 "$build_dir"/tests/rdf_tests
 "$build_dir"/tests/similarity_tests
+"$build_dir"/tests/federation_tests
 echo "asan: clean"

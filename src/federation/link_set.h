@@ -17,10 +17,10 @@ namespace alex::fed {
 
 // Read interface over a link collection: everything federated evaluation
 // needs to bridge entities. LinkSet is the canonical mutable implementation;
-// the serving tier layers copy-on-write epoch deltas over an immutable base
-// (serving::DeltaLinkView) behind the same interface. Implementations must
+// the serving tier publishes immutable per-epoch views over sorted id keys
+// (serving::StagedLinkSet) behind the same interface. Implementations must
 // return RightsOf/LeftsOf in ascending lexicographic order so query results
-// are independent of the physical representation (overlay vs. materialized).
+// are independent of the physical representation.
 class LinkView {
  public:
   virtual ~LinkView() = default;

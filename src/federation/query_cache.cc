@@ -23,24 +23,14 @@ uint64_t QueryFingerprint(const std::string& query_text, size_t max_rows) {
 
 FederatedQueryCache::FederatedQueryCache(
     const FederatedQueryCache& parent,
-    std::span<const linking::Link> invalidated) {
+    std::span<const std::string> invalidated_iris) {
   {
     std::shared_lock parent_lock(parent.mu_);
     entries_ = parent.entries_;
     by_iri_ = parent.by_iri_;
   }
   // No lock needed below: nobody else can see *this during construction.
-  for (const linking::Link& link : invalidated) {
-    for (const std::string* iri : {&link.left, &link.right}) {
-      auto it = by_iri_.find(*iri);
-      if (it == by_iri_.end()) continue;
-      std::vector<uint64_t> fingerprints(it->second.begin(), it->second.end());
-      for (uint64_t fingerprint : fingerprints) {
-        EraseLocked(fingerprint);
-        invalidated_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
+  for (const std::string& iri : invalidated_iris) InvalidateIriLocked(iri);
 }
 
 std::shared_ptr<const std::vector<FederatedAnswer>> FederatedQueryCache::Lookup(
@@ -71,15 +61,18 @@ void FederatedQueryCache::Insert(
 
 void FederatedQueryCache::InvalidateLink(const linking::Link& link) {
   std::unique_lock lock(mu_);
-  for (const std::string* iri : {&link.left, &link.right}) {
-    auto it = by_iri_.find(*iri);
-    if (it == by_iri_.end()) continue;
-    // EraseLocked mutates by_iri_; copy the fingerprint set first.
-    std::vector<uint64_t> fingerprints(it->second.begin(), it->second.end());
-    for (uint64_t fingerprint : fingerprints) {
-      EraseLocked(fingerprint);
-      invalidated_.fetch_add(1, std::memory_order_relaxed);
-    }
+  InvalidateIriLocked(link.left);
+  InvalidateIriLocked(link.right);
+}
+
+void FederatedQueryCache::InvalidateIriLocked(const std::string& iri) {
+  auto it = by_iri_.find(iri);
+  if (it == by_iri_.end()) return;
+  // EraseLocked mutates by_iri_; copy the fingerprint set first.
+  std::vector<uint64_t> fingerprints(it->second.begin(), it->second.end());
+  for (uint64_t fingerprint : fingerprints) {
+    EraseLocked(fingerprint);
+    invalidated_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

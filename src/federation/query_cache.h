@@ -65,12 +65,12 @@ class FederatedQueryCache {
   FederatedQueryCache() = default;
 
   // Snapshot-handle constructor: clones `parent` (under its shared lock)
-  // and then drops every entry whose consulted set touches a link in
-  // `invalidated` — exactly the epoch-delta invalidation the query-driven
-  // loop performs link by link, applied wholesale at publish time. Counters
-  // start at zero except `invalidated`, which counts the entries dropped.
+  // and then drops every entry that consulted an IRI in `invalidated_iris`
+  // (the endpoints of the epoch's staged links) — exactly the invalidation
+  // the query-driven loop performs link by link, applied wholesale at
+  // publish time. Counters start at zero except `invalidated` (the drops).
   FederatedQueryCache(const FederatedQueryCache& parent,
-                      std::span<const linking::Link> invalidated);
+                      std::span<const std::string> invalidated_iris);
 
   FederatedQueryCache(const FederatedQueryCache&) = delete;
   FederatedQueryCache& operator=(const FederatedQueryCache&) = delete;
@@ -110,6 +110,8 @@ class FederatedQueryCache {
 
   // mu_ must be held exclusively.
   void EraseLocked(uint64_t fingerprint);
+  // Drops every entry that consulted `iri`; mu_ must be held exclusively.
+  void InvalidateIriLocked(const std::string& iri);
 
   mutable std::shared_mutex mu_;
   std::unordered_map<uint64_t, Entry> entries_;

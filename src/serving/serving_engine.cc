@@ -31,8 +31,8 @@ std::shared_ptr<const EpochSnapshot> ServingEngine::Freeze() {
   parts.sources = options_.sources;
   parts.retired_counter = retired_;
 
-  // Order matters: take the per-epoch delta before Publish clears it.
-  std::vector<linking::Link> delta = staged_.TakeEpochDelta();
+  // Order matters: Publish clears the staged changes the IRIs come from.
+  const std::vector<std::string> delta_iris = staged_.EpochDeltaIris();
   parts.links = staged_.Publish();
 
   if (options_.use_query_cache) {
@@ -46,9 +46,9 @@ std::shared_ptr<const EpochSnapshot> ServingEngine::Freeze() {
       flush_query_cache_ = false;
     } else if (parent != nullptr && parent->cache() != nullptr) {
       // Carry the parent epoch's still-exact results forward: clone minus
-      // the entries the staged delta invalidates.
-      parts.cache =
-          std::make_shared<fed::FederatedQueryCache>(*parent->cache(), delta);
+      // the entries that consulted an IRI of the staged delta.
+      parts.cache = std::make_shared<fed::FederatedQueryCache>(
+          *parent->cache(), delta_iris);
     } else {
       parts.cache = std::make_shared<fed::FederatedQueryCache>();
     }
@@ -65,7 +65,6 @@ std::shared_ptr<const EpochSnapshot> ServingEngine::Publish() {
   // drops.
   current_.Store(snapshot);
   epochs_published_.fetch_add(1, std::memory_order_relaxed);
-  link_merges_.store(staged_.merges(), std::memory_order_relaxed);
   return snapshot;
 }
 
@@ -102,7 +101,7 @@ ServingEngine::Stats ServingEngine::stats() const {
   out.snapshots_retired = retired_->load(std::memory_order_relaxed);
   out.max_concurrent_readers = max_readers_.load(std::memory_order_relaxed);
   out.queries_served = queries_served_.load(std::memory_order_relaxed);
-  out.link_merges = link_merges_.load(std::memory_order_relaxed);
+  out.link_merges = out.epochs_published;
   std::shared_ptr<const EpochSnapshot> pinned = Pin();
   out.current_epoch = pinned == nullptr ? 0 : pinned->epoch();
   return out;

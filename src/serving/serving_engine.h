@@ -3,14 +3,14 @@
 // The serving tier separates the two halves of a deployed ALEX instance:
 //
 //   * The LEARNER (single publisher thread) runs feedback episodes and
-//     stages the resulting link changes into a copy-on-write delta
+//     stages the resulting link changes as integer id pairs
 //     (StagedLinkSet). Nothing a reader can see changes while it stages.
 //   * READERS (any number of query streams) execute federated queries
 //     against the current EpochSnapshot, pinned per query by one
 //     spin-guarded shared_ptr copy (see EpochPivot) — no blocking locks
 //     on the read hot path.
 //
-// Publish() freezes the staged delta into a new immutable EpochSnapshot —
+// Publish() merges the staged delta into a new immutable EpochSnapshot —
 // links view, result cache carried forward from the parent epoch minus the
 // delta-invalidated entries, one parse/plan cache shared by every epoch —
 // and swaps it in with an RCU-style atomic store. Queries that pinned the
@@ -113,7 +113,7 @@ class ServingEngine {
   // keep seeing the current epoch until Publish.
   void StageLink(const linking::Link& link, bool added);
 
-  // Freezes the staged delta into a new EpochSnapshot and makes it current.
+  // Merges the staged changes into a new EpochSnapshot and makes it current.
   // Returns the published snapshot (the caller may retain it, e.g. for
   // replay verification; retaining defers its retirement).
   std::shared_ptr<const EpochSnapshot> Publish();
@@ -154,7 +154,7 @@ class ServingEngine {
     // High-water mark of simultaneous ExecuteText calls.
     uint64_t max_concurrent_readers = 0;
     uint64_t queries_served = 0;
-    // StagedLinkSet compactions (base rematerializations) so far.
+    // Link-store merges; every publish merges, so equals epochs_published.
     uint64_t link_merges = 0;
     uint64_t current_epoch = 0;
   };
@@ -183,9 +183,6 @@ class ServingEngine {
   std::atomic<uint64_t> queries_served_{0};
   std::atomic<uint64_t> active_readers_{0};
   std::atomic<uint64_t> max_readers_{0};
-  // Mirror of staged_.merges(), updated at publish time so stats() can read
-  // it from any thread (staged_ itself is publisher-only).
-  std::atomic<uint64_t> link_merges_{0};
   LatencyHistogram latency_;
 };
 

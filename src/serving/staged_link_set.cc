@@ -1,157 +1,175 @@
 #include "serving/staged_link_set.h"
 
 #include <algorithm>
+#include <functional>
+#include <numeric>
 #include <utility>
+
+#include "common/logging.h"
 
 namespace alex::serving {
 namespace {
 
-// Inserts `value` into the sorted vector `*list` (kept unique).
-void SortedInsert(std::vector<std::string>* list, const std::string& value) {
-  auto it = std::lower_bound(list->begin(), list->end(), value);
-  if (it != list->end() && *it == value) return;
-  list->insert(it, value);
+uint64_t Hash(std::string_view iri) {
+  return std::hash<std::string_view>{}(iri);
+}
+
+uint64_t Key(uint32_t high, uint32_t low) {
+  return uint64_t{high} << 32 | low;
+}
+uint32_t High(uint64_t key) { return static_cast<uint32_t>(key >> 32); }
+uint32_t Low(uint64_t key) { return static_cast<uint32_t>(key); }
+
+// Where each id's run starts in `keys`, ordered by `id_of`: the run of id i
+// is [start[i], start[i + 1]).
+std::vector<size_t> Starts(const std::vector<uint64_t>& keys, size_t ids,
+                           uint32_t (*id_of)(uint64_t)) {
+  std::vector<size_t> start(ids + 1, 0);
+  for (const uint64_t key : keys) ++start[id_of(key) + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  return start;
 }
 
 }  // namespace
 
-DeltaLinkView::DeltaLinkView(std::shared_ptr<const fed::LinkSet> base,
-                             const std::vector<linking::Link>& added,
-                             const std::vector<linking::Link>& removed)
-    : base_(std::move(base)),
-      added_count_(added.size()),
-      removed_count_(removed.size()) {
-  for (const linking::Link& link : added) {
-    SortedInsert(&added_by_left_[link.left], link.right);
-    SortedInsert(&added_by_right_[link.right], link.left);
-  }
-  for (const linking::Link& link : removed) {
-    SortedInsert(&removed_by_left_[link.left], link.right);
-    SortedInsert(&removed_by_right_[link.right], link.left);
+size_t IriIndex::Probe(std::string_view iri, uint64_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t s = hash & mask;; s = (s + 1) & mask) {
+    const uint64_t slot = slots_[s];
+    if (slot == 0 ||
+        (High(slot) == High(hash) && *iris_[Low(slot) - 1] == iri)) {
+      return s;
+    }
   }
 }
 
-bool DeltaLinkView::Contains(const std::string& left,
-                             const std::string& right) const {
-  auto tomb = removed_by_left_.find(left);
-  if (tomb != removed_by_left_.end() &&
-      std::binary_search(tomb->second.begin(), tomb->second.end(), right)) {
-    return false;
+uint32_t IriIndex::Find(std::string_view iri) const {
+  const uint64_t slot = slots_[Probe(iri, Hash(iri))];
+  return slot == 0 ? kNone : Low(slot) - 1;
+}
+
+uint32_t IriIndex::Intern(const std::string& iri) {
+  if (2 * (iris_.size() + 1) > slots_.size()) {
+    // Keep the load at most one half: double the table and re-place every
+    // id (all distinct, so each probe ends on an empty slot).
+    slots_.assign(2 * slots_.size(), 0);
+    for (uint32_t id = 0; id < iris_.size(); ++id) {
+      const uint64_t hash = Hash(*iris_[id]);
+      slots_[Probe(*iris_[id], hash)] = Key(High(hash), id + 1);
+    }
   }
-  auto add = added_by_left_.find(left);
-  if (add != added_by_left_.end() &&
-      std::binary_search(add->second.begin(), add->second.end(), right)) {
-    return true;
+  const uint64_t hash = Hash(iri);
+  uint64_t& slot = slots_[Probe(iri, hash)];
+  if (slot != 0) return Low(slot) - 1;
+  ALEX_CHECK(iris_.size() < kNone) << "IRI index full";
+  const auto id = static_cast<uint32_t>(iris_.size());
+  storage_->push_back(iri);
+  iris_.push_back(&storage_->back());
+  slot = Key(High(hash), id + 1);
+  return id;
+}
+
+// One published epoch: sorted (left, right) and (right, left) id keys with
+// per-id run offsets, over an immutable copy of the IRI index.
+class IdLinkView final : public fed::LinkView {
+ public:
+  IdLinkView(IriIndex iris, std::vector<uint64_t> by_left)
+      : iris_(std::move(iris)),
+        by_left_(std::move(by_left)),
+        left_start_(Starts(by_left_, iris_.size(), High)),
+        right_start_(Starts(by_left_, iris_.size(), Low)),
+        by_right_(by_left_.size()) {
+    // Counting sort on the right id; taking by_left_ in order keeps each
+    // right's lefts ascending.
+    std::vector<size_t> next = right_start_;
+    for (const uint64_t key : by_left_) {
+      by_right_[next[Low(key)]++] = Key(Low(key), High(key));
+    }
   }
-  return base_->Contains(left, right);
-}
 
-namespace {
-
-// base minus removed plus added, all inputs sorted, output sorted — the
-// exact list a materialized LinkSet would return.
-std::vector<std::string> OverlayNeighbors(
-    std::vector<std::string> base, const std::vector<std::string>* removed,
-    const std::vector<std::string>* added) {
-  if (removed != nullptr) {
-    std::vector<std::string> kept;
-    kept.reserve(base.size());
-    std::set_difference(base.begin(), base.end(), removed->begin(),
-                        removed->end(), std::back_inserter(kept));
-    base = std::move(kept);
+  bool Contains(const std::string& left,
+                const std::string& right) const override {
+    const uint32_t l = iris_.Find(left);
+    const uint32_t r = iris_.Find(right);
+    return l != IriIndex::kNone && r != IriIndex::kNone &&
+           std::binary_search(by_left_.begin(), by_left_.end(), Key(l, r));
   }
-  if (added != nullptr) {
-    std::vector<std::string> merged;
-    merged.reserve(base.size() + added->size());
-    std::set_union(base.begin(), base.end(), added->begin(), added->end(),
-                   std::back_inserter(merged));
-    base = std::move(merged);
+  std::vector<std::string> RightsOf(const std::string& left) const override {
+    return Neighbors(by_left_, left_start_, left);
   }
-  return base;
-}
+  std::vector<std::string> LeftsOf(const std::string& right) const override {
+    return Neighbors(by_right_, right_start_, right);
+  }
 
-const std::vector<std::string>* FindOrNull(
-    const std::unordered_map<std::string, std::vector<std::string>>& index,
-    const std::string& key) {
-  auto it = index.find(key);
-  return it == index.end() ? nullptr : &it->second;
-}
+  const std::vector<uint64_t>& by_left() const { return by_left_; }
 
-}  // namespace
+ private:
+  // The IRIs keyed under `iri` in `keys`, in ascending lexicographic order
+  // (ids follow interning order, not IRI order).
+  std::vector<std::string> Neighbors(const std::vector<uint64_t>& keys,
+                                     const std::vector<size_t>& start,
+                                     const std::string& iri) const {
+    std::vector<std::string> out;
+    const uint32_t id = iris_.Find(iri);
+    if (id == IriIndex::kNone) return out;
+    for (size_t k = start[id]; k < start[id + 1]; ++k) {
+      out.push_back(iris_.iri(Low(keys[k])));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
 
-std::vector<std::string> DeltaLinkView::RightsOf(
-    const std::string& left) const {
-  return OverlayNeighbors(base_->RightsOf(left),
-                          FindOrNull(removed_by_left_, left),
-                          FindOrNull(added_by_left_, left));
-}
-
-std::vector<std::string> DeltaLinkView::LeftsOf(
-    const std::string& right) const {
-  return OverlayNeighbors(base_->LeftsOf(right),
-                          FindOrNull(removed_by_right_, right),
-                          FindOrNull(added_by_right_, right));
-}
+  const IriIndex iris_;
+  const std::vector<uint64_t> by_left_;  // left << 32 | right, ascending
+  const std::vector<size_t> left_start_;
+  const std::vector<size_t> right_start_;
+  std::vector<uint64_t> by_right_;  // right << 32 | left, ascending
+};
 
 StagedLinkSet::StagedLinkSet()
-    : base_(std::make_shared<const fed::LinkSet>()) {}
+    : published_(std::make_shared<const IdLinkView>(IriIndex(),
+                                                    std::vector<uint64_t>())) {}
 
 void StagedLinkSet::Stage(const linking::Link& link, bool added) {
-  epoch_delta_.insert(link);
-  if (added) {
-    if (base_->Contains(link.left, link.right)) {
-      removed_.erase(link);  // un-remove
-    } else {
-      // Re-staging the same pair refreshes the score (Link equality ignores
-      // it), mirroring LinkSet::Add.
-      auto [it, inserted] = added_.insert(link);
-      if (!inserted && link.score > it->score) {
-        added_.erase(it);
-        added_.insert(link);
-      }
-    }
-  } else {
-    if (base_->Contains(link.left, link.right)) {
-      removed_.insert(link);
-    } else {
-      added_.erase(link);
-    }
-  }
+  // Interned in a fixed order (argument evaluation order is unspecified).
+  const uint32_t left = iris_.Intern(link.left);
+  staged_.push_back(Change{Key(left, iris_.Intern(link.right)), added});
 }
 
-std::shared_ptr<const fed::LinkView> StagedLinkSet::Publish(
-    double merge_fraction) {
-  epoch_delta_.clear();
-  const size_t delta = added_.size() + removed_.size();
-  const size_t threshold = static_cast<size_t>(
-      merge_fraction * static_cast<double>(std::max<size_t>(1, base_->size())));
-  if (delta > threshold) {
-    // Compaction: rematerialize the base so overlay depth stays at one.
-    auto merged = std::make_shared<fed::LinkSet>();
-    for (const linking::Link& link : base_->All()) {
-      if (removed_.find(link) == removed_.end()) merged->Add(link);
+std::vector<std::string> StagedLinkSet::EpochDeltaIris() const {
+  std::vector<bool> seen(iris_.size(), false);
+  std::vector<std::string> out;
+  for (const Change& change : staged_) {
+    for (const uint32_t id : {High(change.key), Low(change.key)}) {
+      if (!seen[id]) out.push_back(iris_.iri(id));
+      seen[id] = true;
     }
-    for (const linking::Link& link : added_) merged->Add(link);
-    base_ = std::move(merged);
-    added_.clear();
-    removed_.clear();
-    ++merges_;
-    return base_;
   }
-  std::vector<linking::Link> added(added_.begin(), added_.end());
-  std::vector<linking::Link> removed(removed_.begin(), removed_.end());
-  return std::make_shared<const DeltaLinkView>(base_, added, removed);
-}
-
-std::vector<linking::Link> StagedLinkSet::TakeEpochDelta() {
-  std::vector<linking::Link> out(epoch_delta_.begin(), epoch_delta_.end());
-  epoch_delta_.clear();
   std::sort(out.begin(), out.end());
   return out;
 }
 
-size_t StagedLinkSet::size() const {
-  return base_->size() - removed_.size() + added_.size();
+std::shared_ptr<const fed::LinkView> StagedLinkSet::Publish() {
+  // Net the epoch: after a stable sort by key, the last change of each run
+  // is the pair's final state.
+  std::stable_sort(
+      staged_.begin(), staged_.end(),
+      [](const Change& a, const Change& b) { return a.key < b.key; });
+  const std::vector<uint64_t>& previous = published_->by_left();
+  std::vector<uint64_t> by_left;
+  by_left.reserve(previous.size() + staged_.size());
+  auto kept = previous.begin();
+  for (size_t i = 0; i < staged_.size(); ++i) {
+    const uint64_t key = staged_[i].key;
+    if (i + 1 < staged_.size() && staged_[i + 1].key == key) continue;
+    while (kept != previous.end() && *kept < key) by_left.push_back(*kept++);
+    if (kept != previous.end() && *kept == key) ++kept;
+    if (staged_[i].added) by_left.push_back(key);
+  }
+  by_left.insert(by_left.end(), kept, previous.end());
+  staged_.clear();
+  published_ = std::make_shared<const IdLinkView>(iris_, std::move(by_left));
+  return published_;
 }
 
 }  // namespace alex::serving

@@ -1,32 +1,32 @@
-// Copy-on-write staging of link-set changes between serving epochs.
+// Epoch-versioned staging of link-set changes, keyed by dictionary ids.
 //
-// The learner mutates candidate links at every episode boundary, but
-// in-flight queries must keep seeing the epoch they started on. A
-// StagedLinkSet separates the two: the learner stages adds/removes into a
-// delta while readers execute against immutable published views; Publish()
-// freezes the accumulated delta into a new immutable LinkView without
-// copying the (much larger) base link set.
+// The learner mutates candidate links at every episode boundary while
+// in-flight queries must keep seeing the epoch they started on. The learner
+// stages adds/removes into a StagedLinkSet; Publish() freezes them into a
+// new immutable LinkView that readers pin.
 //
-// Publication is O(delta): the frozen DeltaLinkView overlays sorted
-// add/tombstone indexes on a shared immutable base LinkSet. Implementations
-// of LinkView must return sorted neighbor lists, and the overlay merges
-// sorted streams, so a DeltaLinkView answers every LinkView call with
-// byte-identical results to a LinkSet materialized from the same links —
-// queries cannot observe which representation served them (asserted by
-// tests/serving). When the accumulated delta outgrows
-// `merge_fraction` of the base, Publish materializes a fresh base instead
-// (the RDF-3X differential-index compaction step), so overlay depth stays
-// at one and read amplification is bounded.
+// The publisher interns each IRI once into a dense id, so staging appends
+// one integer key per change and publishing never hashes, copies or sorts
+// an IRI string (RDF-3X dictionary-encodes its terms the same way). Publish
+// nets the epoch's changes (the last staged state of a pair wins), merges
+// them into the previous epoch's sorted (left, right) key array in one
+// linear pass, and derives the (right, left) array by a counting sort. Each
+// view carries its own immutable copy of the IRI lookup, so readers never
+// touch publisher state, and answers byte-identically to a LinkSet
+// materialized from the same links, neighbor order included (asserted by
+// tests/serving). Interned IRIs are never dropped; the stores' entities
+// bound them.
 //
-// Thread-safety: staging and Publish happen on one publisher thread;
-// published views are immutable and safe to read from any thread.
+// Thread-safety: Stage, EpochDeltaIris and Publish happen on one publisher
+// thread; published views are immutable and safe to read from any thread.
 #ifndef ALEX_SERVING_STAGED_LINK_SET_H_
 #define ALEX_SERVING_STAGED_LINK_SET_H_
 
+#include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <string_view>
 #include <vector>
 
 #include "federation/link_set.h"
@@ -34,75 +34,65 @@
 
 namespace alex::serving {
 
-// Immutable overlay of (adds, tombstones) on a shared base LinkSet.
-class DeltaLinkView : public fed::LinkView {
+// IRI <-> dense 32-bit id, by open addressing over the ids. The strings
+// live in append-only storage that every copy shares and where they never
+// move, so a copy taken at publish stays a valid immutable lookup while the
+// publisher interns more.
+class IriIndex {
  public:
-  DeltaLinkView(std::shared_ptr<const fed::LinkSet> base,
-                const std::vector<linking::Link>& added,
-                const std::vector<linking::Link>& removed);
+  static constexpr uint32_t kNone = UINT32_MAX;
 
-  bool Contains(const std::string& left,
-                const std::string& right) const override;
-  std::vector<std::string> RightsOf(const std::string& left) const override;
-  std::vector<std::string> LeftsOf(const std::string& right) const override;
+  // The id of `iri`, or kNone.
+  uint32_t Find(std::string_view iri) const;
+  // The id of `iri`, interning it if new. Publisher only.
+  uint32_t Intern(const std::string& iri);
 
-  size_t added_count() const { return added_count_; }
-  size_t removed_count() const { return removed_count_; }
+  const std::string& iri(uint32_t id) const { return *iris_[id]; }
+  size_t size() const { return iris_.size(); }
 
  private:
-  using NeighborIndex =
-      std::unordered_map<std::string, std::vector<std::string>>;
+  // The slot holding `iri`, or the empty slot where it would go.
+  size_t Probe(std::string_view iri, uint64_t hash) const;
 
-  std::shared_ptr<const fed::LinkSet> base_;
-  // Sorted neighbor lists of the staged adds / tombstoned removes, indexed
-  // from both sides (mirrors LinkSet's by_left_/by_right_).
-  NeighborIndex added_by_left_;
-  NeighborIndex added_by_right_;
-  NeighborIndex removed_by_left_;
-  NeighborIndex removed_by_right_;
-  size_t added_count_ = 0;
-  size_t removed_count_ = 0;
+  std::shared_ptr<std::deque<std::string>> storage_ =
+      std::make_shared<std::deque<std::string>>();
+  std::vector<const std::string*> iris_;  // id -> IRI in storage_
+  // Power-of-two table; each slot is (hash >> 32) << 32 | (id + 1), and 0
+  // marks an empty slot.
+  std::vector<uint64_t> slots_ = std::vector<uint64_t>(64, 0);
 };
+
+class IdLinkView;
 
 class StagedLinkSet {
  public:
   // Starts empty; stage the initial links and Publish for the epoch-0 view.
   StagedLinkSet();
 
-  // Stages a membership change relative to the last published view. Staging
-  // add-then-remove of the same pair cancels out.
+  // Stages a membership change relative to the last published view. The
+  // last change staged for a pair before Publish decides its membership, so
+  // add-then-remove cancels out.
   void Stage(const linking::Link& link, bool added);
 
-  // Freezes the state into an immutable view. When the accumulated delta
-  // (relative to the current base) exceeds `merge_fraction` of the base
-  // size, the base is rematerialized first — publication then costs
-  // O(base + delta) once instead of per-read overlay merging forever.
-  // Returns the new view; previously returned views stay valid and
-  // unchanged (readers pin them).
-  std::shared_ptr<const fed::LinkView> Publish(double merge_fraction = 0.25);
+  // The distinct IRIs of every link staged since the previous Publish (both
+  // endpoints, cancelled pairs included), in ascending order: exactly the
+  // IRIs whose cached federated answers the next epoch must invalidate.
+  // Call before Publish, which clears the staged changes.
+  std::vector<std::string> EpochDeltaIris() const;
 
-  // The links staged since the previous Publish (each IRI pair at most
-  // once), in ascending (left, right) order. Cleared by Publish; call
-  // before it to drive exact per-epoch cache invalidation.
-  std::vector<linking::Link> TakeEpochDelta();
-
-  // Current logical size (base minus tombstones plus adds).
-  size_t size() const;
-  size_t pending_adds() const { return added_.size(); }
-  size_t pending_removes() const { return removed_.size(); }
-  // Times Publish chose to rematerialize the base (compaction events).
-  size_t merges() const { return merges_; }
+  // Merges the staged changes into a new immutable view. Previously
+  // returned views stay valid and unchanged (readers pin them).
+  std::shared_ptr<const fed::LinkView> Publish();
 
  private:
-  // Base published content; shared with every live DeltaLinkView.
-  std::shared_ptr<const fed::LinkSet> base_;
-  // Accumulated delta relative to base_: links present that base lacks, and
-  // links absent that base has. Disjoint by construction.
-  std::unordered_set<linking::Link, linking::LinkHash> added_;
-  std::unordered_set<linking::Link, linking::LinkHash> removed_;
-  // Links staged since the last Publish (for per-epoch cache invalidation).
-  std::unordered_set<linking::Link, linking::LinkHash> epoch_delta_;
-  size_t merges_ = 0;
+  struct Change {
+    uint64_t key;  // left id << 32 | right id
+    bool added;
+  };
+
+  IriIndex iris_;
+  std::vector<Change> staged_;  // since the last Publish, in staging order
+  std::shared_ptr<const IdLinkView> published_;
 };
 
 }  // namespace alex::serving

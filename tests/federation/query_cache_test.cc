@@ -1,11 +1,14 @@
 #include "federation/query_cache.h"
 
 #include <algorithm>
+#include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "datagen/profiles.h"
 #include "eval/query_workload.h"
@@ -126,8 +129,8 @@ TEST(FederatedQueryCacheTest, SnapshotHandleClonesMinusDelta) {
   parent.Insert(fp_a, {MakeAnswer("x", "a")}, {"http://ex/a"});
   parent.Insert(fp_b, {MakeAnswer("x", "b")}, {"http://ex/b"});
 
-  const std::vector<Link> delta = {Link{"http://ex/a", "http://other/z", 1.0}};
-  FederatedQueryCache child(parent, delta);
+  const std::vector<std::string> delta_iris = {"http://ex/a", "http://other/z"};
+  FederatedQueryCache child(parent, delta_iris);
   // The parent keeps everything; the child carries forward exactly the
   // entries the staged delta leaves replay-exact.
   EXPECT_EQ(parent.size(), 2u);
@@ -135,6 +138,60 @@ TEST(FederatedQueryCacheTest, SnapshotHandleClonesMinusDelta) {
   EXPECT_EQ(child.Lookup(fp_a), nullptr);
   EXPECT_NE(child.Lookup(fp_b), nullptr);
   EXPECT_EQ(child.stats().invalidated, 1u);
+}
+
+// Carrying a cache forward by the distinct endpoints of an epoch's staged
+// links keeps exactly the entries, and counts exactly the invalidations, of
+// one InvalidateLink call per staged link.
+TEST(FederatedQueryCacheTest, CarryForwardByIrisMatchesLinkByLink) {
+  constexpr int kIris = 30;
+  auto left = [](uint64_t i) { return "http://left/" + std::to_string(i); };
+  auto right = [](uint64_t i) { return "http://right/" + std::to_string(i); };
+  Rng rng(11);
+  for (int trial = 0; trial < 20; ++trial) {
+    FederatedQueryCache parent;
+    FederatedQueryCache link_by_link;
+    std::vector<uint64_t> fingerprints;
+    for (int q = 0; q < 40; ++q) {
+      const uint64_t fp = QueryFingerprint("q" + std::to_string(q), 10);
+      fingerprints.push_back(fp);
+      std::unordered_set<std::string> consulted;
+      const uint64_t size = rng.NextBounded(4);  // empty sets included
+      for (uint64_t k = 0; k < size; ++k) {
+        consulted.insert(rng.NextBool(0.5) ? left(rng.NextBounded(kIris))
+                                           : right(rng.NextBounded(kIris)));
+      }
+      for (FederatedQueryCache* cache : {&parent, &link_by_link}) {
+        cache->Insert(fp, {MakeAnswer("x", std::to_string(q))}, consulted);
+      }
+    }
+    // A pair may be staged twice (say, an add and the remove that cancels
+    // it); each staging still invalidates.
+    std::vector<Link> staged;
+    std::set<std::string> iris;
+    const uint64_t links = rng.NextBounded(12);
+    for (uint64_t k = 0; k < links; ++k) {
+      staged.push_back(Link{left(rng.NextBounded(kIris)),
+                            right(rng.NextBounded(kIris)), 1.0});
+      if (rng.NextBool(0.2)) staged.push_back(staged.back());
+    }
+    for (const Link& link : staged) {
+      link_by_link.InvalidateLink(link);
+      iris.insert(link.left);
+      iris.insert(link.right);
+    }
+    const std::vector<std::string> delta_iris(iris.begin(), iris.end());
+    FederatedQueryCache carried(parent, delta_iris);
+
+    EXPECT_EQ(carried.stats().invalidated, link_by_link.stats().invalidated);
+    EXPECT_EQ(carried.size(), link_by_link.size());
+    for (uint64_t fp : fingerprints) {
+      EXPECT_EQ(carried.Lookup(fp) != nullptr,
+                link_by_link.Lookup(fp) != nullptr)
+          << "trial " << trial;
+    }
+    EXPECT_EQ(parent.size(), fingerprints.size());  // the parent is untouched
+  }
 }
 
 TEST(FederatedQueryCacheTest, LookupResultSurvivesInvalidation) {

@@ -130,6 +130,7 @@ TEST_F(ServingEngineTest, SnapshotsRetireExactlyWhenLastReaderDrains) {
   pinned.reset();  // last reader drains -> epoch 0 retires now
   EXPECT_EQ(serving.stats().snapshots_retired, 2u);
   EXPECT_EQ(serving.stats().epochs_published, 3u);
+  EXPECT_EQ(serving.stats().link_merges, 3u);  // every publish merges
 }
 
 TEST_F(ServingEngineTest, QueryCacheCarriesForwardMinusEpochDelta) {

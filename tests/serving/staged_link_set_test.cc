@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
-#include <unordered_set>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -21,7 +25,7 @@ std::string L(int i) { return "http://left/" + std::to_string(i); }
 std::string R(int i) { return "http://right/" + std::to_string(i); }
 
 // A view must answer byte-identically to a LinkSet materialized from the
-// same membership — including neighbor order.
+// same membership — including neighbor order — for every IRI, staged or not.
 void ExpectSameAnswers(const fed::LinkView& view, const fed::LinkSet& expect,
                        int iris) {
   for (int i = 0; i < iris; ++i) {
@@ -33,39 +37,75 @@ void ExpectSameAnswers(const fed::LinkView& view, const fed::LinkSet& expect,
   }
 }
 
-TEST(StagedLinkSetTest, OverlayMatchesMaterializedUnderRandomChurn) {
-  constexpr int kIris = 12;
+// The distinct endpoints of `links`, ascending.
+std::vector<std::string> Endpoints(const std::vector<Link>& links) {
+  std::set<std::string> iris;
+  for (const Link& link : links) {
+    iris.insert(link.left);
+    iris.insert(link.right);
+  }
+  return {iris.begin(), iris.end()};
+}
+
+TEST(StagedLinkSetTest, MatchesMaterializedUnderRandomChurn) {
+  constexpr int kRounds = 6;
+  constexpr int kIrisPerRound = 4;
+  constexpr int kMaxIris = kIrisPerRound * kRounds;
   Rng rng(7);
   StagedLinkSet staged;
   fed::LinkSet expect;
+  // Every published view, pinned, beside the membership it froze.
+  std::vector<std::pair<std::shared_ptr<const fed::LinkView>, fed::LinkSet>>
+      epochs;
 
-  // Seed epoch 0 and force the base to materialize it (fraction 0).
-  for (int i = 0; i < kIris; ++i) {
-    Link link{L(i), R(i), 1.0};
-    staged.Stage(link, true);
-    expect.Add(link);
-  }
-  std::shared_ptr<const fed::LinkView> epoch0 = staged.Publish(0.0);
-  ExpectSameAnswers(*epoch0, expect, kIris);
-
-  // Random churn, published as overlays (huge fraction: never compact).
-  for (int round = 0; round < 5; ++round) {
-    for (int step = 0; step < 8; ++step) {
-      Link link{L(static_cast<int>(rng.NextBounded(kIris))),
-                R(static_cast<int>(rng.NextBounded(kIris))), 1.0};
-      bool add = rng.NextBool(0.5);
+  for (int round = 0; round < kRounds; ++round) {
+    // Each epoch widens the IRI range, so the IRIs at its top are first
+    // staged in a later epoch than the rest.
+    const int iris = kIrisPerRound * (round + 1);
+    std::vector<Link> epoch_links;
+    auto stage = [&](const Link& link, bool add) {
       staged.Stage(link, add);
+      epoch_links.push_back(link);
       if (add) {
         expect.Add(link);
       } else {
         expect.Remove(link.left, link.right);
       }
+    };
+    if (round == 0) {
+      for (int i = 0; i < iris; ++i) stage(Link{L(i), R(i), 1.0}, true);
     }
-    std::shared_ptr<const fed::LinkView> view = staged.Publish(1e18);
-    ExpectSameAnswers(*view, expect, kIris);
+    for (int step = 0; step < 3 * iris; ++step) {
+      stage(Link{L(static_cast<int>(rng.NextBounded(iris))),
+                 R(static_cast<int>(rng.NextBounded(iris))), 1.0},
+            rng.NextBool(0.5));
+    }
+    // add -> remove -> add of one pair within the epoch: the last state
+    // wins. Its left IRI is new this epoch.
+    const Link flip{L(iris - 1), R(round), 1.0};
+    stage(flip, true);
+    stage(flip, false);
+    stage(flip, true);
+    // A cancelled add still names its endpoints as invalidated.
+    const Link cancelled{L(round), R(iris - 1), 1.0};
+    if (!expect.Contains(cancelled.left, cancelled.right)) {
+      stage(cancelled, true);
+      stage(cancelled, false);
+    }
+
+    EXPECT_EQ(staged.EpochDeltaIris(), Endpoints(epoch_links));
+    std::shared_ptr<const fed::LinkView> view = staged.Publish();
+    EXPECT_TRUE(staged.EpochDeltaIris().empty());  // Publish clears them
+    EXPECT_TRUE(view->Contains(flip.left, flip.right));
+    ExpectSameAnswers(*view, expect, kMaxIris);  // every pair, so sizes too
+    epochs.emplace_back(view, expect);
   }
-  EXPECT_EQ(staged.merges(), 1u);  // only the epoch-0 publish compacted
-  EXPECT_EQ(staged.size(), expect.size());
+
+  // Every pinned view still answers its own epoch after the later
+  // publishes.
+  for (const auto& [view, membership] : epochs) {
+    ExpectSameAnswers(*view, membership, kMaxIris);
+  }
 }
 
 TEST(StagedLinkSetTest, PublishedViewsAreImmutableUnderLaterStaging) {
@@ -75,7 +115,7 @@ TEST(StagedLinkSetTest, PublishedViewsAreImmutableUnderLaterStaging) {
 
   staged.Stage(Link{L(1), R(1), 1.0}, false);
   staged.Stage(Link{L(2), R(2), 1.0}, true);
-  std::shared_ptr<const fed::LinkView> epoch1 = staged.Publish(1e18);
+  std::shared_ptr<const fed::LinkView> epoch1 = staged.Publish();
 
   // Epoch 0 still answers its own state; epoch 1 the new one.
   EXPECT_TRUE(epoch0->Contains(L(1), R(1)));
@@ -86,52 +126,31 @@ TEST(StagedLinkSetTest, PublishedViewsAreImmutableUnderLaterStaging) {
   EXPECT_TRUE(epoch1->RightsOf(L(1)).empty());
 }
 
-TEST(StagedLinkSetTest, CompactionPreservesContentAndCounts) {
-  StagedLinkSet staged;
-  fed::LinkSet expect;
-  for (int i = 0; i < 10; ++i) {
-    staged.Stage(Link{L(i), R(i), 1.0}, true);
-    expect.Add(Link{L(i), R(i), 1.0});
-  }
-  (void)staged.Publish(0.0);  // compact epoch 0
-  ASSERT_EQ(staged.merges(), 1u);
-
-  staged.Stage(Link{L(0), R(0), 1.0}, false);
-  expect.Remove(L(0), R(0));
-  staged.Stage(Link{L(3), R(7), 1.0}, true);
-  expect.Add(Link{L(3), R(7), 1.0});
-  std::shared_ptr<const fed::LinkView> compacted = staged.Publish(0.0);
-  EXPECT_EQ(staged.merges(), 2u);
-  EXPECT_EQ(staged.pending_adds(), 0u);
-  EXPECT_EQ(staged.pending_removes(), 0u);
-  ExpectSameAnswers(*compacted, expect, 10);
-}
-
 TEST(StagedLinkSetTest, EpochDeltaIsSortedAndClearedByPublish) {
   StagedLinkSet staged;
   staged.Stage(Link{L(3), R(3), 1.0}, true);
   staged.Stage(Link{L(1), R(1), 1.0}, true);
   staged.Stage(Link{L(2), R(2), 1.0}, false);  // remove of absent: net no-op
-  std::vector<Link> delta = staged.TakeEpochDelta();
-  ASSERT_EQ(delta.size(), 3u);  // every touched pair reported once
-  EXPECT_TRUE(std::is_sorted(delta.begin(), delta.end()));
-  EXPECT_TRUE(staged.TakeEpochDelta().empty());
+  staged.Stage(Link{L(1), R(3), 1.0}, true);
+  // Every touched IRI reported once, in order.
+  const std::vector<std::string> expected = {L(1), L(2), L(3),
+                                             R(1), R(2), R(3)};
+  EXPECT_EQ(staged.EpochDeltaIris(), expected);
 
-  staged.Stage(Link{L(9), R(9), 1.0}, true);
   (void)staged.Publish();
-  // Publish clears the pending epoch delta too.
-  EXPECT_TRUE(staged.TakeEpochDelta().empty());
+  EXPECT_TRUE(staged.EpochDeltaIris().empty());
+  staged.Stage(Link{L(9), R(1), 1.0}, true);
+  EXPECT_EQ(staged.EpochDeltaIris(), (std::vector<std::string>{L(9), R(1)}));
 }
 
 TEST(StagedLinkSetTest, AddThenRemoveWithinEpochCancels) {
   StagedLinkSet staged;
   staged.Stage(Link{L(5), R(5), 1.0}, true);
   staged.Stage(Link{L(5), R(5), 1.0}, false);
-  EXPECT_EQ(staged.pending_adds(), 0u);
-  EXPECT_EQ(staged.pending_removes(), 0u);
-  std::shared_ptr<const fed::LinkView> view = staged.Publish(1e18);
+  std::shared_ptr<const fed::LinkView> view = staged.Publish();
   EXPECT_FALSE(view->Contains(L(5), R(5)));
-  EXPECT_EQ(staged.size(), 0u);
+  EXPECT_TRUE(view->RightsOf(L(5)).empty());
+  EXPECT_TRUE(view->LeftsOf(R(5)).empty());
 }
 
 TEST(StagedLinkSetTest, ViewOutlivesStagedSet) {
@@ -139,9 +158,72 @@ TEST(StagedLinkSetTest, ViewOutlivesStagedSet) {
   {
     StagedLinkSet staged;
     staged.Stage(Link{L(1), R(1), 1.0}, true);
-    view = staged.Publish(1e18);  // overlay holds the base alive
+    view = staged.Publish();  // the view holds the IRI storage alive
   }
   EXPECT_TRUE(view->Contains(L(1), R(1)));
+  EXPECT_EQ(view->RightsOf(L(1)), std::vector<std::string>{R(1)});
+}
+
+// Two readers query published views, each taking the newer view as it
+// appears, while the publisher stages and publishes. Epoch e links L(i) to
+// R(e * kLefts + i) only, so every epoch interns new IRIs while readers
+// look up older ones, and each view must answer exactly its own epoch.
+TEST(StagedLinkSetTest, ReadersFollowPublishesConcurrently) {
+  constexpr int kLefts = 16;
+  constexpr int kEpochs = 60;
+  auto right = [](int epoch, int i) { return R(epoch * kLefts + i); };
+
+  StagedLinkSet staged;
+  std::mutex mu;  // guards `latest`
+  std::pair<int, std::shared_ptr<const fed::LinkView>> latest;
+  auto publish = [&](int epoch) {
+    std::shared_ptr<const fed::LinkView> view = staged.Publish();
+    std::lock_guard lock(mu);
+    latest = {epoch, std::move(view)};
+  };
+  for (int i = 0; i < kLefts; ++i) {
+    staged.Stage(Link{L(i), right(0, i), 1.0}, true);
+  }
+  publish(0);
+
+  std::atomic<int> mismatches{0};
+  std::atomic<int> epochs_seen{0};
+  auto read = [&] {
+    int seen = -1;
+    while (seen < kEpochs - 1) {
+      std::pair<int, std::shared_ptr<const fed::LinkView>> pinned;
+      {
+        std::lock_guard lock(mu);
+        pinned = latest;
+      }
+      if (pinned.first != seen) epochs_seen.fetch_add(1);
+      seen = pinned.first;
+      const fed::LinkView& view = *pinned.second;
+      for (int i = 0; i < kLefts; ++i) {
+        const std::string current = right(seen, i);
+        const bool ok =
+            view.RightsOf(L(i)) == std::vector<std::string>{current} &&
+            view.LeftsOf(current) == std::vector<std::string>{L(i)} &&
+            view.Contains(L(i), current) &&
+            (seen == 0 || !view.Contains(L(i), right(seen - 1, i))) &&
+            view.LeftsOf(right(seen + 1, i)).empty();
+        if (!ok) mismatches.fetch_add(1);
+      }
+    }
+  };
+  std::thread reader_a(read);
+  std::thread reader_b(read);
+  for (int epoch = 1; epoch < kEpochs; ++epoch) {
+    for (int i = 0; i < kLefts; ++i) {
+      staged.Stage(Link{L(i), right(epoch - 1, i), 1.0}, false);
+      staged.Stage(Link{L(i), right(epoch, i), 1.0}, true);
+    }
+    publish(epoch);
+  }
+  reader_a.join();
+  reader_b.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GE(epochs_seen.load(), 2);  // each reader saw at least the last
 }
 
 }  // namespace
