@@ -32,6 +32,7 @@
 #include "datagen/world.h"
 #include "eval/query_workload.h"
 #include "federation/federated_engine.h"
+#include "federation/link_set.h"
 #include "feedback/aggregator.h"
 #include "linking/paris.h"
 #include "rdf/dataset_stats.h"
@@ -538,11 +539,12 @@ void PinIndirectionGate() {
       alex::eval::GenerateWorkload(world, workload_options);
   const std::vector<const TripleStore*> sources = {&world.left, &world.right};
 
-  // The seed engine over a mutable LinkSet against a ServingEngine with its
-  // caches off, so that only the epoch pin and the LinkView dispatch differ.
-  alex::fed::LinkSet links;
-  for (const Link& link : initial) links.Add(link);
-  alex::fed::FederatedEngine direct(sources, &links);
+  // The seed engine over a view published from the same links against a
+  // ServingEngine with its caches off, so that only the epoch pin differs.
+  alex::fed::StagedLinkSet staged;
+  for (const Link& link : initial) staged.Stage(link, true);
+  const std::shared_ptr<const alex::fed::LinkView> links = staged.Publish();
+  alex::fed::FederatedEngine direct(sources, links.get());
   alex::serving::ServingOptions options;
   options.sources = sources;
   options.use_query_cache = false;

@@ -1,7 +1,9 @@
 // Query-driven vs. oracle-driven feedback (not a paper figure; it closes
 // the gap between the paper's §3.2 system description — feedback arrives on
 // federated query answers — and its §7.1 evaluation shortcut — feedback on
-// uniformly sampled links). Expected: both improve the links dramatically;
+// uniformly sampled links). The query-driven run is the serving loop with
+// no reader streams: the learner's links reach the queries through
+// published epochs. Expected: both improve the links dramatically;
 // query-driven feedback converges on the links that queries actually
 // exercise, so recall can plateau below the oracle-driven ceiling when the
 // workload does not touch every entity.
@@ -9,7 +11,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "eval/query_workload.h"
+#include "serving/serving_loop.h"
 
 int main() {
   alex::eval::ExperimentConfig config =
@@ -31,10 +33,12 @@ int main() {
   alex::core::AlexEngine engine(&world.left, &world.right, config.alex);
   alex::Status st = engine.Initialize(initial);
   ALEX_CHECK(st.ok()) << st.ToString();
-  alex::eval::QueryDrivenOptions qd;
+  alex::serving::ServingLoopOptions qd;
   qd.workload.num_queries = 600;
-  alex::eval::ExperimentResult query_run =
-      alex::eval::RunQueryDrivenExperiment(&engine, world, truth, qd);
+  alex::Result<alex::serving::ServingRunResult> served =
+      alex::serving::RunServingExperiment(&engine, world, truth, qd);
+  ALEX_CHECK(served.ok()) << served.status().ToString();
+  const alex::eval::ExperimentResult& query_run = served->experiment;
 
   alex::bench::PrintComparison(
       "Feedback source: oracle-sampled links vs federated query answers",

@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "core/alex_engine.h"
+#include "eval/experiment.h"
 #include "datagen/profiles.h"
 #include "eval/metrics.h"
 #include "eval/vote_driven.h"
@@ -49,13 +50,22 @@ int main() {
   std::cout << std::fixed << std::setprecision(3);
 
   // Run 1: raw noisy feedback, one vote per item.
+  double raw_f = 0.0;
   {
     AlexEngine engine(&world.left, &world.right, MakeOptions());
     if (!engine.Initialize(initial).ok()) return 1;
     alex::feedback::Oracle noisy(&truth, kUserErrorRate, 404);
-    engine.Run([&noisy](const Link& link) { return noisy.Feedback(link); });
-    alex::eval::Quality q =
-        alex::eval::Evaluate(engine.CandidateLinks(), truth);
+    alex::Result<alex::eval::ExperimentResult> result =
+        alex::eval::RunEpisodes(&engine, truth, "raw",
+                                MakeOptions().max_episodes, [&] {
+                                  return engine.RunEpisode(
+                                      [&noisy](const Link& link) {
+                                        return noisy.Feedback(link);
+                                      });
+                                });
+    if (!result.ok()) return 1;
+    const alex::eval::Quality& q = result->final_quality();
+    raw_f = q.f_measure;
     std::cout << "raw noisy feedback (25% wrong):    P=" << q.precision
               << " R=" << q.recall << " F=" << q.f_measure << "\n";
   }
@@ -64,6 +74,7 @@ int main() {
   // every drawn link is judged by five users, the votes stream into the
   // sharded aggregator from two writer threads, and one drained verdict
   // batch per episode reaches ALEX.
+  double voted_f = 0.0;
   {
     AlexEngine engine(&world.left, &world.right, MakeOptions());
     if (!engine.Initialize(initial).ok()) return 1;
@@ -76,6 +87,7 @@ int main() {
     alex::eval::ExperimentResult result =
         alex::eval::RunVoteDrivenExperiment(&engine, truth, vote_options);
     const alex::eval::Quality& q = result.final_quality();
+    voted_f = q.f_measure;
     const alex::core::EpisodeStats& last = result.series.back().stats;
     std::cout << "majority of " << kVotesPerItem
               << " noisy votes per link:  P=" << q.precision
@@ -87,5 +99,5 @@ int main() {
 
   std::cout << "\nAggregating the crowd's votes suppresses most of the\n"
                "erroneous feedback before it reaches the learner.\n";
-  return 0;
+  return voted_f > raw_f ? 0 : 1;
 }

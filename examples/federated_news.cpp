@@ -10,16 +10,20 @@
 //   * ALEX discovering a missing link so a previously unanswerable query
 //     gains answers.
 #include <iostream>
+#include <memory>
+#include <vector>
 
 #include "core/alex_engine.h"
 #include "federation/federated_engine.h"
+#include "federation/link_set.h"
 #include "rdf/triple_store.h"
 
 using alex::core::AlexEngine;
 using alex::core::AlexOptions;
 using alex::fed::FederatedAnswer;
 using alex::fed::FederatedEngine;
-using alex::fed::LinkSet;
+using alex::fed::LinkView;
+using alex::fed::StagedLinkSet;
 using alex::linking::Link;
 using alex::rdf::Term;
 using alex::rdf::TripleStore;
@@ -88,8 +92,10 @@ int main() {
 
   // Initially only Durant is linked (say, by an automatic linker that
   // handled the clean spelling but missed "James, LeBron").
-  LinkSet links;
-  links.Add(Link{durant, nyt_durant, 0.97});
+  const std::vector<Link> initial = {Link{durant, nyt_durant, 0.97}};
+  StagedLinkSet staged;
+  for (const Link& link : initial) staged.Stage(link, true);
+  std::shared_ptr<const LinkView> links = staged.Publish();
 
   const std::string kQuery =
       "SELECT ?article WHERE { "
@@ -97,7 +103,7 @@ int main() {
       "\"NBA Most Valuable Player 2013\" . "
       "?article <http://data.nytimes.com/about> ?player }";
 
-  FederatedEngine fed({&dbpedia, &nytimes}, &links);
+  FederatedEngine fed({&dbpedia, &nytimes}, links.get());
   std::cout << "Query: find NYT articles about the NBA MVP of 2013\n";
   std::cout << "\nBefore ALEX (LeBron is not linked):\n";
   auto before = fed.ExecuteText(kQuery);
@@ -116,11 +122,16 @@ int main() {
   options.max_episodes = 10;
   options.step_size = 0.2;  // small data: explore a wider band
   AlexEngine alex(&dbpedia, &nytimes, options);
-  alex::Status st = alex.Initialize(links.All());
+  alex::Status st = alex.Initialize(initial);
   if (!st.ok()) {
     std::cerr << st.ToString() << "\n";
     return 1;
   }
+  // ALEX's link changes reach the queries one way: staged as they happen,
+  // published as the next link view after each round.
+  alex.SetLinkChangeObserver([&staged](const Link& link, bool added) {
+    staged.Stage(link, added);
+  });
 
   // Feedback loop: issue a query that uses the Durant link, approve its
   // answer (it is correct), and let ALEX take actions.
@@ -130,9 +141,7 @@ int main() {
       "\"NBA Most Valuable Player 2014\" . "
       "?article <http://data.nytimes.com/about> ?player }";
   for (int round = 0; round < 5; ++round) {
-    LinkSet current;
-    for (const Link& link : alex.CandidateLinks()) current.Add(link);
-    FederatedEngine fed_round({&dbpedia, &nytimes}, &current);
+    FederatedEngine fed_round({&dbpedia, &nytimes}, links.get());
     auto answers = fed_round.ExecuteText(kDurantQuery);
     if (!answers.ok()) break;
     alex.BeginExternalEpisode();
@@ -141,17 +150,16 @@ int main() {
         alex.ApplyLinkFeedback(used, /*positive=*/true);  // user approves
       }
     }
-    alex.EndExternalEpisode();
+    alex.EndExternalEpisode();  // stages the round's net link changes
+    links = staged.Publish();
   }
 
-  // Refresh the link set from ALEX's candidates and re-run the MVP query.
-  LinkSet improved;
-  for (const Link& link : alex.CandidateLinks()) improved.Add(link);
-  std::cout << "\nALEX now proposes " << improved.size() << " links";
-  std::cout << (improved.Contains(lebron, nyt_lebron)
+  // Re-run the MVP query over ALEX's latest links.
+  std::cout << "\nALEX now proposes " << links->size() << " links";
+  std::cout << (links->Contains(lebron, nyt_lebron)
                     ? " (including LeBron!)\n"
                     : "\n");
-  FederatedEngine fed_after({&dbpedia, &nytimes}, &improved);
+  FederatedEngine fed_after({&dbpedia, &nytimes}, links.get());
   std::cout << "\nAfter ALEX:\n";
   auto after = fed_after.ExecuteText(kQuery);
   if (!after.ok()) {

@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "core/alex_engine.h"
+#include "eval/experiment.h"
 #include "feedback/oracle.h"
 #include "linking/paris.h"
 #include "rdf/triple_store.h"
@@ -88,8 +89,15 @@ int main() {
     std::cerr << "initialization failed: " << st.ToString() << "\n";
     return 1;
   }
-  AlexEngine::RunResult run = engine.Run(
-      [&truth](const Link& link) { return truth.Contains(link); });
+  alex::Result<alex::eval::ExperimentResult> run = alex::eval::RunEpisodes(
+      &engine, truth, "quickstart", options.max_episodes, [&] {
+        return engine.RunEpisode(
+            [&truth](const Link& link) { return truth.Contains(link); });
+      });
+  if (!run.ok()) {
+    std::cerr << "episodes failed: " << run.status().ToString() << "\n";
+    return 1;
+  }
 
   // 4. Result.
   std::vector<Link> final_links = engine.CandidateLinks();
@@ -97,7 +105,7 @@ int main() {
   for (const Link& link : final_links) {
     if (truth.Contains(link)) ++correct;
   }
-  std::cout << "\nALEX converged after " << run.episodes
+  std::cout << "\nALEX converged after " << run->episodes
             << " episodes with " << final_links.size() << " links ("
             << correct << " correct of " << truth.size()
             << " ground truth):\n";

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Builds the test suites most exposed to the in-place index maintenance
 # paths (tombstone/pending-buffer churn, bucket compaction, rollback
-# resurrection, the parallel episode loop, epoch-snapshot reclamation and
-# the id-keyed link store in the serving tier, the federated query cache's
+# resurrection, the parallel episode loop, epoch-snapshot reclamation in
+# the serving tier, the id-keyed link store, the federated query cache's
 # carry-forward and parallel per-source fan-out, the sharded feedback
 # aggregator's tally churn, and the live-ingest path's blocking-index
 # sidecars and overflow arenas), and the

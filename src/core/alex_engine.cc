@@ -794,27 +794,6 @@ EpisodeStats AlexEngine::RunEpisode(const FeedbackFn& feedback) {
   return stats;
 }
 
-AlexEngine::RunResult AlexEngine::Run(
-    const FeedbackFn& feedback,
-    const std::function<void(const EpisodeStats&)>& on_episode) {
-  RunResult result;
-  for (int episode = 0; episode < options_.max_episodes; ++episode) {
-    EpisodeStats stats = RunEpisode(feedback);
-    ++result.episodes;
-    if (on_episode) on_episode(stats);
-    result.history.push_back(stats);
-    if (result.relaxed_episode < 0 &&
-        stats.change_fraction < options_.relaxed_change_fraction) {
-      result.relaxed_episode = stats.episode;
-    }
-    if (stats.change_fraction == 0.0) {
-      result.converged = true;
-      break;
-    }
-  }
-  return result;
-}
-
 std::vector<linking::Link> AlexEngine::CandidateLinks() const {
   std::vector<linking::Link> links;
   links.reserve(CandidateCount());

@@ -8,12 +8,13 @@
 //   auto feedback = [&](const linking::Link& l) {   // the "user"
 //     return ground_truth.Contains(l);
 //   };
-//   AlexEngine::RunResult result = engine.Run(feedback, on_episode);
+//   EpisodeStats stats = engine.RunEpisode(feedback);  // one episode
 //
 // The engine partitions the left data set round-robin (§6.2), builds one
 // feature space per partition (§3.2, §6.1), and alternates policy
-// evaluation (one feedback episode) with policy improvement (§4.4) until
-// the candidate link set stops changing or `max_episodes` is reached.
+// evaluation (one feedback episode) with policy improvement (§4.4).
+// eval::RunEpisodes (eval/experiment.h) repeats episodes until the
+// candidate link set stops changing or `max_episodes` is reached.
 //
 // By convention the LEFT store is the larger data set (the one that is
 // partitioned); callers should orient their inputs accordingly.
@@ -481,19 +482,6 @@ class AlexEngine {
   void SetLinkChangeObserver(LinkChangeFn observer) {
     link_observer_ = std::move(observer);
   }
-
-  struct RunResult {
-    bool converged = false;          // strict: no change in candidate links
-    int episodes = 0;                // episodes actually run
-    int relaxed_episode = -1;        // first below relaxed_change_fraction
-    std::vector<EpisodeStats> history;
-  };
-
-  // Alternates policy evaluation and improvement until strict convergence
-  // or options.max_episodes. `on_episode` (optional) observes each episode.
-  RunResult Run(const FeedbackFn& feedback,
-                const std::function<void(const EpisodeStats&)>& on_episode =
-                    nullptr);
 
   // Current candidate links across all partitions plus spaceless extras.
   std::vector<linking::Link> CandidateLinks() const;

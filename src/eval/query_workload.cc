@@ -1,12 +1,8 @@
 #include "eval/query_workload.h"
 
-#include <algorithm>
-#include <memory>
-#include <optional>
 #include <unordered_set>
 #include <utility>
 
-#include "federation/federated_engine.h"
 #include "federation/query_cache.h"
 #include "rdf/entity_view.h"
 #include "sparql/plan_cache.h"
@@ -145,90 +141,6 @@ void TakeCacheStats(fed::FederatedQueryCache* cache,
     stats->plan_cache_hits = taken.parse_hits + taken.plan_hits;
     stats->plan_cache_misses = taken.parse_misses + taken.plan_misses;
   }
-}
-
-ExperimentResult RunQueryDrivenExperiment(
-    core::AlexEngine* engine, const datagen::GeneratedWorld& world,
-    const feedback::GroundTruth& truth, const QueryDrivenOptions& options) {
-  const std::vector<WorkloadQuery> workload =
-      GenerateWorkload(world, options.workload);
-  feedback::Oracle oracle(&truth, options.feedback_error_rate,
-                          options.oracle_seed);
-  Rng rng(options.workload.seed ^ 0x5eedf00dULL);
-
-  // Persistent federation state. The link set is maintained incrementally:
-  // the engine reports net candidate membership changes at every episode
-  // boundary (EndExternalEpisode), so queries within an episode all see the
-  // same links (the paper evaluates the policy within an episode and only
-  // changes it between episodes) without re-materializing CandidateLinks().
-  // The same deltas invalidate exactly the cached query results whose
-  // consulted link neighborhoods changed.
-  fed::LinkSet links;
-  for (const linking::Link& link : engine->CandidateLinks()) links.Add(link);
-  fed::FederatedQueryCache cache;
-  std::vector<const rdf::TripleStore*> sources = {&world.left, &world.right};
-  // With a non-zero fault profile every source becomes an unreliable
-  // endpoint and the engine runs its resilient path; a zero profile keeps
-  // the seed construction (plain local stores), bit-for-bit.
-  std::vector<std::unique_ptr<fed::LocalEndpoint>> local_endpoints;
-  std::vector<std::unique_ptr<fed::FaultInjectingEndpoint>> faulty_endpoints;
-  std::optional<fed::FederatedEngine> engine_storage;
-  if (options.fault_profile.IsZero()) {
-    engine_storage.emplace(sources, &links);
-  } else {
-    std::vector<fed::Endpoint*> endpoints;
-    for (size_t i = 0; i < sources.size(); ++i) {
-      local_endpoints.push_back(
-          std::make_unique<fed::LocalEndpoint>(sources[i]));
-      faulty_endpoints.push_back(
-          std::make_unique<fed::FaultInjectingEndpoint>(
-              local_endpoints.back().get(), i, options.fault_profile));
-      endpoints.push_back(faulty_endpoints.back().get());
-    }
-    engine_storage.emplace(std::move(endpoints), &links);
-    engine_storage->set_resilience(options.resilience);
-  }
-  fed::FederatedEngine& fed_engine = *engine_storage;
-  if (options.use_query_cache) fed_engine.set_cache(&cache);
-  sparql::PlanCache plan_cache;
-  if (options.use_plan_cache) fed_engine.set_plan_cache(&plan_cache);
-  fed::FederatedOptions fed_options;
-  fed_options.pool = options.pool;
-  fed_options.deadline_micros = options.deadline_micros;
-
-  auto episode = [&] {
-    core::EpisodeStats stats;
-    engine->BeginExternalEpisode();
-    JudgeQueryAnswers(
-        engine, workload,
-        [&](const std::string& text) {
-          return fed_engine.ExecuteText(text, fed_options);
-        },
-        &oracle, &rng, &stats);
-    TakeCacheStats(&cache, &plan_cache, &stats);
-    fed::FederatedEngine::FaultStats fault_stats =
-        fed_engine.TakeFaultStats();
-    stats.breaker_opens = fault_stats.breaker_opens;
-    stats.breaker_half_opens = fault_stats.breaker_half_opens;
-    stats.breaker_closes = fault_stats.breaker_closes;
-    // The episode boundary: fires the observer below (updating links and
-    // invalidating cache entries).
-    engine->EndExternalEpisode(&stats);
-    return stats;
-  };
-  EpisodeHooks hooks;
-  hooks.on_link_change = [&links, &cache](const linking::Link& link,
-                                          bool added) {
-    if (added) {
-      links.Add(link);
-    } else {
-      links.Remove(link.left, link.right);
-    }
-    cache.InvalidateLink(link);
-  };
-  return RunEpisodes(engine, truth, "query_driven",
-                     engine->options().max_episodes, episode, hooks)
-      .value();
 }
 
 }  // namespace alex::eval

@@ -5,17 +5,19 @@
 // the answers of *federated queries*: a user asks something that needs both
 // data sets, the engine bridges them through candidate owl:sameAs links,
 // and approving/rejecting an answer approves/rejects the links in its
-// provenance. This module closes that loop end to end:
+// provenance. This module holds the loop's parts:
 //
 //   * GenerateWorkload builds federated SELECT queries over a generated
 //     world, each shaped like the paper's §1 example: constrain an entity
 //     by a left-side attribute value, ask for a right-side attribute —
 //     answerable only across a link.
-//   * RunQueryDrivenExperiment alternates episodes in which the queries are
-//     executed against the current candidate links, every answer is judged
-//     by the ground truth, and the feedback flows into the ALEX engine via
-//     ApplyLinkFeedback (JudgeQueryAnswers, which the serving loop in
-//     serving/serving_loop.h shares).
+//   * JudgeQueryAnswers runs one episode's queries, has the ground truth
+//     judge every answer, and feeds the verdicts to the ALEX engine via
+//     ApplyLinkFeedback.
+//
+// serving::RunServingExperiment (serving/serving_loop.h) runs the loop:
+// the learner's link changes reach the queries only through the serving
+// tier's published epochs.
 //
 // Query-driven feedback differs from uniform link sampling in coverage:
 // only links that actually answer queries receive feedback. The
@@ -28,11 +30,8 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/alex_engine.h"
 #include "datagen/world.h"
-#include "eval/experiment.h"
-#include "federation/fault_injection.h"
 #include "federation/federated_engine.h"
 #include "federation/query_cache.h"
 #include "feedback/oracle.h"
@@ -80,51 +79,6 @@ void JudgeQueryAnswers(core::AlexEngine* engine,
 // `stats`; either cache may be null (not attached).
 void TakeCacheStats(fed::FederatedQueryCache* cache,
                     sparql::PlanCache* plan_cache, core::EpisodeStats* stats);
-
-// Episode size and cap come from the engine's AlexOptions (episode_size,
-// max_episodes).
-struct QueryDrivenOptions {
-  WorkloadOptions workload;
-  double feedback_error_rate = 0.0;
-  uint64_t oracle_seed = 99;
-  // Reuse federated query results across episodes through a
-  // FederatedQueryCache invalidated exactly from the engine's epoch deltas.
-  // The series is bitwise-identical with the cache on or off; the cache
-  // only removes redundant re-execution.
-  bool use_query_cache = true;
-  // Reuse parsed queries across episodes through a sparql::PlanCache
-  // attached to the federated engine. Parsing is deterministic, so the
-  // series is bitwise-identical with this cache on or off too; per-episode
-  // traffic lands in EpisodeStats::plan_cache_{hits,misses}.
-  bool use_plan_cache = true;
-  // Optional pool for per-source parallel federated evaluation (results
-  // stay deterministic; see FederatedOptions::pool).
-  ThreadPool* pool = nullptr;
-  // Endpoint fault model. A zero profile (default) federates directly over
-  // the stores — the seed behavior, bit-for-bit. A non-zero profile wraps
-  // every source in a FaultInjectingEndpoint and runs the engine's
-  // resilient path: queries whose answers come back incomplete produce NO
-  // feedback (their provenance links are counted in
-  // EpisodeStats::skipped_feedback instead), so the policy never trains on
-  // degraded evidence. With a fixed profile seed the whole series is
-  // bitwise-identical at any thread count.
-  fed::FaultProfile fault_profile;
-  // Retry/backoff and circuit-breaker configuration for the resilient path.
-  fed::FederatedEngine::Resilience resilience;
-  // Per-query virtual-time budget (see FederatedOptions::deadline_micros).
-  int64_t deadline_micros = 0;
-};
-
-// Runs the full pipeline with query-driven feedback. The engine must
-// already be initialized; `truth` judges answers. Returns the same series
-// structure as RunExperimentOnWorld (episode 0 = initial quality).
-// Installs its own link-change observer on the engine for the duration of
-// the run (replacing any existing one; cleared before returning) to keep
-// the federated link set and query cache synchronized with the candidate
-// set incrementally.
-ExperimentResult RunQueryDrivenExperiment(
-    core::AlexEngine* engine, const datagen::GeneratedWorld& world,
-    const feedback::GroundTruth& truth, const QueryDrivenOptions& options);
 
 }  // namespace alex::eval
 

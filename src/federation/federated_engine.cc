@@ -6,6 +6,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "federation/query_cache.h"
 #include "federation/source_selection.h"
@@ -72,6 +73,25 @@ struct ProbeLog {
       denied[i] |= other.denied[i];
     }
   }
+};
+
+// Marks a resilient query in flight on its Federation for its scope, and
+// fails a check when another one already is: the resilient path mutates the
+// shared breaker state, clock and counters without a lock. Inert (nullptr)
+// on the reliable path.
+class ResilientQueryScope {
+ public:
+  explicit ResilientQueryScope(std::atomic<bool>* busy) : busy_(busy) {
+    ALEX_CHECK(busy_ == nullptr ||
+               !busy_->exchange(true, std::memory_order_acquire))
+        << "resilient federated queries must run one at a time";
+  }
+  ~ResilientQueryScope() {
+    if (busy_ != nullptr) busy_->store(false, std::memory_order_release);
+  }
+
+ private:
+  std::atomic<bool>* busy_;
 };
 
 // Issues pattern probes for one evaluation branch. On the reliable path it
@@ -376,44 +396,50 @@ class FederatedEvaluator {
 
 }  // namespace
 
-FederatedEngine::FederatedEngine(std::vector<const rdf::TripleStore*> sources,
-                                 const LinkView* links)
-    : links_(links) {
-  owned_endpoints_.reserve(sources.size());
-  endpoints_.reserve(sources.size());
-  sources_.reserve(sources.size());
-  for (const rdf::TripleStore* store : sources) {
-    owned_endpoints_.push_back(std::make_unique<LocalEndpoint>(store));
+Federation::Federation(std::span<const rdf::TripleStore* const> stores,
+                       const FaultProfile& faults)
+    : resilient_(!faults.IsZero()),
+      health_(stores.size(), resilience_.breaker) {
+  for (size_t i = 0; i < stores.size(); ++i) {
+    owned_endpoints_.push_back(std::make_unique<LocalEndpoint>(stores[i]));
+    if (resilient_) {
+      owned_endpoints_.push_back(std::make_unique<FaultInjectingEndpoint>(
+          owned_endpoints_.back().get(), i, faults));
+    }
     endpoints_.push_back(owned_endpoints_.back().get());
-    sources_.push_back(store);
+    sources_.push_back(stores[i]);
   }
-  health_ =
-      std::make_unique<HealthTracker>(endpoints_.size(), resilience_.breaker);
 }
 
-FederatedEngine::FederatedEngine(std::span<Endpoint* const> endpoints,
-                                 const LinkView* links)
-    : endpoints_(endpoints.begin(), endpoints.end()), links_(links) {
-  sources_.reserve(endpoints_.size());
+Federation::Federation(std::span<Endpoint* const> endpoints)
+    : endpoints_(endpoints.begin(), endpoints.end()),
+      health_(endpoints.size(), resilience_.breaker) {
   for (const Endpoint* endpoint : endpoints_) {
     sources_.push_back(&endpoint->store());
     if (!endpoint->reliable()) resilient_ = true;
   }
-  health_ =
-      std::make_unique<HealthTracker>(endpoints_.size(), resilience_.breaker);
 }
 
-void FederatedEngine::set_resilience(const Resilience& resilience) {
+void Federation::set_resilience(const Resilience& resilience) {
   resilience_ = resilience;
-  health_ =
-      std::make_unique<HealthTracker>(endpoints_.size(), resilience_.breaker);
+  health_ = HealthTracker(endpoints_.size(), resilience_.breaker);
 }
 
-FederatedEngine::FaultStats FederatedEngine::TakeFaultStats() {
-  FaultStats stats = fault_stats_;
-  fault_stats_ = FaultStats{};
-  return stats;
+FaultStats Federation::TakeFaultStats() {
+  return std::exchange(fault_stats_, FaultStats{});
 }
+
+FederatedEngine::FederatedEngine(std::vector<const rdf::TripleStore*> sources,
+                                 const LinkView* links)
+    : FederatedEngine(std::make_shared<Federation>(sources), links) {}
+
+FederatedEngine::FederatedEngine(std::span<Endpoint* const> endpoints,
+                                 const LinkView* links)
+    : FederatedEngine(std::make_shared<Federation>(endpoints), links) {}
+
+FederatedEngine::FederatedEngine(std::shared_ptr<Federation> federation,
+                                 const LinkView* links)
+    : federation_(std::move(federation)), links_(links) {}
 
 Result<FederatedResult> FederatedEngine::ExecuteText(
     const std::string& query_text, const FederatedOptions& options) const {
@@ -468,7 +494,13 @@ Result<FederatedResult> FederatedEngine::ExecuteInternal(
     return Status::Unimplemented(
         "aggregates are not supported in federated queries");
   }
-  const size_t num_endpoints = endpoints_.size();
+  Federation& federation = *federation_;
+  const std::vector<Endpoint*>& endpoints = federation.endpoints_;
+  const std::vector<const rdf::TripleStore*>& sources = federation.sources_;
+  const bool resilient = federation.resilient_;
+  ResilientQueryScope scope(resilient ? &federation.resilient_busy_
+                                      : nullptr);
+  const size_t num_endpoints = endpoints.size();
   ProbeLog log(num_endpoints);
   // Breaker snapshot for the whole query: every probe sees the same
   // allow/deny decision, so per-source branches cannot race transitions.
@@ -476,15 +508,15 @@ Result<FederatedResult> FederatedEngine::ExecuteInternal(
   // the open -> half-open transition.
   EndpointHealth::Counters counters_before;
   std::vector<uint8_t> allowed(num_endpoints, 1);
-  if (resilient_) {
-    counters_before = health_->Totals();
-    const int64_t now = clock_.NowMicros();
+  if (resilient) {
+    counters_before = federation.health_.Totals();
+    const int64_t now = federation.clock_.NowMicros();
     for (size_t i = 0; i < num_endpoints; ++i) {
-      allowed[i] = health_->endpoint(i).AllowProbe(now) ? 1 : 0;
+      allowed[i] = federation.health_.endpoint(i).AllowProbe(now) ? 1 : 0;
     }
   }
-  ProbeDriver driver(endpoints_, resilient_, resilience_.retry, allowed,
-                     fault_salt, &log);
+  const RetryPolicy& retry = federation.resilience_.retry;
+  ProbeDriver driver(endpoints, resilient, retry, allowed, fault_salt, &log);
 
   std::vector<FederatedAnswer> answers;
   const bool has_optionals = !query.optionals.empty();
@@ -501,11 +533,11 @@ Result<FederatedResult> FederatedEngine::ExecuteInternal(
     // therefore every fault, retry and latency charge — is identical at
     // any thread count.
     const bool branch_mode =
-        sources_.size() > 1 && !patterns->empty() &&
-        (resilient_ || (options.pool != nullptr &&
-                        options.pool->num_threads() > 1));
+        sources.size() > 1 && !patterns->empty() &&
+        (resilient || (options.pool != nullptr &&
+                       options.pool->num_threads() > 1));
     if (!branch_mode) {
-      FederatedEvaluator evaluator(query, *patterns, sources_, *links_,
+      FederatedEvaluator evaluator(query, *patterns, sources, *links_,
                                    options, &driver, consulted);
       evaluator.set_project(!has_optionals);
       Status st = evaluator.Run(&answers);
@@ -525,30 +557,30 @@ Result<FederatedResult> FederatedEngine::ExecuteInternal(
         Status status = Status::Ok();
       };
       std::vector<Branch> branches;
-      branches.reserve(sources_.size());
-      for (size_t s = 0; s < sources_.size(); ++s) {
+      branches.reserve(sources.size());
+      for (size_t s = 0; s < sources.size(); ++s) {
         branches.emplace_back(num_endpoints);
       }
       // Force index builds up front; concurrent first reads of a freshly
       // written store are not thread-safe (see TripleStore::Scan).
-      for (const rdf::TripleStore* source : sources_) source->size();
+      for (const rdf::TripleStore* source : sources) source->size();
       auto run_branch = [&, patterns](size_t s) {
         Branch& branch = branches[s];
-        ProbeDriver branch_driver(endpoints_, resilient_, resilience_.retry,
-                                  allowed, fault_salt, &branch.log);
+        ProbeDriver branch_driver(endpoints, resilient, retry, allowed,
+                                  fault_salt, &branch.log);
         FederatedEvaluator evaluator(
-            query, *patterns, sources_, *links_, options, &branch_driver,
+            query, *patterns, sources, *links_, options, &branch_driver,
             consulted != nullptr ? &branch.consulted : nullptr, s);
         evaluator.set_project(!has_optionals);
         branch.status = evaluator.Run(&branch.answers);
       };
       if (options.pool != nullptr && options.pool->num_threads() > 1) {
-        for (size_t s = 0; s < sources_.size(); ++s) {
+        for (size_t s = 0; s < sources.size(); ++s) {
           options.pool->Schedule([&run_branch, s] { run_branch(s); });
         }
         options.pool->Wait();
       } else {
-        for (size_t s = 0; s < sources_.size(); ++s) run_branch(s);
+        for (size_t s = 0; s < sources.size(); ++s) run_branch(s);
       }
       for (Branch& branch : branches) {
         if (!branch.status.ok()) return branch.status;
@@ -573,7 +605,7 @@ Result<FederatedResult> FederatedEngine::ExecuteInternal(
     for (const std::vector<TriplePattern>& group : query.optionals) {
       std::vector<FederatedAnswer> extended;
       for (const FederatedAnswer& answer : answers) {
-        FederatedEvaluator evaluator(query, group, sources_, *links_,
+        FederatedEvaluator evaluator(query, group, sources, *links_,
                                      options, &driver, consulted);
         evaluator.set_project(false);
         bool matched = false;
@@ -619,7 +651,7 @@ Result<FederatedResult> FederatedEngine::ExecuteInternal(
   result.answers = std::move(answers);
   result.row_capped = log.row_capped && !query.is_ask;
   result.truncated = log.truncated;
-  if (resilient_) {
+  if (resilient) {
     result.probes = log.probes;
     result.retries = log.retries;
     result.short_circuits = log.short_circuits;
@@ -636,26 +668,28 @@ Result<FederatedResult> FederatedEngine::ExecuteInternal(
     // One aggregate breaker verdict per endpoint actually probed, stamped
     // at the query's virtual end time, then advance the clock past it so
     // open-breaker cooldowns elapse across queries.
-    const int64_t query_end = clock_.NowMicros() + log.micros;
+    const int64_t query_end = federation.clock_.NowMicros() + log.micros;
     for (size_t i = 0; i < num_endpoints; ++i) {
       if (log.probed[i]) {
-        health_->endpoint(i).ReportQuery(!log.failed[i], query_end);
+        federation.health_.endpoint(i).ReportQuery(!log.failed[i],
+                                                   query_end);
       }
     }
-    const EndpointHealth::Counters counters_after = health_->Totals();
-    fault_stats_.breaker_opens +=
+    const EndpointHealth::Counters counters_after =
+        federation.health_.Totals();
+    federation.fault_stats_.breaker_opens +=
         counters_after.opens - counters_before.opens;
-    fault_stats_.breaker_half_opens +=
+    federation.fault_stats_.breaker_half_opens +=
         counters_after.half_opens - counters_before.half_opens;
-    fault_stats_.breaker_closes +=
+    federation.fault_stats_.breaker_closes +=
         counters_after.closes - counters_before.closes;
-    clock_.Advance(log.micros + 1);
-    ++fault_stats_.queries;
+    federation.clock_.Advance(log.micros + 1);
+    ++federation.fault_stats_.queries;
   }
   result.complete = !result.row_capped && !result.truncated &&
                     !result.deadline_exceeded &&
                     result.failed_sources.empty();
-  if (resilient_ && !result.complete) ++fault_stats_.degraded;
+  if (resilient && !result.complete) ++federation.fault_stats_.degraded;
   return result;
 }
 

@@ -4,8 +4,9 @@
 // A federated query is written as if all data were in one place. The engine
 // decomposes it per triple pattern, selects capable sources, and evaluates a
 // backtracking join across sources. When a variable bound to an entity of
-// one source must match an entity of another source, the engine consults the
-// LinkSet: IRIs x and y unify iff x == y or (x, y) / (y, x) is a link.
+// one source must match an entity of another source, the engine consults a
+// published LinkView: IRIs x and y unify iff x == y or (x, y) / (y, x) is a
+// link.
 //
 // Every answer carries *provenance*: the set of links that were used to
 // produce it. This is what user feedback attaches to — approving an answer
@@ -19,7 +20,7 @@
 // incomplete with the failed sources listed — degraded sources yield
 // annotated partial answers instead of aborting the query. Incomplete
 // results are never stored into the attached FederatedQueryCache, and the
-// query-driven episode loop (eval/query_workload) never derives feedback
+// query-driven episode (eval::JudgeQueryAnswers) never derives feedback
 // from them.
 //
 // All failure handling runs in virtual time (common/clock.h): retry backoff
@@ -29,6 +30,7 @@
 #ifndef ALEX_FEDERATION_FEDERATED_ENGINE_H_
 #define ALEX_FEDERATION_FEDERATED_ENGINE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -39,6 +41,7 @@
 #include "common/clock.h"
 #include "common/status.h"
 #include "federation/endpoint.h"
+#include "federation/fault_injection.h"
 #include "federation/health.h"
 #include "federation/link_set.h"
 #include "federation/retry_policy.h"
@@ -113,44 +116,95 @@ struct FederatedResult {
   int64_t virtual_micros = 0;
 };
 
+// Retry and breaker configuration for unreliable endpoints.
+struct Resilience {
+  RetryPolicy retry;
+  BreakerOptions breaker;
+};
+
+// Failure accounting since the last Federation::TakeFaultStats().
+struct FaultStats {
+  size_t queries = 0;             // executions on the resilient path
+  size_t degraded = 0;            // of which returned incomplete
+  size_t breaker_opens = 0;       // closed/half-open -> open
+  size_t breaker_half_opens = 0;  // open -> half-open
+  size_t breaker_closes = 0;      // half-open -> closed
+};
+
+// The endpoints federated engines query, and the failure state of their
+// resilient path: per-endpoint circuit breakers, the virtual clock and the
+// fault counters. Endpoint health belongs to the endpoint, not to a link
+// view, so engines over successive link views (the serving tier builds one
+// per published epoch) share one Federation through shared_ptr: breaker
+// transitions, virtual time and fault accounting carry across them, and the
+// Federation lives as long as the last engine over it. Resilient queries
+// must be issued one at a time across all of those engines: a query that
+// starts while another is in flight fails an ALEX_CHECK.
+class Federation {
+ public:
+  // Wraps each store in a LocalEndpoint and, under a non-zero `faults`
+  // profile, in a FaultInjectingEndpoint. The stores must outlive it.
+  explicit Federation(std::span<const rdf::TripleStore* const> stores,
+                      const FaultProfile& faults = {});
+  // Federates over caller-owned endpoints, which must outlive it. When any
+  // endpoint is unreliable, engines run their resilient path: per-source
+  // retry with backoff, circuit breaking, and completeness tracking, all in
+  // virtual time.
+  explicit Federation(std::span<Endpoint* const> endpoints);
+
+  Federation(const Federation&) = delete;
+  Federation& operator=(const Federation&) = delete;
+
+  // Whether engines run the resilient path (any unreliable endpoint).
+  bool resilient() const { return resilient_; }
+
+  // Replaces the retry/breaker configuration. Call before the first
+  // query: breaker state is reset.
+  void set_resilience(const Resilience& resilience);
+  // Per-endpoint breaker state and counters (resilient path only).
+  const HealthTracker& health() const { return health_; }
+  // The virtual clock: total simulated endpoint time consumed.
+  int64_t virtual_now_micros() const { return clock_.NowMicros(); }
+  // Returns and resets the failure counters (per-episode accounting, like
+  // FederatedQueryCache::TakeStats).
+  FaultStats TakeFaultStats();
+
+ private:
+  friend class FederatedEngine;  // runs the resilient path on this state
+
+  std::vector<std::unique_ptr<Endpoint>> owned_endpoints_;
+  std::vector<Endpoint*> endpoints_;
+  std::vector<const rdf::TripleStore*> sources_;  // endpoints_[i]->store()
+  bool resilient_ = false;
+  Resilience resilience_;
+  HealthTracker health_;
+  VirtualClock clock_;
+  FaultStats fault_stats_;
+  // Set while a resilient query runs (the overlap check above).
+  std::atomic<bool> resilient_busy_{false};
+};
+
 // Thread-safety: on the reliable path (all endpoints reliable) Execute and
 // ExecuteText are const and touch no engine state beyond the attached
 // caches, which are themselves thread-safe — concurrent executions from many
 // query streams are supported, which is what the serving tier relies on.
-// The resilient path mutates breaker state and the virtual clock; resilient
-// queries must be issued sequentially (that is what makes breaker
-// transitions deterministic).
+// The resilient path mutates the Federation's breaker state and virtual
+// clock; resilient queries must be issued sequentially (that is what makes
+// breaker transitions deterministic), and an overlapping one fails a check.
 class FederatedEngine {
  public:
-  // Retry and breaker configuration for unreliable endpoints.
-  struct Resilience {
-    RetryPolicy retry;
-    BreakerOptions breaker;
-  };
-
-  // Per-engine failure accounting since the last TakeFaultStats().
-  struct FaultStats {
-    size_t queries = 0;             // executions on the resilient path
-    size_t degraded = 0;            // of which returned incomplete
-    size_t breaker_opens = 0;       // closed/half-open -> open
-    size_t breaker_half_opens = 0;  // open -> half-open
-    size_t breaker_closes = 0;      // half-open -> closed
-  };
-
   // Wraps each store in a LocalEndpoint: the seed engine, bit-for-bit.
-  // `sources` and `links` must outlive the engine. The link collection is
-  // any LinkView: a mutable LinkSet (mutated between Execute() calls — that
-  // is the whole point of ALEX) or an immutable epoch snapshot view from
-  // the serving tier (serving::EpochSnapshot holds one engine per published
-  // epoch; these are the snapshot-handle constructors).
+  // `sources` and `links` must outlive the engine.
   FederatedEngine(std::vector<const rdf::TripleStore*> sources,
                   const LinkView* links);
 
-  // Federates over caller-owned endpoints (which must outlive the engine;
-  // the pointer list itself is copied). When any endpoint is unreliable the
-  // engine runs its resilient path: per-source retry with backoff, circuit
-  // breaking, and completeness tracking, all in virtual time.
+  // Federates over caller-owned endpoints (see Federation).
   FederatedEngine(std::span<Endpoint* const> endpoints,
+                  const LinkView* links);
+
+  // Federates over `federation`, sharing its endpoints and failure state
+  // with every other engine over it. `links` must outlive the engine.
+  FederatedEngine(std::shared_ptr<Federation> federation,
                   const LinkView* links);
 
   // Parses and runs a federated SELECT query.
@@ -162,18 +216,17 @@ class FederatedEngine {
   Result<FederatedResult> Execute(const sparql::Query& query,
                                   const FederatedOptions& options = {}) const;
 
-  const std::vector<const rdf::TripleStore*>& sources() const {
-    return sources_;
-  }
-  const std::vector<Endpoint*>& endpoints() const { return endpoints_; }
+  // The endpoints and their failure state.
+  Federation& federation() const { return *federation_; }
 
-  // Attaches a result cache consulted by ExecuteText(). The cache must be
-  // invalidated for every link-set change (FederatedQueryCache does this
-  // exactly, from epoch deltas); sources must stay immutable while the
-  // cache is attached. Only complete results are admitted: a degraded or
-  // row-capped answer set is returned to the caller but never cached, so a
-  // transient endpoint failure can never poison later executions. nullptr
-  // detaches.
+  // Attaches a result cache consulted by ExecuteText(). The cache must hold
+  // only results computed over `links`: moving to another link view goes
+  // through FederatedQueryCache's carry-forward constructor, which drops
+  // exactly the entries the change invalidates. Sources must stay
+  // immutable while the cache is attached. Only complete results are
+  // admitted: a degraded or row-capped answer set is returned to the caller
+  // but never cached, so a transient endpoint failure can never poison
+  // later executions. nullptr detaches.
   void set_cache(FederatedQueryCache* cache) { cache_ = cache; }
 
   // Attaches a parse cache consulted by ExecuteText(): repeated query
@@ -183,22 +236,6 @@ class FederatedEngine {
   void set_plan_cache(sparql::PlanCache* plan_cache) {
     plan_cache_ = plan_cache;
   }
-
-  // Replaces the retry/breaker configuration. Call before the first
-  // Execute(): breaker state is reset.
-  void set_resilience(const Resilience& resilience);
-  const Resilience& resilience() const { return resilience_; }
-
-  // Per-endpoint breaker state and counters (resilient path only).
-  const HealthTracker& health() const { return *health_; }
-  // Whether this engine runs the resilient path (any unreliable endpoint).
-  bool resilient() const { return resilient_; }
-  // The engine's virtual clock: total simulated endpoint time consumed.
-  int64_t virtual_now_micros() const { return clock_.NowMicros(); }
-
-  // Returns and resets the failure counters (per-episode accounting, like
-  // FederatedQueryCache::TakeStats).
-  FaultStats TakeFaultStats();
 
  private:
   // Shared implementation. When `consulted` is non-null it collects every
@@ -210,21 +247,10 @@ class FederatedEngine {
       uint64_t fault_salt,
       std::unordered_set<std::string>* consulted) const;
 
-  std::vector<std::unique_ptr<Endpoint>> owned_endpoints_;
-  std::vector<Endpoint*> endpoints_;
-  std::vector<const rdf::TripleStore*> sources_;  // endpoints_[i]->store()
+  std::shared_ptr<Federation> federation_;
   const LinkView* links_;
   FederatedQueryCache* cache_ = nullptr;
   sparql::PlanCache* plan_cache_ = nullptr;
-  bool resilient_ = false;
-  Resilience resilience_;
-  // Failure-domain state. Mutated by Execute (which stays const for the
-  // common reliable path); concurrent Execute calls on a *resilient* engine
-  // are not supported — queries are issued sequentially, which is what
-  // makes breaker transitions deterministic.
-  mutable std::unique_ptr<HealthTracker> health_;
-  mutable VirtualClock clock_;
-  mutable FaultStats fault_stats_;
 };
 
 }  // namespace alex::fed

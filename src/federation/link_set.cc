@@ -1,70 +1,160 @@
 #include "federation/link_set.h"
 
 #include <algorithm>
+#include <functional>
+#include <numeric>
+#include <utility>
+
+#include "common/logging.h"
 
 namespace alex::fed {
+namespace {
 
-bool LinkSet::Add(const linking::Link& link) {
-  auto [it, inserted] = links_.insert(link);
-  if (!inserted) {
-    if (link.score > it->score) {
-      // Link identity ignores score, so re-insert with the better score.
-      links_.erase(it);
-      links_.insert(link);
-      by_left_[link.left][link.right] = link.score;
+uint64_t Hash(std::string_view iri) {
+  return std::hash<std::string_view>{}(iri);
+}
+
+uint64_t Key(uint32_t high, uint32_t low) {
+  return uint64_t{high} << 32 | low;
+}
+uint32_t High(uint64_t key) { return static_cast<uint32_t>(key >> 32); }
+uint32_t Low(uint64_t key) { return static_cast<uint32_t>(key); }
+
+// Where each id's run starts in `keys`, ordered by `id_of`: the run of id i
+// is [start[i], start[i + 1]).
+std::vector<size_t> Starts(const std::vector<uint64_t>& keys, size_t ids,
+                           uint32_t (*id_of)(uint64_t)) {
+  std::vector<size_t> start(ids + 1, 0);
+  for (const uint64_t key : keys) ++start[id_of(key) + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  return start;
+}
+
+}  // namespace
+
+size_t IriIndex::Probe(std::string_view iri, uint64_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t s = hash & mask;; s = (s + 1) & mask) {
+    const uint64_t slot = slots_[s];
+    if (slot == 0 ||
+        (High(slot) == High(hash) && *iris_[Low(slot) - 1] == iri)) {
+      return s;
     }
-    return false;
   }
-  by_left_[link.left][link.right] = link.score;
-  by_right_[link.right].insert(link.left);
-  return true;
 }
 
-bool LinkSet::Remove(const std::string& left, const std::string& right) {
-  linking::Link probe{left, right, 0.0};
-  auto it = links_.find(probe);
-  if (it == links_.end()) return false;
-  links_.erase(it);
-  auto left_it = by_left_.find(left);
-  if (left_it != by_left_.end()) {
-    left_it->second.erase(right);
-    if (left_it->second.empty()) by_left_.erase(left_it);
-  }
-  auto right_it = by_right_.find(right);
-  if (right_it != by_right_.end()) {
-    right_it->second.erase(left);
-    if (right_it->second.empty()) by_right_.erase(right_it);
-  }
-  return true;
+uint32_t IriIndex::Find(std::string_view iri) const {
+  const uint64_t slot = slots_[Probe(iri, Hash(iri))];
+  return slot == 0 ? kNone : Low(slot) - 1;
 }
 
-bool LinkSet::Contains(const std::string& left,
-                       const std::string& right) const {
-  return links_.count(linking::Link{left, right, 0.0}) > 0;
+uint32_t IriIndex::Intern(const std::string& iri) {
+  if (2 * (iris_.size() + 1) > slots_.size()) {
+    // Keep the load at most one half: double the table and re-place every
+    // id (all distinct, so each probe ends on an empty slot).
+    slots_.assign(2 * slots_.size(), 0);
+    for (uint32_t id = 0; id < iris_.size(); ++id) {
+      const uint64_t hash = Hash(*iris_[id]);
+      slots_[Probe(*iris_[id], hash)] = Key(High(hash), id + 1);
+    }
+  }
+  const uint64_t hash = Hash(iri);
+  uint64_t& slot = slots_[Probe(iri, hash)];
+  if (slot != 0) return Low(slot) - 1;
+  ALEX_CHECK(iris_.size() < kNone) << "IRI index full";
+  const auto id = static_cast<uint32_t>(iris_.size());
+  storage_->push_back(iri);
+  iris_.push_back(&storage_->back());
+  slot = Key(High(hash), id + 1);
+  return id;
 }
 
-std::vector<std::string> LinkSet::RightsOf(const std::string& left) const {
+LinkView::LinkView(IriIndex iris, std::vector<uint64_t> by_left)
+    : iris_(std::move(iris)),
+      by_left_(std::move(by_left)),
+      left_start_(Starts(by_left_, iris_.size(), High)),
+      right_start_(Starts(by_left_, iris_.size(), Low)),
+      by_right_(by_left_.size()) {
+  // Counting sort on the right id; taking by_left_ in order keeps each
+  // right's lefts ascending.
+  std::vector<size_t> next = right_start_;
+  for (const uint64_t key : by_left_) {
+    by_right_[next[Low(key)]++] = Key(Low(key), High(key));
+  }
+}
+
+bool LinkView::Contains(const std::string& left,
+                        const std::string& right) const {
+  const uint32_t l = iris_.Find(left);
+  const uint32_t r = iris_.Find(right);
+  return l != IriIndex::kNone && r != IriIndex::kNone &&
+         std::binary_search(by_left_.begin(), by_left_.end(), Key(l, r));
+}
+
+std::vector<std::string> LinkView::RightsOf(const std::string& left) const {
+  return Neighbors(by_left_, left_start_, left);
+}
+
+std::vector<std::string> LinkView::LeftsOf(const std::string& right) const {
+  return Neighbors(by_right_, right_start_, right);
+}
+
+std::vector<std::string> LinkView::Neighbors(
+    const std::vector<uint64_t>& keys, const std::vector<size_t>& start,
+    const std::string& iri) const {
   std::vector<std::string> out;
-  auto it = by_left_.find(left);
-  if (it == by_left_.end()) return out;
-  out.reserve(it->second.size());
-  for (const auto& [right, score] : it->second) out.push_back(right);
+  const uint32_t id = iris_.Find(iri);
+  if (id == IriIndex::kNone) return out;
+  for (size_t k = start[id]; k < start[id + 1]; ++k) {
+    out.push_back(iris_.iri(Low(keys[k])));
+  }
   std::sort(out.begin(), out.end());
   return out;
 }
 
-std::vector<std::string> LinkSet::LeftsOf(const std::string& right) const {
+StagedLinkSet::StagedLinkSet() : published_(std::make_shared<LinkView>()) {}
+
+void StagedLinkSet::Stage(const linking::Link& link, bool added) {
+  // Interned in a fixed order (argument evaluation order is unspecified).
+  const uint32_t left = iris_.Intern(link.left);
+  staged_.push_back(Change{Key(left, iris_.Intern(link.right)), added});
+}
+
+std::vector<std::string> StagedLinkSet::EpochDeltaIris() const {
+  std::vector<bool> seen(iris_.size(), false);
   std::vector<std::string> out;
-  auto it = by_right_.find(right);
-  if (it == by_right_.end()) return out;
-  out.assign(it->second.begin(), it->second.end());
+  for (const Change& change : staged_) {
+    for (const uint32_t id : {High(change.key), Low(change.key)}) {
+      if (!seen[id]) out.push_back(iris_.iri(id));
+      seen[id] = true;
+    }
+  }
   std::sort(out.begin(), out.end());
   return out;
 }
 
-std::vector<linking::Link> LinkSet::All() const {
-  std::vector<linking::Link> out(links_.begin(), links_.end());
-  return out;
+std::shared_ptr<const LinkView> StagedLinkSet::Publish() {
+  // Net the epoch: after a stable sort by key, the last change of each run
+  // is the pair's final state.
+  std::stable_sort(
+      staged_.begin(), staged_.end(),
+      [](const Change& a, const Change& b) { return a.key < b.key; });
+  const std::vector<uint64_t>& previous = published_->by_left_;
+  std::vector<uint64_t> by_left;
+  by_left.reserve(previous.size() + staged_.size());
+  auto kept = previous.begin();
+  for (size_t i = 0; i < staged_.size(); ++i) {
+    const uint64_t key = staged_[i].key;
+    if (i + 1 < staged_.size() && staged_[i + 1].key == key) continue;
+    while (kept != previous.end() && *kept < key) by_left.push_back(*kept++);
+    if (kept != previous.end() && *kept == key) ++kept;
+    if (staged_[i].added) by_left.push_back(key);
+  }
+  by_left.insert(by_left.end(), kept, previous.end());
+  staged_.clear();
+  // The view's constructor is private: make_shared cannot reach it.
+  published_.reset(new LinkView(iris_, std::move(by_left)));
+  return published_;
 }
 
 }  // namespace alex::fed

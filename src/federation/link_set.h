@@ -1,69 +1,131 @@
-// A mutable set of owl:sameAs links between two data sets.
+// The owl:sameAs links between two data sets, staged and published as
+// immutable per-epoch views keyed by dictionary ids.
 //
-// The federated engine consults a LinkSet to bridge entities across sources;
-// ALEX mutates it as feedback arrives (add explored links, remove rejected
-// ones). Lookup by either side is O(1) amortized.
+// The federated engine reads a LinkView to bridge entities across sources.
+// The learner changes candidate links at every episode boundary while
+// in-flight queries must keep seeing the epoch they started on, so links
+// only ever change by staging adds/removes into a StagedLinkSet and
+// publishing them: Publish() freezes the staged changes into a new
+// immutable LinkView that readers pin.
+//
+// The publisher interns each IRI once into a dense id, so staging appends
+// one integer key per change and publishing never hashes, copies or sorts
+// an IRI string (RDF-3X dictionary-encodes its terms the same way). Publish
+// nets the epoch's changes (the last staged state of a pair wins), merges
+// them into the previous epoch's sorted (left, right) key array in one
+// linear pass, and derives the (right, left) array by a counting sort. Each
+// view carries its own immutable copy of the IRI lookup, so readers never
+// touch publisher state, and it returns neighbours in ascending
+// lexicographic order, so query results are independent of the interning
+// order (asserted by tests/federation against a brute-force set of IRI
+// pairs). Interned IRIs are never dropped; the stores' entities bound them.
+//
+// Thread-safety: Stage, EpochDeltaIris and Publish happen on one publisher
+// thread; published views are immutable and safe to read from any thread.
 #ifndef ALEX_FEDERATION_LINK_SET_H_
 #define ALEX_FEDERATION_LINK_SET_H_
 
+#include <cstdint>
+#include <deque>
+#include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <string_view>
 #include <vector>
 
 #include "linking/link.h"
 
 namespace alex::fed {
 
-// Read interface over a link collection: everything federated evaluation
-// needs to bridge entities. LinkSet is the canonical mutable implementation;
-// the serving tier publishes immutable per-epoch views over sorted id keys
-// (serving::StagedLinkSet) behind the same interface. Implementations must
-// return RightsOf/LeftsOf in ascending lexicographic order so query results
-// are independent of the physical representation.
-class LinkView {
+// IRI <-> dense 32-bit id, by open addressing over the ids. The strings
+// live in append-only storage that every copy shares and where they never
+// move, so a copy taken at publish stays a valid immutable lookup while the
+// publisher interns more.
+class IriIndex {
  public:
-  virtual ~LinkView() = default;
+  static constexpr uint32_t kNone = UINT32_MAX;
 
-  virtual bool Contains(const std::string& left,
-                        const std::string& right) const = 0;
-  // Counterparts of a left-side / right-side entity, sorted ascending.
-  virtual std::vector<std::string> RightsOf(const std::string& left) const = 0;
-  virtual std::vector<std::string> LeftsOf(const std::string& right) const = 0;
-};
+  // The id of `iri`, or kNone.
+  uint32_t Find(std::string_view iri) const;
+  // The id of `iri`, interning it if new. Publisher only.
+  uint32_t Intern(const std::string& iri);
 
-class LinkSet : public LinkView {
- public:
-  LinkSet() = default;
-
-  // Adds `link`; returns true if it was new. Keeps the higher score when the
-  // same IRI pair is re-added.
-  bool Add(const linking::Link& link);
-
-  // Removes the link with this IRI pair; returns true if it existed.
-  bool Remove(const std::string& left, const std::string& right);
-
-  bool Contains(const std::string& left,
-                const std::string& right) const override;
-
-  // Counterparts of a left-side / right-side entity.
-  std::vector<std::string> RightsOf(
-      const std::string& left) const override;
-  std::vector<std::string> LeftsOf(
-      const std::string& right) const override;
-
-  size_t size() const { return links_.size(); }
-  bool empty() const { return links_.empty(); }
-
-  // Snapshot of all links (unspecified order).
-  std::vector<linking::Link> All() const;
+  const std::string& iri(uint32_t id) const { return *iris_[id]; }
+  size_t size() const { return iris_.size(); }
 
  private:
-  std::unordered_map<std::string, std::unordered_map<std::string, double>>
-      by_left_;  // left -> right -> score
-  std::unordered_map<std::string, std::unordered_set<std::string>>
-      by_right_;  // right -> lefts
-  std::unordered_set<linking::Link, linking::LinkHash> links_;
+  // The slot holding `iri`, or the empty slot where it would go.
+  size_t Probe(std::string_view iri, uint64_t hash) const;
+
+  std::shared_ptr<std::deque<std::string>> storage_ =
+      std::make_shared<std::deque<std::string>>();
+  std::vector<const std::string*> iris_;  // id -> IRI in storage_
+  // Power-of-two table; each slot is (hash >> 32) << 32 | (id + 1), and 0
+  // marks an empty slot.
+  std::vector<uint64_t> slots_ = std::vector<uint64_t>(64, 0);
+};
+
+// One published epoch of links: sorted (left, right) and (right, left) id
+// keys with per-id run offsets, over an immutable copy of the IRI index.
+// Links are directional: (a, x) links left entity a to right entity x.
+class LinkView {
+ public:
+  // No links.
+  LinkView() : LinkView(IriIndex(), {}) {}
+
+  bool Contains(const std::string& left, const std::string& right) const;
+  // Counterparts of a left-side / right-side entity, sorted ascending.
+  std::vector<std::string> RightsOf(const std::string& left) const;
+  std::vector<std::string> LeftsOf(const std::string& right) const;
+
+  size_t size() const { return by_left_.size(); }
+
+ private:
+  friend class StagedLinkSet;
+
+  LinkView(IriIndex iris, std::vector<uint64_t> by_left);
+
+  // The IRIs keyed under `iri` in `keys`, in ascending lexicographic order
+  // (ids follow interning order, not IRI order).
+  std::vector<std::string> Neighbors(const std::vector<uint64_t>& keys,
+                                     const std::vector<size_t>& start,
+                                     const std::string& iri) const;
+
+  const IriIndex iris_;
+  const std::vector<uint64_t> by_left_;  // left << 32 | right, ascending
+  const std::vector<size_t> left_start_;
+  const std::vector<size_t> right_start_;
+  std::vector<uint64_t> by_right_;  // right << 32 | left, ascending
+};
+
+class StagedLinkSet {
+ public:
+  // Starts empty; stage the initial links and Publish for the epoch-0 view.
+  StagedLinkSet();
+
+  // Stages a membership change relative to the last published view. The
+  // last change staged for a pair before Publish decides its membership, so
+  // add-then-remove cancels out.
+  void Stage(const linking::Link& link, bool added);
+
+  // The distinct IRIs of every link staged since the previous Publish (both
+  // endpoints, cancelled pairs included), in ascending order: exactly the
+  // IRIs whose cached federated answers the next epoch must invalidate.
+  // Call before Publish, which clears the staged changes.
+  std::vector<std::string> EpochDeltaIris() const;
+
+  // Merges the staged changes into a new immutable view. Previously
+  // returned views stay valid and unchanged (readers pin them).
+  std::shared_ptr<const LinkView> Publish();
+
+ private:
+  struct Change {
+    uint64_t key;  // left id << 32 | right id
+    bool added;
+  };
+
+  IriIndex iris_;
+  std::vector<Change> staged_;  // since the last Publish, in staging order
+  std::shared_ptr<const LinkView> published_;
 };
 
 }  // namespace alex::fed

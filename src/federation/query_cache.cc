@@ -59,12 +59,6 @@ void FederatedQueryCache::Insert(
   }
 }
 
-void FederatedQueryCache::InvalidateLink(const linking::Link& link) {
-  std::unique_lock lock(mu_);
-  InvalidateIriLocked(link.left);
-  InvalidateIriLocked(link.right);
-}
-
 void FederatedQueryCache::InvalidateIriLocked(const std::string& iri) {
   auto it = by_iri_.find(iri);
   if (it == by_iri_.end()) return;
@@ -74,12 +68,6 @@ void FederatedQueryCache::InvalidateIriLocked(const std::string& iri) {
     EraseLocked(fingerprint);
     invalidated_.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-void FederatedQueryCache::Clear() {
-  std::unique_lock lock(mu_);
-  entries_.clear();
-  by_iri_.clear();
 }
 
 size_t FederatedQueryCache::size() const {

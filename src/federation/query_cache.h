@@ -1,8 +1,8 @@
 // Federated query result cache with exact link-epoch invalidation.
 //
 // ALEX re-runs the same federated workload every episode, but between
-// episodes only a small fraction of the candidate link set changes (a
-// CandidateSet tracks exactly which links, via its epoch deltas). A
+// episodes only a small fraction of the candidate link set changes (the
+// links staged for the next published epoch). A
 // federated answer can only depend on the link set through the IRIs whose
 // sameAs neighborhoods the evaluator consulted while producing it — every
 // bound IRI it tried to bridge, whether or not a counterpart existed. So a
@@ -16,21 +16,20 @@
 //   A link change on a never-consulted IRI cannot alter any step.
 //
 // The cache therefore keys entries by a fingerprint of (query text,
-// max_rows) and indexes them by consulted IRI; InvalidateLink drops exactly
-// the entries whose consulted set touches either endpoint. Invalidation can
-// only be spuriously broad (dropping a still-valid entry costs a re-run),
-// never stale. Sources must be immutable while the cache is live.
+// max_rows) and indexes them by consulted IRI. Its one invalidation is the
+// carry-forward constructor: publishing an epoch clones the parent epoch's
+// cache minus every entry that consulted an IRI of the epoch's staged
+// links, so all still-exact results carry forward instead of starting every
+// epoch cold. Invalidation can only be spuriously broad (dropping a
+// still-valid entry costs a re-run), never stale. Sources must be immutable
+// while the cache is live.
 //
 // Thread-safety: the cache is shared by every query stream of a serving
 // epoch, so the hot path takes a SHARED lock (concurrent lookups never
 // serialize on each other) with hit/miss counters as relaxed atomics;
-// Insert/InvalidateLink take the exclusive lock. Answer payloads are
-// shared_ptr-held so a Lookup result stays valid even if the entry is
-// invalidated while the caller is still reading it.
-//
-// The snapshot-handle constructor clones a parent epoch's cache minus the
-// entries a staged link delta invalidates: publishing an epoch carries all
-// still-exact results forward instead of starting every epoch cold.
+// Insert takes the exclusive lock. Answer payloads are shared_ptr-held so a
+// Lookup result stays valid after its entry is replaced or its cache (an
+// epoch's) is destroyed while the caller is still reading it.
 #ifndef ALEX_FEDERATION_QUERY_CACHE_H_
 #define ALEX_FEDERATION_QUERY_CACHE_H_
 
@@ -45,7 +44,6 @@
 #include <vector>
 
 #include "federation/federated_engine.h"
-#include "linking/link.h"
 
 namespace alex::fed {
 
@@ -59,16 +57,15 @@ class FederatedQueryCache {
   struct Stats {
     size_t hits = 0;
     size_t misses = 0;
-    size_t invalidated = 0;  // entries dropped by link changes
+    size_t invalidated = 0;  // entries the carry-forward dropped
   };
 
   FederatedQueryCache() = default;
 
-  // Snapshot-handle constructor: clones `parent` (under its shared lock)
-  // and then drops every entry that consulted an IRI in `invalidated_iris`
-  // (the endpoints of the epoch's staged links) — exactly the invalidation
-  // the query-driven loop performs link by link, applied wholesale at
-  // publish time. Counters start at zero except `invalidated` (the drops).
+  // Carry-forward constructor: clones `parent` (under its shared lock) and
+  // then drops every entry that consulted an IRI in `invalidated_iris` (the
+  // endpoints of the epoch's staged links); every other entry stays
+  // replay-exact. Counters start at zero except `invalidated` (the drops).
   FederatedQueryCache(const FederatedQueryCache& parent,
                       std::span<const std::string> invalidated_iris);
 
@@ -86,14 +83,6 @@ class FederatedQueryCache {
   // entry for the fingerprint.
   void Insert(uint64_t fingerprint, std::vector<FederatedAnswer> answers,
               const std::unordered_set<std::string>& consulted_iris);
-
-  // Exact epoch-delta invalidation: called once per candidate link that was
-  // added to or removed from the link set. Drops every entry that consulted
-  // either endpoint; all other entries remain replay-exact.
-  void InvalidateLink(const linking::Link& link);
-
-  // Drops every entry (e.g. when the sources themselves change).
-  void Clear();
 
   size_t size() const;
   // Snapshot of the hit/miss/invalidation counters.

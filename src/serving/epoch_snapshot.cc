@@ -6,7 +6,7 @@ namespace alex::serving {
 
 EpochSnapshot::EpochSnapshot(Components components)
     : components_(std::move(components)),
-      engine_(components_.sources, components_.links.get()) {
+      engine_(components_.federation, components_.links.get()) {
   if (components_.cache != nullptr) engine_.set_cache(components_.cache.get());
   if (components_.plan_cache != nullptr) {
     engine_.set_plan_cache(components_.plan_cache.get());

@@ -4,8 +4,9 @@
 // consistent point of the learning timeline: the frozen link view published
 // at an episode boundary, the per-epoch federated result cache (cloned from
 // the parent epoch minus the entries the epoch delta invalidated), the
-// SPARQL parse/plan cache shared across epochs, and a FederatedEngine wired
-// over all of them. Once constructed it never changes, so any number of
+// SPARQL parse/plan cache and the fed::Federation (endpoints and breaker
+// state) shared across epochs, and a FederatedEngine wired over all of
+// them. Once constructed it never changes, so any number of
 // reader threads execute against it without locks; the caches it holds are
 // internally thread-safe.
 //
@@ -30,7 +31,6 @@
 #include "federation/federated_engine.h"
 #include "federation/link_set.h"
 #include "federation/query_cache.h"
-#include "rdf/triple_store.h"
 #include "sparql/plan_cache.h"
 
 namespace alex::serving {
@@ -39,14 +39,15 @@ class EpochSnapshot {
  public:
   struct Components {
     uint64_t epoch = 0;
-    // The frozen link view (StagedLinkSet::Publish output). Required.
+    // The frozen link view (fed::StagedLinkSet::Publish output). Required.
     std::shared_ptr<const fed::LinkView> links;
     // Per-epoch result cache; may be null (caching off).
     std::shared_ptr<fed::FederatedQueryCache> cache;
     // Plan cache, typically SHARED with other epochs; may be null.
     std::shared_ptr<sparql::PlanCache> plan_cache;
-    // Immutable stores; must outlive every snapshot over them.
-    std::vector<const rdf::TripleStore*> sources;
+    // The endpoints over immutable stores, with their failure state,
+    // typically SHARED with other epochs. Required.
+    std::shared_ptr<fed::Federation> federation;
     // Bumped once by the destructor; may be null.
     std::shared_ptr<std::atomic<uint64_t>> retired_counter;
   };
@@ -70,7 +71,6 @@ class EpochSnapshot {
   sparql::PlanCache* plan_cache() const {
     return components_.plan_cache.get();
   }
-  const fed::FederatedEngine& engine() const { return engine_; }
 
  private:
   Components components_;

@@ -9,7 +9,10 @@ namespace alex::serving {
 ServingEngine::ServingEngine(ServingOptions options,
                              std::span<const linking::Link> initial_links)
     : options_(std::move(options)),
+      federation_(std::make_shared<fed::Federation>(options_.sources,
+                                                    options_.fault_profile)),
       retired_(std::make_shared<std::atomic<uint64_t>>(0)) {
+  federation_->set_resilience(options_.resilience);
   // size() builds a store's lazy indexes; every later read only reads them.
   for (const rdf::TripleStore* source : options_.sources) {
     (void)source->size();
@@ -28,7 +31,7 @@ void ServingEngine::StageLink(const linking::Link& link, bool added) {
 std::shared_ptr<const EpochSnapshot> ServingEngine::Freeze() {
   EpochSnapshot::Components parts;
   parts.epoch = next_epoch_++;
-  parts.sources = options_.sources;
+  parts.federation = federation_;
   parts.retired_counter = retired_;
 
   // Order matters: Publish clears the staged changes the IRIs come from.

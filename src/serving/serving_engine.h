@@ -4,7 +4,8 @@
 //
 //   * The LEARNER (single publisher thread) runs feedback episodes and
 //     stages the resulting link changes as integer id pairs
-//     (StagedLinkSet). Nothing a reader can see changes while it stages.
+//     (fed::StagedLinkSet). Nothing a reader can see changes while it
+//     stages.
 //   * READERS (any number of query streams) execute federated queries
 //     against the current EpochSnapshot, pinned per query by one
 //     spin-guarded shared_ptr copy (see EpochPivot) — no blocking locks
@@ -12,8 +13,9 @@
 //
 // Publish() merges the staged delta into a new immutable EpochSnapshot —
 // links view, result cache carried forward from the parent epoch minus the
-// delta-invalidated entries, one parse/plan cache shared by every epoch —
-// and swaps it in with an RCU-style atomic store. Queries that pinned the
+// delta-invalidated entries, one parse/plan cache and one fed::Federation
+// (the endpoints and their breaker state) shared by every epoch — and swaps
+// it in with an RCU-style atomic store. Queries that pinned the
 // old epoch keep running against it unperturbed; the old snapshot is
 // reclaimed when its last reader drains (shared_ptr refcount = per-epoch
 // reader count, so reclamation is exact: never while a reader is in
@@ -38,10 +40,11 @@
 
 #include "common/latency_histogram.h"
 #include "common/status.h"
+#include "federation/fault_injection.h"
 #include "federation/federated_engine.h"
+#include "federation/link_set.h"
 #include "rdf/triple_store.h"
 #include "serving/epoch_snapshot.h"
-#include "serving/staged_link_set.h"
 #include "sparql/plan_cache.h"
 
 namespace alex::serving {
@@ -55,6 +58,15 @@ struct ServingOptions {
   bool use_query_cache = true;
   // Share one parse/plan cache across epochs.
   bool use_plan_cache = true;
+  // Endpoint fault model. A zero profile (the default) federates directly
+  // over the stores. A non-zero profile wraps every source in a
+  // fed::FaultInjectingEndpoint and runs the engines' resilient path, whose
+  // breaker state, virtual clock and fault counters every epoch shares
+  // (fed::Federation); its queries must then be issued one at a time, so no
+  // concurrent readers.
+  fed::FaultProfile fault_profile;
+  // Retry/backoff and circuit-breaker configuration for the resilient path.
+  fed::Resilience resilience;
 };
 
 // The epoch pivot: a shared_ptr readers copy and the publisher swaps,
@@ -96,6 +108,9 @@ class EpochPivot {
 
 // Thread-safety: StageLink/Publish/NoteSourceIngest from ONE publisher
 // thread; Pin/ExecuteText/stats from any thread concurrently with them.
+// Under a non-zero fault profile every query (ExecuteText or a pinned
+// snapshot's) runs the resilient path over the shared fed::Federation and
+// must run one at a time; an overlapping one fails the Federation's check.
 class ServingEngine {
  public:
   // Builds the sources' indexes (a store builds them lazily on first read,
@@ -164,11 +179,17 @@ class ServingEngine {
   // while streams are live.
   const LatencyHistogram& latency() const { return latency_; }
 
+  // The endpoints and their failure state, which every epoch's engine
+  // shares. Publisher thread only.
+  fed::Federation& federation() { return *federation_; }
+
  private:
   std::shared_ptr<const EpochSnapshot> Freeze();
 
   ServingOptions options_;
-  StagedLinkSet staged_;
+  // Shared with every snapshot, which may outlive the engine.
+  std::shared_ptr<fed::Federation> federation_;
+  fed::StagedLinkSet staged_;
   std::shared_ptr<sparql::PlanCache> plan_cache_;  // shared across epochs
   // Set by NoteSourceIngest; the next Freeze starts a cold query cache
   // (delta invalidation cannot see answers ADDED by new triples).

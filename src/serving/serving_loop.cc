@@ -49,28 +49,34 @@ uint64_t HashAnswers(const std::vector<fed::FederatedAnswer>& answers) {
   return hash;
 }
 
-ServingRunResult RunServingExperiment(core::AlexEngine* engine,
-                                      const datagen::GeneratedWorld& world,
-                                      const feedback::GroundTruth& truth,
-                                      const ServingLoopOptions& options) {
+Result<ServingRunResult> RunServingExperiment(
+    core::AlexEngine* engine, const datagen::GeneratedWorld& world,
+    const feedback::GroundTruth& truth, const ServingLoopOptions& options) {
+  if (!options.fault_profile.IsZero() && options.num_streams > 0) {
+    return Status::InvalidArgument(
+        "endpoint faults need sequential queries: no reader streams");
+  }
   ServingRunResult out;
   const std::vector<eval::WorkloadQuery> workload =
       eval::GenerateWorkload(world, options.workload);
   feedback::Oracle oracle(&truth, options.feedback_error_rate,
                           options.oracle_seed);
-  // Same stream as the plain query-driven loop, so the two runs shuffle the
-  // workload identically — a precondition for series identity.
   Rng rng(options.workload.seed ^ 0x5eedf00dULL);
 
   ServingOptions serving_options;
   serving_options.sources = {&world.left, &world.right};
+  serving_options.use_query_cache = options.use_query_cache;
+  serving_options.use_plan_cache = options.use_plan_cache;
+  serving_options.fault_profile = options.fault_profile;
+  serving_options.resilience = options.resilience;
   // Builds the store indexes and publishes epoch 0.
   ServingEngine serving(serving_options, engine->CandidateLinks());
 
-  // Epoch retention for the identity replay.
+  // Epoch retention for the identity replay of the streams' answers.
+  const bool retain = options.verify_identity && options.num_streams > 0;
   std::unordered_map<uint64_t, std::shared_ptr<const EpochSnapshot>> retained;
   std::shared_ptr<const EpochSnapshot> current = serving.Pin();
-  if (options.verify_identity) retained[current->epoch()] = current;
+  if (retain) retained[current->epoch()] = current;
 
   // -- Crowd votes riding on stream traffic --------------------------------
   // Opt-in: every answer a stream serves yields votes_per_answer_link noisy
@@ -144,13 +150,15 @@ ServingRunResult RunServingExperiment(core::AlexEngine* engine,
     core::EpisodeStats stats;
     engine->BeginExternalEpisode();
     // The learner executes against the snapshot it last published — the
-    // exact link content the mutable LinkSet would hold at this point — on
-    // this thread, sequentially: the episode series cannot depend on what
-    // the reader streams are doing.
+    // engine's candidate links as of the previous boundary — on this
+    // thread, sequentially: the episode series cannot depend on what the
+    // reader streams are doing.
     eval::JudgeQueryAnswers(
         engine, workload,
-        [&current](const std::string& text) {
-          return current->ExecuteText(text);
+        [&](const std::string& text) {
+          fed::FederatedOptions learner;
+          learner.pool = options.pool;
+          return current->ExecuteText(text, learner);
         },
         &oracle, &rng, &stats);
 
@@ -158,6 +166,10 @@ ServingRunResult RunServingExperiment(core::AlexEngine* engine,
     // include stream hits/misses too — they are traffic accounting, not
     // part of the deterministic series.
     eval::TakeCacheStats(current->cache(), current->plan_cache(), &stats);
+    const fed::FaultStats faults = serving.federation().TakeFaultStats();
+    stats.breaker_opens = faults.breaker_opens;
+    stats.breaker_half_opens = faults.breaker_half_opens;
+    stats.breaker_closes = faults.breaker_closes;
 
     // Crowd verdicts: one drained batch per epoch, applied before the
     // boundary sync so the votes the streams cast during this episode land
@@ -173,7 +185,7 @@ ServingRunResult RunServingExperiment(core::AlexEngine* engine,
     // in-flight stream queries keep their pinned epochs.
     engine->EndExternalEpisode(&stats);
     current = serving.Publish();
-    if (options.verify_identity) retained[current->epoch()] = current;
+    if (retain) retained[current->epoch()] = current;
 
     ServingEngine::Stats serving_stats = serving.stats();
     stats.epochs_published = serving_stats.epochs_published;
@@ -187,7 +199,7 @@ ServingRunResult RunServingExperiment(core::AlexEngine* engine,
   hooks.on_link_change = [&serving](const linking::Link& link, bool added) {
     serving.StageLink(link, added);
   };
-  out.experiment = eval::RunEpisodes(engine, truth, "serving",
+  out.experiment = eval::RunEpisodes(engine, truth, "query_driven",
                                      engine->options().max_episodes, episode,
                                      hooks)
                        .value();

@@ -1,21 +1,25 @@
-// The serving experiment: concurrent query streams over a live learner.
+// The query-driven experiment (the paper's §3.2 loop), on the serving tier.
 //
-// RunServingExperiment reproduces eval::RunQueryDrivenExperiment's
-// feedback loop — same workload, same shuffle RNG, same oracle, same
-// episode boundaries, the same eval::JudgeQueryAnswers — but routes all
-// federation state through the serving tier: the learner stages its
-// per-episode link changes and publishes an EpochSnapshot at every
-// boundary, while `num_streams` reader threads continuously execute the
-// workload against whatever epoch each query pins.
+// Each learner episode runs the federated workload against the epoch it
+// last published, judges every complete answer with the oracle
+// (eval::JudgeQueryAnswers) and feeds the verdicts to the engine; at the
+// episode boundary the engine's net link changes are staged and published
+// as the next EpochSnapshot. Staging and publishing is the only way learned
+// links reach federated queries, and the carried-forward result cache the
+// only invalidation. Meanwhile `num_streams` reader threads continuously
+// execute the workload against whatever epoch each query pins; with zero
+// streams this is the plain query-driven loop.
 //
 // Properties this construction guarantees (and tests/bench assert):
 //
 //   * The learner's episode series (quality, feedback and candidate counts)
-//     is bitwise-identical to the plain query-driven run: the learner
-//     executes against the snapshot it just published — which holds exactly
-//     the links the mutable LinkSet would hold — and readers share nothing
-//     mutable with it beyond thread-safe caches whose hits are
+//     does not depend on the reader streams: the learner executes on its
+//     own thread against the snapshot it just published, and readers share
+//     nothing mutable with it beyond thread-safe caches whose hits are
 //     byte-identical to re-execution.
+//   * Endpoint faults (`fault_profile`) keep one breaker state, virtual
+//     clock and fault counter set across every epoch, and run only without
+//     reader streams (the resilient path is sequential).
 //   * Epoch pinning: a stream query that pinned epoch E observes E's links
 //     even if the learner publishes E+1..E+k mid-flight.
 //   * Every recorded stream answer set is bitwise-identical to a sequential
@@ -27,6 +31,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "core/alex_engine.h"
 #include "datagen/world.h"
 #include "eval/experiment.h"
@@ -38,11 +43,25 @@
 namespace alex::serving {
 
 // Episode size and cap come from the engine's AlexOptions (episode_size,
-// max_episodes), as in the plain query-driven loop.
+// max_episodes).
 struct ServingLoopOptions {
   eval::WorkloadOptions workload;
   double feedback_error_rate = 0.0;
   uint64_t oracle_seed = 99;
+  // The serving tier over the world's two stores (see ServingOptions). The
+  // series is bitwise-identical with either cache on or off. A non-zero
+  // fault profile requires num_streams == 0: queries whose answers come
+  // back incomplete produce no feedback (EpisodeStats::skipped_feedback),
+  // and with a fixed profile seed the series is bitwise-identical at any
+  // thread count.
+  bool use_query_cache = true;
+  bool use_plan_cache = true;
+  fed::FaultProfile fault_profile;
+  fed::Resilience resilience;
+  // Optional pool for the learner's per-source parallel federated
+  // evaluation (results stay deterministic; see FederatedOptions::pool).
+  // Reader streams do not use it.
+  ThreadPool* pool = nullptr;
   // Concurrent reader streams executing the workload against the serving
   // engine while the learner runs. 0 = learner only (no reader threads).
   size_t num_streams = 0;
@@ -70,7 +89,7 @@ struct ServingLoopOptions {
 };
 
 struct ServingRunResult {
-  // The learner series, in the same shape as the plain query-driven run.
+  // The learner series.
   eval::ExperimentResult experiment;
   ServingEngine::Stats serving;
   // Reader-stream traffic.
@@ -100,12 +119,12 @@ struct ServingRunResult {
 // equal iff the rows (variable bindings, in result order) are identical.
 uint64_t HashAnswers(const std::vector<fed::FederatedAnswer>& answers);
 
-// Runs the serving experiment. `engine` must be initialized; installs its
-// own link-change observer for the duration (replacing any existing one).
-ServingRunResult RunServingExperiment(core::AlexEngine* engine,
-                                      const datagen::GeneratedWorld& world,
-                                      const feedback::GroundTruth& truth,
-                                      const ServingLoopOptions& options);
+// Runs the experiment. `engine` must be initialized; installs its own
+// link-change observer for the duration (replacing any existing one).
+// InvalidArgument for a non-zero fault profile with reader streams.
+Result<ServingRunResult> RunServingExperiment(
+    core::AlexEngine* engine, const datagen::GeneratedWorld& world,
+    const feedback::GroundTruth& truth, const ServingLoopOptions& options);
 
 }  // namespace alex::serving
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+
+#include "eval/experiment.h"
+#include "feedback/oracle.h"
 
 namespace alex::core {
 namespace {
@@ -10,6 +14,24 @@ namespace {
 using linking::Link;
 using rdf::Term;
 using rdf::TripleStore;
+
+// Episodes on `feedback` until one changes no candidate link or
+// max_episodes ran: the one episode loop, eval::RunEpisodes, scored against
+// an empty ground truth. `on_episode` (optional) sees every episode.
+eval::ExperimentResult RunToConvergence(
+    AlexEngine* engine, const FeedbackFn& feedback,
+    const std::function<void(const EpisodeStats&)>& on_episode = nullptr) {
+  const feedback::GroundTruth no_truth;
+  eval::EpisodeHooks hooks;
+  hooks.on_point = [&](const eval::EpisodePoint& point) {
+    if (on_episode && point.episode > 0) on_episode(point.stats);
+  };
+  return eval::RunEpisodes(engine, no_truth, "test",
+                           engine->options().max_episodes,
+                           [&] { return engine->RunEpisode(feedback); },
+                           hooks)
+      .value();
+}
 
 // A controlled micro-world: N left/right entities with a single "name"
 // attribute whose similarity is dialed in so exploration bands are exactly
@@ -137,7 +159,7 @@ TEST_F(EngineFixture, RunAgainstPerfectOracleConverges) {
   AlexOptions options = SmallOptions();
   AlexEngine engine(&left_, &right_, options);
   ASSERT_TRUE(engine.Initialize({{LeftIri(0), RightIri(0), 1.0}}).ok());
-  AlexEngine::RunResult result = engine.Run(feedback);
+  eval::ExperimentResult result = RunToConvergence(&engine, feedback);
   EXPECT_TRUE(result.converged);
   // All 20 true links found; wrong ones pruned.
   std::vector<Link> links = engine.CandidateLinks();
@@ -202,7 +224,7 @@ TEST_F(EngineFixture, BlacklistPreventsRediscovery) {
     return link.left == LeftIri(0) ? link.right == RightIri(0)
                                    : link.right == RightIri(1);
   };
-  AlexEngine::RunResult result = engine.Run(feedback);
+  eval::ExperimentResult result = RunToConvergence(&engine, feedback);
   EXPECT_TRUE(result.converged);
   for (const Link& link : engine.CandidateLinks()) {
     EXPECT_TRUE(feedback(link)) << link.left << " -> " << link.right;
@@ -265,7 +287,7 @@ TEST_F(EngineFixture, RollbackToggleMatters) {
       return l == r;
     };
     size_t rollbacks = 0;
-    engine.Run(feedback, [&](const EpisodeStats& stats) {
+    RunToConvergence(&engine, feedback, [&](const EpisodeStats& stats) {
       rollbacks += stats.rollbacks;
     });
     return rollbacks;

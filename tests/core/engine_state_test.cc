@@ -6,6 +6,7 @@
 
 #include "core/alex_engine.h"
 #include "datagen/profiles.h"
+#include "eval/experiment.h"
 #include "eval/metrics.h"
 #include "feedback/oracle.h"
 #include "linking/paris.h"
@@ -14,6 +15,18 @@ namespace alex::core {
 namespace {
 
 using linking::Link;
+
+// Episodes judged by `oracle` until convergence or max_episodes
+// (eval::RunEpisodes).
+void RunSession(AlexEngine* engine, const feedback::GroundTruth& truth,
+                feedback::Oracle* oracle) {
+  const Result<eval::ExperimentResult> run = eval::RunEpisodes(
+      engine, truth, "session", engine->options().max_episodes, [&] {
+        return engine->RunEpisode(
+            [oracle](const Link& link) { return oracle->Feedback(link); });
+      });
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+}
 
 struct SessionParts {
   datagen::GeneratedWorld world;
@@ -44,7 +57,7 @@ TEST(EngineStateTest, ExportCapturesLearnedState) {
   AlexEngine engine(&parts.world.left, &parts.world.right, SmallOptions());
   ASSERT_TRUE(engine.Initialize(parts.initial).ok());
   feedback::Oracle oracle(&parts.truth, 0.0, 7);
-  engine.Run([&oracle](const Link& link) { return oracle.Feedback(link); });
+  RunSession(&engine, parts.truth, &oracle);
 
   EngineState state = ExportEngineState(engine);
   EXPECT_EQ(state.candidates.size(), engine.CandidateCount());
@@ -91,7 +104,7 @@ TEST(EngineStateTest, ResumedSessionMatchesContinuousRun) {
   AlexEngine first(&parts.world.left, &parts.world.right, options);
   ASSERT_TRUE(first.Initialize(parts.initial).ok());
   feedback::Oracle oracle_a(&parts.truth, 0.0, 11);
-  first.Run([&](const Link& link) { return oracle_a.Feedback(link); });
+  RunSession(&first, parts.truth, &oracle_a);
   EngineState saved = ExportEngineState(first);
   eval::Quality at_save = eval::Evaluate(first.CandidateLinks(),
                                          parts.truth);
@@ -110,7 +123,7 @@ TEST(EngineStateTest, ResumedSessionMatchesContinuousRun) {
 
   // And learning continues to convergence-quality results.
   feedback::Oracle oracle_b(&parts.truth, 0.0, 13);
-  resumed.Run([&](const Link& link) { return oracle_b.Feedback(link); });
+  RunSession(&resumed, parts.truth, &oracle_b);
   eval::Quality final_quality =
       eval::Evaluate(resumed.CandidateLinks(), parts.truth);
   EXPECT_GE(final_quality.f_measure, at_save.f_measure - 1e-9);

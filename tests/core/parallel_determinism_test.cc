@@ -17,6 +17,7 @@
 #include "core/alex_engine.h"
 #include "datagen/profiles.h"
 #include "datagen/world.h"
+#include "eval/experiment.h"
 #include "eval/metrics.h"
 #include "feedback/oracle.h"
 #include "linking/paris.h"
@@ -63,56 +64,64 @@ std::string RunSerialized(const datagen::GeneratedWorld& world,
   Status status = engine.Initialize(initial);
   EXPECT_TRUE(status.ok()) << status.ToString();
 
-  eval::QualityTracker tracker(&truth);
-  tracker.Reset(engine.CandidateLinks());
   std::vector<std::pair<std::pair<size_t, size_t>, bool>> changes;
   size_t extras_changes = 0;
-  engine.SetLinkChangeObserver(
-      [&](const linking::Link& link, bool added) {
-        tracker.OnLinkChange(link, added);
-        changes.push_back({ObserverKey(engine, initial, link), added});
-      });
   feedback::Oracle oracle(&truth, error_rate, options.seed + 17);
 
   std::ostringstream out;
-  AlexEngine::RunResult result = engine.Run(
-      [&oracle](const linking::Link& link) { return oracle.Feedback(link); },
-      [&](const EpisodeStats& stats) {
-        for (size_t i = 0; i < changes.size(); ++i) {
-          if (changes[i].first.first == engine.partitions().size()) {
-            ++extras_changes;
-          }
-          if (i > 0) {
-            EXPECT_LT(changes[i - 1].first, changes[i].first)
-                << "episode " << stats.episode << ", change " << i;
-          }
-          out << changes[i].first.first << ':' << changes[i].first.second
-              << (changes[i].second ? '+' : '-') << ' ';
-        }
-        changes.clear();
-        out << stats.episode << ' ' << stats.feedback_items << ' '
-            << stats.positive_feedback << ' ' << stats.negative_feedback
-            << ' ' << stats.links_added << ' ' << stats.links_removed << ' '
-            << stats.rollbacks << ' ' << stats.rolled_back_links << ' '
-            << stats.candidate_count << ' ';
-        AppendBits(&out, stats.change_fraction);
-        eval::Quality quality = tracker.Snapshot();
-        eval::Quality rescan = eval::Evaluate(engine.CandidateLinks(), truth);
-        EXPECT_EQ(quality.candidates, rescan.candidates);
-        EXPECT_EQ(quality.correct, rescan.correct);
-        EXPECT_EQ(quality.precision, rescan.precision);
-        EXPECT_EQ(quality.recall, rescan.recall);
-        EXPECT_EQ(quality.f_measure, rescan.f_measure)
-            << "episode " << stats.episode << ", " << threads << " threads";
-        out << quality.candidates << ' ' << quality.correct << ' ';
-        AppendBits(&out, quality.precision);
-        AppendBits(&out, quality.recall);
-        AppendBits(&out, quality.f_measure);
-        out << '\n';
-      });
+  eval::EpisodeHooks hooks;
+  hooks.on_link_change = [&](const linking::Link& link, bool added) {
+    changes.push_back({ObserverKey(engine, initial, link), added});
+  };
+  // The run's incremental quality (eval::RunEpisodes keeps a QualityTracker
+  // on the observer) is checked against a rescan at every episode.
+  hooks.on_point = [&](const eval::EpisodePoint& point) {
+    if (point.episode == 0) return;
+    const EpisodeStats& stats = point.stats;
+    for (size_t i = 0; i < changes.size(); ++i) {
+      if (changes[i].first.first == engine.partitions().size()) {
+        ++extras_changes;
+      }
+      if (i > 0) {
+        EXPECT_LT(changes[i - 1].first, changes[i].first)
+            << "episode " << stats.episode << ", change " << i;
+      }
+      out << changes[i].first.first << ':' << changes[i].first.second
+          << (changes[i].second ? '+' : '-') << ' ';
+    }
+    changes.clear();
+    out << stats.episode << ' ' << stats.feedback_items << ' '
+        << stats.positive_feedback << ' ' << stats.negative_feedback
+        << ' ' << stats.links_added << ' ' << stats.links_removed << ' '
+        << stats.rollbacks << ' ' << stats.rolled_back_links << ' '
+        << stats.candidate_count << ' ';
+    AppendBits(&out, stats.change_fraction);
+    const eval::Quality& quality = point.quality;
+    eval::Quality rescan = eval::Evaluate(engine.CandidateLinks(), truth);
+    EXPECT_EQ(quality.candidates, rescan.candidates);
+    EXPECT_EQ(quality.correct, rescan.correct);
+    EXPECT_EQ(quality.precision, rescan.precision);
+    EXPECT_EQ(quality.recall, rescan.recall);
+    EXPECT_EQ(quality.f_measure, rescan.f_measure)
+        << "episode " << stats.episode << ", " << threads << " threads";
+    out << quality.candidates << ' ' << quality.correct << ' ';
+    AppendBits(&out, quality.precision);
+    AppendBits(&out, quality.recall);
+    AppendBits(&out, quality.f_measure);
+    out << '\n';
+  };
+  Result<eval::ExperimentResult> result = eval::RunEpisodes(
+      &engine, truth, "determinism", options.max_episodes,
+      [&] {
+        return engine.RunEpisode([&oracle](const linking::Link& link) {
+          return oracle.Feedback(link);
+        });
+      },
+      hooks);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(extras_changes, 0u) << "no spaceless extra changed";
-  out << "converged " << result.converged << " episodes " << result.episodes
-      << " relaxed " << result.relaxed_episode << '\n';
+  out << "converged " << result->converged << " episodes " << result->episodes
+      << " relaxed " << result->relaxed_episode << '\n';
   std::vector<linking::Link> links = engine.CandidateLinks();
   std::sort(links.begin(), links.end());
   for (const linking::Link& link : links) {

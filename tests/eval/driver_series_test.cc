@@ -1,10 +1,13 @@
 // The episode series of every experiment driver, pinned.
 //
-// Thirteen runs cover the five drivers on the tiny world: batch (oracle
+// Fourteen runs cover the four drivers on the tiny world: batch (oracle
 // error 0 and 0.1, at 1 and 2 threads), ingest, query-driven (plain, noisy,
-// faulted without the cache, faulted on a 2-thread pool), vote-driven
-// (uniform and prioritized) and serving (0 and 2 reader streams, votes
-// off). Each run's series is rendered as text and hashed against a pinned
+// faulted without the cache, faulted on a 2-thread pool, and faulted with
+// breakers that open, half-open and close mid-run), vote-driven (uniform
+// and prioritized) and serving (0 and 2 reader streams, votes off). The
+// query-driven runs are the serving loop with zero reader streams, so
+// their breaker state and virtual clock carry across published epochs.
+// Each run's series is rendered as text and hashed against a pinned
 // constant: code that only restructures the drivers leaves every hash as
 // it is, and a change to what a driver learns re-pins them and says so.
 #include <gtest/gtest.h>
@@ -19,7 +22,6 @@
 #include "datagen/profiles.h"
 #include "eval/experiment.h"
 #include "eval/ingest_driven.h"
-#include "eval/query_workload.h"
 #include "eval/vote_driven.h"
 #include "linking/paris.h"
 #include "serving/serving_loop.h"
@@ -96,11 +98,32 @@ fed::FaultProfile Faults() {
   return profile;
 }
 
-// Query-driven variants: a noisy oracle, a fault profile, the result cache,
-// and a federation pool (with as many engine threads).
+// Endpoints that fail often enough, without retries, and breakers that
+// cool down fast enough for them to open, half-open and close within most
+// episodes.
+fed::FaultProfile BreakerFaults() {
+  fed::FaultProfile profile;
+  profile.seed = 606;
+  profile.transient_error_rate = 0.1;
+  profile.base_latency_micros = 1000;
+  profile.latency_jitter_micros = 2000;
+  return profile;
+}
+
+fed::Resilience FastBreakers() {
+  fed::Resilience resilience;
+  resilience.retry.max_attempts = 1;
+  resilience.breaker.cooldown_micros = 20000;
+  return resilience;
+}
+
+// Query-driven variants: a noisy oracle, a fault profile with its
+// resilience settings, the result cache, and a federation pool (with as
+// many engine threads).
 struct QueryVariant {
   double error_rate = 0.0;
-  bool faults = false;
+  fed::FaultProfile faults = {};
+  fed::Resilience resilience = {};
   bool use_query_cache = true;
   int threads = 1;
 };
@@ -113,14 +136,16 @@ ExperimentResult RunQuery(const World& w, const QueryVariant& variant,
   alex.relaxed_change_fraction = relaxed_change_fraction;
   core::AlexEngine engine(&w.world.left, &w.world.right, alex);
   EXPECT_TRUE(engine.Initialize(w.initial).ok());
-  QueryDrivenOptions options;
+  serving::ServingLoopOptions options;
   options.workload.num_queries = 80;
   options.feedback_error_rate = variant.error_rate;
   options.use_query_cache = variant.use_query_cache;
-  if (variant.faults) options.fault_profile = Faults();
+  options.fault_profile = variant.faults;
+  options.resilience = variant.resilience;
   ThreadPool pool(variant.threads);
   options.pool = variant.threads > 1 ? &pool : nullptr;
-  return RunQueryDrivenExperiment(&engine, w.world, w.truth, options);
+  return serving::RunServingExperiment(&engine, w.world, w.truth, options)
+      ->experiment;
 }
 
 ExperimentResult RunVote(const World& w, bool prioritized,
@@ -153,7 +178,7 @@ ExperimentResult RunServing(const World& w, size_t streams,
   options.num_streams = streams;
   options.verify_identity = false;
   return serving::RunServingExperiment(&engine, w.world, w.truth, options)
-      .experiment;
+      ->experiment;
 }
 
 // Everything a run reports except timings, the serving counters that
@@ -224,7 +249,7 @@ uint64_t Fnv1a(const std::string& text) {
 
 class DriverSeriesTest : public ::testing::Test {
  protected:
-  // The thirteen runs, made once for every test of the suite.
+  // The fourteen runs, made once for every test of the suite.
   static void SetUpTestSuite() {
     world_ = new World();
     runs_ = new std::vector<DriverRun>();
@@ -242,9 +267,11 @@ class DriverSeriesTest : public ::testing::Test {
     add("query", Mode::kQuery, RunQuery(w, {}));
     add("query/noisy", Mode::kQuery, RunQuery(w, {.error_rate = 0.1}));
     add("query/faults/no cache", Mode::kQuery,
-        RunQuery(w, {.faults = true, .use_query_cache = false}));
+        RunQuery(w, {.faults = Faults(), .use_query_cache = false}));
     add("query/faults/2 threads", Mode::kQuery,
-        RunQuery(w, {.faults = true, .threads = 2}));
+        RunQuery(w, {.faults = Faults(), .threads = 2}));
+    add("query/breakers", Mode::kQuery,
+        RunQuery(w, {.faults = BreakerFaults(), .resilience = FastBreakers()}));
     add("vote/uniform", Mode::kVote, RunVote(w, /*prioritized=*/false));
     add("vote/prioritized", Mode::kVote, RunVote(w, /*prioritized=*/true));
     add("serving/0 streams", Mode::kServing, RunServing(w, 0));
@@ -278,6 +305,7 @@ TEST_F(DriverSeriesTest, SeriesMatchPinnedHashes) {
       0x1a63f29ced991c11ull,  // query-driven, noisy oracle
       0xfa13ed66656f5329ull,  // query-driven, faults, no cache
       0x96df222d92675defull,  // query-driven, faults, 2 threads
+      0x5ac4a1db7ff7033dull,  // query-driven, breakers open mid-run
       0x5bfcb488c97b2140ull,  // vote-driven, uniform
       0xe300c6a72ea61d7cull,  // vote-driven, prioritized
       0xf5c0ab717ccf8220ull,  // serving, 0 streams
@@ -291,6 +319,28 @@ TEST_F(DriverSeriesTest, SeriesMatchPinnedHashes) {
         << "\n"
         << text;
   }
+}
+
+// The breaker run pins breaker state across published epochs, so its
+// breakers must really open in most episodes, and half-open and close
+// again.
+TEST_F(DriverSeriesTest, BreakerRunCyclesItsBreakers) {
+  for (const DriverRun& run : *runs_) {
+    if (run.name != "query/breakers") continue;
+    int opened = 0;
+    size_t half_opens = 0;
+    size_t closes = 0;
+    for (const EpisodePoint& point : run.result.series) {
+      opened += point.stats.breaker_opens > 0 ? 1 : 0;
+      half_opens += point.stats.breaker_half_opens;
+      closes += point.stats.breaker_closes;
+    }
+    EXPECT_EQ(opened, 5);  // of 6 episodes
+    EXPECT_GT(half_opens, 0u);
+    EXPECT_GT(closes, 0u);
+    return;
+  }
+  FAIL() << "no breaker run";
 }
 
 // Every episode's net change in candidates equals links_added minus

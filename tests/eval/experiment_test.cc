@@ -120,32 +120,34 @@ TEST(ExperimentTest, IncrementalQualityMatchesRescanEveryEpisode) {
 
   core::AlexEngine engine(&world.left, &world.right, config.alex);
   ASSERT_TRUE(engine.Initialize(initial).ok());
-  QualityTracker tracker(&truth);
-  tracker.Reset(engine.CandidateLinks());
-  engine.SetLinkChangeObserver(
-      [&tracker](const linking::Link& link, bool added) {
-        tracker.OnLinkChange(link, added);
-      });
   feedback::Oracle oracle(&truth, /*error_rate=*/0.15, config.oracle_seed);
 
+  // RunEpisodes keeps each point's quality incrementally (a QualityTracker
+  // on the link-change observer); compare it with a rescan at every point.
   int checked = 0;
-  engine.Run(
-      [&oracle](const linking::Link& link) { return oracle.Feedback(link); },
-      [&](const core::EpisodeStats& stats) {
-        Quality inc = tracker.Snapshot();
-        Quality full = Evaluate(engine.CandidateLinks(), truth);
-        EXPECT_EQ(inc.candidates, full.candidates)
-            << "episode " << stats.episode;
-        EXPECT_EQ(inc.correct, full.correct) << "episode " << stats.episode;
-        EXPECT_EQ(inc.precision, full.precision)
-            << "episode " << stats.episode;
-        EXPECT_EQ(inc.recall, full.recall) << "episode " << stats.episode;
-        EXPECT_EQ(inc.f_measure, full.f_measure)
-            << "episode " << stats.episode;
-        EXPECT_EQ(inc.candidates, engine.CandidateCount())
-            << "episode " << stats.episode;
-        ++checked;
-      });
+  EpisodeHooks hooks;
+  hooks.on_point = [&](const EpisodePoint& point) {
+    const Quality& inc = point.quality;
+    Quality full = Evaluate(engine.CandidateLinks(), truth);
+    EXPECT_EQ(inc.candidates, full.candidates) << "episode " << point.episode;
+    EXPECT_EQ(inc.correct, full.correct) << "episode " << point.episode;
+    EXPECT_EQ(inc.precision, full.precision) << "episode " << point.episode;
+    EXPECT_EQ(inc.recall, full.recall) << "episode " << point.episode;
+    EXPECT_EQ(inc.f_measure, full.f_measure) << "episode " << point.episode;
+    EXPECT_EQ(inc.candidates, engine.CandidateCount())
+        << "episode " << point.episode;
+    ++checked;
+  };
+  ASSERT_TRUE(RunEpisodes(
+                  &engine, truth, "rescan", config.alex.max_episodes,
+                  [&] {
+                    return engine.RunEpisode(
+                        [&oracle](const linking::Link& link) {
+                          return oracle.Feedback(link);
+                        });
+                  },
+                  hooks)
+                  .ok());
   EXPECT_GT(checked, 0);
   EXPECT_GT(oracle.errors(), 0u);
 }

@@ -6,6 +6,7 @@
 
 #include "datagen/profiles.h"
 #include "linking/paris.h"
+#include "serving/serving_loop.h"
 #include "sparql/parser.h"
 
 namespace alex::eval {
@@ -81,10 +82,12 @@ TEST(QueryDrivenTest, ImprovesLinksThroughQueries) {
   core::AlexEngine engine(&world.left, &world.right, alex_options);
   ASSERT_TRUE(engine.Initialize(initial).ok());
 
-  QueryDrivenOptions options;
+  serving::ServingLoopOptions options;
   options.workload.num_queries = 150;
-  ExperimentResult result =
-      RunQueryDrivenExperiment(&engine, world, truth, options);
+  Result<serving::ServingRunResult> run =
+      serving::RunServingExperiment(&engine, world, truth, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const ExperimentResult& result = run->experiment;
 
   ASSERT_GE(result.series.size(), 2u);
   const Quality& start = result.series[0].quality;
@@ -109,10 +112,12 @@ TEST(QueryDrivenTest, FeedbackCountsAreConsistent) {
   core::AlexEngine engine(&world.left, &world.right, alex_options);
   ASSERT_TRUE(engine.Initialize(initial).ok());
 
-  QueryDrivenOptions options;
+  serving::ServingLoopOptions options;
   options.workload.num_queries = 60;
-  ExperimentResult result =
-      RunQueryDrivenExperiment(&engine, world, truth, options);
+  Result<serving::ServingRunResult> run =
+      serving::RunServingExperiment(&engine, world, truth, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const ExperimentResult& result = run->experiment;
   for (size_t i = 1; i < result.series.size(); ++i) {
     const core::EpisodeStats& stats = result.series[i].stats;
     EXPECT_EQ(stats.positive_feedback + stats.negative_feedback,

@@ -2,9 +2,12 @@
 // injection, retry/backoff, circuit breaking, and partial-result semantics.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -303,6 +306,32 @@ class ScriptedEndpoint final : public Endpoint {
   int fail_probes_;
 };
 
+// An unreliable endpoint whose first probe runs `on_probe`: a test uses it
+// to start a second query while the first is in flight, deterministically.
+class ReentrantEndpoint final : public Endpoint {
+ public:
+  explicit ReentrantEndpoint(const TripleStore* store) : store_(store) {}
+
+  const TripleStore& store() const override { return *store_; }
+
+  Status Probe(rdf::TermPattern s, rdf::TermPattern p, rdf::TermPattern o,
+               uint64_t, int, ProbeResult* out) override {
+    if (on_probe) std::exchange(on_probe, nullptr)();
+    out->triples = store_->Match(s, p, o);
+    out->truncated = false;
+    out->latency_micros = 0;
+    return Status::Ok();
+  }
+
+  bool reliable() const override { return false; }
+  const std::string& name() const override { return store_->name(); }
+
+  std::function<void()> on_probe;
+
+ private:
+  const TripleStore* store_;
+};
+
 class FaultyEngineTest : public ::testing::Test {
  protected:
   FaultyEngineTest() : dbpedia_("dbpedia"), nytimes_("nytimes") {
@@ -315,8 +344,11 @@ class FaultyEngineTest : public ::testing::Test {
     nytimes_.Add(Term::Iri("http://nyt.com/article/2"),
                  Term::Iri("http://nyt.com/about"),
                  Term::Iri("http://nyt.com/person/lebron"));
-    links_.Add(Link{"http://dbpedia.org/LeBron_James",
-                    "http://nyt.com/person/lebron", 0.99});
+    StagedLinkSet staged;
+    staged.Stage(Link{"http://dbpedia.org/LeBron_James",
+                      "http://nyt.com/person/lebron", 0.99},
+                 true);
+    links_ = staged.Publish();
     lebron_q_ =
         "SELECT ?article WHERE { "
         "?player <http://dbpedia.org/award> \"NBA MVP 2013\" . "
@@ -325,19 +357,19 @@ class FaultyEngineTest : public ::testing::Test {
 
   TripleStore dbpedia_;
   TripleStore nytimes_;
-  LinkSet links_;
+  std::shared_ptr<const LinkView> links_;
   std::string lebron_q_;
 };
 
 TEST_F(FaultyEngineTest, ZeroFaultEndpointsAreBitwiseIdenticalToSeedEngine) {
-  FederatedEngine seed_engine({&dbpedia_, &nytimes_}, &links_);
+  FederatedEngine seed_engine({&dbpedia_, &nytimes_}, links_.get());
 
   LocalEndpoint local0(&dbpedia_), local1(&nytimes_);
   FaultProfile zero;
   FaultInjectingEndpoint faulty0(&local0, 0, zero), faulty1(&local1, 1, zero);
   std::vector<Endpoint*> endpoints = {&faulty0, &faulty1};
-  FederatedEngine wrapped_engine(endpoints, &links_);
-  EXPECT_FALSE(wrapped_engine.resilient());
+  FederatedEngine wrapped_engine(endpoints, links_.get());
+  EXPECT_FALSE(wrapped_engine.federation().resilient());
 
   for (const std::string& text :
        {lebron_q_,
@@ -363,8 +395,8 @@ TEST_F(FaultyEngineTest, DownEndpointYieldsIncompleteResultNotAnError) {
   down.permanent_outage_rate = 1.0;
   FaultInjectingEndpoint faulty1(&local1, 1, down);  // nytimes is down
   std::vector<Endpoint*> endpoints = {&local0, &faulty1};
-  FederatedEngine engine(endpoints, &links_);
-  EXPECT_TRUE(engine.resilient());
+  FederatedEngine engine(endpoints, links_.get());
+  EXPECT_TRUE(engine.federation().resilient());
 
   auto result = engine.ExecuteText(lebron_q_);
   ASSERT_TRUE(result.ok());  // degraded, not a hard error
@@ -385,7 +417,7 @@ TEST_F(FaultyEngineTest, TruncatedProbeMarksResultIncomplete) {
   truncating.truncation_keep_fraction = 0.5;
   FaultInjectingEndpoint faulty1(&local1, 1, truncating);
   std::vector<Endpoint*> endpoints = {&local0, &faulty1};
-  FederatedEngine engine(endpoints, &links_);
+  FederatedEngine engine(endpoints, links_.get());
 
   auto result = engine.ExecuteText(lebron_q_);
   ASSERT_TRUE(result.ok());
@@ -404,7 +436,7 @@ TEST_F(FaultyEngineTest, DeadlineBudgetMarksSlowQueriesIncomplete) {
   slow.base_latency_micros = 1000;
   FaultInjectingEndpoint faulty0(&local0, 0, slow), faulty1(&local1, 1, slow);
   std::vector<Endpoint*> endpoints = {&faulty0, &faulty1};
-  FederatedEngine engine(endpoints, &links_);
+  FederatedEngine engine(endpoints, links_.get());
 
   FederatedOptions relaxed;
   relaxed.deadline_micros = 0;  // unlimited
@@ -428,13 +460,13 @@ TEST_F(FaultyEngineTest, BreakerOpensShortCircuitsAndRecovers) {
   // nytimes fails its first 2 probes, then heals.
   ScriptedEndpoint flaky1(&nytimes_, /*fail_probes=*/2);
   std::vector<Endpoint*> endpoints = {&local0, &flaky1};
-  FederatedEngine engine(endpoints, &links_);
-  FederatedEngine::Resilience resilience;
+  FederatedEngine engine(endpoints, links_.get());
+  Resilience resilience;
   resilience.retry.max_attempts = 1;  // one probe per pattern, no backoff
   resilience.breaker.failure_threshold = 2;
   resilience.breaker.cooldown_micros = 3;
   resilience.breaker.half_open_successes = 1;
-  engine.set_resilience(resilience);
+  engine.federation().set_resilience(resilience);
 
   sparql::Query query;
   {
@@ -453,7 +485,8 @@ TEST_F(FaultyEngineTest, BreakerOpensShortCircuitsAndRecovers) {
   options.fault_salt = 2;
   auto q2 = engine.Execute(query, options);
   ASSERT_TRUE(q2.ok());
-  EXPECT_EQ(engine.health().endpoint(1).state(), BreakerState::kOpen);
+  const HealthTracker& health = engine.federation().health();
+  EXPECT_EQ(health.endpoint(1).state(), BreakerState::kOpen);
 
   // Query 3: inside the cooldown -> short-circuited, endpoint not probed.
   options.fault_salt = 3;
@@ -473,15 +506,35 @@ TEST_F(FaultyEngineTest, BreakerOpensShortCircuitsAndRecovers) {
     recovered = q->complete;
   }
   EXPECT_TRUE(recovered);
-  EXPECT_EQ(engine.health().endpoint(1).state(), BreakerState::kClosed);
+  EXPECT_EQ(health.endpoint(1).state(), BreakerState::kClosed);
 
-  FederatedEngine::FaultStats stats = engine.TakeFaultStats();
+  FaultStats stats = engine.federation().TakeFaultStats();
   EXPECT_GE(stats.breaker_opens, 1u);
   EXPECT_GE(stats.breaker_half_opens, 1u);
   EXPECT_GE(stats.breaker_closes, 1u);
   EXPECT_GT(stats.degraded, 0u);
   // TakeFaultStats resets.
-  EXPECT_EQ(engine.TakeFaultStats().queries, 0u);
+  EXPECT_EQ(engine.federation().TakeFaultStats().queries, 0u);
+}
+
+// Engines over one Federation share its breaker state, clock and counters,
+// which the resilient path mutates without a lock: a resilient query that
+// starts while another is in flight fails a check instead of racing.
+TEST_F(FaultyEngineTest, OverlappingResilientQueriesFailACheck) {
+  LocalEndpoint local0(&dbpedia_);
+  ReentrantEndpoint reentrant1(&nytimes_);
+  std::vector<Endpoint*> endpoints = {&local0, &reentrant1};
+  auto federation = std::make_shared<Federation>(endpoints);
+  ASSERT_TRUE(federation->resilient());
+  FederatedEngine outer(federation, links_.get());
+  FederatedEngine inner(federation, links_.get());
+
+  // One at a time across the two engines is fine.
+  ASSERT_TRUE(outer.ExecuteText(lebron_q_).ok());
+  ASSERT_TRUE(inner.ExecuteText(lebron_q_).ok());
+
+  reentrant1.on_probe = [&] { (void)inner.ExecuteText(lebron_q_); };
+  EXPECT_DEATH((void)outer.ExecuteText(lebron_q_), "one at a time");
 }
 
 TEST_F(FaultyEngineTest, IncompleteResultsAreNeverCached) {
@@ -491,7 +544,7 @@ TEST_F(FaultyEngineTest, IncompleteResultsAreNeverCached) {
   flaky.transient_error_rate = 1.0;  // every probe fails, retries exhausted
   FaultInjectingEndpoint faulty0(&local0, 0, flaky), faulty1(&local1, 1, flaky);
   std::vector<Endpoint*> endpoints = {&faulty0, &faulty1};
-  FederatedEngine engine(endpoints, &links_);
+  FederatedEngine engine(endpoints, links_.get());
   FederatedQueryCache cache;
   engine.set_cache(&cache);
 
@@ -534,7 +587,7 @@ TEST_F(FaultyEngineTest, FaultSeededExecutionIsThreadCountInvariant) {
     FaultInjectingEndpoint faulty0(&local0, 0, profile);
     FaultInjectingEndpoint faulty1(&local1, 1, profile);
     std::vector<Endpoint*> endpoints = {&faulty0, &faulty1};
-    FederatedEngine engine(endpoints, &links_);
+    FederatedEngine engine(endpoints, links_.get());
     FederatedOptions options;
     options.pool = pool;
     std::ostringstream series;
@@ -557,7 +610,7 @@ TEST_F(FaultyEngineTest, FaultSeededExecutionIsThreadCountInvariant) {
       }
       series << "]";
     }
-    series << "clock=" << engine.virtual_now_micros();
+    series << "clock=" << engine.federation().virtual_now_micros();
     return series.str();
   };
 
@@ -577,12 +630,13 @@ TEST(FaultSweepTest, CompletenessDegradesGracefully) {
   eval::ExperimentConfig config;
   ASSERT_TRUE(datagen::ProfileByName("dbpedia_nytimes", &config.profile));
   datagen::GeneratedWorld world = datagen::Generate(config.profile);
-  LinkSet links;
+  StagedLinkSet staged;
   for (const Link& link : linking::FilterByScore(
            linking::RunParis(world.left, world.right, config.paris),
            config.paris_threshold)) {
-    links.Add(link);
+    staged.Stage(link, true);
   }
+  const std::shared_ptr<const LinkView> links = staged.Publish();
   eval::WorkloadOptions workload_options;
   workload_options.num_queries = 250;
   const std::vector<eval::WorkloadQuery> workload =
@@ -599,7 +653,7 @@ TEST(FaultSweepTest, CompletenessDegradesGracefully) {
     FaultInjectingEndpoint faulty0(&local0, 0, profile);
     FaultInjectingEndpoint faulty1(&local1, 1, profile);
     std::vector<Endpoint*> endpoints = {&faulty0, &faulty1};
-    FederatedEngine engine(endpoints, &links);
+    FederatedEngine engine(endpoints, links.get());
     size_t complete = 0;
     for (const eval::WorkloadQuery& query : workload) {
       Result<FederatedResult> result = engine.ExecuteText(query.text);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "federation/link_set.h"
 #include "federation/source_selection.h"
 #include "sparql/parser.h"
 
@@ -39,12 +42,14 @@ class FederatedEngineTest : public ::testing::Test {
                  Term::Iri("http://nyt.com/about"),
                  Term::Iri("http://nyt.com/person/durant"));
 
-    links_.Add(Link{"http://dbpedia.org/LeBron_James",
-                    "http://nyt.com/person/lebron", 0.99});
+    staged_.Stage(Link{"http://dbpedia.org/LeBron_James",
+                       "http://nyt.com/person/lebron", 0.99},
+                  true);
+    links_ = staged_.Publish();
   }
 
   std::vector<FederatedAnswer> Run(const std::string& text) {
-    FederatedEngine engine({&dbpedia_, &nytimes_}, &links_);
+    FederatedEngine engine({&dbpedia_, &nytimes_}, links_.get());
     Result<FederatedResult> result = engine.ExecuteText(text);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return result.ok() ? std::move(result.value().answers)
@@ -53,7 +58,8 @@ class FederatedEngineTest : public ::testing::Test {
 
   TripleStore dbpedia_;
   TripleStore nytimes_;
-  LinkSet links_;
+  StagedLinkSet staged_;
+  std::shared_ptr<const LinkView> links_;  // the last published epoch
 };
 
 TEST_F(FederatedEngineTest, MotivatingExampleBridgesSameAs) {
@@ -79,8 +85,10 @@ TEST_F(FederatedEngineTest, NoLinkNoAnswer) {
 }
 
 TEST_F(FederatedEngineTest, LinkMutationIsVisible) {
-  links_.Add(Link{"http://dbpedia.org/Kevin_Durant",
-                  "http://nyt.com/person/durant", 1.0});
+  const Link durant{"http://dbpedia.org/Kevin_Durant",
+                    "http://nyt.com/person/durant", 1.0};
+  staged_.Stage(durant, true);
+  links_ = staged_.Publish();
   auto answers = Run(
       "SELECT ?article WHERE { "
       "?player <http://dbpedia.org/award> \"NBA MVP 2014\" . "
@@ -89,8 +97,8 @@ TEST_F(FederatedEngineTest, LinkMutationIsVisible) {
   EXPECT_EQ(answers[0].binding.at("article").lexical(),
             "http://nyt.com/article/3");
 
-  links_.Remove("http://dbpedia.org/Kevin_Durant",
-                "http://nyt.com/person/durant");
+  staged_.Stage(durant, false);
+  links_ = staged_.Publish();
   EXPECT_TRUE(Run("SELECT ?article WHERE { "
                   "?player <http://dbpedia.org/award> \"NBA MVP 2014\" . "
                   "?article <http://nyt.com/about> ?player }")
@@ -134,7 +142,7 @@ TEST_F(FederatedEngineTest, FilterAppliesAcrossSources) {
 }
 
 TEST_F(FederatedEngineTest, ParseErrorPropagates) {
-  FederatedEngine engine({&dbpedia_, &nytimes_}, &links_);
+  FederatedEngine engine({&dbpedia_, &nytimes_}, links_.get());
   EXPECT_FALSE(engine.ExecuteText("SELECT bogus").ok());
 }
 

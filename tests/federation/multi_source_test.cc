@@ -2,7 +2,10 @@
 // SPARQL constructs in the federated setting (UNION, ASK, ORDER BY).
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "federation/federated_engine.h"
+#include "federation/link_set.h"
 #include "sparql/parser.h"
 
 namespace alex::fed {
@@ -31,13 +34,19 @@ class MultiSourceTest : public ::testing::Test {
     reviews_.Add(Term::Iri("http://rev/r1"),
                  Term::Iri("http://rev/stars"), Term::IntegerLiteral(5));
 
-    links_.Add(Link{"http://kb/turing", "http://news/p/turing", 1.0});
-    links_.Add(Link{"http://kb/curie", "http://news/p/curie", 1.0});
-    links_.Add(Link{"http://kb/turing", "http://rev/person/turing", 1.0});
+    staged_.Stage(Link{"http://kb/turing", "http://news/p/turing", 1.0},
+                  true);
+    staged_.Stage(Link{"http://kb/curie", "http://news/p/curie", 1.0}, true);
+    staged_.Stage(TuringReview(), true);
+    links_ = staged_.Publish();
+  }
+
+  static Link TuringReview() {
+    return Link{"http://kb/turing", "http://rev/person/turing", 1.0};
   }
 
   std::vector<FederatedAnswer> Run(const std::string& text) {
-    FederatedEngine engine({&kb_, &news_, &reviews_}, &links_);
+    FederatedEngine engine({&kb_, &news_, &reviews_}, links_.get());
     Result<FederatedResult> result = engine.ExecuteText(text);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return result.ok() ? std::move(result.value().answers)
@@ -47,7 +56,8 @@ class MultiSourceTest : public ::testing::Test {
   TripleStore kb_;
   TripleStore news_;
   TripleStore reviews_;
-  LinkSet links_;
+  StagedLinkSet staged_;
+  std::shared_ptr<const LinkView> links_;  // the last published epoch
 };
 
 TEST_F(MultiSourceTest, ThreeWayJoinThroughTwoLinks) {
@@ -71,7 +81,7 @@ TEST_F(MultiSourceTest, UnionAcrossSources) {
 }
 
 TEST_F(MultiSourceTest, AskFederated) {
-  FederatedEngine engine({&kb_, &news_, &reviews_}, &links_);
+  FederatedEngine engine({&kb_, &news_, &reviews_}, links_.get());
   Result<sparql::Query> ask = sparql::ParseQuery(
       "ASK WHERE { ?p <http://kb/field> \"computing\" . "
       "?r <http://rev/of> ?p }");
@@ -110,7 +120,7 @@ TEST_F(MultiSourceTest, OptionalLeftJoinsAcrossSources) {
 }
 
 TEST_F(MultiSourceTest, AggregatesRejectedFederated) {
-  FederatedEngine engine({&kb_, &news_}, &links_);
+  FederatedEngine engine({&kb_, &news_}, links_.get());
   Result<FederatedResult> answers = engine.ExecuteText(
       "SELECT (COUNT(*) AS ?n) WHERE { ?p <http://kb/field> ?f }");
   ASSERT_FALSE(answers.ok());
@@ -118,7 +128,8 @@ TEST_F(MultiSourceTest, AggregatesRejectedFederated) {
 }
 
 TEST_F(MultiSourceTest, RemovedLinkBreaksOnlyItsPath) {
-  links_.Remove("http://kb/turing", "http://rev/person/turing");
+  staged_.Stage(TuringReview(), false);
+  links_ = staged_.Publish();
   auto with_news = Run(
       "SELECT ?article WHERE { ?p <http://kb/field> \"computing\" . "
       "?article <http://news/about> ?p }");

@@ -1,9 +1,11 @@
 #include "federation/query_cache.h"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,9 +13,10 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "datagen/profiles.h"
-#include "eval/query_workload.h"
 #include "federation/federated_engine.h"
+#include "federation/link_set.h"
 #include "linking/paris.h"
+#include "serving/serving_loop.h"
 #include "sparql/compiler.h"
 #include "sparql/executor.h"
 #include "sparql/parser.h"
@@ -64,6 +67,14 @@ TEST(FederatedQueryCacheTest, LookupInsertRoundTrip) {
   EXPECT_EQ(cache.stats().misses, 1u);
 }
 
+// The epoch delta of staging `links`: the IRIs their carry-forward
+// invalidates.
+std::vector<std::string> DeltaOf(const std::vector<Link>& links) {
+  StagedLinkSet staged;
+  for (const Link& link : links) staged.Stage(link, true);
+  return staged.EpochDeltaIris();
+}
+
 TEST(FederatedQueryCacheTest, InvalidationIsExact) {
   FederatedQueryCache cache;
   const uint64_t fp_a = QueryFingerprint("about-a", 10);
@@ -77,21 +88,25 @@ TEST(FederatedQueryCacheTest, InvalidationIsExact) {
 
   // A link touching IRI a (as left endpoint) drops exactly the entries that
   // consulted a; the b-only entry is replay-exact and must survive.
-  cache.InvalidateLink(Link{"http://ex/a", "http://other/z", 1.0});
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.Lookup(fp_a), nullptr);
-  EXPECT_NE(cache.Lookup(fp_b), nullptr);
-  EXPECT_EQ(cache.Lookup(fp_ab), nullptr);
-  EXPECT_EQ(cache.stats().invalidated, 2u);
+  FederatedQueryCache left_touched(
+      cache, DeltaOf({Link{"http://ex/a", "http://other/z", 1.0}}));
+  EXPECT_EQ(left_touched.size(), 1u);
+  EXPECT_EQ(left_touched.Lookup(fp_a), nullptr);
+  EXPECT_NE(left_touched.Lookup(fp_b), nullptr);
+  EXPECT_EQ(left_touched.Lookup(fp_ab), nullptr);
+  EXPECT_EQ(left_touched.stats().invalidated, 2u);
 
   // The right endpoint invalidates too.
-  cache.InvalidateLink(Link{"http://other/z", "http://ex/b", 1.0});
-  EXPECT_EQ(cache.size(), 0u);
+  FederatedQueryCache right_touched(
+      left_touched, DeltaOf({Link{"http://other/z", "http://ex/b", 1.0}}));
+  EXPECT_EQ(right_touched.size(), 0u);
 
   // A link touching nothing consulted is a no-op.
-  cache.Insert(fp_a, {MakeAnswer("x", "a")}, {"http://ex/a"});
-  cache.InvalidateLink(Link{"http://unrelated/1", "http://unrelated/2", 1.0});
-  EXPECT_EQ(cache.size(), 1u);
+  FederatedQueryCache untouched(
+      cache,
+      DeltaOf({Link{"http://unrelated/1", "http://unrelated/2", 1.0}}));
+  EXPECT_EQ(untouched.size(), 3u);
+  EXPECT_EQ(untouched.stats().invalidated, 0u);
 }
 
 TEST(FederatedQueryCacheTest, InsertReplacesAndReindexes) {
@@ -101,11 +116,13 @@ TEST(FederatedQueryCacheTest, InsertReplacesAndReindexes) {
   cache.Insert(fp, {MakeAnswer("x", "new")}, {"http://ex/new"});
   ASSERT_EQ(cache.size(), 1u);
   // The old consulted IRI must no longer invalidate the replaced entry.
-  cache.InvalidateLink(Link{"http://ex/old", "http://other/z", 1.0});
-  ASSERT_NE(cache.Lookup(fp), nullptr);
-  EXPECT_EQ(cache.Lookup(fp)->at(0).binding.at("x").lexical(), "new");
-  cache.InvalidateLink(Link{"http://ex/new", "http://other/z", 1.0});
-  EXPECT_EQ(cache.Lookup(fp), nullptr);
+  FederatedQueryCache old_touched(
+      cache, DeltaOf({Link{"http://ex/old", "http://other/z", 1.0}}));
+  ASSERT_NE(old_touched.Lookup(fp), nullptr);
+  EXPECT_EQ(old_touched.Lookup(fp)->at(0).binding.at("x").lexical(), "new");
+  FederatedQueryCache new_touched(
+      cache, DeltaOf({Link{"http://ex/new", "http://other/z", 1.0}}));
+  EXPECT_EQ(new_touched.Lookup(fp), nullptr);
 }
 
 TEST(FederatedQueryCacheTest, TakeStatsResetsCountersKeepsEntries) {
@@ -140,9 +157,10 @@ TEST(FederatedQueryCacheTest, SnapshotHandleClonesMinusDelta) {
   EXPECT_EQ(child.stats().invalidated, 1u);
 }
 
-// Carrying a cache forward by the distinct endpoints of an epoch's staged
-// links keeps exactly the entries, and counts exactly the invalidations, of
-// one InvalidateLink call per staged link.
+// Carrying a cache forward by the epoch delta of its staged links follows
+// the rule link by link: an entry survives if and only if none of its
+// consulted IRIs is an endpoint of a staged link, and `invalidated` counts
+// the entries dropped.
 TEST(FederatedQueryCacheTest, CarryForwardByIrisMatchesLinkByLink) {
   constexpr int kIris = 30;
   auto left = [](uint64_t i) { return "http://left/" + std::to_string(i); };
@@ -150,60 +168,62 @@ TEST(FederatedQueryCacheTest, CarryForwardByIrisMatchesLinkByLink) {
   Rng rng(11);
   for (int trial = 0; trial < 20; ++trial) {
     FederatedQueryCache parent;
-    FederatedQueryCache link_by_link;
-    std::vector<uint64_t> fingerprints;
+    std::vector<std::pair<uint64_t, std::unordered_set<std::string>>>
+        entries;
     for (int q = 0; q < 40; ++q) {
       const uint64_t fp = QueryFingerprint("q" + std::to_string(q), 10);
-      fingerprints.push_back(fp);
       std::unordered_set<std::string> consulted;
       const uint64_t size = rng.NextBounded(4);  // empty sets included
       for (uint64_t k = 0; k < size; ++k) {
         consulted.insert(rng.NextBool(0.5) ? left(rng.NextBounded(kIris))
                                            : right(rng.NextBounded(kIris)));
       }
-      for (FederatedQueryCache* cache : {&parent, &link_by_link}) {
-        cache->Insert(fp, {MakeAnswer("x", std::to_string(q))}, consulted);
-      }
+      parent.Insert(fp, {MakeAnswer("x", std::to_string(q))}, consulted);
+      entries.emplace_back(fp, std::move(consulted));
     }
     // A pair may be staged twice (say, an add and the remove that cancels
-    // it); each staging still invalidates.
-    std::vector<Link> staged;
-    std::set<std::string> iris;
+    // it); its endpoints still invalidate.
+    StagedLinkSet staged;
+    std::set<std::string> touched;
     const uint64_t links = rng.NextBounded(12);
     for (uint64_t k = 0; k < links; ++k) {
-      staged.push_back(Link{left(rng.NextBounded(kIris)),
-                            right(rng.NextBounded(kIris)), 1.0});
-      if (rng.NextBool(0.2)) staged.push_back(staged.back());
+      const Link link{left(rng.NextBounded(kIris)),
+                      right(rng.NextBounded(kIris)), 1.0};
+      staged.Stage(link, true);
+      if (rng.NextBool(0.2)) staged.Stage(link, false);
+      touched.insert(link.left);
+      touched.insert(link.right);
     }
-    for (const Link& link : staged) {
-      link_by_link.InvalidateLink(link);
-      iris.insert(link.left);
-      iris.insert(link.right);
-    }
-    const std::vector<std::string> delta_iris(iris.begin(), iris.end());
-    FederatedQueryCache carried(parent, delta_iris);
+    FederatedQueryCache carried(parent, staged.EpochDeltaIris());
 
-    EXPECT_EQ(carried.stats().invalidated, link_by_link.stats().invalidated);
-    EXPECT_EQ(carried.size(), link_by_link.size());
-    for (uint64_t fp : fingerprints) {
-      EXPECT_EQ(carried.Lookup(fp) != nullptr,
-                link_by_link.Lookup(fp) != nullptr)
-          << "trial " << trial;
+    size_t survivors = 0;
+    for (const auto& [fp, consulted] : entries) {
+      bool survives = true;
+      for (const std::string& iri : consulted) {
+        if (touched.count(iri) > 0) survives = false;
+      }
+      survivors += survives ? 1 : 0;
+      EXPECT_EQ(carried.Lookup(fp) != nullptr, survives) << "trial " << trial;
     }
-    EXPECT_EQ(parent.size(), fingerprints.size());  // the parent is untouched
+    EXPECT_EQ(carried.size(), survivors);
+    EXPECT_EQ(carried.stats().invalidated, entries.size() - survivors);
+    EXPECT_EQ(parent.size(), entries.size());  // the parent is untouched
   }
 }
 
 TEST(FederatedQueryCacheTest, LookupResultSurvivesInvalidation) {
-  FederatedQueryCache cache;
+  auto cache = std::make_unique<FederatedQueryCache>();
   const uint64_t fp = QueryFingerprint("q", 10);
-  cache.Insert(fp, {MakeAnswer("x", "v")}, {"http://ex/a"});
-  const auto hit = cache.Lookup(fp);
+  cache->Insert(fp, {MakeAnswer("x", "v")}, {"http://ex/a"});
+  const auto hit = cache->Lookup(fp);
   ASSERT_NE(hit, nullptr);
-  // A concurrent invalidation must not pull the answers out from under a
-  // reader that already holds them.
-  cache.InvalidateLink(Link{"http://ex/a", "http://other/z", 1.0});
-  EXPECT_EQ(cache.size(), 0u);
+  // The next epoch dropping the entry, and the reader's own epoch retiring
+  // with its cache, must not pull the answers out from under a reader that
+  // already holds them.
+  FederatedQueryCache next(
+      *cache, DeltaOf({Link{"http://ex/a", "http://other/z", 1.0}}));
+  EXPECT_EQ(next.size(), 0u);
+  cache.reset();
   EXPECT_EQ(hit->at(0).binding.at("x").lexical(), "v");
 }
 
@@ -225,17 +245,20 @@ class CachedEngineTest : public ::testing::Test {
     nytimes_.Add(Term::Iri("http://nyt.com/article/3"),
                  Term::Iri("http://nyt.com/about"),
                  Term::Iri("http://nyt.com/person/durant"));
-    links_.Add(Link{"http://dbpedia.org/LeBron_James",
-                    "http://nyt.com/person/lebron", 0.99});
+    staged_.Stage(Link{"http://dbpedia.org/LeBron_James",
+                       "http://nyt.com/person/lebron", 0.99},
+                  true);
+    links_ = staged_.Publish();
   }
 
   TripleStore dbpedia_;
   TripleStore nytimes_;
-  LinkSet links_;
+  StagedLinkSet staged_;
+  std::shared_ptr<const LinkView> links_;  // the last published epoch
 };
 
 TEST_F(CachedEngineTest, HitReturnsIdenticalRowsAndInvalidationIsExact) {
-  FederatedEngine engine({&dbpedia_, &nytimes_}, &links_);
+  FederatedEngine engine({&dbpedia_, &nytimes_}, links_.get());
   FederatedQueryCache cache;
   engine.set_cache(&cache);
 
@@ -264,17 +287,24 @@ TEST_F(CachedEngineTest, HitReturnsIdenticalRowsAndInvalidationIsExact) {
   EXPECT_TRUE(durant_before->answers.empty());
   EXPECT_EQ(cache.size(), 2u);
 
-  // Adding Durant's link must invalidate the Durant query (its evaluator
-  // consulted Durant's neighborhood and found nothing) but NOT the LeBron
-  // query, whose consulted neighborhoods are untouched.
-  const Link durant_link{"http://dbpedia.org/Kevin_Durant",
-                         "http://nyt.com/person/durant", 1.0};
-  links_.Add(durant_link);
-  cache.InvalidateLink(durant_link);
-  EXPECT_NE(cache.Lookup(QueryFingerprint(lebron_q, FederatedOptions().max_rows)),
-            nullptr);
+  // Publishing Durant's link must invalidate the Durant query (its
+  // evaluator consulted Durant's neighborhood and found nothing) but NOT
+  // the LeBron query, whose consulted neighborhoods are untouched.
+  staged_.Stage(Link{"http://dbpedia.org/Kevin_Durant",
+                     "http://nyt.com/person/durant", 1.0},
+                true);
+  FederatedQueryCache carried(cache, staged_.EpochDeltaIris());
+  links_ = staged_.Publish();
+  FederatedEngine next({&dbpedia_, &nytimes_}, links_.get());
+  next.set_cache(&carried);
+  EXPECT_NE(
+      carried.Lookup(QueryFingerprint(lebron_q, FederatedOptions().max_rows)),
+      nullptr);
+  EXPECT_EQ(
+      carried.Lookup(QueryFingerprint(durant_q, FederatedOptions().max_rows)),
+      nullptr);
 
-  auto durant_after = engine.ExecuteText(durant_q);
+  auto durant_after = next.ExecuteText(durant_q);
   ASSERT_TRUE(durant_after.ok());
   ASSERT_EQ(durant_after->answers.size(), 1u);
   EXPECT_EQ(durant_after->answers[0].binding.at("article").lexical(),
@@ -287,7 +317,7 @@ TEST_F(CachedEngineTest, HitReturnsIdenticalRowsAndInvalidationIsExact) {
 // rows a reused plan produces, so plans can be cached across link churn
 // while only the federated result cache is invalidated.
 TEST_F(CachedEngineTest, CompiledPlanReuseSurvivesLinkInvalidation) {
-  FederatedEngine engine({&dbpedia_, &nytimes_}, &links_);
+  FederatedEngine engine({&dbpedia_, &nytimes_}, links_.get());
   FederatedQueryCache cache;
   engine.set_cache(&cache);
 
@@ -316,11 +346,14 @@ TEST_F(CachedEngineTest, CompiledPlanReuseSurvivesLinkInvalidation) {
 
   // A link delta touching LeBron invalidates exactly the cached federated
   // entry.
-  const Link churned{"http://dbpedia.org/LeBron_James",
-                     "http://nyt.com/person/lebron2", 0.5};
-  links_.Add(churned);
-  cache.InvalidateLink(churned);
-  EXPECT_EQ(cache.Lookup(fp), nullptr);
+  staged_.Stage(Link{"http://dbpedia.org/LeBron_James",
+                     "http://nyt.com/person/lebron2", 0.5},
+                true);
+  FederatedQueryCache carried(cache, staged_.EpochDeltaIris());
+  links_ = staged_.Publish();
+  FederatedEngine next({&dbpedia_, &nytimes_}, links_.get());
+  next.set_cache(&carried);
+  EXPECT_EQ(carried.Lookup(fp), nullptr);
 
   // The same plan object, executed again after the delta, returns identical
   // rows — including order.
@@ -332,13 +365,13 @@ TEST_F(CachedEngineTest, CompiledPlanReuseSurvivesLinkInvalidation) {
   }
 
   // And the federated query re-executes (cache miss) to the same answers.
-  auto fed_after = engine.ExecuteText(lebron_q);
+  auto fed_after = next.ExecuteText(lebron_q);
   ASSERT_TRUE(fed_after.ok());
   EXPECT_TRUE(SameAnswers(fed_before->answers, fed_after->answers));
 }
 
 TEST_F(CachedEngineTest, ParallelExecutionMatchesSequential) {
-  FederatedEngine engine({&dbpedia_, &nytimes_}, &links_);
+  FederatedEngine engine({&dbpedia_, &nytimes_}, links_.get());
   ThreadPool pool(4);
   // Warm the lazily built indexes before sharing the stores across workers.
   (void)dbpedia_.size();
@@ -373,7 +406,7 @@ TEST_F(CachedEngineTest, ParallelRespectsMaxRows) {
   ThreadPool pool(4);
   (void)dbpedia_.size();
   (void)nytimes_.size();
-  FederatedEngine engine({&dbpedia_, &nytimes_}, &links_);
+  FederatedEngine engine({&dbpedia_, &nytimes_}, links_.get());
   const std::string text = "SELECT ?s ?p ?o WHERE { ?s ?p ?o }";
   for (size_t cap : {1u, 2u, 3u, 100u}) {
     FederatedOptions sequential;
@@ -392,7 +425,7 @@ TEST_F(CachedEngineTest, ParallelRespectsMaxRows) {
 // cache: a later execution with the same fingerprint would otherwise be
 // served the capped rows as if they were the full answer set.
 TEST_F(CachedEngineTest, RowCappedResultIsIncompleteAndBypassesCache) {
-  FederatedEngine engine({&dbpedia_, &nytimes_}, &links_);
+  FederatedEngine engine({&dbpedia_, &nytimes_}, links_.get());
   FederatedQueryCache cache;
   engine.set_cache(&cache);
   const std::string text = "SELECT ?s ?p ?o WHERE { ?s ?p ?o }";
@@ -423,9 +456,10 @@ TEST_F(CachedEngineTest, RowCappedResultIsIncompleteAndBypassesCache) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-// The query-driven experiment series must be bitwise-identical with the
-// cache on or off — the cache only removes redundant re-execution — and the
-// cached run must actually hit once episodes repeat queries.
+// The query-driven series (the serving loop without reader streams) must be
+// bitwise-identical with the cache on or off — the cache only removes
+// redundant re-execution — and the cached run must actually hit once
+// episodes repeat queries.
 TEST(QueryDrivenCacheTest, SeriesIdenticalWithAndWithoutCache) {
   datagen::GeneratedWorld world =
       datagen::Generate(datagen::TinyTestProfile());
@@ -441,11 +475,12 @@ TEST(QueryDrivenCacheTest, SeriesIdenticalWithAndWithoutCache) {
     alex_options.max_episodes = 6;
     core::AlexEngine engine(&world.left, &world.right, alex_options);
     EXPECT_TRUE(engine.Initialize(initial).ok());
-    eval::QueryDrivenOptions options;
+    serving::ServingLoopOptions options;
     options.workload.num_queries = 80;
     options.use_query_cache = use_cache;
     options.pool = pool;
-    return eval::RunQueryDrivenExperiment(&engine, world, truth, options);
+    return serving::RunServingExperiment(&engine, world, truth, options)
+        ->experiment;
   };
 
   eval::ExperimentResult cached = run(true, nullptr);
@@ -502,11 +537,12 @@ TEST(QueryDrivenCacheTest, PlanCacheSeriesIdenticalOnOrOff) {
     alex_options.max_episodes = 6;
     core::AlexEngine engine(&world.left, &world.right, alex_options);
     EXPECT_TRUE(engine.Initialize(initial).ok());
-    eval::QueryDrivenOptions options;
+    serving::ServingLoopOptions options;
     options.workload.num_queries = 80;
     options.use_plan_cache = use_plan_cache;
     options.pool = pool;
-    return eval::RunQueryDrivenExperiment(&engine, world, truth, options);
+    return serving::RunServingExperiment(&engine, world, truth, options)
+        ->experiment;
   };
 
   eval::ExperimentResult with_cache = run(true, nullptr);

@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 
 #include "core/alex_engine.h"
 #include "datagen/profiles.h"
+#include "eval/experiment.h"
 #include "eval/metrics.h"
 #include "federation/federated_engine.h"
+#include "federation/link_set.h"
 #include "feedback/oracle.h"
 #include "linking/paris.h"
 #include "rdf/ntriples.h"
@@ -22,7 +25,6 @@ using core::AlexEngine;
 using core::AlexOptions;
 using fed::FederatedAnswer;
 using fed::FederatedEngine;
-using fed::LinkSet;
 using linking::Link;
 using rdf::Term;
 
@@ -52,10 +54,11 @@ TEST(EndToEndTest, FeedbackOnFederatedAnswersImprovesLinks) {
   // rejects each answer (which ALEX maps to link feedback).
   const std::string kLabel = "http://www.w3.org/2000/01/rdf-schema#label";
   for (int episode = 0; episode < 40; ++episode) {
-    // Mirror the candidate links into the federation link set.
-    LinkSet link_set;
-    for (const Link& link : alex.CandidateLinks()) link_set.Add(link);
-    FederatedEngine fed({&world.left, &world.right}, &link_set);
+    // Publish the candidate links for the federation.
+    fed::StagedLinkSet staged;
+    for (const Link& link : alex.CandidateLinks()) staged.Stage(link, true);
+    const std::shared_ptr<const fed::LinkView> links = staged.Publish();
+    FederatedEngine fed({&world.left, &world.right}, links.get());
 
     alex.BeginExternalEpisode();
     size_t feedback_given = 0;
@@ -99,7 +102,14 @@ TEST(EndToEndTest, OracleDrivenRunBeatsInitialQuality) {
   eval::Quality before = eval::Evaluate(alex.CandidateLinks(), truth);
 
   feedback::Oracle oracle(&truth, 0.0, 5);
-  alex.Run([&oracle](const Link& link) { return oracle.Feedback(link); });
+  ASSERT_TRUE(eval::RunEpisodes(&alex, truth, "oracle", options.max_episodes,
+                                [&] {
+                                  return alex.RunEpisode(
+                                      [&oracle](const Link& link) {
+                                        return oracle.Feedback(link);
+                                      });
+                                })
+                  .ok());
 
   eval::Quality after = eval::Evaluate(alex.CandidateLinks(), truth);
   EXPECT_GT(after.f_measure, before.f_measure);
@@ -140,10 +150,19 @@ TEST(EndToEndTest, BlacklistReducesRepeatNegatives) {
     EXPECT_TRUE(alex.Initialize(initial).ok());
     feedback::Oracle oracle(&truth, 0.0, 5);
     size_t negatives = 0;
-    alex.Run([&](const Link& link) { return oracle.Feedback(link); },
-             [&](const core::EpisodeStats& stats) {
-               negatives += stats.negative_feedback;
-             });
+    eval::EpisodeHooks hooks;
+    hooks.on_point = [&](const eval::EpisodePoint& point) {
+      negatives += point.stats.negative_feedback;  // 0 for episode 0
+    };
+    EXPECT_TRUE(eval::RunEpisodes(
+                    &alex, truth, "blacklist", options.max_episodes,
+                    [&] {
+                      return alex.RunEpisode([&](const Link& link) {
+                        return oracle.Feedback(link);
+                      });
+                    },
+                    hooks)
+                    .ok());
     return negatives;
   };
   size_t with_blacklist = run(true);

@@ -17,13 +17,14 @@
 #include "common/thread_pool.h"
 #include "core/alex_engine.h"
 #include "datagen/profiles.h"
-#include "eval/query_workload.h"
+#include "eval/experiment.h"
 #include "federation/fault_injection.h"
 #include "feedback/oracle.h"
 #include "linking/link_io.h"
 #include "linking/paris.h"
 #include "rdf/ntriples.h"
 #include "rdf/turtle.h"
+#include "serving/serving_loop.h"
 #include "sparql/executor.h"
 #include "sparql/parser.h"
 #include "sparql/tokenizer.h"
@@ -218,23 +219,29 @@ ChurnOutcome RunChurnRegime(const datagen::GeneratedWorld& world,
 
   ChurnOutcome outcome;
   std::ostringstream series;
-  core::AlexEngine::RunResult run =
-      engine.Run(feedback_fn, [&](const core::EpisodeStats& stats) {
-        series << stats.episode << ' ' << stats.feedback_items << ' '
-               << stats.positive_feedback << ' ' << stats.negative_feedback
-               << ' ' << stats.links_added << ' ' << stats.links_removed
-               << ' ' << stats.rollbacks << ' ' << stats.rolled_back_links
-               << ' ' << stats.candidate_count << ' ';
-        AppendBits(&series, stats.change_fraction);
-        for (const core::PartitionAlex& partition : engine.partitions()) {
-          series << partition.space().Fingerprint() << ' '
-                 << partition.space().live_pair_count() << ' ';
-        }
-        series << '\n';
-        outcome.negative_feedback += stats.negative_feedback;
-        outcome.rollbacks += stats.rollbacks;
-      });
-  series << "converged " << run.converged << " episodes " << run.episodes
+  eval::EpisodeHooks hooks;
+  hooks.on_point = [&](const eval::EpisodePoint& point) {
+    if (point.episode == 0) return;
+    const core::EpisodeStats& stats = point.stats;
+    series << stats.episode << ' ' << stats.feedback_items << ' '
+           << stats.positive_feedback << ' ' << stats.negative_feedback << ' '
+           << stats.links_added << ' ' << stats.links_removed << ' '
+           << stats.rollbacks << ' ' << stats.rolled_back_links << ' '
+           << stats.candidate_count << ' ';
+    AppendBits(&series, stats.change_fraction);
+    for (const core::PartitionAlex& partition : engine.partitions()) {
+      series << partition.space().Fingerprint() << ' '
+             << partition.space().live_pair_count() << ' ';
+    }
+    series << '\n';
+    outcome.negative_feedback += stats.negative_feedback;
+    outcome.rollbacks += stats.rollbacks;
+  };
+  Result<eval::ExperimentResult> run = eval::RunEpisodes(
+      &engine, truth, "churn", options.max_episodes,
+      [&] { return engine.RunEpisode(feedback_fn); }, hooks);
+  ALEX_CHECK(run.ok()) << run.status().ToString();
+  series << "converged " << run->converged << " episodes " << run->episodes
          << '\n';
 
   std::vector<linking::Link> links = engine.CandidateLinks();
@@ -327,15 +334,17 @@ FaultRegimeOutcome RunFaultRegime(const datagen::GeneratedWorld& world,
   Status status = engine.Initialize(initial);
   ALEX_CHECK(status.ok()) << status.ToString();
 
-  eval::QueryDrivenOptions query_options;
+  serving::ServingLoopOptions query_options;
   query_options.workload.num_queries = 80;
   query_options.use_query_cache = use_cache;
   query_options.fault_profile = profile;
   ThreadPool pool(threads);
   query_options.pool = threads > 1 ? &pool : nullptr;
 
-  eval::ExperimentResult result =
-      eval::RunQueryDrivenExperiment(&engine, world, truth, query_options);
+  Result<serving::ServingRunResult> run =
+      serving::RunServingExperiment(&engine, world, truth, query_options);
+  ALEX_CHECK(run.ok()) << run.status().ToString();
+  const eval::ExperimentResult& result = run->experiment;
 
   FaultRegimeOutcome outcome;
   std::ostringstream stable;

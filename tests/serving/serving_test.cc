@@ -259,30 +259,30 @@ struct LoopFixture {
   std::vector<linking::Link> initial;
 };
 
-// The serving loop's learner series must be bitwise-identical to the plain
-// query-driven run (serving off) and invariant to the stream count.
+// The learner series is bitwise-identical at 0, 2 and 4 reader streams:
+// readers share nothing mutable with the learner. (The 0-stream series is
+// pinned in tests/eval/driver_series_test.cc.)
 TEST(ServingLoopTest, EpisodeSeriesUnchangedServingOnOrOff) {
   LoopFixture fixture;
-
-  eval::QueryDrivenOptions plain_options;
-  plain_options.workload.num_queries = 80;
-  auto plain_engine = fixture.MakeEngine();
-  eval::ExperimentResult plain = eval::RunQueryDrivenExperiment(
-      plain_engine.get(), fixture.world, fixture.truth, plain_options);
-
+  std::vector<eval::ExperimentResult> runs;
   for (size_t streams : {size_t{0}, size_t{2}, size_t{4}}) {
     ServingLoopOptions options = fixture.LoopOptions();
     options.num_streams = streams;
     options.verify_identity = false;
     auto engine = fixture.MakeEngine();
-    ServingRunResult served = RunServingExperiment(
-        engine.get(), fixture.world, fixture.truth, options);
+    runs.push_back(RunServingExperiment(engine.get(), fixture.world,
+                                        fixture.truth, options)
+                       ->experiment);
+  }
 
-    ASSERT_EQ(served.experiment.series.size(), plain.series.size())
-        << streams << " streams";
+  const eval::ExperimentResult& plain = runs.front();
+  ASSERT_GE(plain.series.size(), 2u);
+  for (size_t r = 1; r < runs.size(); ++r) {
+    const eval::ExperimentResult& served = runs[r];
+    ASSERT_EQ(served.series.size(), plain.series.size()) << "run " << r;
     for (size_t i = 0; i < plain.series.size(); ++i) {
       const eval::EpisodePoint& a = plain.series[i];
-      const eval::EpisodePoint& b = served.experiment.series[i];
+      const eval::EpisodePoint& b = served.series[i];
       EXPECT_EQ(a.quality.precision, b.quality.precision) << "ep " << i;
       EXPECT_EQ(a.quality.recall, b.quality.recall) << "ep " << i;
       EXPECT_EQ(a.quality.f_measure, b.quality.f_measure) << "ep " << i;
@@ -292,21 +292,43 @@ TEST(ServingLoopTest, EpisodeSeriesUnchangedServingOnOrOff) {
       EXPECT_EQ(a.stats.negative_feedback, b.stats.negative_feedback);
       EXPECT_EQ(a.stats.candidate_count, b.stats.candidate_count);
     }
-    EXPECT_EQ(served.experiment.new_links_discovered,
-              plain.new_links_discovered);
+    EXPECT_EQ(served.new_links_discovered, plain.new_links_discovered);
   }
 }
 
+// The resilient path mutates breaker state and runs its queries one at a
+// time, so endpoint faults with reader streams are refused up front.
+TEST(ServingLoopTest, FaultsWithReaderStreamsAreRefused) {
+  LoopFixture fixture;
+  ServingLoopOptions options = fixture.LoopOptions();
+  options.fault_profile.seed = 1;
+  options.fault_profile.transient_error_rate = 0.1;
+  options.num_streams = 2;
+  auto engine = fixture.MakeEngine();
+  Result<ServingRunResult> refused = RunServingExperiment(
+      engine.get(), fixture.world, fixture.truth, options);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine->episodes_run(), 0);  // refused before any episode
+
+  options.num_streams = 0;
+  Result<ServingRunResult> sequential = RunServingExperiment(
+      engine.get(), fixture.world, fixture.truth, options);
+  ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
+  EXPECT_GT(sequential->experiment.episodes, 0);
+}
+
 // A ServingEngine answers exactly what the direct FederatedEngine answers
-// over the same links, with its caches off or on: the epoch pin and the
-// LinkView dispatch change no row.
+// over the same links, with its caches off or on: the epoch pin changes no
+// row.
 TEST(ServingLoopTest, ServingAnswersEqualTheDirectEngine) {
   LoopFixture fixture;
   const std::vector<const rdf::TripleStore*> sources = {&fixture.world.left,
                                                         &fixture.world.right};
-  fed::LinkSet links;
-  for (const Link& link : fixture.initial) links.Add(link);
-  fed::FederatedEngine direct(sources, &links);
+  fed::StagedLinkSet staged;
+  for (const Link& link : fixture.initial) staged.Stage(link, true);
+  const std::shared_ptr<const fed::LinkView> links = staged.Publish();
+  fed::FederatedEngine direct(sources, links.get());
   const std::vector<eval::WorkloadQuery> workload =
       eval::GenerateWorkload(fixture.world, fixture.LoopOptions().workload);
 
@@ -342,7 +364,7 @@ TEST(ServingLoopTest, ConcurrentStreamsAreBitwiseIdenticalToReplay) {
     options.num_streams = streams;
     options.verify_identity = true;
     auto engine = fixture.MakeEngine();
-    ServingRunResult result = RunServingExperiment(
+    ServingRunResult result = *RunServingExperiment(
         engine.get(), fixture.world, fixture.truth, options);
 
     EXPECT_GT(result.stream_queries, 0u) << streams << " streams";
@@ -366,8 +388,8 @@ TEST(ServingLoopTest, EpisodeStatsCarryServingCounters) {
   options.num_streams = 2;
   options.verify_identity = false;
   auto engine = fixture.MakeEngine();
-  ServingRunResult result = RunServingExperiment(engine.get(), fixture.world,
-                                                 fixture.truth, options);
+  ServingRunResult result = *RunServingExperiment(engine.get(), fixture.world,
+                                                  fixture.truth, options);
 
   ASSERT_GE(result.experiment.series.size(), 2u);
   for (size_t i = 1; i < result.experiment.series.size(); ++i) {
@@ -393,8 +415,8 @@ TEST(ServingLoopTest, StreamVotesFlowThroughAggregatorIntoTheLearner) {
   options.vote_error_rate = 0.1;
   options.aggregator.quorum = 3;
   auto engine = fixture.MakeEngine();
-  ServingRunResult result = RunServingExperiment(engine.get(), fixture.world,
-                                                 fixture.truth, options);
+  ServingRunResult result = *RunServingExperiment(engine.get(), fixture.world,
+                                                  fixture.truth, options);
 
   // The streams served traffic; every answer with provenance links votes.
   EXPECT_GT(result.stream_queries, 0u);

@@ -10,9 +10,11 @@
 // of them, bridging entities through the owl:sameAs links from --links
 // (TSV or N-Triples); answers are printed with their link provenance.
 #include <iostream>
+#include <memory>
 
 #include "cli_common.h"
 #include "federation/federated_engine.h"
+#include "federation/link_set.h"
 #include "linking/link_io.h"
 #include "sparql/executor.h"
 #include "sparql/results_io.h"
@@ -96,7 +98,7 @@ int Main(int argc, char** argv) {
     return 0;
   }
 
-  fed::LinkSet links;
+  fed::StagedLinkSet links;
   if (cmd.Has("links")) {
     const std::string path = cmd.GetString("links");
     Result<std::vector<linking::Link>> loaded =
@@ -106,11 +108,12 @@ int Main(int argc, char** argv) {
       std::cerr << "links error: " << loaded.status().ToString() << "\n";
       return 2;
     }
-    for (const linking::Link& link : loaded.value()) links.Add(link);
+    for (const linking::Link& link : loaded.value()) links.Stage(link, true);
   }
+  const std::shared_ptr<const fed::LinkView> view = links.Publish();
   std::vector<const rdf::TripleStore*> sources;
   for (const rdf::TripleStore& store : stores) sources.push_back(&store);
-  fed::FederatedEngine engine(sources, &links);
+  fed::FederatedEngine engine(sources, view.get());
   Result<fed::FederatedResult> executed = engine.Execute(query.value());
   if (!executed.ok()) {
     std::cerr << executed.status().ToString() << "\n";
