@@ -690,8 +690,11 @@ void ShardedAggregatorGate() {
          ">= 0.9x", drained && ratio >= 0.9,
          drained ? Format("(single %.1f ms, ", four.single_ms) +
                        Format("sharded %.1f ms; ", four.sharded_ms) +
-                       Format("at 1 writer %.2fx, information only)",
-                              one.single_ms / one.sharded_ms)
+                       Format("at 1 writer %.2fx: ",
+                              one.single_ms / one.sharded_ms) +
+                       Format("single %.1f ms, ", one.single_ms) +
+                       Format("sharded %.1f ms, information only)",
+                              one.sharded_ms)
                  : "a configuration drained no verdicts");
 }
 

@@ -4,14 +4,16 @@
 # resurrection, the parallel episode loop, epoch-snapshot reclamation in
 # the serving tier, the id-keyed link store, the federated query cache's
 # carry-forward and parallel per-source fan-out, the sharded feedback
-# aggregator's tally churn, and the live-ingest path's blocking-index
-# sidecars and overflow arenas), and the
-# byte-level readers and kernels (the snapshot loader's garbage and
-# truncation tests, the N-Triples and Turtle parsers, the reference and
-# bit-parallel Levenshtein), under AddressSanitizer and UBSan and runs
-# them. A UBSan report fails the run (halt_on_error) instead of only being
-# printed. Uses its own build directory so the regular build stays
-# untouched. Override with BUILD_DIR=... .
+# aggregator's id-keyed tally churn, the engine's id-keyed verdict lookup,
+# and the live-ingest path's blocking-index sidecars and overflow arenas),
+# the byte-level readers and kernels (the snapshot loader's garbage and
+# truncation tests, the N-Triples and Turtle parsers, the IRI-to-id table
+# in rdf_tests, the reference and bit-parallel Levenshtein), and the
+# linking (PARIS, link I/O) and common (thread pool, strings) suites,
+# under AddressSanitizer and UBSan and runs them. A UBSan report fails the
+# run (halt_on_error) instead of only being printed. Uses its own build
+# directory so the regular build stays untouched. Override with
+# BUILD_DIR=... .
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export UBSAN_OPTIONS=${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}
@@ -21,7 +23,7 @@ cmake -B "$build_dir" -S . -DALEX_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build_dir" -j "$(nproc)" \
   --target core_tests system_tests serving_tests feedback_tests ingest_tests \
-  rdf_tests similarity_tests federation_tests
+  rdf_tests similarity_tests federation_tests linking_tests common_tests
 
 "$build_dir"/tests/core_tests
 "$build_dir"/tests/system_tests
@@ -31,4 +33,6 @@ cmake --build "$build_dir" -j "$(nproc)" \
 "$build_dir"/tests/rdf_tests
 "$build_dir"/tests/similarity_tests
 "$build_dir"/tests/federation_tests
+"$build_dir"/tests/linking_tests
+"$build_dir"/tests/common_tests
 echo "asan: clean"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -26,18 +27,6 @@ void WalkSortedDelta(const std::vector<PairId>& added,
       fn(removed[r++], false);
     }
   }
-}
-
-// Locates the (partition, pair) of a link; false if outside every space.
-bool FindPartitionPair(
-    const std::vector<PartitionAlex>& partitions,
-    const std::unordered_map<std::string, uint32_t>& by_left_iri,
-    const linking::Link& link, uint32_t* partition, PairId* pair) {
-  auto it = by_left_iri.find(link.left);
-  if (it == by_left_iri.end()) return false;
-  *partition = it->second;
-  *pair = partitions[*partition].space().FindPair(link.left, link.right);
-  return *pair != kInvalidPairId;
 }
 
 }  // namespace
@@ -383,23 +372,14 @@ Status AlexEngine::Initialize(
     partitions_.emplace_back(std::move(spaces[i]), &options_,
                              rng_.NextUint64());
   }
-  for (uint32_t p = 0; p < partitions_.size(); ++p) {
-    for (const PreparedEntity& entity :
-         partitions_[p].space().left_entities()) {
-      partition_by_left_iri_.emplace(entity.iri, p);
-    }
-  }
+  for (uint32_t p = 0; p < partitions_.size(); ++p) RegisterLefts(p, 0);
+  RegisterRights(0);
 
   // Seed the candidate links.
   for (const linking::Link& link : initial_links) {
-    auto it = partition_by_left_iri_.find(link.left);
-    PairId pair = kInvalidPairId;
     uint32_t partition = 0;
-    if (it != partition_by_left_iri_.end()) {
-      partition = it->second;
-      pair = partitions_[partition].space().FindPair(link.left, link.right);
-    }
-    if (pair != kInvalidPairId) {
+    PairId pair = kInvalidPairId;
+    if (LocatePair(link, &partition, &pair)) {
       partitions_[partition].AddInitialCandidate(pair);
     } else {
       // Outside every feature space: kept, but cannot be explored around.
@@ -424,6 +404,46 @@ void AlexEngine::ResetExtras() {
   for (PairId extra = 0; extra < extras_links_.size(); ++extra) {
     extras_alive_.Add(extra);
   }
+}
+
+void AlexEngine::RegisterLefts(uint32_t partition, size_t first) {
+  const std::vector<PreparedEntity>& entities =
+      partitions_[partition].space().left_entities();
+  for (size_t i = first; i < entities.size(); ++i) {
+    const uint32_t id = iris_.Intern(entities[i].iri);
+    roles_.resize(iris_.size());
+    if (roles_[id].partition == kNoRole) {
+      roles_[id].partition = partition;
+      roles_[id].left_index = static_cast<uint32_t>(i);
+    }
+  }
+}
+
+void AlexEngine::RegisterRights(size_t first) {
+  const std::vector<PreparedEntity>& entities = right_context_->entities;
+  for (size_t i = first; i < entities.size(); ++i) {
+    const uint32_t id = iris_.Intern(entities[i].iri);
+    roles_.resize(iris_.size());
+    if (roles_[id].right_index == kNoRole) {
+      roles_[id].right_index = static_cast<uint32_t>(i);
+    }
+  }
+}
+
+bool AlexEngine::LocatePair(const linking::Link& link, uint32_t* partition,
+                            PairId* pair) const {
+  const uint32_t left = iris_.Find(link.left);
+  const uint32_t right = iris_.Find(link.right);
+  if (left == rdf::IriIndex::kNone || right == rdf::IriIndex::kNone) {
+    return false;
+  }
+  const IriRoles& left_roles = roles_[left];
+  const uint32_t right_index = roles_[right].right_index;
+  if (left_roles.partition == kNoRole || right_index == kNoRole) return false;
+  *partition = left_roles.partition;
+  *pair = partitions_[*partition].space().FindPairByIndex(
+      left_roles.left_index, right_index);
+  return *pair != kInvalidPairId;
 }
 
 size_t AlexEngine::CloseCandidateEpoch(bool notify) {
@@ -558,9 +578,10 @@ Status AlexEngine::IngestTriples(IngestStats* stats_out) {
     // episodes, and the mutation is append-only.
     auto* context = const_cast<RightContext*>(right_context_.get());
     for (rdf::TermId subject : new_rights) {
-      context->Append(
+      context->entities.push_back(
           PrepareEntity(*right_, subject, options_.space.max_attributes));
     }
+    RegisterRights(old_right_count);
     if (options_.space.blocking.enabled) {
       if (options_.incremental_ingest) {
         context->index.AddRights(context->entities, old_right_count);
@@ -636,14 +657,10 @@ Status AlexEngine::IngestTriples(IngestStats* stats_out) {
     stats.overflow_entries += grown.overflow_entries;
   }
 
-  // 5. Register the new lefts: IRI -> partition routing and the reverse-
-  // probe index (appended in global subject order).
+  // 5. Register the new lefts: the verdict lookup and the reverse-probe
+  // index (appended in global subject order).
   for (uint32_t p = 0; p < num_partitions; ++p) {
-    const std::vector<PreparedEntity>& entities =
-        partitions_[p].space().left_entities();
-    for (size_t i = lefts_before[p]; i < entities.size(); ++i) {
-      partition_by_left_iri_.emplace(entities[i].iri, p);
-    }
+    RegisterLefts(p, lefts_before[p]);
   }
   if (left_probe_built_ && !new_lefts.empty()) {
     for (rdf::TermId subject : new_lefts) {
@@ -922,8 +939,7 @@ PartitionAlex::FeedbackOutcome AlexEngine::ApplyLinkFeedback(
   PartitionAlex::FeedbackOutcome outcome;
   uint32_t partition = 0;
   PairId pair = kInvalidPairId;
-  if (FindPartitionPair(partitions_, partition_by_left_iri_, link,
-                        &partition, &pair) &&
+  if (LocatePair(link, &partition, &pair) &&
       partitions_[partition].candidates().Contains(pair)) {
     outcome = partitions_[partition].ProcessFeedback(pair, positive);
   } else if (!positive) {
@@ -943,14 +959,9 @@ void AlexEngine::ReplaceCandidates(
   for (PartitionAlex& partition : partitions_) partition.ClearCandidates();
   extras_links_.clear();
   for (const linking::Link& link : links) {
-    auto it = partition_by_left_iri_.find(link.left);
-    PairId pair = kInvalidPairId;
     uint32_t partition = 0;
-    if (it != partition_by_left_iri_.end()) {
-      partition = it->second;
-      pair = partitions_[partition].space().FindPair(link.left, link.right);
-    }
-    if (pair != kInvalidPairId) {
+    PairId pair = kInvalidPairId;
+    if (LocatePair(link, &partition, &pair)) {
       partitions_[partition].AddInitialCandidate(pair);
     } else {
       extras_links_.push_back(link);
@@ -963,8 +974,7 @@ void AlexEngine::ReplaceCandidates(
 void AlexEngine::RestoreBlacklistEntry(const linking::Link& link) {
   uint32_t partition = 0;
   PairId pair = kInvalidPairId;
-  if (FindPartitionPair(partitions_, partition_by_left_iri_, link,
-                        &partition, &pair)) {
+  if (LocatePair(link, &partition, &pair)) {
     partitions_[partition].RestoreBlacklistEntry(pair);
   }
 }
@@ -973,8 +983,7 @@ void AlexEngine::RestorePolicyEntry(const linking::Link& state,
                                     const FeatureKey& action) {
   uint32_t partition = 0;
   PairId pair = kInvalidPairId;
-  if (FindPartitionPair(partitions_, partition_by_left_iri_, state,
-                        &partition, &pair)) {
+  if (LocatePair(state, &partition, &pair)) {
     partitions_[partition].RestorePolicyEntry(pair, catalog_.Intern(action));
   }
 }
@@ -984,8 +993,7 @@ void AlexEngine::RestoreReturnEntry(const linking::Link& state,
                                     uint64_t count) {
   uint32_t partition = 0;
   PairId pair = kInvalidPairId;
-  if (FindPartitionPair(partitions_, partition_by_left_iri_, state,
-                        &partition, &pair)) {
+  if (LocatePair(state, &partition, &pair)) {
     partitions_[partition].RestoreReturnEntry(
         StateAction{pair, catalog_.Intern(action)}, sum, count);
   }

@@ -21,10 +21,10 @@
 #ifndef ALEX_CORE_ALEX_ENGINE_H_
 #define ALEX_CORE_ALEX_ENGINE_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -38,6 +38,7 @@
 #include "core/policy.h"
 #include "core/rollback_log.h"
 #include "linking/link.h"
+#include "rdf/iri_index.h"
 #include "rdf/triple_store.h"
 
 namespace alex::core {
@@ -583,6 +584,17 @@ class AlexEngine {
   // Rebuilds extras_alive_ over every extras_links_ entry, all present.
   void ResetExtras();
 
+  // Gives the IRIs of left entities [first, end) of partition `partition`,
+  // or of right entities [first, end) of the right context, their role in
+  // the verdict lookup. An IRI keeps its first role of each side.
+  void RegisterLefts(uint32_t partition, size_t first);
+  void RegisterRights(size_t first);
+
+  // The (partition, pair) of `link`, one iris_ probe per IRI; false if
+  // outside every space. Membership-agnostic, like FeatureSpace::FindPair.
+  bool LocatePair(const linking::Link& link, uint32_t* partition,
+                  PairId* pair) const;
+
   // Closes an episode of either kind (RunEpisode, EndExternalEpisode) at
   // CloseCandidateEpoch's boundary, and fills `stats`: `counts`, the episode
   // number, change_fraction against the candidate count of the previous
@@ -612,7 +624,17 @@ class AlexEngine {
   AlexOptions options_;
   FeatureCatalog catalog_;
   std::vector<PartitionAlex> partitions_;
-  std::unordered_map<std::string, uint32_t> partition_by_left_iri_;
+  // The verdict lookup: every left-entity and right-entity IRI interned
+  // once, with the roles of each id, so that locating a link costs one
+  // hash probe per IRI.
+  static constexpr uint32_t kNoRole = UINT32_MAX;
+  struct IriRoles {
+    uint32_t partition = kNoRole;    // a left entity's partition
+    uint32_t left_index = kNoRole;   // ... and its index in that space
+    uint32_t right_index = kNoRole;  // a right entity's index
+  };
+  rdf::IriIndex iris_;
+  std::vector<IriRoles> roles_;  // by id in iris_
 
   // Live-ingest state. The right context is shared immutably with every
   // partition space; IngestTriples may extend it (append-only: existing

@@ -53,14 +53,7 @@ struct CellMaskProvider {
 
 }  // namespace
 
-PairId FeatureSpace::FindPair(const std::string& left_iri,
-                              const std::string& right_iri) const {
-  auto left = left_by_iri_.find(left_iri);
-  if (left == left_by_iri_.end()) return kInvalidPairId;
-  auto right = right_->entity_by_iri.find(right_iri);
-  if (right == right_->entity_by_iri.end()) return kInvalidPairId;
-  const uint32_t l = left->second;
-  const uint32_t r = right->second;
+PairId FeatureSpace::FindPairByIndex(uint32_t l, uint32_t r) const {
   if (l + 1 < build_pairs_of_left_.size()) {
     const auto first = pairs_.begin() + build_pairs_of_left_[l];
     const auto last = pairs_.begin() + build_pairs_of_left_[l + 1];
@@ -82,6 +75,24 @@ PairId FeatureSpace::FindPair(const std::string& left_iri,
     return it->id;
   }
   return kInvalidPairId;
+}
+
+PairId FeatureSpace::FindPair(const std::string& left_iri,
+                              const std::string& right_iri) const {
+  const auto index_of = [](const std::vector<PreparedEntity>& entities,
+                           const std::string& iri) {
+    const auto it = std::find_if(
+        entities.begin(), entities.end(),
+        [&iri](const PreparedEntity& entity) { return entity.iri == iri; });
+    return static_cast<size_t>(it - entities.begin());
+  };
+  const size_t left = index_of(left_entities_, left_iri);
+  const size_t right = index_of(right_->entities, right_iri);
+  if (left == left_entities_.size() || right == right_->entities.size()) {
+    return kInvalidPairId;
+  }
+  return FindPairByIndex(static_cast<uint32_t>(left),
+                         static_cast<uint32_t>(right));
 }
 
 namespace {
@@ -309,12 +320,6 @@ void FeatureSpace::ResetMaintenanceState() {
   }
 }
 
-void FeatureSpace::AppendLeft(PreparedEntity entity) {
-  left_by_iri_.emplace(entity.iri,
-                       static_cast<uint32_t>(left_entities_.size()));
-  left_entities_.push_back(std::move(entity));
-}
-
 void FeatureSpace::BuildScoreIndex() {
   // Counting sort into a CSR arena: count entries per feature, prefix-sum
   // into offsets, scatter, then sort each feature's bucket by (score, pair).
@@ -364,11 +369,6 @@ void FeatureSpace::BuildScoreIndex() {
   ResetMaintenanceState();
 }
 
-void RightContext::Append(PreparedEntity entity) {
-  entity_by_iri.emplace(entity.iri, static_cast<uint32_t>(entities.size()));
-  entities.push_back(std::move(entity));
-}
-
 std::shared_ptr<const RightContext> RightContext::Prepare(
     const rdf::TripleStore& right,
     const std::vector<rdf::TermId>& right_subjects,
@@ -385,10 +385,6 @@ std::shared_ptr<const RightContext> RightContext::Prepare(
     pool->ParallelFor(right_subjects.size(), 16, prepare_range);
   } else {
     prepare_range(0, right_subjects.size());
-  }
-  context->entity_by_iri.reserve(context->entities.size());
-  for (uint32_t i = 0; i < context->entities.size(); ++i) {
-    context->entity_by_iri.emplace(context->entities[i].iri, i);
   }
   if (options.blocking.enabled) {
     context->index = BlockingIndex::Build(context->entities, options.blocking,
@@ -408,7 +404,8 @@ FeatureSpace FeatureSpace::Build(const rdf::TripleStore& left,
   space.right_ = std::move(right);
   space.left_entities_.reserve(left_subjects.size());
   for (rdf::TermId subject : left_subjects) {
-    space.AppendLeft(PrepareEntity(left, subject, options.max_attributes));
+    space.left_entities_.push_back(
+        PrepareEntity(left, subject, options.max_attributes));
   }
   const std::vector<PreparedEntity>& rights = space.right_->entities;
   space.total_pair_count_ =
@@ -530,7 +527,8 @@ FeatureSpace::GrowthResult FeatureSpace::Grow(
       static_cast<uint64_t>(new_left_subjects.size()) * rights.size();
 
   for (rdf::TermId subject : new_left_subjects) {
-    AppendLeft(PrepareEntity(left, subject, options.max_attributes));
+    left_entities_.push_back(
+        PrepareEntity(left, subject, options.max_attributes));
   }
 
   // Delta discovery runs serially on purpose: ingest deltas are small, and

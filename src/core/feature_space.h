@@ -39,7 +39,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -79,13 +78,6 @@ struct FeatureSpaceOptions {
 struct RightContext {
   std::vector<PreparedEntity> entities;
   BlockingIndex index;  // empty when blocking is disabled
-  // entities[i].iri -> i, for FeatureSpace::FindPair. Append keeps it in
-  // step with `entities`.
-  std::unordered_map<std::string, uint32_t> entity_by_iri;
-
-  // Adds one prepared entity (live ingest of a new right subject); the
-  // caller extends `index` over the appended entities.
-  void Append(PreparedEntity entity);
 
   // With a pool, entity preparation and the index build are sharded across
   // its workers; the resulting context is identical to the serial one.
@@ -246,11 +238,15 @@ class FeatureSpace {
     return right_->entities[pairs_[id].right_index].iri;
   }
 
-  // Pair lookup by entity IRIs; kInvalidPairId when the pair was filtered
-  // out of the space (or never existed). Membership-agnostic: tombstoned
-  // (non-live) pairs are still found — callers that care about liveness
-  // check IsLive(). Two IRI hash probes then a binary search, over the
-  // left's Build pairs or the grown-pair sidecar.
+  // Pair lookup by entity indexes (left_entities(), the right context's
+  // entities); kInvalidPairId when the pair was filtered out of the space
+  // (or never existed). Membership-agnostic: tombstoned (non-live) pairs
+  // are still found — callers that care about liveness check IsLive(). A
+  // binary search over the left's Build pairs or the grown-pair sidecar.
+  PairId FindPairByIndex(uint32_t left_index, uint32_t right_index) const;
+  // The same by entity IRIs (the first entity of each IRI). It scans the
+  // entities, so it serves tests and diagnostics; the engine maps IRIs to
+  // indexes through its own IRI table.
   PairId FindPair(const std::string& left_iri,
                   const std::string& right_iri) const;
 
@@ -423,8 +419,6 @@ class FeatureSpace {
                             ThreadPool* pool = nullptr);
 
  private:
-  // Appends a prepared left entity and registers its IRI for FindPair.
-  void AppendLeft(PreparedEntity entity);
   void BuildScoreIndex();
   // Re-derives feature_live_end_ / dead_in_bucket_ / pending_ after a full
   // score-index (re)build: buckets hold every entry, dead ones tombstoned.
@@ -439,8 +433,8 @@ class FeatureSpace {
   std::vector<PreparedEntity> left_entities_;
   std::shared_ptr<const RightContext> right_;
   std::vector<EntityPairFeatures> pairs_;
-  // FindPair's index. Build emits pairs in (left, right) order, so left i's
-  // Build pairs are PairIds [build_pairs_of_left_[i],
+  // FindPairByIndex's index. Build emits pairs in (left, right) order, so
+  // left i's Build pairs are PairIds [build_pairs_of_left_[i],
   // build_pairs_of_left_[i + 1]), ascending by right index; lefts that Grow
   // appended have none. Grow's pairs sit in grown_pairs_, sorted by (left,
   // right).
@@ -449,7 +443,6 @@ class FeatureSpace {
     uint32_t right_index;
     PairId id;
   };
-  std::unordered_map<std::string, uint32_t> left_by_iri_;
   std::vector<uint32_t> build_pairs_of_left_;
   std::vector<GrownPair> grown_pairs_;
   // CSR score index: score_entries_ holds every (score, pair), grouped by

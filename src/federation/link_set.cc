@@ -1,18 +1,11 @@
 #include "federation/link_set.h"
 
 #include <algorithm>
-#include <functional>
 #include <numeric>
 #include <utility>
 
-#include "common/logging.h"
-
 namespace alex::fed {
 namespace {
-
-uint64_t Hash(std::string_view iri) {
-  return std::hash<std::string_view>{}(iri);
-}
 
 uint64_t Key(uint32_t high, uint32_t low) {
   return uint64_t{high} << 32 | low;
@@ -32,44 +25,7 @@ std::vector<size_t> Starts(const std::vector<uint64_t>& keys, size_t ids,
 
 }  // namespace
 
-size_t IriIndex::Probe(std::string_view iri, uint64_t hash) const {
-  const size_t mask = slots_.size() - 1;
-  for (size_t s = hash & mask;; s = (s + 1) & mask) {
-    const uint64_t slot = slots_[s];
-    if (slot == 0 ||
-        (High(slot) == High(hash) && *iris_[Low(slot) - 1] == iri)) {
-      return s;
-    }
-  }
-}
-
-uint32_t IriIndex::Find(std::string_view iri) const {
-  const uint64_t slot = slots_[Probe(iri, Hash(iri))];
-  return slot == 0 ? kNone : Low(slot) - 1;
-}
-
-uint32_t IriIndex::Intern(const std::string& iri) {
-  if (2 * (iris_.size() + 1) > slots_.size()) {
-    // Keep the load at most one half: double the table and re-place every
-    // id (all distinct, so each probe ends on an empty slot).
-    slots_.assign(2 * slots_.size(), 0);
-    for (uint32_t id = 0; id < iris_.size(); ++id) {
-      const uint64_t hash = Hash(*iris_[id]);
-      slots_[Probe(*iris_[id], hash)] = Key(High(hash), id + 1);
-    }
-  }
-  const uint64_t hash = Hash(iri);
-  uint64_t& slot = slots_[Probe(iri, hash)];
-  if (slot != 0) return Low(slot) - 1;
-  ALEX_CHECK(iris_.size() < kNone) << "IRI index full";
-  const auto id = static_cast<uint32_t>(iris_.size());
-  storage_->push_back(iri);
-  iris_.push_back(&storage_->back());
-  slot = Key(High(hash), id + 1);
-  return id;
-}
-
-LinkView::LinkView(IriIndex iris, std::vector<uint64_t> by_left)
+LinkView::LinkView(rdf::IriIndex iris, std::vector<uint64_t> by_left)
     : iris_(std::move(iris)),
       by_left_(std::move(by_left)),
       left_start_(Starts(by_left_, iris_.size(), High)),
@@ -87,7 +43,7 @@ bool LinkView::Contains(const std::string& left,
                         const std::string& right) const {
   const uint32_t l = iris_.Find(left);
   const uint32_t r = iris_.Find(right);
-  return l != IriIndex::kNone && r != IriIndex::kNone &&
+  return l != rdf::IriIndex::kNone && r != rdf::IriIndex::kNone &&
          std::binary_search(by_left_.begin(), by_left_.end(), Key(l, r));
 }
 
@@ -104,7 +60,7 @@ std::vector<std::string> LinkView::Neighbors(
     const std::string& iri) const {
   std::vector<std::string> out;
   const uint32_t id = iris_.Find(iri);
-  if (id == IriIndex::kNone) return out;
+  if (id == rdf::IriIndex::kNone) return out;
   for (size_t k = start[id]; k < start[id + 1]; ++k) {
     out.push_back(iris_.iri(Low(keys[k])));
   }

@@ -8,17 +8,18 @@
 // publishing them: Publish() freezes the staged changes into a new
 // immutable LinkView that readers pin.
 //
-// The publisher interns each IRI once into a dense id, so staging appends
-// one integer key per change and publishing never hashes, copies or sorts
-// an IRI string (RDF-3X dictionary-encodes its terms the same way). Publish
-// nets the epoch's changes (the last staged state of a pair wins), merges
-// them into the previous epoch's sorted (left, right) key array in one
-// linear pass, and derives the (right, left) array by a counting sort. Each
-// view carries its own immutable copy of the IRI lookup, so readers never
-// touch publisher state, and it returns neighbours in ascending
-// lexicographic order, so query results are independent of the interning
-// order (asserted by tests/federation against a brute-force set of IRI
-// pairs). Interned IRIs are never dropped; the stores' entities bound them.
+// The publisher interns each IRI once into a dense id (rdf::IriIndex, the
+// table the vote aggregator and the engine's verdict lookup use too), so
+// staging appends one integer key per change and publishing never hashes,
+// copies or sorts an IRI string. Publish nets the epoch's changes (the last
+// staged state of a pair wins), merges them into the previous epoch's
+// sorted (left, right) key array in one linear pass, and derives the
+// (right, left) array by a counting sort. Each view carries its own
+// immutable copy of the IRI lookup, so readers never touch publisher
+// state, and it returns neighbours in ascending lexicographic order, so
+// query results are independent of the interning order (asserted by
+// tests/federation against a brute-force set of IRI pairs). Interned IRIs
+// are never dropped; the stores' entities bound them.
 //
 // Thread-safety: Stage, EpochDeltaIris and Publish happen on one publisher
 // thread; published views are immutable and safe to read from any thread.
@@ -26,43 +27,14 @@
 #define ALEX_FEDERATION_LINK_SET_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "linking/link.h"
+#include "rdf/iri_index.h"
 
 namespace alex::fed {
-
-// IRI <-> dense 32-bit id, by open addressing over the ids. The strings
-// live in append-only storage that every copy shares and where they never
-// move, so a copy taken at publish stays a valid immutable lookup while the
-// publisher interns more.
-class IriIndex {
- public:
-  static constexpr uint32_t kNone = UINT32_MAX;
-
-  // The id of `iri`, or kNone.
-  uint32_t Find(std::string_view iri) const;
-  // The id of `iri`, interning it if new. Publisher only.
-  uint32_t Intern(const std::string& iri);
-
-  const std::string& iri(uint32_t id) const { return *iris_[id]; }
-  size_t size() const { return iris_.size(); }
-
- private:
-  // The slot holding `iri`, or the empty slot where it would go.
-  size_t Probe(std::string_view iri, uint64_t hash) const;
-
-  std::shared_ptr<std::deque<std::string>> storage_ =
-      std::make_shared<std::deque<std::string>>();
-  std::vector<const std::string*> iris_;  // id -> IRI in storage_
-  // Power-of-two table; each slot is (hash >> 32) << 32 | (id + 1), and 0
-  // marks an empty slot.
-  std::vector<uint64_t> slots_ = std::vector<uint64_t>(64, 0);
-};
 
 // One published epoch of links: sorted (left, right) and (right, left) id
 // keys with per-id run offsets, over an immutable copy of the IRI index.
@@ -70,7 +42,7 @@ class IriIndex {
 class LinkView {
  public:
   // No links.
-  LinkView() : LinkView(IriIndex(), {}) {}
+  LinkView() : LinkView(rdf::IriIndex(), {}) {}
 
   bool Contains(const std::string& left, const std::string& right) const;
   // Counterparts of a left-side / right-side entity, sorted ascending.
@@ -82,7 +54,7 @@ class LinkView {
  private:
   friend class StagedLinkSet;
 
-  LinkView(IriIndex iris, std::vector<uint64_t> by_left);
+  LinkView(rdf::IriIndex iris, std::vector<uint64_t> by_left);
 
   // The IRIs keyed under `iri` in `keys`, in ascending lexicographic order
   // (ids follow interning order, not IRI order).
@@ -90,7 +62,7 @@ class LinkView {
                                      const std::vector<size_t>& start,
                                      const std::string& iri) const;
 
-  const IriIndex iris_;
+  const rdf::IriIndex iris_;
   const std::vector<uint64_t> by_left_;  // left << 32 | right, ascending
   const std::vector<size_t> left_start_;
   const std::vector<size_t> right_start_;
@@ -123,7 +95,7 @@ class StagedLinkSet {
     bool added;
   };
 
-  IriIndex iris_;
+  rdf::IriIndex iris_;
   std::vector<Change> staged_;  // since the last Publish, in staging order
   std::shared_ptr<const LinkView> published_;
 };

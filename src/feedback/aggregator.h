@@ -8,16 +8,25 @@
 // stream from many serving threads at once, so the aggregator is built as a
 // sharded concurrent accumulator:
 //
-//   * AddVote is the hot path: LinkHash picks one of num_shards shards, the
-//     shard's own std::mutex guards a find-or-insert into the shard-local
-//     tally map, and the critical section is a couple of integer bumps. A
-//     vote never touches (or contends with) any other shard.
+//   * AddVote is the hot path: LinkHash picks one of num_shards shards, and
+//     under the shard's own std::mutex the vote interns the link's two IRIs
+//     into the shard's rdf::IriIndex and bumps the tally keyed by the two
+//     ids (left id << 32 | right id) in a flat open-addressing table. The
+//     shard also counts the vote, so a vote writes nothing that another
+//     shard's writers touch (shards are cache-line aligned).
 //   * No verdict is computed per vote. Quorum evaluation is deferred to
 //     DrainVerdicts(epoch), called once at every episode/epoch boundary:
 //     every tally that reached the quorum with a strict majority emits one
-//     LinkVerdict, and the batch is returned sorted by (left, right) IRI —
-//     a deterministic order, whatever arrival order or thread count
-//     produced the votes.
+//     LinkVerdict, and the batch is returned sorted by (left, right) IRI in
+//     std::string byte order — a deterministic order, whatever arrival
+//     order or thread count produced the votes. The drain interns each
+//     shard's new IRIs into one drain-side table, keeps every IRI's rank in
+//     byte order over all of them (re-ranking by a merge only when new IRIs
+//     arrived), sorts the verdicts by (left rank, right rank) integers, and
+//     builds strings only for the verdicts it emits. A tally is keyed by
+//     its link's two IRIs and keeps no score, so a verdict's link carries
+//     none (Link's default 1.0): score is not part of link identity, and
+//     votes on one link under different scores share one tally.
 //
 // Because verdicts depend only on the per-link vote MULTISET at drain time
 // (never on per-vote arrival order), the drained batch is bitwise-identical
@@ -29,7 +38,10 @@
 // otherwise accumulate forever; DrainVerdicts evicts tallies that went
 // stale_after_epochs without a new vote and, when the pending population
 // still exceeds max_pending, evicts the oldest (then IRI-smallest) tallies
-// deterministically down to the cap.
+// deterministically down to the cap. Those bound the tallies (32 bytes
+// each), not the IRIs: interned IRIs are never dropped, as in the serving
+// link store, so IRI memory grows with the distinct IRIs voted on, each
+// held once per shard it reached plus once on the drain side.
 //
 // Usage (one epoch):
 //   FeedbackAggregator agg(options);
@@ -44,10 +56,10 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "linking/link.h"
+#include "rdf/iri_index.h"
 
 namespace alex::feedback {
 
@@ -70,11 +82,14 @@ struct AggregatorOptions {
   uint64_t stale_after_epochs = 16;
   // Hard cap on open tallies after a drain; 0 = unbounded. When exceeded,
   // tallies are evicted oldest-last-vote-epoch first (ties by ascending
-  // link IRIs) until the cap holds.
+  // link IRIs) until the cap holds. It bounds the tallies only: the IRIs
+  // of evicted tallies stay interned (see the header comment).
   size_t max_pending = 0;
 };
 
-// One aggregated verdict, with the tally that produced it.
+// One aggregated verdict, with the tally that produced it. `link` holds
+// the two IRIs; its score is Link's default 1.0, whatever scores the votes
+// carried (score is not part of link identity).
 struct LinkVerdict {
   linking::Link link;
   bool approve = false;
@@ -82,7 +97,7 @@ struct LinkVerdict {
   uint32_t negative = 0;
 };
 
-// Point-in-time counters (relaxed; exact when no votes are in flight).
+// Point-in-time counters (exact when no votes are in flight).
 struct AggregatorStats {
   uint64_t votes_recorded = 0;
   uint64_t verdicts_emitted = 0;
@@ -109,9 +124,12 @@ class FeedbackAggregator {
   // returns the epoch's verdict batch, sorted by (left, right) IRI.
   // Quorate tallies reset (or are marked emitted when reset_after_verdict
   // is false); stale tallies and overflow beyond max_pending are evicted.
-  // `epoch` must be non-decreasing across calls. Call from one thread with
-  // no concurrent AddVote (the loops drain after their vote threads join);
-  // the batch is a pure function of the per-link vote multisets.
+  // `epoch` must be non-decreasing across calls, and drains must not
+  // overlap. AddVote may run concurrently (the serving loop's streams keep
+  // voting): a vote cast during a drain counts in it if its shard was not
+  // walked yet, else in the next one. When the vote threads join before
+  // the drain, the batch is a pure function of the per-link vote
+  // multisets.
   std::vector<LinkVerdict> DrainVerdicts(uint64_t epoch);
 
   // Current tally for a link (0 if unknown). Test/diagnostic accessors.
@@ -142,28 +160,57 @@ class FeedbackAggregator {
     uint64_t last_vote_epoch = 0;
   };
 
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<linking::Link, Tally, linking::LinkHash> tallies;
+  // One link's open tally; `key` is left id << 32 | right id in the
+  // shard's IRI table.
+  struct Entry {
+    uint64_t key;
+    Tally tally;
   };
 
-  Shard& ShardFor(const linking::Link& link) {
-    return *shards_[linking::LinkHash{}(link) & shard_mask_];
-  }
-  const Shard& ShardFor(const linking::Link& link) const {
-    return *shards_[linking::LinkHash{}(link) & shard_mask_];
-  }
+  // alignas: the writers of neighbouring shards never share a cache line.
+  struct alignas(64) Shard {
+    // The tally of `key`, or null.
+    const Tally* Find(uint64_t key) const;
+    Tally& FindOrInsert(uint64_t key);
+    // Sizes `slots` for the entries and re-places every one (on growth,
+    // and after the drain erased some).
+    void Reindex();
+
+    // A vote writes the lock and `votes`, which share a cache line, and
+    // its entry.
+    mutable std::mutex mu;
+    uint64_t votes = 0;  // votes recorded
+    rdf::IriIndex iris;  // the IRIs of every link voted into this shard
+    std::vector<Entry> entries;  // open tallies
+    // Power-of-two open-addressing table over `entries`: each slot is an
+    // entry index + 1, 0 marks an empty slot. Load at most one half.
+    std::vector<uint32_t> slots = std::vector<uint32_t>(16, 0);
+    // Shard IRI id -> drain-side IRI id; extended by each drain.
+    std::vector<uint32_t> drain_ids;
+  };
+
+  // A copy of the tally of `link` (zero if it has none).
+  Tally TallyOf(const linking::Link& link) const;
+
+  // Gives the drain-side ids from `first_new` on their ranks.
+  void Rerank(uint32_t first_new);
 
   AggregatorOptions options_;
   // unique_ptr: Shard holds a mutex and must never move.
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t shard_mask_ = 0;
   // The epoch stamped on incoming votes; DrainVerdicts(e) publishes e + 1.
+  // Votes only read it.
   std::atomic<uint64_t> vote_epoch_{0};
-  std::atomic<uint64_t> votes_recorded_{0};
   std::atomic<uint64_t> verdicts_emitted_{0};
   std::atomic<uint64_t> votes_suppressed_{0};
   std::atomic<uint64_t> tallies_evicted_{0};
+  // Drain-side state (the draining thread only): every IRI any shard
+  // interned, each id's rank among them in byte order, and the ids in rank
+  // order.
+  rdf::IriIndex drain_iris_;
+  std::vector<uint32_t> rank_;
+  std::vector<uint32_t> by_rank_;
 };
 
 }  // namespace alex::feedback

@@ -23,9 +23,10 @@ struct Link {
   friend bool operator==(const Link& a, const Link& b) {
     return a.left == b.left && a.right == b.right;
   }
+  // One three-way comparison per side: shared IRI prefixes are walked once.
   friend bool operator<(const Link& a, const Link& b) {
-    if (a.left != b.left) return a.left < b.left;
-    return a.right < b.right;
+    const int left = a.left.compare(b.left);
+    return left != 0 ? left < 0 : a.right.compare(b.right) < 0;
   }
 };
 

@@ -78,7 +78,8 @@ void ExtendContext(const std::shared_ptr<const RightContext>& ctx,
   const size_t old_count = mut->entities.size();
   std::vector<rdf::TermId> subjects = right.Subjects();
   for (size_t i = old_count; i < subjects.size(); ++i) {
-    mut->Append(PrepareEntity(right, subjects[i], options.max_attributes));
+    mut->entities.push_back(
+        PrepareEntity(right, subjects[i], options.max_attributes));
   }
   if (rebuild) {
     mut->index =

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <string>
 #include <thread>
@@ -187,38 +188,103 @@ TEST(AggregatorTest, MaxPendingEvictsOldestThenSmallestLink) {
   EXPECT_EQ(agg.stats().tallies_evicted, 50u * 4u - 8u);
 }
 
-// Independently-implemented single-map reference: verdicts from per-link
-// vote multisets, majority-checked at drain time, sorted by link.
+// Independently-implemented single-map reference of the aggregator's
+// semantics: per-link tallies in a std::map keyed by Link, so it iterates
+// in ascending link order; quorum and strict majority at drain time,
+// keep-tally re-emission, the TTL and the max_pending cap in
+// (last vote epoch, link) order.
+class ReferenceAggregator {
+ public:
+  explicit ReferenceAggregator(const AggregatorOptions& options)
+      : options_(options) {}
+
+  void AddVote(const Link& link, bool approve) {
+    Tally& tally = tallies_[link];
+    ++(approve ? tally.positive : tally.negative);
+    tally.last_vote_epoch = vote_epoch_;
+    ++stats_.votes_recorded;
+  }
+
+  std::vector<LinkVerdict> Drain(uint64_t epoch) {
+    std::vector<LinkVerdict> out;
+    std::vector<std::pair<uint64_t, Link>> open;
+    for (auto it = tallies_.begin(); it != tallies_.end();) {
+      Tally& tally = it->second;
+      const uint32_t total = tally.positive + tally.negative;
+      const double threshold = options_.majority * total;
+      const bool quorate = total >= static_cast<uint32_t>(options_.quorum) &&
+                           total > tally.votes_at_last_emit;
+      if (quorate &&
+          (tally.positive > threshold || tally.negative > threshold)) {
+        const bool approve = tally.positive > threshold;
+        out.push_back(
+            LinkVerdict{it->first, approve, tally.positive, tally.negative});
+        ++stats_.verdicts_emitted;
+        stats_.votes_suppressed += approve ? tally.negative : tally.positive;
+        if (options_.reset_after_verdict) {
+          it = tallies_.erase(it);
+          continue;
+        }
+        tally.votes_at_last_emit = total;
+      } else if (options_.stale_after_epochs > 0 &&
+                 epoch >= tally.last_vote_epoch + options_.stale_after_epochs) {
+        Evict(it++);
+        continue;
+      } else {
+        open.emplace_back(tally.last_vote_epoch, it->first);
+      }
+      ++it;
+    }
+    if (options_.max_pending > 0 && open.size() > options_.max_pending) {
+      std::sort(open.begin(), open.end());
+      for (size_t i = 0; i < open.size() - options_.max_pending; ++i) {
+        Evict(tallies_.find(open[i].second));
+      }
+    }
+    vote_epoch_ = epoch + 1;
+    return out;
+  }
+
+  std::pair<int, int> Votes(const Link& link) const {
+    auto it = tallies_.find(link);
+    if (it == tallies_.end()) return {0, 0};
+    return {static_cast<int>(it->second.positive),
+            static_cast<int>(it->second.negative)};
+  }
+
+  AggregatorStats stats() const {
+    AggregatorStats out = stats_;
+    out.pending = tallies_.size();
+    return out;
+  }
+
+ private:
+  struct Tally {
+    uint32_t positive = 0;
+    uint32_t negative = 0;
+    uint32_t votes_at_last_emit = 0;
+    uint64_t last_vote_epoch = 0;
+  };
+
+  void Evict(std::map<Link, Tally>::iterator it) {
+    stats_.votes_suppressed += it->second.positive + it->second.negative -
+                               it->second.votes_at_last_emit;
+    ++stats_.tallies_evicted;
+    tallies_.erase(it);
+  }
+
+  AggregatorOptions options_;
+  std::map<Link, Tally> tallies_;
+  uint64_t vote_epoch_ = 0;
+  AggregatorStats stats_;
+};
+
 std::vector<LinkVerdict> ReferenceVerdicts(
-    const std::vector<std::pair<Link, bool>>& votes, int quorum,
-    double majority) {
-  std::map<Link, std::pair<uint32_t, uint32_t>> tallies;
-  for (const auto& [link, approve] : votes) {
-    if (approve) {
-      ++tallies[link].first;
-    } else {
-      ++tallies[link].second;
-    }
-  }
-  std::vector<LinkVerdict> out;
-  for (const auto& [link, tally] : tallies) {
-    const uint32_t total = tally.first + tally.second;
-    if (total < static_cast<uint32_t>(quorum)) continue;
-    const double threshold = majority * total;
-    LinkVerdict v;
-    v.link = link;
-    v.positive = tally.first;
-    v.negative = tally.second;
-    if (tally.first > threshold) {
-      v.approve = true;
-    } else if (tally.second > threshold) {
-      v.approve = false;
-    } else {
-      continue;  // tie
-    }
-    out.push_back(v);
-  }
-  return out;  // std::map iterates in ascending link order
+    const std::vector<std::pair<Link, bool>>& votes,
+    const AggregatorOptions& options) {
+  ReferenceAggregator reference(options);
+  for (const auto& [link, approve] : votes) reference.AddVote(link, approve);
+  return reference.Drain(0);
 }
 
 bool SameBatch(const std::vector<LinkVerdict>& a,
@@ -246,12 +312,10 @@ TEST(AggregatorDifferentialTest, RandomStreamsMatchReferenceAnyShardCount) {
                             "r" + std::to_string(id), 1.0},
                        rng.NextBool(0.6)});
     }
-    const int quorum = 1 + static_cast<int>(rng.NextBounded(5));
-    std::vector<LinkVerdict> expected =
-        ReferenceVerdicts(votes, quorum, 0.5);
+    AggregatorOptions options;
+    options.quorum = 1 + static_cast<int>(rng.NextBounded(5));
+    std::vector<LinkVerdict> expected = ReferenceVerdicts(votes, options);
     for (size_t shards : {1u, 4u, 16u}) {
-      AggregatorOptions options;
-      options.quorum = quorum;
       options.num_shards = shards;
       FeedbackAggregator agg(options);
       // Feed in a fresh shuffled order per shard count: the batch depends
@@ -264,6 +328,130 @@ TEST(AggregatorDifferentialTest, RandomStreamsMatchReferenceAnyShardCount) {
       std::vector<LinkVerdict> batch = agg.DrainVerdicts(0);
       EXPECT_TRUE(SameBatch(batch, expected))
           << "round " << round << " shards " << shards;
+    }
+  }
+}
+
+bool SameStats(const AggregatorStats& a, const AggregatorStats& b) {
+  return a.votes_recorded == b.votes_recorded &&
+         a.verdicts_emitted == b.verdicts_emitted &&
+         a.votes_suppressed == b.votes_suppressed &&
+         a.tallies_evicted == b.tallies_evicted && a.pending == b.pending;
+}
+
+// IRI number `i` in namespace `ns`, shaped to stress the batch order: the
+// namespaces are at least 28 bytes, every local name starts with the same
+// 8 bytes and differs only after them, "Resource" is a proper prefix of
+// every other name, and some tails carry bytes >= 0x80 (which sort after
+// ASCII in std::string's unsigned byte order).
+std::string ShapedIri(const std::string& ns, size_t i) {
+  static const std::vector<std::string> kTails = {
+      "",   "0",    "00",       "1",      "a",        "A",        "~",
+      "\x7f", "\x80", "\xc3\xa9", "\xff", "\xff\x01", "a\x80", " "};
+  std::string iri = ns + "Resource" + kTails[i % kTails.size()];
+  if (i >= kTails.size()) iri += "/" + std::to_string(i / kTails.size());
+  return iri;
+}
+
+// Index in [0, n), skewed towards 0 so that a few entities collect many
+// links, as popular entities do.
+size_t SkewedIndex(Rng* rng, size_t n) {
+  const double u = rng->NextDouble();
+  return std::min(n - 1, static_cast<size_t>(u * u * static_cast<double>(n)));
+}
+
+TEST(AggregatorDifferentialTest, ShapedStreamsMatchReferenceOverManyDrains) {
+  const std::string kLeftNs = "http://dbpedia.org/resource/";
+  const std::string kRightNs = "http://data.nytimes.com/resource/";
+  ASSERT_EQ(kLeftNs.size(), 28u);
+  Rng rng(4242);
+  for (int round = 0; round < 24; ++round) {
+    AggregatorOptions options;
+    options.quorum = 1 + static_cast<int>(rng.NextBounded(4));
+    options.majority = rng.NextBool(0.5) ? 0.5 : 0.66;
+    options.reset_after_verdict = round % 2 == 0;
+    options.stale_after_epochs = static_cast<uint64_t>(round / 2 % 3);
+    options.max_pending = round / 6 % 2 == 0 ? 0 : 1 + rng.NextBounded(24);
+    // Many rights per left, many lefts per right, or many of both; in some
+    // rounds both sides share one namespace.
+    const size_t lefts = round % 3 == 0 ? 3 : 60;
+    const size_t rights = round % 3 == 1 ? 3 : 60;
+    const std::string& right_ns = round % 4 == 3 ? kLeftNs : kRightNs;
+
+    // Six vote batches over a universe that grows batch by batch, so new
+    // IRIs keep arriving; after some batches a second drain follows with no
+    // votes in between, and drain epochs sometimes skip ahead.
+    const int kBatches = 6;
+    std::vector<std::vector<std::pair<Link, bool>>> batches(kBatches);
+    std::vector<std::vector<uint64_t>> drains(kBatches);
+    std::map<Link, int> voted;
+    uint64_t epoch = 0;
+    for (int b = 0; b < kBatches; ++b) {
+      const size_t left_pool = std::max<size_t>(1, lefts * (b + 1) / kBatches);
+      const size_t right_pool =
+          std::max<size_t>(1, rights * (b + 1) / kBatches);
+      const size_t count = rng.NextBounded(300);
+      for (size_t v = 0; v < count; ++v) {
+        Link link{ShapedIri(kLeftNs, SkewedIndex(&rng, left_pool)),
+                  ShapedIri(right_ns, SkewedIndex(&rng, right_pool)), 1.0};
+        voted[link] = 0;
+        batches[b].push_back({link, rng.NextBool(0.6)});
+      }
+      drains[b].push_back(epoch);
+      epoch += 1 + rng.NextBounded(2);
+      if (rng.NextBool(0.5)) {
+        drains[b].push_back(epoch);
+        epoch += 1;
+      }
+    }
+
+    ReferenceAggregator reference(options);
+    std::vector<std::vector<LinkVerdict>> expected;
+    std::vector<AggregatorStats> expected_stats;
+    std::vector<std::vector<std::pair<int, int>>> expected_votes;
+    for (int b = 0; b < kBatches; ++b) {
+      for (const auto& [link, approve] : batches[b]) {
+        reference.AddVote(link, approve);
+      }
+      for (const uint64_t drain_epoch : drains[b]) {
+        expected.push_back(reference.Drain(drain_epoch));
+        expected_stats.push_back(reference.stats());
+        expected_votes.emplace_back();
+        for (const auto& [link, unused] : voted) {
+          expected_votes.back().push_back(reference.Votes(link));
+        }
+      }
+    }
+    size_t emitted = 0;
+    for (const auto& batch : expected) emitted += batch.size();
+    EXPECT_GT(emitted, 0u) << "round " << round;
+
+    for (size_t shards : {1u, 4u, 16u}) {
+      options.num_shards = shards;
+      FeedbackAggregator agg(options);
+      size_t d = 0;
+      for (int b = 0; b < kBatches; ++b) {
+        std::vector<std::pair<Link, bool>> shuffled = batches[b];
+        rng.Shuffle(&shuffled);
+        for (const auto& [link, approve] : shuffled) {
+          agg.AddVote(link, approve);
+        }
+        for (const uint64_t drain_epoch : drains[b]) {
+          const std::string where = "round " + std::to_string(round) +
+                                    " shards " + std::to_string(shards) +
+                                    " drain " + std::to_string(d);
+          EXPECT_TRUE(SameBatch(agg.DrainVerdicts(drain_epoch), expected[d]))
+              << where;
+          EXPECT_TRUE(SameStats(agg.stats(), expected_stats[d])) << where;
+          size_t k = 0;
+          for (const auto& [link, unused] : voted) {
+            const std::pair<int, int> votes{agg.PositiveVotes(link),
+                                            agg.NegativeVotes(link)};
+            EXPECT_EQ(votes, expected_votes[d][k++]) << where;
+          }
+          ++d;
+        }
+      }
     }
   }
 }
@@ -305,6 +493,57 @@ TEST(AggregatorThreadTest, ConcurrentVoteStreamsDrainIdentically) {
       }
     }
   }
+}
+
+TEST(AggregatorThreadTest, VotesDuringDrainsCountExactlyOnce) {
+  // The serving loop drains while its streams keep voting: a vote cast
+  // during a drain lands in that drain or in a later one, exactly once,
+  // including votes on IRIs that first appear mid-drain.
+  AggregatorOptions options;
+  options.quorum = 2;
+  options.stale_after_epochs = 0;
+  FeedbackAggregator agg(options);
+  constexpr int kWriters = 3;
+  constexpr size_t kVotesPerWriter = 20000;
+  constexpr size_t kMaxLeft = 50 + kVotesPerWriter / 10;
+  auto link_of = [](size_t id) {
+    return Link{"http://l/" + std::to_string(id),
+                "http://r/" + std::to_string(id % 37), 1.0};
+  };
+  std::atomic<int> running{kWriters};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      Rng rng(100 + static_cast<uint64_t>(w));
+      for (size_t v = 0; v < kVotesPerWriter; ++v) {
+        agg.AddVote(link_of(rng.NextBounded(50 + v / 10)), rng.NextBool(0.5));
+      }
+      running.fetch_sub(1);
+    });
+  }
+  uint64_t drained_votes = 0;
+  uint64_t epoch = 0;
+  auto drain = [&] {
+    const std::vector<LinkVerdict> batch = agg.DrainVerdicts(epoch++);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      drained_votes += batch[i].positive + batch[i].negative;
+      if (i > 0) {
+        EXPECT_TRUE(batch[i - 1].link < batch[i].link);
+      }
+    }
+  };
+  while (running.load() > 0) drain();
+  for (std::thread& writer : writers) writer.join();
+  drain();
+  // reset_after_verdict: every vote sits in one drained verdict or in a
+  // pending tally.
+  uint64_t pending_votes = 0;
+  for (size_t id = 0; id < kMaxLeft; ++id) {
+    pending_votes += static_cast<uint64_t>(agg.PositiveVotes(link_of(id)) +
+                                           agg.NegativeVotes(link_of(id)));
+  }
+  EXPECT_EQ(drained_votes + pending_votes, kWriters * kVotesPerWriter);
+  EXPECT_EQ(agg.stats().votes_recorded, kWriters * kVotesPerWriter);
 }
 
 TEST(AggregatorTest, SuppressesNoisyUsersStatistically) {
