@@ -385,7 +385,7 @@ void IncrementalFrontierGate() {
 
   // Both spaces see the same delta sequence: 1% of the pairs toggle
   // liveness per episode.
-  const size_t num_pairs = incremental.pairs().size();
+  const size_t num_pairs = incremental.pair_count();
   const size_t churn = std::max<size_t>(1, num_pairs / 100);
   Rng rng(0x5eed);
   std::vector<uint8_t> live(num_pairs, 1);

@@ -35,10 +35,10 @@ PartitionAlex::PartitionAlex(FeatureSpace space, const AlexOptions* options,
                              uint64_t seed)
     : space_(std::move(space)),
       options_(options),
-      candidates_(space_.pairs().size()),
-      pair_state_(space_.pairs().size()),
+      candidates_(space_.pair_count()),
+      pair_state_(space_.pair_count()),
       policy_(options->epsilon),
-      rollback_(space_.pairs().size()),
+      rollback_(space_.pair_count()),
       rng_(seed) {}
 
 FeatureSpace::GrowthResult PartitionAlex::GrowSpace(
@@ -51,7 +51,7 @@ FeatureSpace::GrowthResult PartitionAlex::GrowSpace(
       space_.Grow(left, new_left_subjects, candidate_old_lefts,
                   old_right_count, catalog, options_->space, rebuild_indexes,
                   delta_index);
-  const size_t pairs = space_.pairs().size();
+  const size_t pairs = space_.pair_count();
   candidates_.Grow(pairs);
   rollback_.Grow(pairs);
   pair_state_.reserve(pairs);
@@ -99,7 +99,7 @@ void PartitionAlex::Confirm(PairId pair) {
 
 double PartitionAlex::TopFeatureScore(PairId pair) const {
   double best = 0.0;
-  for (const auto& [feature, score] : space_.pair(pair).features.features) {
+  for (const auto& [feature, score] : space_.pair(pair).features) {
     best = std::max(best, score);
   }
   return best;
@@ -130,7 +130,7 @@ PartitionAlex::FeedbackOutcome PartitionAlex::ProcessFeedback(PairId pair,
     // strikes; see AlexOptions::blacklist_strikes.
     Confirm(pair);
     if (!candidates_.Contains(pair)) return outcome;
-    const FeatureSet& actions = space_.pair(pair).features;
+    const FeatureSetView actions = space_.pair(pair).features;
     if (actions.empty()) return outcome;
     // Take an action: pick a feature by the current policy and explore the
     // band [score - step, score + step] around the approved link (§4.2).
@@ -153,7 +153,7 @@ PartitionAlex::FeedbackOutcome PartitionAlex::ProcessFeedback(PairId pair,
     FeatureSpace::ScoreSpan in_range = space_.PairsInRangeSpan(
         action, score - options_->step_size, score + options_->step_size);
     added_scratch_.clear();
-    for (const ScoreEntry& entry : in_range) {
+    for (const ScoreEntry entry : in_range) {
       if (entry.pair == pair) continue;
       if (options_->use_blacklist && IsBlacklisted(entry.pair)) {
         continue;  // known-incorrect links are never re-proposed (§6.3)
@@ -223,8 +223,8 @@ void PartitionAlex::EndEpisode() {
   // estimates at every state visited in the episode (Algorithm 1).
   learner_.TakeStatesToImprove(&improve_scratch_);
   for (PairId state : improve_scratch_) {
-    const FeatureSet& actions = space_.pair(state).features;
-    FeatureId best = learner_.ArgmaxAction(state, actions);
+    FeatureId best =
+        learner_.ArgmaxAction(state, space_.pair(state).features);
     if (best != kInvalidFeatureId) policy_.SetGreedy(state, best);
   }
 }
@@ -367,7 +367,7 @@ Status AlexEngine::Initialize(
   partitions_.reserve(spaces.size());
   for (size_t i = 0; i < spaces.size(); ++i) {
     total_pair_count_ += spaces[i].total_pair_count();
-    filtered_pair_count_ += spaces[i].pairs().size();
+    filtered_pair_count_ += spaces[i].pair_count();
     scored_pair_count_ += spaces[i].scored_pair_count();
     partitions_.emplace_back(std::move(spaces[i]), &options_,
                              rng_.NextUint64());
@@ -676,7 +676,7 @@ Status AlexEngine::IngestTriples(IngestStats* stats_out) {
   scored_pair_count_ = 0;
   for (const PartitionAlex& partition : partitions_) {
     total_pair_count_ += partition.space().total_pair_count();
-    filtered_pair_count_ += partition.space().pairs().size();
+    filtered_pair_count_ += partition.space().pair_count();
     scored_pair_count_ += partition.space().scored_pair_count();
   }
   left_term_watermark_ = static_cast<rdf::TermId>(left_->dictionary().size());

@@ -228,7 +228,7 @@ using LinkChangeFn = std::function<void(const linking::Link&, bool added)>;
 // most callers use AlexEngine.
 //
 // Per-pair episode state is kept in flat arrays over the space's dense
-// PairIds, sized exactly from space().pairs().size() at construction and
+// PairIds, sized exactly from space().pair_count() at construction and
 // extended by GrowSpace: 5 bytes in the candidate set, 4 bytes and a bit in
 // the rollback log, and 2 bytes of feedback state here (blacklisted and
 // confirmed flags, negative strikes) — under 12 bytes per scored pair.
@@ -333,7 +333,7 @@ class PartitionAlex {
   // restores the full feature space as explorable frontier, since the
   // per-pair delta trail is lost with the set.
   void ClearCandidates() {
-    candidates_ = CandidateSet(space_.pairs().size());
+    candidates_ = CandidateSet(space_.pair_count());
     space_.MarkAllLive();
     sampler_.Clear();
   }

@@ -60,27 +60,15 @@ FeatureId CatalogMemo::Intern(FeatureKeyView key) {
   return id;
 }
 
-double FeatureSet::Get(FeatureId id) const {
-  auto it = std::lower_bound(
-      features.begin(), features.end(), id,
-      [](const std::pair<FeatureId, double>& f, FeatureId i) {
-        return f.first < i;
-      });
-  if (it == features.end() || it->first != id) return 0.0;
-  return it->second;
-}
-
 void FeatureSet::SetMax(FeatureId id, double score) {
-  auto it = std::lower_bound(
-      features.begin(), features.end(), id,
-      [](const std::pair<FeatureId, double>& f, FeatureId i) {
-        return f.first < i;
-      });
-  if (it != features.end() && it->first == id) {
-    it->second = std::max(it->second, score);
+  const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+  const size_t at = static_cast<size_t>(it - ids.begin());
+  if (it != ids.end() && *it == id) {
+    scores[at] = std::max(scores[at], score);
     return;
   }
-  features.insert(it, {id, score});
+  ids.insert(it, id);
+  scores.insert(scores.begin() + at, score);
 }
 
 PreparedValue PrepareValue(const rdf::Term& term) {
@@ -325,24 +313,6 @@ double PreparedSimilarity(const PreparedValue& a, const PreparedValue& b,
   }
   // Everything else: fuzzy string comparison of the lowered forms.
   return calibrated_string(a, b);
-}
-
-FeatureSet BuildFeatureSet(const PreparedEntity& left,
-                           const PreparedEntity& right,
-                           FeatureCatalog* catalog, double theta,
-                           const sim::SimilarityOptions& options,
-                           const SimilarityChannelMask& mask) {
-  return BuildFeatureSetWithMasks(left, right, catalog, theta, options,
-                                  UniformMaskProvider{mask});
-}
-
-FeatureSet BuildFeatureSet(const PreparedEntity& left,
-                           const PreparedEntity& right, CatalogMemo* memo,
-                           double theta,
-                           const sim::SimilarityOptions& options,
-                           const SimilarityChannelMask& mask) {
-  return BuildFeatureSetWithMasks(left, right, memo, theta, options,
-                                  UniformMaskProvider{mask});
 }
 
 }  // namespace alex::core

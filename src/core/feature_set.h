@@ -10,6 +10,13 @@
 //
 // Feature keys are interned into a FeatureCatalog shared by all partitions
 // so that FeatureIds are globally comparable.
+//
+// A feature set is two parallel arrays, feature ids ascending and their
+// scores. FeatureSet owns them: BuildFeatureSetWithMasks fills one reused
+// FeatureSet per worker, and a FeatureSpace copies it into its feature
+// arena.
+// FeatureSetView is the non-owning form every reader takes, whether the
+// arrays are a FeatureSet's or a slice of a space's arena.
 #ifndef ALEX_CORE_FEATURE_SET_H_
 #define ALEX_CORE_FEATURE_SET_H_
 
@@ -17,10 +24,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "rdf/entity_view.h"
@@ -120,17 +129,86 @@ class CatalogMemo {
   FeatureKeyMap<FeatureId> cache_;
 };
 
-// Sparse feature set: (feature, score) entries sorted by feature id.
-struct FeatureSet {
-  std::vector<std::pair<FeatureId, double>> features;
+// A non-owning view of one sparse feature set: `size` (feature, score)
+// entries sorted by feature id, held in two parallel arrays (a slice of a
+// FeatureSpace's feature arena, or a FeatureSet). Valid while those arrays
+// are. Iterating it yields (feature, score) pairs by value.
+class FeatureSetView {
+ public:
+  class Iterator {
+   public:
+    using iterator_concept = std::forward_iterator_tag;
+    using iterator_category = std::input_iterator_tag;
+    using value_type = std::pair<FeatureId, double>;
+    using difference_type = std::ptrdiff_t;
+    using reference = value_type;
 
+    Iterator() = default;
+    Iterator(const FeatureId* id, const double* score)
+        : id_(id), score_(score) {}
+    value_type operator*() const { return {*id_, *score_}; }
+    Iterator& operator++() {
+      ++id_;
+      ++score_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator copy = *this;
+      ++*this;
+      return copy;
+    }
+    friend bool operator==(const Iterator& a, const Iterator& b) {
+      return a.id_ == b.id_;
+    }
+
+   private:
+    const FeatureId* id_ = nullptr;
+    const double* score_ = nullptr;
+  };
+
+  FeatureSetView() = default;
+  FeatureSetView(const FeatureId* ids, const double* scores, size_t size)
+      : ids_(ids), scores_(scores), size_(size) {}
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  FeatureId feature(size_t i) const { return ids_[i]; }
   // Score of `id`, or 0 if absent.
-  double Get(FeatureId id) const;
-  bool Has(FeatureId id) const { return Get(id) > 0.0; }
-  bool empty() const { return features.empty(); }
-  size_t size() const { return features.size(); }
+  double Get(FeatureId id) const {
+    const FeatureId* it = std::lower_bound(ids_, ids_ + size_, id);
+    return it != ids_ + size_ && *it == id ? scores_[it - ids_] : 0.0;
+  }
 
-  // Inserts or maxes the score for `id`, keeping the vector sorted.
+  Iterator begin() const { return {ids_, scores_}; }
+  Iterator end() const { return {ids_ + size_, scores_ + size_}; }
+
+ private:
+  const FeatureId* ids_ = nullptr;
+  const double* scores_ = nullptr;
+  size_t size_ = 0;
+};
+
+// An owned sparse feature set, laid out like the view: what
+// BuildFeatureSetWithMasks produces, and a FeatureSpace copies into its
+// feature arena.
+struct FeatureSet {
+  std::vector<FeatureId> ids;  // ascending
+  std::vector<double> scores;  // scores[i] is the score of ids[i]
+
+  operator FeatureSetView() const {
+    return {ids.data(), scores.data(), ids.size()};
+  }
+  // Score of `id`, or 0 if absent.
+  double Get(FeatureId id) const { return FeatureSetView(*this).Get(id); }
+  bool empty() const { return ids.empty(); }
+  size_t size() const { return ids.size(); }
+  // Keeps the capacity, so a reused set allocates only when it grows.
+  void clear() {
+    ids.clear();
+    scores.clear();
+  }
+
+  // Inserts or maxes the score for `id`, keeping the ids sorted.
   void SetMax(FeatureId id, double score);
 };
 
@@ -219,21 +297,22 @@ struct UniformMaskProvider {
   SimilarityChannelMask At(size_t, size_t) const { return mask; }
 };
 
-// Builds the feature set of the pair (left, right) per §4.1: similarity
-// matrix, θ-filtering, row/column maxima. Scores < theta do not appear.
+// Builds the feature set of the pair (left, right) per §4.1 into `set`
+// (cleared first, its capacity reused): similarity matrix, θ-filtering,
+// row/column maxima. Scores < theta do not appear.
 // `Interner` is FeatureCatalog or CatalogMemo; `MaskProvider` yields the
 // channel mask of each (left attr index, right attr index) cell, letting
 // the blocked build skip cells whose channels provably stay below θ.
 template <typename Interner, typename MaskProvider>
-FeatureSet BuildFeatureSetWithMasks(const PreparedEntity& left,
-                                    const PreparedEntity& right,
-                                    Interner* interner, double theta,
-                                    const sim::SimilarityOptions& options,
-                                    const MaskProvider& masks) {
-  FeatureSet set;
+void BuildFeatureSetWithMasks(const PreparedEntity& left,
+                              const PreparedEntity& right, Interner* interner,
+                              double theta,
+                              const sim::SimilarityOptions& options,
+                              const MaskProvider& masks, FeatureSet* set) {
+  set->clear();
   const size_t n = left.attributes.size();
   const size_t m = right.attributes.size();
-  if (n == 0 || m == 0) return set;
+  if (n == 0 || m == 0) return;
   // Row maxima when the left entity has at least as many attributes,
   // column maxima otherwise (§4.1).
   const bool rows_from_left = n >= m;
@@ -264,25 +343,20 @@ FeatureSet BuildFeatureSetWithMasks(const PreparedEntity& left,
         right.attributes[rows_from_left ? best_j : i];
     FeatureId id =
         interner->Intern(FeatureKeyView{la.predicate, ra.predicate});
-    set.SetMax(id, best);
+    set->SetMax(id, best);
   }
-  return set;
 }
 
-// Pair-level-mask conveniences over BuildFeatureSetWithMasks.
-FeatureSet BuildFeatureSet(const PreparedEntity& left,
-                           const PreparedEntity& right,
-                           FeatureCatalog* catalog, double theta,
-                           const sim::SimilarityOptions& options = {},
-                           const SimilarityChannelMask& mask = {});
-
-// Same, interning through a per-thread CatalogMemo instead of taking the
-// catalog mutex (the parallel feature-space build uses this).
-FeatureSet BuildFeatureSet(const PreparedEntity& left,
-                           const PreparedEntity& right, CatalogMemo* memo,
-                           double theta,
-                           const sim::SimilarityOptions& options = {},
-                           const SimilarityChannelMask& mask = {});
+// BuildFeatureSetWithMasks with every similarity channel on: the exhaustive
+// build. A CatalogMemo interner skips the catalog mutex (the parallel
+// feature-space build uses one per thread).
+template <typename Interner>
+void BuildFeatureSet(const PreparedEntity& left, const PreparedEntity& right,
+                     Interner* interner, double theta,
+                     const sim::SimilarityOptions& options, FeatureSet* set) {
+  BuildFeatureSetWithMasks(left, right, interner, theta, options,
+                           UniformMaskProvider{}, set);
+}
 
 }  // namespace alex::core
 

@@ -55,15 +55,11 @@ struct CellMaskProvider {
 
 PairId FeatureSpace::FindPairByIndex(uint32_t l, uint32_t r) const {
   if (l + 1 < build_pairs_of_left_.size()) {
-    const auto first = pairs_.begin() + build_pairs_of_left_[l];
-    const auto last = pairs_.begin() + build_pairs_of_left_[l + 1];
-    const auto it = std::lower_bound(
-        first, last, r, [](const EntityPairFeatures& pair, uint32_t index) {
-          return pair.right_index < index;
-        });
-    if (it != last && it->right_index == r) {
-      return static_cast<PairId>(it - pairs_.begin());
-    }
+    const uint32_t* rights = pairs_.right_index.data();
+    const uint32_t* first = rights + build_pairs_of_left_[l];
+    const uint32_t* last = rights + build_pairs_of_left_[l + 1];
+    const uint32_t* it = std::lower_bound(first, last, r);
+    if (it != last && *it == r) return static_cast<PairId>(it - rights);
   }
   const auto it = std::lower_bound(
       grown_pairs_.begin(), grown_pairs_.end(), std::pair{l, r},
@@ -97,8 +93,8 @@ PairId FeatureSpace::FindPair(const std::string& left_iri,
 
 namespace {
 
-// Score-only comparators: every entry with score == lo (or == hi) is
-// inside the closed interval regardless of its PairId.
+// Score-only comparators on pending entries: every entry with score == lo
+// (or == hi) is inside the closed interval regardless of its PairId.
 inline const ScoreEntry* LowerByScore(const ScoreEntry* begin,
                                       const ScoreEntry* end, double lo) {
   return std::lower_bound(
@@ -119,11 +115,12 @@ FeatureSpace::ScoreSpan FeatureSpace::PairsInRangeSpan(FeatureId feature,
                                                        double lo,
                                                        double hi) const {
   if (static_cast<size_t>(feature) >= NumFeatures()) return {};
-  const ScoreEntry* base = score_entries_.data();
-  const ScoreEntry* begin = base + feature_begin_[feature];
-  const ScoreEntry* end = base + feature_live_end_[feature];
-  const ScoreEntry* first = LowerByScore(begin, end, lo);
-  const ScoreEntry* last = UpperByScore(first, end, hi);
+  const double* scores = index_scores_.data();
+  const double* end = scores + feature_live_end_[feature];
+  const double* first =
+      std::lower_bound(scores + feature_begin_[feature], end, lo);
+  const double* last = std::upper_bound(first, end, hi);
+  const PairId* pairs = index_pairs_.data();
   const std::vector<ScoreEntry>& pending = pending_[feature];
   const ScoreEntry* pfirst = LowerByScore(
       pending.data(), pending.data() + pending.size(), lo);
@@ -132,13 +129,14 @@ FeatureSpace::ScoreSpan FeatureSpace::PairsInRangeSpan(FeatureId feature,
   // A bucket without tombstones skips the per-entry liveness load entirely.
   const uint8_t* alive =
       dead_in_bucket_[feature] == 0 ? nullptr : pair_alive_.data();
-  return ScoreSpan(first, last, pfirst, plast, alive);
+  return ScoreSpan(first, pairs + (first - scores), pairs + (last - scores),
+                   pfirst, plast, alive);
 }
 
 void FeatureSpace::PairsInRange(FeatureId feature, double lo, double hi,
                                 std::vector<PairId>* out) const {
   out->clear();
-  for (const ScoreEntry& e : PairsInRangeSpan(feature, lo, hi)) {
+  for (const ScoreEntry e : PairsInRangeSpan(feature, lo, hi)) {
     out->push_back(e.pair);
   }
 }
@@ -151,12 +149,39 @@ std::vector<PairId> FeatureSpace::PairsInRange(FeatureId feature, double lo,
 }
 
 void FeatureSpace::RemapFeatures(const std::vector<FeatureId>& old_to_new) {
-  for (EntityPairFeatures& pair : pairs_) {
-    auto& features = pair.features.features;
-    for (auto& [id, score] : features) id = old_to_new[id];
-    std::sort(features.begin(), features.end());
+  std::vector<FeatureId>& features = pairs_.features;
+  std::vector<double>& scores = pairs_.scores;
+  for (FeatureId& id : features) id = old_to_new[id];
+  // Re-sort each pair's slice by the new ids: an insertion sort, as a pair
+  // has one or two features.
+  for (PairId id = 0; id < pair_count(); ++id) {
+    const uint32_t begin = pairs_.set_begin[id];
+    for (uint32_t k = begin + 1; k < pairs_.set_begin[id + 1]; ++k) {
+      const FeatureId feature = features[k];
+      const double score = scores[k];
+      uint32_t at = k;
+      for (; at > begin && features[at - 1] > feature; --at) {
+        features[at] = features[at - 1];
+        scores[at] = scores[at - 1];
+      }
+      features[at] = feature;
+      scores[at] = score;
+    }
   }
   BuildScoreIndex();
+}
+
+size_t FeatureSpace::FindIndexEntry(size_t begin, size_t end, double score,
+                                    PairId pair) const {
+  const double* scores = index_scores_.data();
+  const double* first = std::lower_bound(scores + begin, scores + end, score);
+  const double* last = std::upper_bound(first, scores + end, score);
+  const PairId* pairs = index_pairs_.data();
+  const PairId* it =
+      std::lower_bound(pairs + (first - scores), pairs + (last - scores), pair);
+  return it != pairs + (last - scores) && *it == pair
+             ? static_cast<size_t>(it - pairs)
+             : end;
 }
 
 void FeatureSpace::ApplyDelta(const std::vector<PairId>& added,
@@ -165,7 +190,7 @@ void FeatureSpace::ApplyDelta(const std::vector<PairId>& added,
     if (!pair_alive_[id]) continue;
     pair_alive_[id] = 0;
     --live_pair_count_;
-    for (const auto& [feature, score] : pairs_[id].features.features) {
+    for (const auto& [feature, score] : pair(id).features) {
       const ScoreEntry entry{score, id};
       std::vector<ScoreEntry>& pending = pending_[feature];
       auto it = std::lower_bound(pending.begin(), pending.end(), entry);
@@ -183,19 +208,16 @@ void FeatureSpace::ApplyDelta(const std::vector<PairId>& added,
     if (pair_alive_[id]) continue;
     pair_alive_[id] = 1;
     ++live_pair_count_;
-    for (const auto& [feature, score] : pairs_[id].features.features) {
-      const ScoreEntry entry{score, id};
-      const ScoreEntry* begin =
-          score_entries_.data() + feature_begin_[feature];
-      const ScoreEntry* end =
-          score_entries_.data() + feature_live_end_[feature];
-      const ScoreEntry* slot = std::lower_bound(begin, end, entry);
-      if (slot != end && *slot == entry) {
+    for (const auto& [feature, score] : pair(id).features) {
+      const size_t live_end = feature_live_end_[feature];
+      if (FindIndexEntry(feature_begin_[feature], live_end, score, id) !=
+          live_end) {
         // The tombstoned slot is still in the arena; the liveness flip
         // above already resurrected it.
         --dead_in_bucket_[feature];
       } else {
         // Compaction reclaimed the slot; queue a sorted pending insert.
+        const ScoreEntry entry{score, id};
         std::vector<ScoreEntry>& pending = pending_[feature];
         pending.insert(
             std::lower_bound(pending.begin(), pending.end(), entry), entry);
@@ -222,8 +244,8 @@ void FeatureSpace::SetLiveness(const std::vector<PairId>& added,
 void FeatureSpace::RebuildIndexes() { BuildScoreIndex(); }
 
 void FeatureSpace::MarkAllLive() {
-  pair_alive_.assign(pairs_.size(), 1);
-  live_pair_count_ = pairs_.size();
+  pair_alive_.assign(pair_count(), 1);
+  live_pair_count_ = pair_count();
   BuildScoreIndex();
 }
 
@@ -236,14 +258,14 @@ uint64_t FeatureSpace::Fingerprint() const {
     hash *= 1099511628211ull;
   };
   mix(live_pair_count_);
-  for (PairId id = 0; id < pairs_.size(); ++id) {
+  for (PairId id = 0; id < pair_count(); ++id) {
     if (!pair_alive_[id]) continue;
-    const EntityPairFeatures& pair = pairs_[id];
+    const PairView view = pair(id);
     mix(id);
-    mix(pair.left_index);
-    mix(pair.right_index);
-    mix(pair.features.features.size());
-    for (const auto& [feature, score] : pair.features.features) {
+    mix(view.left_index);
+    mix(view.right_index);
+    mix(view.features.size());
+    for (const auto& [feature, score] : view.features) {
       mix(feature);
       uint64_t bits;
       static_assert(sizeof(bits) == sizeof(score));
@@ -264,6 +286,23 @@ size_t FeatureSpace::pending_entry_count() const {
   size_t total = 0;
   for (const std::vector<ScoreEntry>& pending : pending_) {
     total += pending.size();
+  }
+  return total;
+}
+
+size_t FeatureSpace::MemoryBytes() const {
+  auto bytes = [](const auto& array) {
+    return array.capacity() * sizeof(array[0]);
+  };
+  size_t total = bytes(pairs_.left_index) + bytes(pairs_.right_index) +
+                 bytes(pairs_.set_begin) + bytes(pairs_.features) +
+                 bytes(pairs_.scores) + bytes(pair_alive_) +
+                 bytes(build_pairs_of_left_) + bytes(grown_pairs_) +
+                 bytes(index_scores_) + bytes(index_pairs_) +
+                 bytes(feature_begin_) + bytes(feature_live_end_) +
+                 bytes(dead_in_bucket_) + bytes(pending_);
+  for (const std::vector<ScoreEntry>& pending : pending_) {
+    total += bytes(pending);
   }
   return total;
 }
@@ -289,16 +328,33 @@ void FeatureSpace::CompactBucket(FeatureId feature) {
   if (begin + live_in_bucket + pending.size() > feature_begin_[feature + 1]) {
     return;
   }
-  compact_scratch_.clear();
+  // Squeeze the live entries to the bucket's front, then merge the pending
+  // inserts in from the back: every write lands at or past the entry it
+  // reads, so the merge needs no scratch buffer.
+  double* scores = index_scores_.data();
+  PairId* pairs = index_pairs_.data();
+  size_t live = begin;
   for (size_t i = begin; i < live_end; ++i) {
-    if (pair_alive_[score_entries_[i].pair]) {
-      compact_scratch_.push_back(score_entries_[i]);
+    if (!pair_alive_[pairs[i]]) continue;
+    scores[live] = scores[i];
+    pairs[live] = pairs[i];
+    ++live;
+  }
+  size_t out = live + pending.size();
+  feature_live_end_[feature] = static_cast<uint32_t>(out);
+  for (size_t j = pending.size(); j > 0;) {
+    --out;
+    if (live > begin &&
+        pending[j - 1] < ScoreEntry{scores[live - 1], pairs[live - 1]}) {
+      --live;
+      scores[out] = scores[live];
+      pairs[out] = pairs[live];
+    } else {
+      --j;
+      scores[out] = pending[j].score;
+      pairs[out] = pending[j].pair;
     }
   }
-  const size_t merged = compact_scratch_.size() + pending.size();
-  std::merge(compact_scratch_.begin(), compact_scratch_.end(),
-             pending.begin(), pending.end(), score_entries_.begin() + begin);
-  feature_live_end_[feature] = static_cast<uint32_t>(begin + merged);
   dead_in_bucket_[feature] = 0;
   pending.clear();
   ++compaction_count_;
@@ -312,10 +368,11 @@ void FeatureSpace::ResetMaintenanceState() {
   }
   dead_in_bucket_.assign(num_features, 0);
   pending_.assign(num_features, {});
-  for (PairId id = 0; id < pairs_.size(); ++id) {
+  for (PairId id = 0; id < pair_count(); ++id) {
     if (pair_alive_[id]) continue;
-    for (const auto& [feature, score] : pairs_[id].features.features) {
-      ++dead_in_bucket_[feature];
+    for (uint32_t k = pairs_.set_begin[id]; k < pairs_.set_begin[id + 1];
+         ++k) {
+      ++dead_in_bucket_[pairs_.features[k]];
     }
   }
 }
@@ -327,46 +384,88 @@ void FeatureSpace::BuildScoreIndex() {
   // pair's entries are materialized regardless of liveness — non-live pairs
   // become tombstones, which keeps the arena at full capacity so later
   // resurrections and compactions always fit in place.
-  if (pair_alive_.size() != pairs_.size()) {
-    pair_alive_.assign(pairs_.size(), 1);
-    live_pair_count_ = pairs_.size();
+  const size_t num_pairs = pair_count();
+  if (pair_alive_.size() != num_pairs) {
+    pair_alive_.assign(num_pairs, 1);
+    live_pair_count_ = num_pairs;
   }
   grown_entries_ = 0;  // every entry gets an arena slot below
-  FeatureId max_feature = 0;
-  size_t total = 0;
-  for (const EntityPairFeatures& pair : pairs_) {
-    for (const auto& [feature, score] : pair.features.features) {
-      max_feature = std::max(max_feature, feature);
-      ++total;
-    }
-  }
+  const std::vector<FeatureId>& features = pairs_.features;
+  const size_t total = features.size();
   if (total == 0) {
-    score_entries_.clear();
+    index_scores_.clear();
+    index_pairs_.clear();
     feature_begin_.clear();
     ResetMaintenanceState();
     return;
   }
+  // The bucket offsets are 32-bit, like the feature arena's.
+  ALEX_CHECK(total <= UINT32_MAX) << "score index exceeds 2^32 entries";
+  const FeatureId max_feature =
+      *std::max_element(features.begin(), features.end());
   feature_begin_.assign(static_cast<size_t>(max_feature) + 2, 0);
-  for (const EntityPairFeatures& pair : pairs_) {
-    for (const auto& [feature, score] : pair.features.features) {
-      ++feature_begin_[feature + 1];
-    }
-  }
+  for (FeatureId feature : features) ++feature_begin_[feature + 1];
   for (size_t f = 1; f < feature_begin_.size(); ++f) {
     feature_begin_[f] += feature_begin_[f - 1];
   }
-  score_entries_.assign(total, ScoreEntry{});
+  // Scatter and sort whole entries, then split them into the score and
+  // PairId arrays.
+  std::vector<ScoreEntry> entries(total);
   std::vector<uint32_t> next(feature_begin_.begin(), feature_begin_.end() - 1);
-  for (PairId id = 0; id < pairs_.size(); ++id) {
-    for (const auto& [feature, score] : pairs_[id].features.features) {
-      score_entries_[next[feature]++] = ScoreEntry{score, id};
+  for (PairId id = 0; id < num_pairs; ++id) {
+    for (uint32_t k = pairs_.set_begin[id]; k < pairs_.set_begin[id + 1];
+         ++k) {
+      entries[next[features[k]]++] = ScoreEntry{pairs_.scores[k], id};
     }
   }
   for (size_t f = 0; f + 1 < feature_begin_.size(); ++f) {
-    std::sort(score_entries_.begin() + feature_begin_[f],
-              score_entries_.begin() + feature_begin_[f + 1]);
+    std::sort(entries.begin() + feature_begin_[f],
+              entries.begin() + feature_begin_[f + 1]);
+  }
+  // assign() reuses the capacity, or allocates exactly `total` when the
+  // space grew.
+  index_scores_.assign(total, 0.0);
+  index_pairs_.assign(total, 0);
+  for (size_t i = 0; i < total; ++i) {
+    index_scores_[i] = entries[i].score;
+    index_pairs_[i] = entries[i].pair;
   }
   ResetMaintenanceState();
+}
+
+void FeatureSpace::PairArrays::Reserve(size_t pairs, size_t entries) {
+  left_index.reserve(pairs);
+  right_index.reserve(pairs);
+  set_begin.reserve(pairs + 1);
+  features.reserve(entries);
+  scores.reserve(entries);
+}
+
+void FeatureSpace::PairArrays::Append(uint32_t left, uint32_t right,
+                                      const FeatureSet& set) {
+  ALEX_CHECK(features.size() + set.size() <= UINT32_MAX)
+      << "feature arena offsets overflow 32 bits";
+  left_index.push_back(left);
+  right_index.push_back(right);
+  features.insert(features.end(), set.ids.begin(), set.ids.end());
+  scores.insert(scores.end(), set.scores.begin(), set.scores.end());
+  set_begin.push_back(static_cast<uint32_t>(features.size()));
+}
+
+void FeatureSpace::PairArrays::Append(const PairArrays& other) {
+  ALEX_CHECK(features.size() + other.features.size() <= UINT32_MAX)
+      << "feature arena offsets overflow 32 bits";
+  const uint32_t base = static_cast<uint32_t>(features.size());
+  left_index.insert(left_index.end(), other.left_index.begin(),
+                    other.left_index.end());
+  right_index.insert(right_index.end(), other.right_index.begin(),
+                     other.right_index.end());
+  for (size_t i = 1; i < other.set_begin.size(); ++i) {
+    set_begin.push_back(base + other.set_begin[i]);
+  }
+  features.insert(features.end(), other.features.begin(),
+                  other.features.end());
+  scores.insert(scores.end(), other.scores.begin(), other.scores.end());
 }
 
 std::shared_ptr<const RightContext> RightContext::Prepare(
@@ -415,13 +514,14 @@ FeatureSpace FeatureSpace::Build(const rdf::TripleStore& left,
           ? &space.right_->index
           : nullptr;
 
-  // Shard the left-entity loop. Each chunk scores its pairs into a private
-  // slot through a private CatalogMemo (the shared catalog mutex is only
-  // touched on first-seen keys); slots are then concatenated in chunk order,
-  // so the surviving pairs — and therefore PairIds — always come out in
-  // (left, right) lexicographic order, whatever the thread count.
+  // Shard the left-entity loop. Each chunk scores its pairs into private
+  // arrays through a private CatalogMemo (the shared catalog mutex is only
+  // touched on first-seen keys); the chunks are then concatenated in chunk
+  // order into exactly reserved arrays, so the surviving pairs — and
+  // therefore PairIds — always come out in (left, right) lexicographic
+  // order, whatever the thread count.
   struct ChunkResult {
-    std::vector<EntityPairFeatures> pairs;
+    PairArrays pairs;
     uint64_t scored = 0;
   };
   const size_t n = space.left_entities_.size();
@@ -442,29 +542,28 @@ FeatureSpace FeatureSpace::Build(const rdf::TripleStore& left,
     ChunkResult& result = results[c];
     CatalogMemo memo(catalog);
     ProbeScratch scratch;
+    FeatureSet features;  // reused for every scored pair
     for (size_t i = chunks[c].first; i < chunks[c].second; ++i) {
       const PreparedEntity& left_entity = space.left_entities_[i];
-      auto keep = [&](uint32_t j, FeatureSet features) {
+      auto keep = [&](uint32_t j) {
         ++result.scored;
         if (features.empty()) return;  // dropped by θ-filtering
-        EntityPairFeatures pair;
-        pair.left_index = static_cast<uint32_t>(i);
-        pair.right_index = j;
-        pair.features = std::move(features);
-        result.pairs.push_back(std::move(pair));
+        result.pairs.Append(static_cast<uint32_t>(i), j, features);
       };
       if (index != nullptr) {
         index->Probe(left_entity, &scratch);
         for (uint32_t j : scratch.touched()) {
-          keep(j, BuildFeatureSetWithMasks(
-                      left_entity, rights[j], &memo, options.theta,
-                      options.similarity,
-                      CellMaskProvider{scratch.cell_channels(j)}));
+          BuildFeatureSetWithMasks(left_entity, rights[j], &memo,
+                                   options.theta, options.similarity,
+                                   CellMaskProvider{scratch.cell_channels(j)},
+                                   &features);
+          keep(j);
         }
       } else {
         for (uint32_t j = 0; j < rights.size(); ++j) {
-          keep(j, BuildFeatureSet(left_entity, rights[j], &memo,
-                                  options.theta, options.similarity));
+          BuildFeatureSet(left_entity, rights[j], &memo, options.theta,
+                          options.similarity, &features);
+          keep(j);
         }
       }
     }
@@ -478,21 +577,29 @@ FeatureSpace FeatureSpace::Build(const rdf::TripleStore& left,
     for (size_t c = 0; c < chunks.size(); ++c) build_chunk(c);
   }
 
+  size_t num_pairs = 0;
+  size_t num_entries = 0;
+  for (const ChunkResult& result : results) {
+    num_pairs += result.pairs.size();
+    num_entries += result.pairs.features.size();
+  }
+  ALEX_CHECK(num_pairs < kInvalidPairId) << "PairIds overflow 32 bits";
+  space.pairs_.Reserve(num_pairs, num_entries);
   space.build_pairs_of_left_.assign(n + 1, 0);
   for (ChunkResult& result : results) {
     space.scored_pair_count_ += result.scored;
-    for (EntityPairFeatures& pair : result.pairs) {
-      ALEX_CHECK(space.pairs_.size() < kInvalidPairId);
-      ++space.build_pairs_of_left_[pair.left_index + 1];
-      space.pairs_.push_back(std::move(pair));
+    for (uint32_t left : result.pairs.left_index) {
+      ++space.build_pairs_of_left_[left + 1];
     }
+    space.pairs_.Append(result.pairs);
+    result.pairs = {};  // free the chunk before copying the next one
   }
   for (size_t i = 0; i < n; ++i) {
     space.build_pairs_of_left_[i + 1] += space.build_pairs_of_left_[i];
   }
   space.compaction_threshold_ = options.compaction_threshold;
-  space.pair_alive_.assign(space.pairs_.size(), 1);
-  space.live_pair_count_ = space.pairs_.size();
+  space.pair_alive_.assign(num_pairs, 1);
+  space.live_pair_count_ = num_pairs;
   space.BuildScoreIndex();
   return space;
 }
@@ -537,7 +644,8 @@ FeatureSpace::GrowthResult FeatureSpace::Grow(
   // across the incremental / rebuild maintenance modes.
   CatalogMemo memo(catalog);
   ProbeScratch scratch;
-  std::vector<EntityPairFeatures> fresh;
+  FeatureSet features;  // reused for every scored pair
+  PairArrays fresh;
   // Probe-key extraction dominates a restricted probe's cost, so the
   // incremental path reuses cached keys per left entity (valid across
   // epochs: keys depend only on the options). The rebuild baseline probes
@@ -552,14 +660,19 @@ FeatureSpace::GrowthResult FeatureSpace::Grow(
   const BlockingIndex* probe_target = index;
   auto score_left = [&](size_t i, uint32_t min_right) {
     const PreparedEntity& left_entity = left_entities_[i];
-    auto keep = [&](uint32_t j, FeatureSet features) {
+    auto keep = [&](uint32_t j) {
       ++scored_pair_count_;
       if (features.empty()) return;  // dropped by θ-filtering
-      EntityPairFeatures pair;
-      pair.left_index = static_cast<uint32_t>(i);
-      pair.right_index = j;
-      pair.features = std::move(features);
-      fresh.push_back(std::move(pair));
+      fresh.Append(static_cast<uint32_t>(i), j, features);
+    };
+    auto score_touched = [&] {
+      for (uint32_t j : scratch.touched()) {
+        BuildFeatureSetWithMasks(left_entity, rights[j], &memo, options.theta,
+                                 options.similarity,
+                                 CellMaskProvider{scratch.cell_channels(j)},
+                                 &features);
+        keep(j);
+      }
     };
     if (use_probe_cache) {
       if (i >= probe_cache_.size()) probe_cache_.resize(left_entities_.size());
@@ -567,24 +680,15 @@ FeatureSpace::GrowthResult FeatureSpace::Grow(
         probe_cache_[i] = index->PrepareProbe(left_entity, &scratch);
       }
       probe_target->Probe(*probe_cache_[i], &scratch, min_right);
-      for (uint32_t j : scratch.touched()) {
-        keep(j, BuildFeatureSetWithMasks(
-                    left_entity, rights[j], &memo, options.theta,
-                    options.similarity,
-                    CellMaskProvider{scratch.cell_channels(j)}));
-      }
+      score_touched();
     } else if (index != nullptr) {
       index->Probe(left_entity, &scratch, min_right);
-      for (uint32_t j : scratch.touched()) {
-        keep(j, BuildFeatureSetWithMasks(
-                    left_entity, rights[j], &memo, options.theta,
-                    options.similarity,
-                    CellMaskProvider{scratch.cell_channels(j)}));
-      }
+      score_touched();
     } else {
       for (uint32_t j = min_right; j < rights.size(); ++j) {
-        keep(j, BuildFeatureSet(left_entity, rights[j], &memo, options.theta,
-                                options.similarity));
+        BuildFeatureSet(left_entity, rights[j], &memo, options.theta,
+                        options.similarity, &features);
+        keep(j);
       }
     }
   };
@@ -608,16 +712,18 @@ FeatureSpace::GrowthResult FeatureSpace::Grow(
     score_left(i, 0);
   }
 
-  const PairId first_new_pair = static_cast<PairId>(pairs_.size());
+  const PairId first_new_pair = static_cast<PairId>(pair_count());
   const size_t grown_before = grown_pairs_.size();
-  for (EntityPairFeatures& pair : fresh) {
-    ALEX_CHECK(pairs_.size() < kInvalidPairId);
-    const PairId id = static_cast<PairId>(pairs_.size());
-    grown_pairs_.push_back({pair.left_index, pair.right_index, id});
-    pairs_.push_back(std::move(pair));
-    pair_alive_.push_back(1);  // new pairs join the explorable frontier
-    ++live_pair_count_;
+  ALEX_CHECK(pair_count() + fresh.size() < kInvalidPairId)
+      << "PairIds overflow 32 bits";
+  pairs_.Append(fresh);
+  for (size_t k = 0; k < fresh.size(); ++k) {
+    grown_pairs_.push_back({fresh.left_index[k], fresh.right_index[k],
+                            static_cast<PairId>(first_new_pair + k)});
   }
+  // New pairs join the explorable frontier.
+  pair_alive_.resize(pair_count(), 1);
+  live_pair_count_ += fresh.size();
   auto by_left_right = [](const GrownPair& a, const GrownPair& b) {
     return std::pair{a.left_index, a.right_index} <
            std::pair{b.left_index, b.right_index};
@@ -627,7 +733,7 @@ FeatureSpace::GrowthResult FeatureSpace::Grow(
   std::inplace_merge(grown_pairs_.begin(),
                      grown_pairs_.begin() + grown_before, grown_pairs_.end(),
                      by_left_right);
-  result.new_pairs = pairs_.size() - first_new_pair;
+  result.new_pairs = fresh.size();
 
   if (rebuild_indexes) {
     BuildScoreIndex();
@@ -636,12 +742,12 @@ FeatureSpace::GrowthResult FeatureSpace::Grow(
   // Incremental: park each new entry in its feature's pending sidecar.
   // Features first seen in this delta get a zero-capacity bucket at the
   // arena's end; their entries stay pending until the next arena rebuild.
-  const uint32_t arena_end = static_cast<uint32_t>(score_entries_.size());
+  const uint32_t arena_end = static_cast<uint32_t>(index_scores_.size());
   // feature_begin_ is one longer than the per-bucket vectors (CSR offsets);
   // seed that invariant when the space was built with no entries at all.
   if (feature_begin_.empty()) feature_begin_.push_back(arena_end);
-  for (PairId id = first_new_pair; id < pairs_.size(); ++id) {
-    for (const auto& [feature, score] : pairs_[id].features.features) {
+  for (PairId id = first_new_pair; id < pair_count(); ++id) {
+    for (const auto& [feature, score] : pair(id).features) {
       while (feature_begin_.size() < static_cast<size_t>(feature) + 2) {
         feature_begin_.push_back(arena_end);
         feature_live_end_.push_back(arena_end);
@@ -676,7 +782,7 @@ void FeatureSpace::PrepareForwardProbes() {
 
 void FeatureSpace::MaybeCompactArena() {
   if (grown_entries_ == 0) return;
-  if (grown_entries_ > compaction_threshold_ + score_entries_.size() / 8) {
+  if (grown_entries_ > compaction_threshold_ + index_scores_.size() / 8) {
     BuildScoreIndex();  // resets grown_entries_: every entry gets a slot
     ++arena_compaction_count_;
   }

@@ -23,6 +23,13 @@
 //     PairIds — come out in (left, right) lexicographic order regardless of
 //     the thread count.
 //
+// Layout: kept pairs are structure-of-arrays, indexed by PairId — exact-size
+// left_index / right_index arrays and a 32-bit offset per pair into one CSR
+// feature arena of parallel feature-id and score arrays — so a kept pair
+// costs about 38 bytes with its score-index entries and liveness byte, and
+// no heap block of its own. pair(id) returns a non-owning view of it. The
+// score index is split the same way, into a score array and a PairId array.
+//
 // Incremental maintenance (§4's feedback loop adds/removes links every
 // episode): each pair carries a liveness flag, and ApplyDelta() updates the
 // per-feature score indexes in place — tombstones for removals, per-feature
@@ -36,6 +43,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -50,12 +58,6 @@ namespace alex::core {
 // Index of a pair within a FeatureSpace.
 using PairId = uint32_t;
 inline constexpr PairId kInvalidPairId = 0xffffffffu;
-
-struct EntityPairFeatures {
-  uint32_t left_index = 0;   // into FeatureSpace::left_entities()
-  uint32_t right_index = 0;  // into FeatureSpace::right_entities()
-  FeatureSet features;
-};
 
 struct FeatureSpaceOptions {
   // Similarity scores below theta are zeroed (§6.1; default from the paper).
@@ -104,39 +106,41 @@ struct ScoreEntry {
 class FeatureSpace {
  public:
   // Non-owning, allocation-free view of one feature's live entries in a
-  // score band: a lazy (score, pair)-ordered merge of the CSR bucket range
-  // (tombstoned entries skipped via the liveness flags) and the bucket's
-  // sorted pending-insert range. Valid until the space is destroyed,
-  // mutated (ApplyDelta / RebuildIndexes / MarkAllLive), or remapped.
+  // score band: a lazy (score, pair)-ordered merge of the bucket range of the
+  // split score index (tombstoned entries skipped via the liveness flags)
+  // and the bucket's sorted pending-insert range. Iterating yields
+  // ScoreEntry values. Valid until the space is destroyed, mutated
+  // (ApplyDelta / RebuildIndexes / MarkAllLive / Grow), or remapped.
   class ScoreSpan {
    public:
     class Iterator {
      public:
-      using iterator_category = std::forward_iterator_tag;
+      using iterator_concept = std::forward_iterator_tag;
+      using iterator_category = std::input_iterator_tag;
       using value_type = ScoreEntry;
       using difference_type = std::ptrdiff_t;
-      using pointer = const ScoreEntry*;
-      using reference = const ScoreEntry&;
+      using reference = ScoreEntry;
 
       Iterator() = default;
-      Iterator(const ScoreEntry* bucket, const ScoreEntry* bucket_end,
-               const ScoreEntry* pending, const ScoreEntry* pending_end,
-               const uint8_t* alive)
-          : bucket_(bucket),
-            bucket_end_(bucket_end),
+      Iterator(const double* score, const PairId* pair,
+               const PairId* pair_end, const ScoreEntry* pending,
+               const ScoreEntry* pending_end, const uint8_t* alive)
+          : score_(score),
+            pair_(pair),
+            pair_end_(pair_end),
             pending_(pending),
             pending_end_(pending_end),
             alive_(alive) {
         SkipDead();
       }
 
-      const ScoreEntry& operator*() const {
-        return TakeBucket() ? *bucket_ : *pending_;
+      ScoreEntry operator*() const {
+        return TakeBucket() ? ScoreEntry{*score_, *pair_} : *pending_;
       }
-      const ScoreEntry* operator->() const { return &**this; }
       Iterator& operator++() {
         if (TakeBucket()) {
-          ++bucket_;
+          ++score_;
+          ++pair_;
           SkipDead();
         } else {
           ++pending_;
@@ -149,46 +153,51 @@ class FeatureSpace {
         return copy;
       }
       friend bool operator==(const Iterator& a, const Iterator& b) {
-        return a.bucket_ == b.bucket_ && a.pending_ == b.pending_;
-      }
-      friend bool operator!=(const Iterator& a, const Iterator& b) {
-        return !(a == b);
+        return a.pair_ == b.pair_ && a.pending_ == b.pending_;
       }
 
      private:
       bool TakeBucket() const {
-        if (bucket_ == bucket_end_) return false;
+        if (pair_ == pair_end_) return false;
         if (pending_ == pending_end_) return true;
-        return *bucket_ < *pending_;
+        return ScoreEntry{*score_, *pair_} < *pending_;
       }
       void SkipDead() {
         if (alive_ == nullptr) return;  // no tombstones in this bucket
-        while (bucket_ != bucket_end_ && !alive_[bucket_->pair]) ++bucket_;
+        while (pair_ != pair_end_ && !alive_[*pair_]) {
+          ++score_;
+          ++pair_;
+        }
       }
 
-      const ScoreEntry* bucket_ = nullptr;
-      const ScoreEntry* bucket_end_ = nullptr;
+      // The bucket range: parallel cursors into the score and PairId
+      // arrays of the score index.
+      const double* score_ = nullptr;
+      const PairId* pair_ = nullptr;
+      const PairId* pair_end_ = nullptr;
       const ScoreEntry* pending_ = nullptr;
       const ScoreEntry* pending_end_ = nullptr;
       const uint8_t* alive_ = nullptr;
     };
 
     ScoreSpan() = default;
-    ScoreSpan(const ScoreEntry* bucket, const ScoreEntry* bucket_end,
+    ScoreSpan(const double* score, const PairId* pair, const PairId* pair_end,
               const ScoreEntry* pending, const ScoreEntry* pending_end,
               const uint8_t* alive)
-        : bucket_(bucket),
-          bucket_end_(bucket_end),
+        : score_(score),
+          pair_(pair),
+          pair_end_(pair_end),
           pending_(pending),
           pending_end_(pending_end),
           alive_(alive) {}
 
     Iterator begin() const {
-      return Iterator(bucket_, bucket_end_, pending_, pending_end_, alive_);
+      return Iterator(score_, pair_, pair_end_, pending_, pending_end_,
+                      alive_);
     }
     Iterator end() const {
-      return Iterator(bucket_end_, bucket_end_, pending_end_, pending_end_,
-                      nullptr);
+      return Iterator(score_ + (pair_end_ - pair_), pair_end_, pair_end_,
+                      pending_end_, pending_end_, nullptr);
     }
     bool empty() const { return begin() == end(); }
     // O(entries in the band) — the merge is lazy, so the live count is not
@@ -200,18 +209,28 @@ class FeatureSpace {
       return n;
     }
     // O(i); test/diagnostic convenience, not for hot loops.
-    const ScoreEntry& operator[](size_t i) const {
+    ScoreEntry operator[](size_t i) const {
       Iterator it = begin();
       while (i-- > 0) ++it;
       return *it;
     }
 
    private:
-    const ScoreEntry* bucket_ = nullptr;
-    const ScoreEntry* bucket_end_ = nullptr;
+    const double* score_ = nullptr;
+    const PairId* pair_ = nullptr;
+    const PairId* pair_end_ = nullptr;
     const ScoreEntry* pending_ = nullptr;
     const ScoreEntry* pending_end_ = nullptr;
     const uint8_t* alive_ = nullptr;
+  };
+
+  // A non-owning view of one kept pair: its two entity indexes and its
+  // feature set, a slice of the space's feature arena. Valid until the space
+  // is destroyed, grown or remapped.
+  struct PairView {
+    uint32_t left_index;   // into left_entities()
+    uint32_t right_index;  // into right_entities()
+    FeatureSetView features;
   };
 
   FeatureSpace() = default;
@@ -227,15 +246,22 @@ class FeatureSpace {
     static const std::vector<PreparedEntity> kNone;
     return right_ ? right_->entities : kNone;
   }
-  const std::vector<EntityPairFeatures>& pairs() const { return pairs_; }
-  const EntityPairFeatures& pair(PairId id) const { return pairs_[id]; }
+  // Kept pairs: PairIds are [0, pair_count()).
+  size_t pair_count() const { return pairs_.left_index.size(); }
+  PairView pair(PairId id) const {
+    const uint32_t begin = pairs_.set_begin[id];
+    return {pairs_.left_index[id], pairs_.right_index[id],
+            FeatureSetView(pairs_.features.data() + begin,
+                           pairs_.scores.data() + begin,
+                           pairs_.set_begin[id + 1] - begin)};
+  }
 
   // IRIs of the pair's two entities.
   const std::string& LeftIri(PairId id) const {
-    return left_entities_[pairs_[id].left_index].iri;
+    return left_entities_[pairs_.left_index[id]].iri;
   }
   const std::string& RightIri(PairId id) const {
-    return right_->entities[pairs_[id].right_index].iri;
+    return right_->entities[pairs_.right_index[id]].iri;
   }
 
   // Pair lookup by entity indexes (left_entities(), the right context's
@@ -378,13 +404,20 @@ class FeatureSpace {
   size_t tombstone_count() const;
   size_t pending_entry_count() const;
 
+  // Bytes allocated for the pair layout, summed from the capacities of its
+  // arrays: the per-pair index, offset and liveness arrays, the feature
+  // arena, the score index with its pending buffers and bucket counters,
+  // and the pair lookup. The prepared left entities and the cached probe
+  // keys (per left entity, not per pair) are not counted.
+  size_t MemoryBytes() const;
+
   // Applies an old-id -> new-id permutation (from FeatureCatalog::
   // Canonicalize) to every pair's feature set and rebuilds the score index
   // (maintenance state is reset; liveness flags are preserved).
   void RemapFeatures(const std::vector<FeatureId>& old_to_new);
 
   // Raw size of the cross product this space was built from (before
-  // θ-filtering); pairs().size() is the filtered size. Figure 5 reports
+  // θ-filtering); pair_count() is the filtered size. Figure 5 reports
   // both.
   uint64_t total_pair_count() const { return total_pair_count_; }
 
@@ -419,7 +452,29 @@ class FeatureSpace {
                             ThreadPool* pool = nullptr);
 
  private:
+  // Kept pairs in structure-of-arrays form: pair i has entity indexes
+  // left_index[i] and right_index[i], and its feature set is entries
+  // [set_begin[i], set_begin[i + 1]) of the CSR feature arena `features` /
+  // `scores`, sorted by feature id. Build fills one per chunk and
+  // concatenates them; Grow appends.
+  struct PairArrays {
+    std::vector<uint32_t> left_index;
+    std::vector<uint32_t> right_index;
+    std::vector<uint32_t> set_begin{0};  // one more than the pairs
+    std::vector<FeatureId> features;
+    std::vector<double> scores;
+
+    size_t size() const { return left_index.size(); }
+    void Reserve(size_t pairs, size_t entries);
+    void Append(uint32_t left, uint32_t right, const FeatureSet& set);
+    void Append(const PairArrays& other);
+  };
+
   void BuildScoreIndex();
+  // Position of the entry (score, pair) in [begin, end) of the score index,
+  // or `end` when it is not there.
+  size_t FindIndexEntry(size_t begin, size_t end, double score,
+                        PairId pair) const;
   // Re-derives feature_live_end_ / dead_in_bucket_ / pending_ after a full
   // score-index (re)build: buckets hold every entry, dead ones tombstoned.
   void ResetMaintenanceState();
@@ -432,7 +487,7 @@ class FeatureSpace {
 
   std::vector<PreparedEntity> left_entities_;
   std::shared_ptr<const RightContext> right_;
-  std::vector<EntityPairFeatures> pairs_;
+  PairArrays pairs_;
   // FindPairByIndex's index. Build emits pairs in (left, right) order, so
   // left i's Build pairs are PairIds [build_pairs_of_left_[i],
   // build_pairs_of_left_[i + 1]), ascending by right index; lefts that Grow
@@ -445,14 +500,16 @@ class FeatureSpace {
   };
   std::vector<uint32_t> build_pairs_of_left_;
   std::vector<GrownPair> grown_pairs_;
-  // CSR score index: score_entries_ holds every (score, pair), grouped by
-  // feature and sorted by (score, pair) within each group; feature f's
-  // entries occupy [feature_begin_[f], feature_live_end_[f]) — the tail up
-  // to feature_begin_[f + 1] is capacity reclaimed by compaction. A bucket
+  // CSR score index, split into parallel score and PairId arrays (12 bytes
+  // an entry): it holds every (score, pair), grouped by feature and sorted
+  // by (score, pair) within each group; feature f's entries occupy
+  // [feature_begin_[f], feature_live_end_[f]) — the tail up to
+  // feature_begin_[f + 1] is capacity reclaimed by compaction. A bucket
   // entry whose pair is not live is a tombstone (skipped by probes, counted
   // in dead_in_bucket_); live entries whose slot was compacted away sit in
   // pending_[f], sorted by (score, pair).
-  std::vector<ScoreEntry> score_entries_;
+  std::vector<double> index_scores_;
+  std::vector<PairId> index_pairs_;
   std::vector<uint32_t> feature_begin_;
   std::vector<uint32_t> feature_live_end_;
   std::vector<uint32_t> dead_in_bucket_;
@@ -469,7 +526,6 @@ class FeatureSpace {
   // full BuildScoreIndex().
   size_t grown_entries_ = 0;
   uint64_t arena_compaction_count_ = 0;
-  std::vector<ScoreEntry> compact_scratch_;
   uint64_t total_pair_count_ = 0;
   uint64_t scored_pair_count_ = 0;
   const FeatureCatalog* catalog_ = nullptr;

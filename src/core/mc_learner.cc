@@ -24,11 +24,11 @@ double McLearner::FeaturePrior(FeatureId feature, bool* defined) const {
   return it->second.sum / static_cast<double>(it->second.count);
 }
 
-FeatureId McLearner::ArgmaxFeaturePrior(const FeatureSet& actions) const {
+FeatureId McLearner::ArgmaxFeaturePrior(FeatureSetView actions) const {
   FeatureId best = kInvalidFeatureId;
   double best_prior = 0.0;
   double best_score = 0.0;
-  for (const auto& [feature, score] : actions.features) {
+  for (const auto& [feature, score] : actions) {
     double prior = FeaturePrior(feature);
     if (best == kInvalidFeatureId || prior > best_prior ||
         (prior == best_prior && score > best_score)) {
@@ -51,7 +51,7 @@ double McLearner::Q(const StateAction& sa, bool* defined) const {
 }
 
 FeatureId McLearner::ArgmaxAction(PairId state,
-                                  const FeatureSet& actions) const {
+                                  FeatureSetView actions) const {
   // Untried actions count as Q = 0 (neutral). Without this, a state whose
   // only sampled action earned a negative return would greedily re-take
   // that action. Ties (e.g., among untried actions) break toward the
@@ -59,7 +59,7 @@ FeatureId McLearner::ArgmaxAction(PairId state,
   FeatureId best = kInvalidFeatureId;
   double best_q = 0.0;
   double best_score = 0.0;
-  for (const auto& [feature, score] : actions.features) {
+  for (const auto& [feature, score] : actions) {
     double q = Q(StateAction{state, feature});
     if (best == kInvalidFeatureId || q > best_q ||
         (q == best_q && score > best_score)) {

@@ -47,7 +47,7 @@ class McLearner {
 
   // argmax_a Q(state, a) over the actions in `actions` that have defined
   // Q values; kInvalidFeatureId when none is defined.
-  FeatureId ArgmaxAction(PairId state, const FeatureSet& actions) const;
+  FeatureId ArgmaxAction(PairId state, FeatureSetView actions) const;
 
   // Episode lifecycle: clears the first-visit marks.
   void BeginEpisode();
@@ -73,7 +73,7 @@ class McLearner {
 
   // argmax over `actions` of FeaturePrior (undefined priors count as 0),
   // tie-breaking toward the higher similarity score.
-  FeatureId ArgmaxFeaturePrior(const FeatureSet& actions) const;
+  FeatureId ArgmaxFeaturePrior(FeatureSetView actions) const;
 
   // (feature -> {average return, sample count}) for every feature that has
   // collected at least one return; used for learning reports.

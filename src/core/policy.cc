@@ -5,7 +5,7 @@
 namespace alex::core {
 
 FeatureId EpsilonGreedyPolicy::ChooseAction(PairId state,
-                                            const FeatureSet& actions,
+                                            FeatureSetView actions,
                                             Rng* rng) const {
   ALEX_CHECK(!actions.empty()) << "state " << state << " has no actions";
   auto it = greedy_.find(state);
@@ -13,16 +13,16 @@ FeatureId EpsilonGreedyPolicy::ChooseAction(PairId state,
     // Arbitrary policy before the first improvement; afterwards the ε
     // branch explores uniformly.
     size_t idx = static_cast<size_t>(rng->NextBounded(actions.size()));
-    return actions.features[idx].first;
+    return actions.feature(idx);
   }
   return it->second;
 }
 
 double EpsilonGreedyPolicy::ActionProbability(PairId state,
-                                              const FeatureSet& actions,
+                                              FeatureSetView actions,
                                               FeatureId action) const {
   bool present = false;
-  for (const auto& [f, score] : actions.features) {
+  for (const auto& [f, score] : actions) {
     if (f == action) present = true;
   }
   if (!present) return 0.0;

@@ -25,13 +25,13 @@ class EpsilonGreedyPolicy {
 
   // Chooses the action (feature to explore around) for `state` whose action
   // space is `actions` (must be non-empty).
-  FeatureId ChooseAction(PairId state, const FeatureSet& actions,
+  FeatureId ChooseAction(PairId state, FeatureSetView actions,
                          Rng* rng) const;
 
   // Probability that ChooseAction(state) returns `action` — used by tests
   // and by the soundness property checks. Returns 0 for actions outside
   // `actions`.
-  double ActionProbability(PairId state, const FeatureSet& actions,
+  double ActionProbability(PairId state, FeatureSetView actions,
                            FeatureId action) const;
 
   // Policy improvement for one state: make `action` the greedy choice.

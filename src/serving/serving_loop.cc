@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <latch>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -93,11 +94,18 @@ Result<ServingRunResult> RunServingExperiment(
   std::atomic<bool> stop{false};
   std::vector<std::vector<StreamRecord>> stream_records(options.num_streams);
   std::unique_ptr<ThreadPool> streams;
+  // The learner starts only once every stream has run its first query, so
+  // each stream runs at least one even when the episodes end quickly.
+  std::latch streams_started(static_cast<std::ptrdiff_t>(options.num_streams));
   if (options.num_streams > 0) {
     streams =
         std::make_unique<ThreadPool>(static_cast<int>(options.num_streams));
     for (size_t s = 0; s < options.num_streams; ++s) {
       streams->Schedule([&, s] {
+        // `stop` is set only after the learner passes the latch, so the
+        // first query below always runs before this stream can stop.
+        bool started = workload.empty();
+        if (started) streams_started.count_down();
         Rng stream_rng(options.workload.seed ^ (0xabcdull + 31 * s));
         std::vector<size_t> order(workload.size());
         for (size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -112,6 +120,10 @@ Result<ServingRunResult> RunServingExperiment(
             std::shared_ptr<const EpochSnapshot> pinned;
             Result<fed::FederatedResult> executed =
                 serving.ExecuteText(workload[index].text, {}, &pinned);
+            if (!started) {
+              started = true;
+              streams_started.count_down();
+            }
             if (!executed.ok()) continue;
             if (records.size() < options.max_stream_records) {
               StreamRecord record;
@@ -144,6 +156,8 @@ Result<ServingRunResult> RunServingExperiment(
       });
     }
   }
+
+  streams_started.wait();
 
   // -- The learner (publisher) episodes ------------------------------------
   auto episode = [&] {

@@ -124,9 +124,9 @@ using PairScores =
 
 PairScores Flatten(const FeatureSpace& space) {
   PairScores out;
-  for (PairId id = 0; id < space.pairs().size(); ++id) {
+  for (PairId id = 0; id < space.pair_count(); ++id) {
     auto& scores = out[{space.LeftIri(id), space.RightIri(id)}];
-    for (const auto& [feature, score] : space.pair(id).features.features) {
+    for (const auto& [feature, score] : space.pair(id).features) {
       FeatureKey key = space.catalog()->Key(feature);
       scores[{key.left_predicate, key.right_predicate}] = score;
     }
@@ -136,7 +136,7 @@ PairScores Flatten(const FeatureSpace& space) {
 
 void ExpectSameSpace(const FeatureSpace& blocked,
                      const FeatureSpace& exhaustive) {
-  EXPECT_EQ(blocked.pairs().size(), exhaustive.pairs().size());
+  EXPECT_EQ(blocked.pair_count(), exhaustive.pair_count());
   PairScores a = Flatten(blocked);
   PairScores b = Flatten(exhaustive);
   ASSERT_EQ(a.size(), b.size());
@@ -234,8 +234,8 @@ TEST(ParallelBuildTest, OutputIdenticalAcrossThreadCounts) {
     FeatureSpace space = FeatureSpace::Build(
         world.left, left_subjects, right_context, &catalog, options, &pool);
     // Pair order (and thus PairIds) must not depend on the thread count.
-    ASSERT_EQ(space.pairs().size(), serial.pairs().size());
-    for (PairId id = 0; id < space.pairs().size(); ++id) {
+    ASSERT_EQ(space.pair_count(), serial.pair_count());
+    for (PairId id = 0; id < space.pair_count(); ++id) {
       EXPECT_EQ(space.LeftIri(id), serial.LeftIri(id)) << "pair " << id;
       EXPECT_EQ(space.RightIri(id), serial.RightIri(id)) << "pair " << id;
     }

@@ -94,8 +94,26 @@ TEST(FeatureSetTest, GetAndSetMax) {
   EXPECT_DOUBLE_EQ(set.Get(2), 0.0);
   EXPECT_EQ(set.size(), 2u);
   // Sorted by feature id.
-  EXPECT_EQ(set.features[0].first, 1u);
-  EXPECT_EQ(set.features[1].first, 3u);
+  EXPECT_EQ(set.ids[0], 1u);
+  EXPECT_EQ(set.ids[1], 3u);
+  EXPECT_DOUBLE_EQ(set.scores[1], 0.9);
+}
+
+TEST(FeatureSetTest, ViewReadsTheParallelArrays) {
+  FeatureSet set;
+  set.SetMax(7, 0.25);
+  set.SetMax(2, 0.5);
+  const FeatureSetView view = set;
+  ASSERT_EQ(view.size(), 2u);
+  EXPECT_EQ(view.feature(0), 2u);
+  EXPECT_DOUBLE_EQ(view.Get(7), 0.25);
+  EXPECT_DOUBLE_EQ(view.Get(3), 0.0);
+  std::vector<std::pair<FeatureId, double>> walked;
+  for (const auto& [feature, score] : view) walked.emplace_back(feature, score);
+  const std::vector<std::pair<FeatureId, double>> expected = {{2, 0.5},
+                                                              {7, 0.25}};
+  EXPECT_EQ(walked, expected);
+  EXPECT_TRUE(FeatureSetView().empty());
 }
 
 TEST(PrepareValueTest, StringValue) {
@@ -186,7 +204,8 @@ TEST_F(FeatureSetBuilderTest, PairsUpMatchingAttributes) {
   PreparedEntity r = MakeRight(
       {{"http://r/label", Term::StringLiteral("Marie Curie")},
        {"http://r/birthYear", Term::IntegerLiteral(1867)}});
-  FeatureSet set = BuildFeatureSet(l, r, &catalog_, 0.3);
+  FeatureSet set;
+  BuildFeatureSet(l, r, &catalog_, 0.3, {}, &set);
   EXPECT_EQ(set.size(), 2u);
   FeatureId name = catalog_.Intern({"http://l/name", "http://r/label"});
   FeatureId year = catalog_.Intern({"http://l/born", "http://r/birthYear"});
@@ -199,7 +218,8 @@ TEST_F(FeatureSetBuilderTest, ThetaFiltersWeakFeatures) {
                                 Term::StringLiteral("xyzzy plugh")}});
   PreparedEntity r = MakeRight(
       {{"http://r/label", Term::StringLiteral("unrelated words")}});
-  FeatureSet set = BuildFeatureSet(l, r, &catalog_, 0.3);
+  FeatureSet set;
+  BuildFeatureSet(l, r, &catalog_, 0.3, {}, &set);
   EXPECT_TRUE(set.empty());
 }
 
@@ -207,7 +227,8 @@ TEST_F(FeatureSetBuilderTest, EmptyEntityYieldsEmptySet) {
   PreparedEntity l = MakeLeft({{"http://l/name",
                                 Term::StringLiteral("a")}});
   PreparedEntity empty;
-  FeatureSet set = BuildFeatureSet(l, empty, &catalog_, 0.3);
+  FeatureSet set;
+  BuildFeatureSet(l, empty, &catalog_, 0.3, {}, &set);
   EXPECT_TRUE(set.empty());
 }
 
@@ -219,7 +240,8 @@ TEST_F(FeatureSetBuilderTest, RowMaximaWhenLeftLarger) {
                 {"http://l/alias", Term::StringLiteral("alpha")}});
   PreparedEntity r =
       MakeRight({{"http://r/label", Term::StringLiteral("alpha")}});
-  FeatureSet set = BuildFeatureSet(l, r, &catalog_, 0.3);
+  FeatureSet set;
+  BuildFeatureSet(l, r, &catalog_, 0.3, {}, &set);
   EXPECT_EQ(set.size(), 2u);
 }
 
@@ -229,7 +251,8 @@ TEST_F(FeatureSetBuilderTest, ColumnMaximaWhenRightLarger) {
   PreparedEntity r =
       MakeRight({{"http://r/label", Term::StringLiteral("alpha")},
                  {"http://r/alias", Term::StringLiteral("alpha")}});
-  FeatureSet set = BuildFeatureSet(l, r, &catalog_, 0.3);
+  FeatureSet set;
+  BuildFeatureSet(l, r, &catalog_, 0.3, {}, &set);
   EXPECT_EQ(set.size(), 2u);
 }
 
@@ -241,7 +264,8 @@ TEST_F(FeatureSetBuilderTest, DuplicateFeatureKeyKeepsMax) {
                 {"http://l/name", Term::StringLiteral("alpha")}});
   PreparedEntity r =
       MakeRight({{"http://r/label", Term::StringLiteral("alpha")}});
-  FeatureSet set = BuildFeatureSet(l, r, &catalog_, 0.3);
+  FeatureSet set;
+  BuildFeatureSet(l, r, &catalog_, 0.3, {}, &set);
   FeatureId id = catalog_.Intern({"http://l/name", "http://r/label"});
   ASSERT_EQ(set.size(), 1u);
   EXPECT_DOUBLE_EQ(set.Get(id), 1.0);
@@ -254,14 +278,14 @@ TEST_F(FeatureSetBuilderTest, MemoOverloadMatchesCatalogOverload) {
   PreparedEntity r =
       MakeRight({{"http://r/label", Term::StringLiteral("alpha betta")},
                  {"http://r/birthYear", Term::IntegerLiteral(1912)}});
-  FeatureSet direct = BuildFeatureSet(l, r, &catalog_, 0.3);
+  FeatureSet direct;
+  BuildFeatureSet(l, r, &catalog_, 0.3, {}, &direct);
   CatalogMemo memo(&catalog_);
-  FeatureSet memoized = BuildFeatureSet(l, r, &memo, 0.3);
+  FeatureSet memoized;
+  BuildFeatureSet(l, r, &memo, 0.3, {}, &memoized);
   ASSERT_EQ(direct.size(), memoized.size());
-  for (size_t i = 0; i < direct.features.size(); ++i) {
-    EXPECT_EQ(direct.features[i].first, memoized.features[i].first);
-    EXPECT_DOUBLE_EQ(direct.features[i].second, memoized.features[i].second);
-  }
+  EXPECT_EQ(direct.ids, memoized.ids);
+  EXPECT_EQ(direct.scores, memoized.scores);
 }
 
 std::string RandomString(Rng* rng, size_t max_length) {

@@ -102,12 +102,12 @@ TEST_F(IncrementalSpaceTest, RandomChurnMatchesRebuild) {
   for (size_t threshold : {size_t{0}, size_t{1}, size_t{32}}) {
     FeatureSpace incremental = Build(threshold);
     FeatureSpace rebuilt = Build(threshold);
-    ASSERT_GE(incremental.pairs().size(), 30u)
+    ASSERT_GE(incremental.pair_count(), 30u)
         << "fixture too small for meaningful churn";
     ASSERT_EQ(incremental.Fingerprint(), rebuilt.Fingerprint());
 
     Rng rng(0xc0ffee + threshold);
-    std::vector<uint8_t> live(incremental.pairs().size(), 1);
+    std::vector<uint8_t> live(incremental.pair_count(), 1);
     for (int round = 0; round < 40; ++round) {
       // Draw distinct pair ids, then toggle each one's membership.
       std::vector<PairId> touched;
@@ -146,7 +146,7 @@ TEST_F(IncrementalSpaceTest, RandomChurnMatchesRebuild) {
 TEST_F(IncrementalSpaceTest, ApplyDeltaIsIdempotent) {
   FeatureSpace space = Build(0);
   FeatureSpace oracle = Build(0);
-  ASSERT_GE(space.pairs().size(), 4u);
+  ASSERT_GE(space.pair_count(), 4u);
   std::vector<PairId> ids = {0, 1, 2, 3};
 
   space.ApplyDelta({}, ids);
@@ -175,7 +175,7 @@ TEST_F(IncrementalSpaceTest, RemoveAllThenResurrectAllRestoresFingerprint) {
     FeatureSpace space = Build(threshold);
     FeatureSpace pristine = Build(threshold);
     const uint64_t initial = space.Fingerprint();
-    std::vector<PairId> all(space.pairs().size());
+    std::vector<PairId> all(space.pair_count());
     for (PairId id = 0; id < all.size(); ++id) all[id] = id;
 
     space.ApplyDelta({}, all);
@@ -186,7 +186,7 @@ TEST_F(IncrementalSpaceTest, RemoveAllThenResurrectAllRestoresFingerprint) {
     EXPECT_NE(space.Fingerprint(), initial);
 
     space.ApplyDelta(all, {});
-    EXPECT_EQ(space.live_pair_count(), space.pairs().size());
+    EXPECT_EQ(space.live_pair_count(), space.pair_count());
     EXPECT_EQ(space.Fingerprint(), initial);
     ExpectLogicallyEqual(space, pristine,
                          "full cycle threshold " + std::to_string(threshold));
@@ -195,7 +195,7 @@ TEST_F(IncrementalSpaceTest, RemoveAllThenResurrectAllRestoresFingerprint) {
 
 TEST_F(IncrementalSpaceTest, RemovedPairStaysResolvableButNotLive) {
   FeatureSpace space = Build(32);
-  ASSERT_FALSE(space.pairs().empty());
+  ASSERT_FALSE(space.pair_count() == 0);
   const PairId id = 0;
   const std::string left = space.LeftIri(id);
   const std::string right = space.RightIri(id);
@@ -206,7 +206,7 @@ TEST_F(IncrementalSpaceTest, RemovedPairStaysResolvableButNotLive) {
   EXPECT_EQ(space.FindPair(left, right), id);
   EXPECT_FALSE(space.IsLive(id));
   EXPECT_EQ(space.LeftIri(id), left);
-  for (const auto& [feature, score] : space.pair(id).features.features) {
+  for (const auto& [feature, score] : space.pair(id).features) {
     for (PairId in_band : space.PairsInRange(feature, score, score)) {
       EXPECT_NE(in_band, id);
     }
@@ -218,7 +218,7 @@ TEST_F(IncrementalSpaceTest, MarkAllLiveResetsChurn) {
   FeatureSpace pristine = Build(0);
   Rng rng(99);
   std::vector<PairId> removed;
-  for (PairId id = 0; id < space.pairs().size(); ++id) {
+  for (PairId id = 0; id < space.pair_count(); ++id) {
     if (rng.NextBool(0.5)) removed.push_back(id);
   }
   space.ApplyDelta({}, removed);
@@ -230,7 +230,7 @@ TEST_F(IncrementalSpaceTest, MarkAllLiveResetsChurn) {
 
 TEST_F(IncrementalSpaceTest, RemapFeaturesPreservesLiveness) {
   FeatureSpace space = Build(0);
-  ASSERT_GE(space.pairs().size(), 2u);
+  ASSERT_GE(space.pair_count(), 2u);
   space.ApplyDelta({}, {0});
   // Identity permutation: the remap machinery must keep pair 0 dead.
   std::vector<FeatureId> identity(catalog_.size());

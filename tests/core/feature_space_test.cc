@@ -46,7 +46,7 @@ TEST_F(FeatureSpaceTest, TotalPairCountIsCrossProduct) {
 TEST_F(FeatureSpaceTest, FilteringDropsDissimilarPairs) {
   FeatureSpace space = Build();
   // Matching pairs survive; "Completely Other" has no counterpart.
-  EXPECT_LT(space.pairs().size(), 6u);
+  EXPECT_LT(space.pair_count(), 6u);
   EXPECT_NE(space.FindPair("http://l/e0", "http://r/x0"), kInvalidPairId);
   EXPECT_NE(space.FindPair("http://l/e1", "http://r/x1"), kInvalidPairId);
 }
@@ -93,7 +93,7 @@ TEST_F(FeatureSpaceTest, PairsInRangeRespectsBounds) {
 TEST_F(FeatureSpaceTest, HighThetaFiltersEverythingWeak) {
   FeatureSpace space = Build(/*theta=*/0.99);
   // Only the two exact-match pairs survive.
-  EXPECT_EQ(space.pairs().size(), 2u);
+  EXPECT_EQ(space.pair_count(), 2u);
 }
 
 TEST_F(FeatureSpaceTest, SubsetOfSubjects) {
@@ -153,7 +153,7 @@ TEST_F(FeatureSpaceTest, RangeQueryMatchesLinearScan) {
     double hi = lo + 0.3;
     std::vector<PairId> indexed = space.PairsInRange(name, lo, hi);
     size_t scanned = 0;
-    for (PairId id = 0; id < space.pairs().size(); ++id) {
+    for (PairId id = 0; id < space.pair_count(); ++id) {
       double score = space.pair(id).features.Get(name);
       if (score >= lo && score <= hi && score > 0.0) ++scanned;
     }

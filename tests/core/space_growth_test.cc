@@ -111,14 +111,14 @@ void ExpectSameRangeAnswers(const FeatureSpace& a, const FeatureSpace& b,
   }
 }
 
-// FindPair against an oracle built from pairs(): every PairId, grown ones
+// FindPair against an oracle built from pair(): every PairId, grown ones
 // included, round-trips through its IRIs; every other (left, right) of the
 // space's entities, which θ-filtering or blocking dropped, and every unknown
 // IRI answers kInvalidPairId.
 void ExpectFindPairMatchesPairs(const FeatureSpace& space,
                                 const std::string& context) {
   std::map<std::pair<uint32_t, uint32_t>, PairId> ids;
-  for (PairId id = 0; id < space.pairs().size(); ++id) {
+  for (PairId id = 0; id < space.pair_count(); ++id) {
     ASSERT_EQ(space.FindPair(space.LeftIri(id), space.RightIri(id)), id)
         << context;
     ids[{space.pair(id).left_index, space.pair(id).right_index}] = id;
@@ -151,9 +151,9 @@ using PairScores =
 
 PairScores Flatten(const FeatureSpace& space) {
   PairScores out;
-  for (PairId id = 0; id < space.pairs().size(); ++id) {
+  for (PairId id = 0; id < space.pair_count(); ++id) {
     auto& scores = out[{space.LeftIri(id), space.RightIri(id)}];
-    for (const auto& [feature, score] : space.pair(id).features.features) {
+    for (const auto& [feature, score] : space.pair(id).features) {
       FeatureKey key = space.catalog()->Key(feature);
       scores[{key.left_predicate, key.right_predicate}] = score;
     }
@@ -186,7 +186,7 @@ TEST(SpaceGrowthTest, IncrementalGrowthMatchesRebuildAcrossThresholds) {
                                            ctx_inc, &cat_inc, options);
     FeatureSpace reb = FeatureSpace::Build(stores.left, left_subjects,
                                            ctx_reb, &cat_reb, options);
-    ASSERT_GT(inc.pairs().size(), 0u);
+    ASSERT_GT(inc.pair_count(), 0u);
     ASSERT_EQ(inc.Fingerprint(), reb.Fingerprint());
 
     size_t total_overflow = 0;
@@ -216,12 +216,12 @@ TEST(SpaceGrowthTest, IncrementalGrowthMatchesRebuildAcrossThresholds) {
       EXPECT_EQ(reb_result.overflow_entries, 0u) << context;
       total_overflow += inc_result.overflow_entries;
 
-      ASSERT_EQ(inc.pairs().size(), reb.pairs().size()) << context;
+      ASSERT_EQ(inc.pair_count(), reb.pair_count()) << context;
       ASSERT_EQ(cat_inc.size(), cat_reb.size()) << context;
       EXPECT_EQ(inc.Fingerprint(), reb.Fingerprint()) << context;
       // PairId identity, not just logical equality: both modes must append
       // pairs in the same canonical (left, right) order.
-      for (PairId id = 0; id < inc.pairs().size(); ++id) {
+      for (PairId id = 0; id < inc.pair_count(); ++id) {
         ASSERT_EQ(inc.LeftIri(id), reb.LeftIri(id)) << context << " " << id;
         ASSERT_EQ(inc.RightIri(id), reb.RightIri(id)) << context << " " << id;
       }
@@ -270,7 +270,7 @@ TEST(SpaceGrowthTest, GrownSpaceLogicallyMatchesFromScratchBuild) {
   FeatureSpace fresh = FeatureSpace::Build(
       stores.left, stores.left.Subjects(), stores.right,
       stores.right.Subjects(), &fresh_catalog, options);
-  EXPECT_EQ(grown.pairs().size(), fresh.pairs().size());
+  EXPECT_EQ(grown.pair_count(), fresh.pair_count());
   EXPECT_EQ(Flatten(grown), Flatten(fresh));
 }
 
@@ -305,7 +305,7 @@ TEST(SpaceGrowthTest, FullCandidateListMatchesNullptr) {
   without.Grow(stores.left, new_lefts, nullptr, old_right_count, &cat_b,
                options, false);
 
-  ASSERT_EQ(with_list.pairs().size(), without.pairs().size());
+  ASSERT_EQ(with_list.pair_count(), without.pair_count());
   EXPECT_EQ(with_list.Fingerprint(), without.Fingerprint());
 }
 
@@ -345,7 +345,7 @@ TEST(SpaceGrowthTest, ChurnAfterGrowthStaysDifferentiallyCorrect) {
 
   const size_t old_left_count = stores.left.Subjects().size();
   const size_t old_right_count = ctx_a->entities.size();
-  const PairId first_new_pair = static_cast<PairId>(inc.pairs().size());
+  const PairId first_new_pair = static_cast<PairId>(inc.pair_count());
   GrowStores(&stores, 0);
   ExtendContext(ctx_a, stores.right, options, false);
   ExtendContext(ctx_b, stores.right, options, true);
@@ -355,7 +355,7 @@ TEST(SpaceGrowthTest, ChurnAfterGrowthStaysDifferentiallyCorrect) {
            false);
   reb.Grow(stores.left, new_lefts, nullptr, old_right_count, &cat_b, options,
            true);
-  ASSERT_GT(inc.pairs().size(), first_new_pair);
+  ASSERT_GT(inc.pair_count(), first_new_pair);
 
   // Remove one old and one new pair, then resurrect them.
   std::vector<PairId> touched = {0, first_new_pair};
@@ -405,7 +405,7 @@ TEST(SpaceGrowthTest, FeedbackOnGrownPairReachesItsPartition) {
     const PartitionAlex& partition = engine.partitions()[0];
     const FeatureSpace& space = partition.space();
     PairId pair = kInvalidPairId;
-    for (PairId id = 0; id < space.pairs().size(); ++id) {
+    for (PairId id = 0; id < space.pair_count(); ++id) {
       if (space.LeftIri(id) == grown.left &&
           space.RightIri(id) == grown.right) {
         pair = id;

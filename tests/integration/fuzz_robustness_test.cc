@@ -1,4 +1,5 @@
-// Robustness "fuzz" tests: the parsers and executors must never crash or
+// Robustness "fuzz" tests: the parsers, the two state loaders (binary store
+// snapshots and saved engine state) and the executors must never crash or
 // hang on malformed input — they return parse errors (Status) instead, and
 // the engine's incremental frontier maintenance must survive arbitrary link
 // churn bit-identically to a rebuild-every-epoch engine.
@@ -8,6 +9,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +20,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/alex_engine.h"
+#include "core/engine_state.h"
 #include "datagen/profiles.h"
 #include "eval/experiment.h"
 #include "federation/fault_injection.h"
@@ -23,6 +28,7 @@
 #include "linking/link_io.h"
 #include "linking/paris.h"
 #include "rdf/ntriples.h"
+#include "rdf/snapshot.h"
 #include "rdf/turtle.h"
 #include "serving/serving_loop.h"
 #include "sparql/executor.h"
@@ -149,6 +155,109 @@ TEST(FuzzTest, LinksTsvParserNeverCrashes) {
       EXPECT_EQ(links.status().code(), StatusCode::kParseError);
     }
   }
+}
+
+TEST(FuzzTest, StoreSnapshotLoaderNeverCrashes) {
+  // One triple per term kind and literal type, so mutations land on every
+  // tag, length and id field of the ALEXSNP1 format.
+  rdf::TripleStore original("fuzz-source");
+  const rdf::Term s = rdf::Term::Iri("http://x/s");
+  original.Add(s, rdf::Term::Iri("http://x/name"),
+               rdf::Term::StringLiteral("Ada"));
+  original.Add(s, rdf::Term::Iri("http://x/n"), rdf::Term::IntegerLiteral(-42));
+  original.Add(s, rdf::Term::Iri("http://x/d"), rdf::Term::DoubleLiteral(3.5));
+  original.Add(s, rdf::Term::Iri("http://x/born"),
+               rdf::Term::DateLiteral("1815-12-10"));
+  original.Add(s, rdf::Term::Iri("http://x/ok"),
+               rdf::Term::BooleanLiteral(true));
+  original.Add(rdf::Term::Blank("b0"), rdf::Term::Iri("http://x/rel"), s);
+  const std::string path = ::testing::TempDir() + "/fuzz_snapshot.bin";
+  ASSERT_TRUE(rdf::SaveStoreSnapshot(original, path).ok());
+  std::string seed_bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    seed_bytes.assign(std::istreambuf_iterator<char>(in),
+                      std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(seed_bytes.size(), 8u);
+
+  Rng rng(707);
+  int loaded = 0;
+  for (int i = 0; i < 500; ++i) {
+    const std::string mutated = Mutate(seed_bytes, &rng);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
+    }
+    Result<rdf::TripleStore> store = rdf::LoadStoreSnapshot(path);
+    if (!store.ok()) {
+      EXPECT_EQ(store.status().code(), StatusCode::kParseError);
+      continue;
+    }
+    // A clean load is a usable store.
+    ++loaded;
+    rdf::WriteNTriples(store.value());
+    store->Subjects();
+  }
+  EXPECT_GT(loaded, 0);
+  std::remove(path.c_str());
+}
+
+TEST(FuzzTest, EngineStateParserNeverCrashes) {
+  datagen::WorldProfile profile = datagen::TinyTestProfile();
+  profile.overlap_entities = 12;
+  profile.left_only_entities = 6;
+  profile.right_only_entities = 4;
+  profile.confusable_pairs = 3;
+  const datagen::GeneratedWorld world = datagen::Generate(profile);
+  const feedback::GroundTruth truth(world.ground_truth);
+  const std::vector<linking::Link> initial = linking::FilterByScore(
+      linking::RunParis(world.left, world.right), 0.95);
+  core::AlexOptions options;
+  options.num_partitions = 2;
+  options.num_threads = 1;
+  options.episode_size = 20;
+  options.seed = 3;
+  auto make_engine = [&] {
+    auto engine =
+        std::make_unique<core::AlexEngine>(&world.left, &world.right, options);
+    const Status status = engine->Initialize(initial);
+    ALEX_CHECK(status.ok()) << status.ToString();
+    return engine;
+  };
+  feedback::Oracle oracle(&truth, 0.1, 5);
+  const core::FeedbackFn feedback = [&oracle](const linking::Link& link) {
+    return oracle.Feedback(link);
+  };
+
+  // The seed document: what a few noisy episodes of learning leave.
+  std::string seed_doc;
+  {
+    auto engine = make_engine();
+    for (int episode = 0; episode < 3; ++episode) engine->RunEpisode(feedback);
+    const core::EngineState state = core::ExportEngineState(*engine);
+    ASSERT_FALSE(state.candidates.empty());
+    ASSERT_FALSE(state.policy.empty());
+    ASSERT_FALSE(state.returns.empty());
+    seed_doc = core::WriteEngineState(state);
+  }
+
+  Rng rng(808);
+  int imported = 0;
+  for (int i = 0; i < 300; ++i) {
+    const std::string mutated = Mutate(seed_doc, &rng);
+    Result<core::EngineState> state = core::ParseEngineState(mutated);
+    if (!state.ok()) {
+      EXPECT_EQ(state.status().code(), StatusCode::kParseError) << mutated;
+      continue;
+    }
+    // Whatever parses imports into a fresh engine, which keeps learning.
+    auto engine = make_engine();
+    ASSERT_TRUE(core::ImportEngineState(state.value(), engine.get()).ok());
+    engine->RunEpisode(feedback);
+    ++imported;
+  }
+  EXPECT_GT(imported, 0);
 }
 
 TEST(FuzzTest, TokenizerHandlesAllByteValues) {
