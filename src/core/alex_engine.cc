@@ -44,13 +44,11 @@ PartitionAlex::PartitionAlex(FeatureSpace space, const AlexOptions* options,
 FeatureSpace::GrowthResult PartitionAlex::GrowSpace(
     const rdf::TripleStore& left,
     const std::vector<rdf::TermId>& new_left_subjects,
-    const std::vector<uint32_t>* candidate_old_lefts, size_t old_right_count,
-    FeatureCatalog* catalog, bool rebuild_indexes,
-    const BlockingIndex* delta_index) {
+    const std::vector<CandidatePair>* old_left_pairs, size_t old_right_count,
+    FeatureCatalog* catalog, bool rebuild_indexes) {
   FeatureSpace::GrowthResult grown =
-      space_.Grow(left, new_left_subjects, candidate_old_lefts,
-                  old_right_count, catalog, options_->space, rebuild_indexes,
-                  delta_index);
+      space_.Grow(left, new_left_subjects, old_left_pairs, old_right_count,
+                  catalog, options_->space, rebuild_indexes);
   const size_t pairs = space_.pair_count();
   candidates_.Grow(pairs);
   rollback_.Grow(pairs);
@@ -279,7 +277,11 @@ PairId PartitionAlex::SampleFeedbackPair() {
 
 AlexEngine::AlexEngine(const rdf::TripleStore* left,
                        const rdf::TripleStore* right, AlexOptions options)
-    : left_(left), right_(right), options_(options), rng_(options.seed) {}
+    : left_(left),
+      right_(right),
+      options_(options),
+      reverse_index_(options.space.blocking, options.space.similarity),
+      rng_(options.seed) {}
 
 Status AlexEngine::Initialize(
     const std::vector<linking::Link>& initial_links,
@@ -326,8 +328,7 @@ Status AlexEngine::Initialize(
   right_context_ = right_context;
 
   // Live-ingest baseline: record the subject/term watermarks that separate
-  // the initialized world from later growth, and (incremental mode with
-  // blocking) build the reverse-probe index over the left entities.
+  // the initialized world from later growth.
   left_term_watermark_ = static_cast<rdf::TermId>(left_->dictionary().size());
   right_term_watermark_ =
       static_cast<rdf::TermId>(right_->dictionary().size());
@@ -534,34 +535,9 @@ Status AlexEngine::IngestTriples(IngestStats* stats_out) {
   const bool reverse_probe =
       options_.incremental_ingest && options_.space.blocking.enabled;
 
-  // Lazily build the left-side reverse-probe index over the OLD lefts (the
-  // prefix below the watermark), in global subject order.
-  if (reverse_probe && !left_probe_built_) {
-    left_probe_entities_.resize(old_left_count);
-    auto prepare_range = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        left_probe_entities_[i] = PrepareEntity(
-            *left_, left_subjects[i], options_.space.max_attributes);
-      }
-    };
-    if (pool_ != nullptr && pool_->num_threads() > 1) {
-      pool_->ParallelFor(old_left_count, 16, prepare_range);
-    } else {
-      prepare_range(0, old_left_count);
-    }
-    // Relaxed gram filter: min_gram_matches is the only asymmetric channel
-    // (every other channel's collision relation is symmetric), so relaxing
-    // it makes the reverse probe a superset of the forward one.
-    BlockingOptions relaxed = options_.space.blocking;
-    relaxed.min_gram_matches = 1;
-    left_probe_index_ = BlockingIndex::Build(
-        left_probe_entities_, relaxed, options_.space.similarity, pool_.get());
-    left_probe_built_ = true;
-    // Warm the forward probe-key caches too: from here on, every ingest
-    // epoch's phase-1 probes reuse cached keys instead of re-extracting.
-    for (PartitionAlex& partition : partitions_) {
-      partition.PrepareForwardProbes();
-    }
+  // Index the old lefts' probe keys on the first epoch.
+  if (reverse_probe && reverse_index_.num_lefts() == 0) {
+    IndexLefts(0, old_left_count);
   }
 
   // 1. Extend the shared right context: append the prepared new rights and
@@ -593,42 +569,30 @@ Status AlexEngine::IngestTriples(IngestStats* stats_out) {
     }
   }
 
-  // 2. Reverse probe: every new right probes the left index; the touched
-  // lefts are a superset of the old lefts whose forward probe can reach a
-  // new right, so only they are re-probed during growth — O(new entities)
-  // instead of O(store). The rebuild baseline forward-probes every old
-  // left, so a superset violation would surface as a fingerprint mismatch
-  // in the ingest-differential suite.
-  std::vector<std::vector<uint32_t>> candidate_lefts(num_partitions);
+  // 2. Reverse probe: every new right probes the index of the old lefts'
+  // probe keys once. Its candidates and cell masks are exactly those of a
+  // forward probe of each old left against the new right, so they are
+  // phase 1 of every partition's growth, sorted by (left, right).
+  std::vector<std::vector<CandidatePair>> old_left_pairs(num_partitions);
   if (reverse_probe && !new_rights.empty()) {
     ProbeScratch scratch;
-    std::vector<uint8_t> hit(old_left_count, 0);
     const std::vector<PreparedEntity>& rights = right_context_->entities;
     for (size_t j = old_right_count; j < rights.size(); ++j) {
-      left_probe_index_.Probe(rights[j], &scratch);
-      for (uint32_t g : scratch.touched()) hit[g] = 1;
+      reverse_index_.Probe(rights[j], &scratch);
+      for (uint32_t g : scratch.touched()) {
+        CandidatePair pair{g / static_cast<uint32_t>(num_partitions),
+                           static_cast<uint32_t>(j), {}};
+        std::copy_n(scratch.cell_channels(g), kCellCount, pair.cells.begin());
+        old_left_pairs[g % num_partitions].push_back(pair);
+      }
     }
-    for (uint32_t g = 0; g < hit.size(); ++g) {
-      if (hit[g] == 0) continue;
-      // Global subject order is round-robin over the partitions, so global
-      // index g sits at within-partition slot g / P of partition g % P.
-      candidate_lefts[g % num_partitions].push_back(
-          g / static_cast<uint32_t>(num_partitions));
+    for (std::vector<CandidatePair>& pairs : old_left_pairs) {
+      std::sort(pairs.begin(), pairs.end(),
+                [](const CandidatePair& a, const CandidatePair& b) {
+                  return a.left != b.left ? a.left < b.left
+                                          : a.right < b.right;
+                });
     }
-  }
-
-  // 2b. Delta blocking index over only the new rights (globally numbered):
-  // phase-1 growth probes hit this tiny table instead of the full index, so
-  // a candidate left whose forward probe reaches no new right costs nearly
-  // nothing. Shared read-only by every partition's GrowSpace below.
-  BlockingIndex delta_index;
-  const BlockingIndex* delta = nullptr;
-  if (reverse_probe && !new_rights.empty()) {
-    delta_index =
-        BlockingIndex::Build({}, options_.space.blocking,
-                             options_.space.similarity);
-    delta_index.AddRights(right_context_->entities, old_right_count);
-    delta = &delta_index;
   }
 
   // 3. Bucket the new left subjects round-robin, continuing the global
@@ -648,26 +612,21 @@ Status AlexEngine::IngestTriples(IngestStats* stats_out) {
     lefts_before[p] = partitions_[p].space().left_entities().size();
   }
   for (size_t p = 0; p < num_partitions; ++p) {
-    const std::vector<uint32_t>* candidates =
-        reverse_probe ? &candidate_lefts[p] : nullptr;
     FeatureSpace::GrowthResult grown = partitions_[p].GrowSpace(
-        *left_, new_lefts_by_partition[p], candidates, old_right_count,
-        &catalog_, rebuild, delta);
+        *left_, new_lefts_by_partition[p],
+        reverse_probe ? &old_left_pairs[p] : nullptr, old_right_count,
+        &catalog_, rebuild);
     stats.new_pairs += grown.new_pairs;
     stats.overflow_entries += grown.overflow_entries;
   }
 
   // 5. Register the new lefts: the verdict lookup and the reverse-probe
-  // index (appended in global subject order).
+  // index (posted in global subject order).
   for (uint32_t p = 0; p < num_partitions; ++p) {
     RegisterLefts(p, lefts_before[p]);
   }
-  if (left_probe_built_ && !new_lefts.empty()) {
-    for (rdf::TermId subject : new_lefts) {
-      left_probe_entities_.push_back(
-          PrepareEntity(*left_, subject, options_.space.max_attributes));
-    }
-    left_probe_index_.AddRights(left_probe_entities_, old_left_count);
+  if (reverse_probe && !new_lefts.empty()) {
+    IndexLefts(old_left_count, left_subjects.size());
   }
 
   // 6. Refresh the preprocessing totals and advance the watermarks.
@@ -694,6 +653,18 @@ Status AlexEngine::IngestTriples(IngestStats* stats_out) {
   stats.blocking_merges = BlockingMergeCount();
   if (stats_out != nullptr) *stats_out = stats;
   return Status::Ok();
+}
+
+void AlexEngine::IndexLefts(size_t first, size_t last) {
+  ALEX_CHECK(first == reverse_index_.num_lefts());
+  const size_t num_partitions = partitions_.size();
+  std::vector<const PreparedEntity*> lefts;
+  lefts.reserve(last - first);
+  for (size_t g = first; g < last; ++g) {
+    const PartitionAlex& partition = partitions_[g % num_partitions];
+    lefts.push_back(&partition.space().left_entities()[g / num_partitions]);
+  }
+  reverse_index_.AddLefts(lefts, pool_.get());
 }
 
 void AlexEngine::ProcessExtras(size_t quota, const FeedbackFn& feedback,

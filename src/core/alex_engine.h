@@ -100,9 +100,10 @@ struct AlexOptions {
   bool incremental_space_maintenance = true;
   // Live triple ingest (IngestTriples): when true, the engine folds newly
   // ingested entities into its structures incrementally — AddRights on the
-  // shared right-side blocking index, reverse probes over a left-side
-  // blocking index to find the old lefts that can reach a new right, and
-  // per-partition FeatureSpace::Grow with pending-sidecar score entries.
+  // shared right-side blocking index, one exact reverse probe per new right
+  // over an index of the lefts' probe keys to find the (old left, new
+  // right) candidate pairs, and per-partition FeatureSpace::Grow with
+  // pending-sidecar score entries.
   // When false, every ingest epoch rebuilds the blocking index and the
   // score arenas from scratch — the O(store) baseline the differential
   // suite compares against. Both modes yield the same logical state (same
@@ -189,8 +190,9 @@ struct EpisodeStats {
   // Live-ingest accounting (engines driven through IngestTriples only; all
   // zero otherwise). Cumulative as of this episode's boundary: triples
   // accepted by the stores, entities that joined either side, sidecar-into-
-  // CSR merges across the blocking indexes, score entries parked in
-  // feature-bucket overflow sidecars, and ingest epochs applied.
+  // CSR merges across the right blocking index and the reverse-probe index,
+  // score entries parked in feature-bucket overflow sidecars, and ingest
+  // epochs applied.
   size_t triples_ingested = 0;
   size_t entities_added = 0;
   size_t blocking_merges = 0;
@@ -321,13 +323,8 @@ class PartitionAlex {
   FeatureSpace::GrowthResult GrowSpace(
       const rdf::TripleStore& left,
       const std::vector<rdf::TermId>& new_left_subjects,
-      const std::vector<uint32_t>* candidate_old_lefts,
-      size_t old_right_count, FeatureCatalog* catalog, bool rebuild_indexes,
-      const BlockingIndex* delta_index = nullptr);
-
-  // Warms the space's per-left probe-key cache (incremental ingest only;
-  // see FeatureSpace::PrepareForwardProbes).
-  void PrepareForwardProbes() { space_.PrepareForwardProbes(); }
+      const std::vector<CandidatePair>* old_left_pairs,
+      size_t old_right_count, FeatureCatalog* catalog, bool rebuild_indexes);
 
   // Persistence hooks (see core/engine_state.h). ClearCandidates also
   // restores the full feature space as explorable frontier, since the
@@ -449,7 +446,7 @@ class AlexEngine {
     size_t new_right_entities = 0;
     size_t new_pairs = 0;           // pairs that joined the feature spaces
     size_t overflow_entries = 0;    // score entries parked in sidecars
-    uint64_t blocking_merges = 0;   // sidecar-into-CSR merges so far
+    uint64_t blocking_merges = 0;   // BlockingMergeCount() so far
     uint64_t ingest_epoch = 0;      // 1-based engine ingest epoch
   };
 
@@ -460,6 +457,9 @@ class AlexEngine {
   // feature space grows by the new pairs in canonical (left, right) order,
   // and new left entities join the partitions round-robin — exactly where a
   // from-scratch EqualSizePartition of the grown store would place them.
+  // In incremental mode with blocking, the (old left, new right) pairs come
+  // from one ReverseProbeIndex probe per new right; the first call indexes
+  // every old left's probe keys, and later calls add the new lefts.
   //
   // The growth contract is additive: triples of PRE-EXISTING subjects must
   // not change between ingest epochs (InvalidArgument otherwise). Consumes
@@ -603,16 +603,22 @@ class AlexEngine {
   size_t CloseEpisode(const PartitionAlex::FeedbackCounts& counts,
                       EpisodeStats* stats);
 
+  // Posts the lefts with global subject indexes [first, last) to the
+  // reverse-probe index. EqualSizePartition deals the subjects round-robin,
+  // so global index g is slot g / P of partition g % P.
+  void IndexLefts(size_t first, size_t last);
+
   // Processes up to `quota` feedback items on the spaceless extras,
   // sampling live with the engine RNG (extras have no partition worker;
   // they run on the calling thread).
   void ProcessExtras(size_t quota, const FeedbackFn& feedback,
                      PartitionAlex::FeedbackCounts* counts);
 
-  // Total sidecar-into-CSR merge compactions across the engine's blocking
-  // indexes (the shared right index plus the left reverse-probe index).
+  // Total sidecar-into-CSR merge compactions across the engine's key
+  // indexes: the shared right index plus the reverse-probe index of the
+  // lefts' probe keys.
   uint64_t BlockingMergeCount() const {
-    uint64_t merges = left_probe_index_.merge_count();
+    uint64_t merges = reverse_index_.merge_count();
     if (right_context_ != nullptr) {
       merges += right_context_->index.merge_count();
     }
@@ -651,19 +657,14 @@ class AlexEngine {
   size_t right_subject_count_ = 0;
   size_t known_left_triples_ = 0;
   size_t known_right_triples_ = 0;
-  // Reverse-probe acceleration (incremental_ingest && blocking only; built
-  // lazily on the first ingest epoch so engines that never ingest pay
-  // nothing): a blocking index over ALL left entities in global subject
-  // order, built with a relaxed gram filter (min_gram_matches = 1) so that
-  // a new right
-  // probing it reaches a SUPERSET of the old lefts whose forward probe
-  // could touch it. Only those lefts are forward-probed per epoch — O(new
-  // entities), not O(store). The rebuild baseline probes every old left,
-  // so any superset violation surfaces as a fingerprint mismatch in the
-  // ingest-differential suite.
-  std::vector<PreparedEntity> left_probe_entities_;
-  BlockingIndex left_probe_index_;
-  bool left_probe_built_ = false;
+  // The reverse-probe index (incremental_ingest && blocking only; filled
+  // on the first ingest epoch, so engines that never ingest pay nothing):
+  // the probe-side keys of every left, read from the partition spaces'
+  // left_entities(), under the left's global subject index. Each epoch every
+  // new right probes it once, which yields exactly the (old left, new
+  // right) pairs a forward probe of each old left would find; the new
+  // lefts are posted after their own growth.
+  ReverseProbeIndex reverse_index_;
   // Cumulative ingest counters surfaced through EpisodeStats.
   size_t triples_ingested_ = 0;
   size_t entities_added_ = 0;

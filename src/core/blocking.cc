@@ -1,12 +1,15 @@
 #include "core/blocking.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <iterator>
 #include <limits>
 #include <string_view>
 #include <unordered_set>
+
+#include "common/logging.h"
 
 namespace alex::core {
 namespace {
@@ -199,6 +202,23 @@ uint8_t ChannelOf(char tag) {
   }
 }
 
+// Sorts one probing value's keys by (hash, channel) and drops repeats, so
+// each block is walked once per probing value.
+void SortUniqueProbeKeys(std::vector<TaggedKeyHash>* keys) {
+  std::sort(keys->begin(), keys->end(),
+            [](const TaggedKeyHash& a, const TaggedKeyHash& b) {
+              return a.hash != b.hash ? a.hash < b.hash
+                                      : a.channel < b.channel;
+            });
+  keys->erase(std::unique(keys->begin(), keys->end(),
+                          [](const TaggedKeyHash& a, const TaggedKeyHash& b) {
+                            return a.hash == b.hash && a.channel == b.channel;
+                          }),
+              keys->end());
+}
+
+using Entry = PostingTable::Entry;
+
 // Appends the (key hash, packed posting) entries of right entity `r` —
 // shared by the chunked Build() extraction and the AddRights() delta path
 // so both derive the exact same entry multiset per entity.
@@ -207,7 +227,7 @@ void AppendEntityEntries(const PreparedEntity& right, uint32_t r,
                          const sim::SimilarityOptions& sim,
                          ProbeScratch* scratch,
                          std::vector<TaggedKeyHash>* keys,
-                         std::vector<std::pair<uint64_t, uint32_t>>* entries) {
+                         std::vector<Entry>* entries) {
   for (size_t a = 0; a < right.attributes.size(); ++a) {
     const uint32_t attr_slot =
         static_cast<uint32_t>(a < kCellAttrCap - 1 ? a : kCellAttrCap - 1);
@@ -230,6 +250,106 @@ void AppendEntityEntries(const PreparedEntity& right, uint32_t r,
                            });
     for (auto it = keys->begin(); it != end; ++it) {
       entries->emplace_back(it->hash, posting);
+    }
+  }
+}
+
+// Extracts the entries of items [0, n) through append(i, scratch, keys,
+// entries) and returns them sorted by (hash, posting). With a pool the items
+// are split into chunks: each keeps its own scratch (the token memo carries
+// across items within a chunk — real data sets repeat tokens constantly)
+// and sorts its own run, and the runs are merged pairwise in parallel.
+// std::merge is stable and the entry multiset does not depend on the
+// chunking, so the result is identical at any thread count.
+template <typename Append>
+std::vector<Entry> SortedEntries(size_t n, ThreadPool* pool,
+                                 const Append& append) {
+  size_t num_chunks = 1;
+  if (pool != nullptr && pool->num_threads() > 1) {
+    num_chunks = std::min<size_t>(
+        std::max<size_t>(n, 1),
+        static_cast<size_t>(pool->num_threads()) * 4);
+  }
+  const size_t chunk_size = n == 0 ? 1 : (n + num_chunks - 1) / num_chunks;
+  std::vector<std::pair<size_t, size_t>> chunks;
+  for (size_t begin = 0; begin < n; begin += chunk_size) {
+    chunks.emplace_back(begin, std::min(n, begin + chunk_size));
+  }
+  std::vector<std::vector<Entry>> runs(chunks.size());
+
+  auto extract_chunk = [&](size_t c) {
+    std::vector<Entry>& entries = runs[c];
+    ProbeScratch scratch;
+    std::vector<TaggedKeyHash> keys;
+    for (size_t i = chunks[c].first; i < chunks[c].second; ++i) {
+      append(i, &scratch, &keys, &entries);
+    }
+    std::sort(entries.begin(), entries.end());
+  };
+
+  const bool parallel = pool != nullptr && chunks.size() > 1;
+  if (parallel) {
+    pool->ParallelFor(chunks.size(), 1, [&](size_t begin, size_t end) {
+      for (size_t c = begin; c < end; ++c) extract_chunk(c);
+    });
+  } else {
+    for (size_t c = 0; c < chunks.size(); ++c) extract_chunk(c);
+  }
+
+  while (runs.size() > 1) {
+    std::vector<std::vector<Entry>> merged((runs.size() + 1) / 2);
+    auto merge_pair = [&](size_t m) {
+      if (2 * m + 1 < runs.size()) {
+        std::vector<Entry>& a = runs[2 * m];
+        std::vector<Entry>& b = runs[2 * m + 1];
+        merged[m].reserve(a.size() + b.size());
+        std::merge(a.begin(), a.end(), b.begin(), b.end(),
+                   std::back_inserter(merged[m]));
+      } else {
+        merged[m] = std::move(runs[2 * m]);
+      }
+    };
+    if (parallel && merged.size() > 1) {
+      pool->ParallelFor(merged.size(), 1, [&](size_t begin, size_t end) {
+        for (size_t m = begin; m < end; ++m) merge_pair(m);
+      });
+    } else {
+      for (size_t m = 0; m < merged.size(); ++m) merge_pair(m);
+    }
+    runs = std::move(merged);
+  }
+  return runs.empty() ? std::vector<Entry>{} : std::move(runs.front());
+}
+
+// Reverse-index posting layout (see ReverseProbeIndex): the left id above
+// 7 bits of channel bit index, short flag and attribute slot.
+constexpr uint32_t kLeftIdShift = 7;
+constexpr uint32_t kMaxLeftIds = 1u << (32 - kLeftIdShift);
+
+// Appends the reverse-index entries of left `left_id`: per attribute, its
+// probe-side keys deduplicated by (hash, channel) exactly as
+// BlockingIndex::Probe deduplicates them.
+void AppendLeftEntries(const PreparedEntity& left, uint32_t left_id,
+                       const BlockingOptions& options,
+                       const sim::SimilarityOptions& sim,
+                       ProbeScratch* scratch,
+                       std::vector<TaggedKeyHash>* keys,
+                       std::vector<Entry>* entries) {
+  for (size_t a = 0; a < left.attributes.size(); ++a) {
+    const uint32_t attr_slot =
+        static_cast<uint32_t>(a < kCellAttrCap - 1 ? a : kCellAttrCap - 1);
+    const bool is_short = left.attributes[a].value.lowered.size() <=
+                          options.single_gram_value_length;
+    keys->clear();
+    AppendBlockKeyHashes(left.attributes[a].value, options, sim,
+                         /*probe_neighbors=*/true, scratch, keys);
+    SortUniqueProbeKeys(keys);
+    for (const TaggedKeyHash& key : *keys) {
+      const uint32_t channel_bit =
+          static_cast<uint32_t>(std::countr_zero(key.channel));
+      entries->emplace_back(
+          key.hash, (left_id << kLeftIdShift) | (channel_bit << 4) |
+                        (is_short ? kPostingShortBit : 0u) | attr_slot);
     }
   }
 }
@@ -306,90 +426,49 @@ BlockingIndex BlockingIndex::Build(const std::vector<PreparedEntity>& rights,
   index.options_ = options;
   index.sim_ = sim;
   index.num_rights_ = static_cast<uint32_t>(rights.size());
-
-  // Key extraction, sharded into chunks of right entities. Each chunk keeps
-  // its own scratch (the token memo carries across entities within a chunk —
-  // real data sets repeat tokens constantly) and sorts its own run, so the
-  // merge below only has to interleave sorted runs.
-  const size_t n = rights.size();
-  size_t num_chunks = 1;
-  if (pool != nullptr && pool->num_threads() > 1) {
-    num_chunks = std::min<size_t>(
-        std::max<size_t>(n, 1),
-        static_cast<size_t>(pool->num_threads()) * 4);
-  }
-  const size_t chunk_size = n == 0 ? 1 : (n + num_chunks - 1) / num_chunks;
-  std::vector<std::pair<size_t, size_t>> chunks;
-  for (size_t begin = 0; begin < n; begin += chunk_size) {
-    chunks.emplace_back(begin, std::min(n, begin + chunk_size));
-  }
-  std::vector<std::vector<Entry>> runs(chunks.size());
-
-  auto extract_chunk = [&](size_t c) {
-    std::vector<Entry>& entries = runs[c];
-    ProbeScratch scratch;
-    std::vector<TaggedKeyHash> keys;
-    for (size_t r = chunks[c].first; r < chunks[c].second; ++r) {
-      AppendEntityEntries(rights[r], static_cast<uint32_t>(r), options, sim,
-                          &scratch, &keys, &entries);
-    }
-    std::sort(entries.begin(), entries.end());
-  };
-
-  const bool parallel = pool != nullptr && chunks.size() > 1;
-  if (parallel) {
-    pool->ParallelFor(chunks.size(), 1, [&](size_t begin, size_t end) {
-      for (size_t c = begin; c < end; ++c) extract_chunk(c);
-    });
-  } else {
-    for (size_t c = 0; c < chunks.size(); ++c) extract_chunk(c);
-  }
-
-  // Pairwise merge rounds over the sorted runs. std::merge is stable and the
-  // multiset of entries is thread-count-independent, so the final sorted
-  // sequence — and everything derived from it — is identical to the serial
-  // build's global sort.
-  while (runs.size() > 1) {
-    std::vector<std::vector<Entry>> merged((runs.size() + 1) / 2);
-    auto merge_pair = [&](size_t m) {
-      if (2 * m + 1 < runs.size()) {
-        std::vector<Entry>& a = runs[2 * m];
-        std::vector<Entry>& b = runs[2 * m + 1];
-        merged[m].reserve(a.size() + b.size());
-        std::merge(a.begin(), a.end(), b.begin(), b.end(),
-                   std::back_inserter(merged[m]));
-      } else {
-        merged[m] = std::move(runs[2 * m]);
-      }
-    };
-    if (parallel && merged.size() > 1) {
-      pool->ParallelFor(merged.size(), 1, [&](size_t begin, size_t end) {
-        for (size_t m = begin; m < end; ++m) merge_pair(m);
+  std::vector<Entry> entries = SortedEntries(
+      rights.size(), pool,
+      [&](size_t r, ProbeScratch* scratch, std::vector<TaggedKeyHash>* keys,
+          std::vector<Entry>* out) {
+        AppendEntityEntries(rights[r], static_cast<uint32_t>(r), options,
+                            sim, scratch, keys, out);
       });
-    } else {
-      for (size_t m = 0; m < merged.size(); ++m) merge_pair(m);
-    }
-    runs = std::move(merged);
-  }
-  std::vector<Entry> entries =
-      runs.empty() ? std::vector<Entry>{} : std::move(runs.front());
-
   entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
-  index.AssignFromEntries(entries);
+  index.table_.Assign(entries);
   return index;
 }
 
-void BlockingIndex::ResetFilter(size_t distinct_keys) {
+void BlockingIndex::AddRights(const std::vector<PreparedEntity>& rights,
+                              size_t first_new) {
+  num_rights_ = static_cast<uint32_t>(rights.size());
+  if (first_new >= rights.size()) return;
+  // Serial extraction: ingest deltas are small by construction, and a
+  // fixed extraction order keeps the grown index bit-identical at any
+  // engine thread count.
+  ProbeScratch scratch;
+  std::vector<TaggedKeyHash> keys;
+  std::vector<Entry> fresh;
+  for (size_t r = first_new; r < rights.size(); ++r) {
+    AppendEntityEntries(rights[r], static_cast<uint32_t>(r), options_, sim_,
+                        &scratch, &keys, &fresh);
+  }
+  std::sort(fresh.begin(), fresh.end());
+  fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
+  // New rights have indices disjoint from everything already posted (CSR
+  // and sidecar alike), so adding them cannot create duplicates.
+  table_.Add(fresh, options_.pending_merge_threshold);
+}
+
+void PostingTable::ResetFilter(size_t distinct_keys) {
   size_t bits = 512;
   while (bits < distinct_keys * 8) bits <<= 1;
   key_filter_.assign(bits / 64, 0);
   key_filter_mask_ = bits - 1;
 }
 
-void BlockingIndex::AssignFromEntries(const std::vector<Entry>& entries) {
+void PostingTable::Assign(const std::vector<Entry>& entries) {
   // CSR layout: group by hash, postings sorted within each block (the
-  // posting packs the right-entity index in its high bits, so the pair sort
-  // orders each block by entity).
+  // entries are sorted by (hash, posting)).
   postings_.clear();
   postings_.reserve(entries.size());
   size_t distinct = 0;
@@ -419,31 +498,15 @@ void BlockingIndex::AssignFromEntries(const std::vector<Entry>& entries) {
   }
 }
 
-void BlockingIndex::AddRights(const std::vector<PreparedEntity>& rights,
-                              size_t first_new) {
-  num_rights_ = static_cast<uint32_t>(rights.size());
-  if (first_new >= rights.size()) return;
-  // Serial extraction: ingest deltas are small by construction, and a
-  // fixed extraction order keeps the grown index bit-identical at any
-  // engine thread count.
-  ProbeScratch scratch;
-  std::vector<TaggedKeyHash> keys;
-  std::vector<Entry> fresh;
-  for (size_t r = first_new; r < rights.size(); ++r) {
-    AppendEntityEntries(rights[r], static_cast<uint32_t>(r), options_, sim_,
-                        &scratch, &keys, &fresh);
-  }
-  std::sort(fresh.begin(), fresh.end());
-  fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
-  // New rights have indices disjoint from everything already posted (CSR
-  // and sidecar alike), so appending + merging cannot create duplicates.
+void PostingTable::Add(const std::vector<Entry>& fresh,
+                       size_t merge_threshold) {
   const size_t old_size = pending_.size();
   pending_.insert(pending_.end(), fresh.begin(), fresh.end());
   std::inplace_merge(pending_.begin(), pending_.begin() + old_size,
                      pending_.end());
   // Keep the key filter covering the sidecar. Entry count over-estimates
   // distinct keys, so the load check is conservative; a merge rebuilds the
-  // filter exactly (AssignFromEntries).
+  // filter exactly (Assign).
   if ((block_count_ + pending_.size()) * 8 > key_filter_mask_ + 1) {
     ResetFilter(block_count_ + pending_.size());
     for (const Slot& slot : table_) {
@@ -453,20 +516,17 @@ void BlockingIndex::AddRights(const std::vector<PreparedEntity>& rights,
   } else {
     for (const Entry& entry : fresh) FilterInsert(entry.first);
   }
-  MaybeMergePending();
+  MaybeMerge(merge_threshold);
 }
 
-void BlockingIndex::MaybeMergePending() {
+void PostingTable::MaybeMerge(size_t merge_threshold) {
   if (pending_.empty()) return;
-  if (pending_.size() <=
-      options_.pending_merge_threshold + postings_.size() / 8) {
-    return;
-  }
+  if (pending_.size() <= merge_threshold + postings_.size() / 8) return;
   // Recover the globally sorted entry sequence underlying the CSR without
   // sorting: block begin offsets partition postings_ in ascending hash
-  // order (AssignFromEntries assigns them sequentially over the hash-sorted
-  // input), so scattering each block to its own begin offset reconstructs
-  // the sequence in one pass.
+  // order (Assign assigns them sequentially over the hash-sorted input), so
+  // scattering each block to its own begin offset reconstructs the
+  // sequence in one pass.
   std::vector<Entry> base(postings_.size());
   for (const Slot& slot : table_) {
     for (uint32_t k = 0; k < slot.len; ++k) {
@@ -478,113 +538,86 @@ void BlockingIndex::MaybeMergePending() {
   std::merge(base.begin(), base.end(), pending_.begin(), pending_.end(),
              std::back_inserter(merged));
   pending_.clear();
-  AssignFromEntries(merged);
+  Assign(merged);
   ++merge_count_;
 }
 
-void BlockingIndex::ResetScratch(ProbeScratch* scratch) const {
-  // Reset the previous probe's state. Buffer sizes only change when the
-  // scratch first meets this index (or a differently-sized one), so the
-  // steady state clears just the touched cells.
-  const size_t want_cells = static_cast<size_t>(num_rights_) * kCellCount;
-  if (scratch->seen_.size() != num_rights_ ||
-      scratch->cell_channels_.size() != want_cells) {
-    scratch->seen_.assign(num_rights_, 0);
-    scratch->union_channels_.assign(num_rights_, 0);
-    scratch->gram_counts_.assign(num_rights_, 0);
-    scratch->cell_channels_.assign(want_cells, 0);
+uint64_t PostingTable::Fingerprint(uint64_t covered) const {
+  // Commutative sum over per-entry mixes: each (key hash, posting) pair
+  // contributes the same term whether it lives in a CSR block or in the
+  // pending sidecar, and the table layout never enters, so equal
+  // fingerprints mean equal logical multisets (modulo hash collisions)
+  // regardless of how the table was grown.
+  uint64_t sum = 0;
+  uint64_t count = 0;
+  auto add = [&](uint64_t hash, uint32_t posting) {
+    sum += MixInt('f', hash ^ MixInt('p', posting));
+    ++count;
+  };
+  for (const Slot& slot : table_) {
+    for (uint32_t k = 0; k < slot.len; ++k) {
+      add(slot.hash, postings_[slot.begin + k]);
+    }
+  }
+  for (const Entry& entry : pending_) add(entry.first, entry.second);
+  auto combine = [](uint64_t h, uint64_t v) {
+    h ^= MixInt('f', v) + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+    return h;
+  };
+  uint64_t h = combine(kFnvOffset, covered);
+  h = combine(h, count);
+  h = combine(h, sum);
+  return h;
+}
+
+void ProbeScratch::Reset(size_t candidates) {
+  // Buffer sizes only change when the scratch first meets an index (or a
+  // differently-sized one), so the steady state clears just the touched
+  // cells.
+  const size_t want_cells = candidates * kCellCount;
+  if (seen_.size() != candidates || cell_channels_.size() != want_cells) {
+    seen_.assign(candidates, 0);
+    union_channels_.assign(candidates, 0);
+    gram_counts_.assign(candidates, 0);
+    cell_channels_.assign(want_cells, 0);
   } else {
-    for (uint32_t r : scratch->touched_) {
-      scratch->seen_[r] = 0;
-      scratch->union_channels_[r] = 0;
-      scratch->gram_counts_[r] = 0;
-      std::memset(&scratch->cell_channels_[static_cast<size_t>(r) *
-                                           kCellCount],
-                  0, kCellCount);
+    for (uint32_t c : touched_) {
+      seen_[c] = 0;
+      union_channels_[c] = 0;
+      gram_counts_[c] = 0;
+      std::memset(&cell_channels_[static_cast<size_t>(c) * kCellCount], 0,
+                  kCellCount);
     }
   }
-  scratch->touched_.clear();
+  touched_.clear();
 }
 
-void BlockingIndex::ProbeAttr(const std::vector<TaggedKeyHash>& keys,
-                              size_t attr_slot, bool left_is_short,
-                              uint32_t min_posting,
-                              ProbeScratch* scratch) const {
-  // Dense per-cell accumulation: O(postings touched), no string compares.
-  for (const TaggedKeyHash& key : keys) {
-    // Most probe keys have no postings at all; one bit test skips them.
-    if (!FilterMaybeContains(key.hash)) continue;
-    auto accumulate = [&](uint32_t posting) {
-      const uint32_t r = posting >> 4;
-      if (!scratch->seen_[r]) {
-        scratch->seen_[r] = 1;
-        scratch->touched_.push_back(r);
-      }
-      scratch->union_channels_[r] |= key.channel;
-      if (key.channel == kBlockGram && scratch->gram_counts_[r] < 254) {
-        // Between two short values a single shared gram is already
-        // meaningful (their gram sets are tiny), so it counts double and
-        // clears min_gram_matches = 2 on its own.
-        scratch->gram_counts_[r] += static_cast<uint8_t>(
-            left_is_short && (posting & kPostingShortBit) ? 2 : 1);
-      }
-      scratch->cell_channels_[static_cast<size_t>(r) * kCellCount +
-                              attr_slot * kCellAttrCap + (posting & 7)] |=
-          key.channel;
-    };
-    if (!table_.empty()) {
-      size_t slot = key.hash & table_mask_;
-      while (table_[slot].len != 0 && table_[slot].hash != key.hash) {
-        slot = (slot + 1) & table_mask_;
-      }
-      if (table_[slot].len != 0) {
-        const uint32_t* block = postings_.data() + table_[slot].begin;
-        const uint32_t* block_end = block + table_[slot].len;
-        if (min_posting != 0) {
-          block = std::lower_bound(block, block_end, min_posting);
-        }
-        for (; block != block_end; ++block) accumulate(*block);
-      }
-    }
-    if (!pending_.empty()) {
-      auto it = std::lower_bound(pending_.begin(), pending_.end(),
-                                 Entry{key.hash, min_posting});
-      for (; it != pending_.end() && it->first == key.hash; ++it) {
-        accumulate(it->second);
-      }
-    }
-  }
-}
-
-void BlockingIndex::FinishProbe(ProbeScratch* scratch) const {
-  std::sort(scratch->touched_.begin(), scratch->touched_.end());
+void ProbeScratch::Finish(uint32_t min_gram_matches) {
+  std::sort(touched_.begin(), touched_.end());
   // Gram-only candidates below the collision threshold are dropped (and
-  // their scratch state cleared now — the entry reset only walks touched_).
-  if (options_.min_gram_matches > 1) {
-    auto out_it = scratch->touched_.begin();
-    for (uint32_t r : scratch->touched_) {
-      const bool keep =
-          (scratch->union_channels_[r] & ~kBlockGram) != 0 ||
-          scratch->gram_counts_[r] >= options_.min_gram_matches;
-      if (keep) {
-        *out_it++ = r;
-      } else {
-        scratch->seen_[r] = 0;
-        scratch->union_channels_[r] = 0;
-        scratch->gram_counts_[r] = 0;
-        std::memset(
-            &scratch->cell_channels_[static_cast<size_t>(r) * kCellCount], 0,
-            kCellCount);
-      }
+  // their state cleared now — the next Reset only walks touched_).
+  if (min_gram_matches <= 1) return;
+  auto out_it = touched_.begin();
+  for (uint32_t c : touched_) {
+    const bool keep = (union_channels_[c] & ~kBlockGram) != 0 ||
+                      gram_counts_[c] >= min_gram_matches;
+    if (keep) {
+      *out_it++ = c;
+    } else {
+      seen_[c] = 0;
+      union_channels_[c] = 0;
+      gram_counts_[c] = 0;
+      std::memset(&cell_channels_[static_cast<size_t>(c) * kCellCount], 0,
+                  kCellCount);
     }
-    scratch->touched_.erase(out_it, scratch->touched_.end());
   }
+  touched_.erase(out_it, touched_.end());
 }
 
 void BlockingIndex::Probe(const PreparedEntity& left, ProbeScratch* scratch,
                           uint32_t min_right) const {
-  ResetScratch(scratch);
-  if (table_.empty() && pending_.empty()) return;
+  scratch->Reset(num_rights_);
+  if (table_.empty()) return;
   // Postings pack the right index in their high bits, so filtering a sorted
   // block (or sidecar range) to rights >= min_right is one lower_bound.
   const uint32_t min_posting = min_right << 4;
@@ -597,59 +630,17 @@ void BlockingIndex::Probe(const PreparedEntity& left, ProbeScratch* scratch,
     keys.clear();
     AppendBlockKeyHashes(left.attributes[a].value, options_, sim_,
                          /*probe_neighbors=*/true, scratch, &keys);
-    // Dedup so each block is walked once per probing value.
-    std::sort(keys.begin(), keys.end(),
-              [](const TaggedKeyHash& a, const TaggedKeyHash& b) {
-                return a.hash != b.hash ? a.hash < b.hash
-                                        : a.channel < b.channel;
-              });
-    keys.erase(std::unique(keys.begin(), keys.end(),
-                           [](const TaggedKeyHash& a, const TaggedKeyHash& b) {
-                             return a.hash == b.hash &&
-                                    a.channel == b.channel;
-                           }),
-               keys.end());
-    ProbeAttr(keys, attr_slot, left_is_short, min_posting, scratch);
+    SortUniqueProbeKeys(&keys);
+    // Dense per-cell accumulation: O(postings touched), no string compares.
+    for (const TaggedKeyHash& key : keys) {
+      table_.ForEach(key.hash, min_posting, [&](uint32_t posting) {
+        scratch->Hit(posting >> 4, key.channel,
+                     left_is_short && (posting & kPostingShortBit) != 0,
+                     attr_slot * kCellAttrCap + (posting & 7u));
+      });
+    }
   }
-  FinishProbe(scratch);
-}
-
-PreparedProbe BlockingIndex::PrepareProbe(
-    const PreparedEntity& left, ProbeScratch* scratch) const {
-  PreparedProbe prepared;
-  prepared.attrs.resize(left.attributes.size());
-  for (size_t a = 0; a < left.attributes.size(); ++a) {
-    PreparedProbe::Attr& attr = prepared.attrs[a];
-    attr.is_short = left.attributes[a].value.lowered.size() <=
-                    options_.single_gram_value_length;
-    AppendBlockKeyHashes(left.attributes[a].value, options_, sim_,
-                         /*probe_neighbors=*/true, scratch, &attr.keys);
-    std::sort(attr.keys.begin(), attr.keys.end(),
-              [](const TaggedKeyHash& a, const TaggedKeyHash& b) {
-                return a.hash != b.hash ? a.hash < b.hash
-                                        : a.channel < b.channel;
-              });
-    attr.keys.erase(
-        std::unique(attr.keys.begin(), attr.keys.end(),
-                    [](const TaggedKeyHash& a, const TaggedKeyHash& b) {
-                      return a.hash == b.hash && a.channel == b.channel;
-                    }),
-        attr.keys.end());
-  }
-  return prepared;
-}
-
-void BlockingIndex::Probe(const PreparedProbe& probe, ProbeScratch* scratch,
-                          uint32_t min_right) const {
-  ResetScratch(scratch);
-  if (table_.empty() && pending_.empty()) return;
-  const uint32_t min_posting = min_right << 4;
-  for (size_t a = 0; a < probe.attrs.size(); ++a) {
-    const size_t attr_slot = a < kCellAttrCap - 1 ? a : kCellAttrCap - 1;
-    ProbeAttr(probe.attrs[a].keys, attr_slot, probe.attrs[a].is_short,
-              min_posting, scratch);
-  }
-  FinishProbe(scratch);
+  scratch->Finish(options_.min_gram_matches);
 }
 
 void BlockingIndex::Candidates(const PreparedEntity& left,
@@ -677,32 +668,49 @@ void BlockingIndex::Candidates(const PreparedEntity& left,
   Candidates(left, &scratch, out, &channels);
 }
 
-uint64_t BlockingIndex::Fingerprint() const {
-  // Commutative sum over per-entry mixes: each (key hash, posting) pair
-  // contributes the same term whether it lives in a CSR block or in the
-  // pending sidecar, and the table layout never enters, so equal
-  // fingerprints mean equal logical indexes (modulo hash collisions)
-  // regardless of how the index was grown.
-  uint64_t sum = 0;
-  uint64_t count = 0;
-  auto add = [&](uint64_t hash, uint32_t posting) {
-    sum += MixInt('f', hash ^ MixInt('p', posting));
-    ++count;
-  };
-  for (const Slot& slot : table_) {
-    for (uint32_t k = 0; k < slot.len; ++k) {
-      add(slot.hash, postings_[slot.begin + k]);
-    }
+void ReverseProbeIndex::AddLefts(
+    const std::vector<const PreparedEntity*>& lefts, ThreadPool* pool) {
+  const uint32_t first_id = num_lefts_;
+  ALEX_CHECK(lefts.size() <= kMaxLeftIds - first_id)
+      << "reverse-probe left ids overflow " << (32 - kLeftIdShift)
+      << " bits";
+  std::vector<Entry> entries = SortedEntries(
+      lefts.size(), pool,
+      [&](size_t k, ProbeScratch* scratch, std::vector<TaggedKeyHash>* keys,
+          std::vector<Entry>* out) {
+        AppendLeftEntries(*lefts[k], first_id + static_cast<uint32_t>(k),
+                          options_, sim_, scratch, keys, out);
+      });
+  num_lefts_ += static_cast<uint32_t>(lefts.size());
+  if (table_.empty()) {
+    table_.Assign(entries);
+  } else {
+    table_.Add(entries, options_.pending_merge_threshold);
   }
-  for (const Entry& entry : pending_) add(entry.first, entry.second);
-  auto combine = [](uint64_t h, uint64_t v) {
-    h ^= MixInt('f', v) + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    return h;
-  };
-  uint64_t h = combine(kFnvOffset, num_rights_);
-  h = combine(h, count);
-  h = combine(h, sum);
-  return h;
+}
+
+void ReverseProbeIndex::Probe(const PreparedEntity& right,
+                              ProbeScratch* scratch) const {
+  scratch->Reset(num_lefts_);
+  if (table_.empty()) return;
+  // The right's entries exactly as BlockingIndex::AddRights posts them,
+  // under right index 0: what matters here is each posting's short flag
+  // and attribute slot, and deduplicating by (hash, posting) merges the
+  // attributes from slot 7 on just as the right index does.
+  std::vector<Entry> entries;
+  AppendEntityEntries(right, 0, options_, sim_, scratch, &scratch->keys_,
+                      &entries);
+  std::sort(entries.begin(), entries.end());
+  entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
+  for (const auto& [hash, right_posting] : entries) {
+    table_.ForEach(hash, 0, [&](uint32_t left_posting) {
+      scratch->Hit(left_posting >> kLeftIdShift,
+                   static_cast<uint8_t>(1u << ((left_posting >> 4) & 7u)),
+                   (left_posting & right_posting & kPostingShortBit) != 0,
+                   (left_posting & 7u) * kCellAttrCap + (right_posting & 7u));
+    });
+  }
+  scratch->Finish(options_.min_gram_matches);
 }
 
 }  // namespace alex::core

@@ -6,7 +6,11 @@
 // cheap "block keys" to the entities that exhibit them, so that the
 // expensive pairwise scoring only runs on pairs that share at least one
 // block. This file implements that index over the *right* data set; the
-// left entities probe it (see FeatureSpace::Build).
+// left entities probe it (see FeatureSpace::Build). For live ingest it also
+// implements the reverse: an index of the left entities' probe-side keys,
+// which each newly ingested right probes once to find exactly the old lefts
+// whose forward probe would reach it (see ReverseProbeIndex). Both keep
+// their postings in a PostingTable.
 //
 // Block keys per prepared value (see AppendBlockKeys):
 //   * the whole lowered value       — exact-match channels (booleans,
@@ -36,9 +40,12 @@
 #ifndef ALEX_CORE_BLOCKING_H_
 #define ALEX_CORE_BLOCKING_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -133,35 +140,61 @@ struct TaggedKeyHash {
 inline constexpr size_t kCellAttrCap = 8;
 inline constexpr size_t kCellCount = kCellAttrCap * kCellAttrCap;
 
-// Reusable scratch for repeated Probe() calls: per-token key memo (tokens
-// repeat heavily across entities, and deletion-variant expansion is the
-// expensive part) plus dense accumulation buffers. One per worker — not
-// thread-safe, but independent instances may probe the same index
-// concurrently. After Probe(), holds the candidate list and the per-cell
-// channel bitmasks until the next Probe() on this scratch.
+// Reusable scratch for repeated probes: per-token key memo (tokens repeat
+// heavily across entities, and deletion-variant expansion is the expensive
+// part) plus dense accumulation buffers over the probed side's entities.
+// One per worker — not thread-safe, but independent instances may probe the
+// same index concurrently. After a probe, holds the candidate list and the
+// per-cell channel bitmasks until the next probe on this scratch.
 class ProbeScratch {
  public:
-  // Candidate right-entity indices of the last Probe(), sorted ascending.
+  // Candidates of the last probe, sorted ascending: right-entity indexes
+  // after BlockingIndex::Probe, left ids after ReverseProbeIndex::Probe.
   const std::vector<uint32_t>& touched() const { return touched_; }
   // 8x8 row-major (left attr, right attr) channel bitmasks for candidate
-  // `r`, which must be in touched().
-  const uint8_t* cell_channels(uint32_t r) const {
-    return cell_channels_.data() + static_cast<size_t>(r) * kCellCount;
+  // `c`, which must be in touched().
+  const uint8_t* cell_channels(uint32_t c) const {
+    return cell_channels_.data() + static_cast<size_t>(c) * kCellCount;
   }
 
  private:
   friend class BlockingIndex;
+  friend class ReverseProbeIndex;
   friend void AppendBlockKeyHashes(const PreparedValue&,
                                    const BlockingOptions&,
                                    const sim::SimilarityOptions&, bool,
                                    ProbeScratch*,
                                    std::vector<TaggedKeyHash>*);
+  // Sizes the buffers for candidate ids [0, candidates) and clears the
+  // previous probe's state.
+  void Reset(size_t candidates);
+  // One key shared by candidate `c`: `channel` joins the candidate's channel
+  // union and cell `cell` (left slot * kCellAttrCap + right slot). A gram
+  // key counts double toward min_gram_matches when both values are short:
+  // their gram sets are tiny, so one shared gram is already meaningful. The
+  // count saturates, so it does not depend on the order keys arrive in.
+  void Hit(uint32_t c, uint8_t channel, bool both_short, size_t cell) {
+    if (!seen_[c]) {
+      seen_[c] = 1;
+      touched_.push_back(c);
+    }
+    union_channels_[c] |= channel;
+    if (channel == kBlockGram) {
+      const unsigned count = gram_counts_[c] + (both_short ? 2u : 1u);
+      gram_counts_[c] = static_cast<uint8_t>(count < 255u ? count : 255u);
+    }
+    cell_channels_[static_cast<size_t>(c) * kCellCount + cell] |= channel;
+  }
+  // Sorts the candidates and drops those whose only shared keys are grams,
+  // fewer than `min_gram_matches` of them.
+  void Finish(uint32_t min_gram_matches);
+
   std::unordered_map<std::string, std::vector<TaggedKeyHash>> token_memo_;
   std::vector<TaggedKeyHash> keys_;
-  std::vector<uint8_t> cell_channels_;  // num_rights * kCellCount bytes
-  std::vector<uint8_t> seen_;           // per right entity: in touched_?
-  std::vector<uint8_t> union_channels_;  // per right entity: OR over cells
-  std::vector<uint8_t> gram_counts_;     // per right: gram hits, saturating
+  std::vector<uint8_t> cell_channels_;  // candidates * kCellCount bytes
+  std::vector<uint8_t> seen_;           // per candidate: in touched_?
+  std::vector<uint8_t> union_channels_;  // per candidate: OR over cells
+  std::vector<uint8_t> gram_counts_;     // per candidate: gram hits
   std::vector<uint32_t> touched_;
 };
 
@@ -172,18 +205,100 @@ void AppendBlockKeyHashes(const PreparedValue& value,
                           bool probe_neighbors, ProbeScratch* scratch,
                           std::vector<TaggedKeyHash>* keys);
 
-// The probe-side block keys of one left entity, extracted, sorted and
-// deduplicated once for reuse across probes. Key extraction (gram hashing,
-// deletion-variant expansion) dominates probe cost, so callers that
-// re-probe the same entities every ingest epoch — the incremental
-// FeatureSpace::Grow path — prepare once and amortize it away. Valid for
-// any index built with the same (blocking, similarity) options.
-struct PreparedProbe {
-  struct Attr {
-    std::vector<TaggedKeyHash> keys;  // sorted by (hash, channel), deduped
-    bool is_short = false;  // value within single_gram_value_length
+// The storage behind both block-key indexes: a multimap from key hash to
+// 32-bit postings. Postings live in a CSR layout — an open-addressed table
+// maps each hash to its contiguous block, sorted within the block — plus a
+// sorted pending sidecar of the (hash, posting) entries added since the
+// last rebuild. The sidecar is merged back into the CSR once it outgrows
+// merge_threshold + postings/8, the same dirt-threshold compaction pattern
+// as FeatureSpace::ApplyDelta. Lookups see CSR and sidecar as one multimap,
+// so merge timing never shows in results.
+class PostingTable {
+ public:
+  using Entry = std::pair<uint64_t, uint32_t>;  // (key hash, posting)
+
+  // Replaces the contents with `entries`, sorted by (hash, posting).
+  void Assign(const std::vector<Entry>& entries);
+  // Adds `fresh`, sorted by (hash, posting), to the sidecar, and merges the
+  // sidecar into the CSR when it outgrows the dirt threshold.
+  void Add(const std::vector<Entry>& fresh, size_t merge_threshold);
+
+  // Calls fn(posting) for every posting of `hash` that is >= min_posting:
+  // the CSR block's, then the sidecar's, each ascending.
+  template <typename Fn>
+  void ForEach(uint64_t hash, uint32_t min_posting, Fn&& fn) const {
+    // Most probe keys have no postings at all; one bit test skips them.
+    if (!FilterMaybeContains(hash)) return;
+    if (!table_.empty()) {
+      size_t slot = hash & table_mask_;
+      while (table_[slot].len != 0 && table_[slot].hash != hash) {
+        slot = (slot + 1) & table_mask_;
+      }
+      if (table_[slot].len != 0) {
+        const uint32_t* block = postings_.data() + table_[slot].begin;
+        const uint32_t* block_end = block + table_[slot].len;
+        if (min_posting != 0) {
+          block = std::lower_bound(block, block_end, min_posting);
+        }
+        for (; block != block_end; ++block) fn(*block);
+      }
+    }
+    if (!pending_.empty()) {
+      auto it = std::lower_bound(pending_.begin(), pending_.end(),
+                                 Entry{hash, min_posting});
+      for (; it != pending_.end() && it->first == hash; ++it) fn(it->second);
+    }
+  }
+
+  bool empty() const { return postings_.empty() && pending_.empty(); }
+  // Distinct hashes in the CSR.
+  size_t block_count() const { return block_count_; }
+  uint64_t size() const { return postings_.size() + pending_.size(); }
+  size_t pending_count() const { return pending_.size(); }
+  // Sidecar-into-CSR merges performed so far.
+  uint64_t merge_count() const { return merge_count_; }
+
+  // Representation-independent hash over the (hash, posting) entry
+  // multiset, seeded with `covered` (the number of entities posted):
+  // invariant under CSR-vs-sidecar placement and table layout.
+  uint64_t Fingerprint(uint64_t covered) const;
+
+ private:
+  // Merges the sidecar into the CSR when it outgrows the dirt threshold.
+  void MaybeMerge(size_t merge_threshold);
+  // A slot maps a block-key hash to its [begin, begin+len) range in
+  // postings_. The key hashes are already well mixed (FNV-1a / SplitMix64),
+  // so the slot index is just hash & mask. len == 0 marks an empty slot.
+  struct Slot {
+    uint64_t hash = 0;
+    uint32_t begin = 0;
+    uint32_t len = 0;
   };
-  std::vector<Attr> attrs;
+  // One-bit membership filter over every posted key hash (CSR + sidecar):
+  // a key whose bit is clear provably has no postings, so the common miss
+  // costs one cache-resident bit test instead of a table walk plus a
+  // sidecar binary search. False positives just fall through to the normal
+  // lookup. Sized ~8 bits per distinct key by Assign; Add extends it in
+  // place (merges re-size it).
+  void FilterInsert(uint64_t hash) {
+    key_filter_[(hash & key_filter_mask_) >> 6] |=
+        1ull << (hash & key_filter_mask_ & 63u);
+  }
+  bool FilterMaybeContains(uint64_t hash) const {
+    return (key_filter_[(hash & key_filter_mask_) >> 6] >>
+            (hash & key_filter_mask_ & 63u)) &
+           1u;
+  }
+  void ResetFilter(size_t distinct_keys);
+
+  std::vector<Slot> table_;
+  uint64_t table_mask_ = 0;
+  std::vector<uint64_t> key_filter_ = {0};
+  uint64_t key_filter_mask_ = 63;
+  std::vector<uint32_t> postings_;
+  std::vector<Entry> pending_;
+  size_t block_count_ = 0;
+  uint64_t merge_count_ = 0;
 };
 
 // Inverted index: block-key hash -> sorted list of (right entity, attr)
@@ -206,7 +321,7 @@ class BlockingIndex {
                              ThreadPool* pool = nullptr);
 
   // Extends the index over rights[first_new..] (rights[0..first_new) must
-  // be the entities the index already covers). New postings land in a
+  // be the entities the index already covers). New postings land in the
   // sorted pending sidecar consulted by every probe; once the sidecar
   // outgrows the dirt threshold it is merged back into the CSR layout.
   // Serial and deterministic: the resulting logical index — and its
@@ -220,23 +335,14 @@ class BlockingIndex {
   //
   // `min_right` restricts the probe to right entities with index >=
   // min_right; the result is exactly the full probe's state restricted to
-  // those candidates (per-right accumulation is independent). The delta
-  // path uses this to score grown frontiers in O(new pairs).
+  // those candidates (per-right accumulation is independent). The rebuild
+  // baseline of live ingest uses this to score old lefts against the new
+  // rights.
   void Probe(const PreparedEntity& left, ProbeScratch* scratch,
              uint32_t min_right) const;
   void Probe(const PreparedEntity& left, ProbeScratch* scratch) const {
     Probe(left, scratch, 0);
   }
-
-  // Extracts the probe-side keys of `left` for the PreparedProbe overload.
-  // `scratch` only provides the per-token key memo.
-  PreparedProbe PrepareProbe(const PreparedEntity& left,
-                             ProbeScratch* scratch) const;
-
-  // Probe with keys prepared by PrepareProbe: bit-identical resulting
-  // scratch state, minus the per-call key extraction.
-  void Probe(const PreparedProbe& probe, ProbeScratch* scratch,
-             uint32_t min_right) const;
 
   // Appends the sorted, deduplicated indices of every right entity sharing
   // at least one block with `left` to `*out` (cleared first), and the
@@ -250,82 +356,79 @@ class BlockingIndex {
   void Candidates(const PreparedEntity& left,
                   std::vector<uint32_t>* out) const;
 
-  bool empty() const { return postings_.empty() && pending_.empty(); }
-  size_t block_count() const { return block_count_; }
-  uint64_t posting_count() const { return postings_.size() + pending_.size(); }
+  bool empty() const { return table_.empty(); }
+  size_t block_count() const { return table_.block_count(); }
+  uint64_t posting_count() const { return table_.size(); }
   // Entries currently in the pending sidecar (not yet merged into the CSR).
-  size_t pending_count() const { return pending_.size(); }
+  size_t pending_count() const { return table_.pending_count(); }
   // Number of sidecar-into-CSR merge compactions performed so far.
-  uint64_t merge_count() const { return merge_count_; }
+  uint64_t merge_count() const { return table_.merge_count(); }
   size_t num_rights() const { return num_rights_; }
-
-  void set_pending_merge_threshold(size_t threshold) {
-    options_.pending_merge_threshold = threshold;
-  }
 
   // Representation-independent hash over the logical (key hash, posting)
   // entry multiset plus the covered right count: invariant under CSR-vs-
   // pending placement and table layout, so an incrementally grown index
   // fingerprints identically to a fresh Build() over the same rights.
-  uint64_t Fingerprint() const;
+  uint64_t Fingerprint() const { return table_.Fingerprint(num_rights_); }
 
  private:
-  using Entry = std::pair<uint64_t, uint32_t>;  // (key hash, packed posting)
-
-  // Shared pieces of the two Probe overloads: clear the previous probe's
-  // scratch state, accumulate one attribute's keys, and apply the final
-  // sort + gram-threshold filter.
-  void ResetScratch(ProbeScratch* scratch) const;
-  void ProbeAttr(const std::vector<TaggedKeyHash>& keys, size_t attr_slot,
-                 bool left_is_short, uint32_t min_posting,
-                 ProbeScratch* scratch) const;
-  void FinishProbe(ProbeScratch* scratch) const;
-
-  // Replaces the CSR postings + hash table with the globally (hash,
-  // posting)-sorted, deduplicated `entries`.
-  void AssignFromEntries(const std::vector<Entry>& entries);
-  // Merges the pending sidecar into the CSR when it outgrows the dirt
-  // threshold.
-  void MaybeMergePending();
-  // Open-addressed hash table over contiguous posting storage (CSR layout):
-  // a slot maps a block-key hash to its [begin, begin+len) range in
-  // postings_. The key hashes are already well mixed (FNV-1a / SplitMix64),
-  // so the slot index is just hash & mask. len == 0 marks an empty slot.
-  struct Slot {
-    uint64_t hash = 0;
-    uint32_t begin = 0;
-    uint32_t len = 0;
-  };
-  // One-bit membership filter over every posted key hash (CSR + pending):
-  // a probe key whose bit is clear provably has no postings, so the common
-  // miss costs one cache-resident bit test instead of a table walk plus a
-  // sidecar binary search. False positives just fall through to the normal
-  // lookup. Sized ~8 bits per distinct key by AssignFromEntries; AddRights
-  // extends it in place (merges re-size it).
-  void FilterInsert(uint64_t hash) {
-    key_filter_[(hash & key_filter_mask_) >> 6] |=
-        1ull << (hash & key_filter_mask_ & 63u);
-  }
-  bool FilterMaybeContains(uint64_t hash) const {
-    return (key_filter_[(hash & key_filter_mask_) >> 6] >>
-            (hash & key_filter_mask_ & 63u)) &
-           1u;
-  }
-  void ResetFilter(size_t distinct_keys);
-
-  std::vector<Slot> table_;
-  uint64_t table_mask_ = 0;
-  std::vector<uint64_t> key_filter_ = {0};
-  uint64_t key_filter_mask_ = 63;
-  // Packed (right_index << 4) | short_value_flag << 3 | min(attr_index, 7),
-  // sorted within a block.
-  std::vector<uint32_t> postings_;
-  // Sorted (hash, posting) entries from AddRights() awaiting their merge
-  // into the CSR; probes consult this alongside the table.
-  std::vector<Entry> pending_;
-  size_t block_count_ = 0;
+  // Postings pack (right_index << 4) | short_value_flag << 3 |
+  // min(attr_index, 7); a key's postings are sorted, so by right entity.
+  PostingTable table_;
   uint32_t num_rights_ = 0;
-  uint64_t merge_count_ = 0;
+  BlockingOptions options_;
+  sim::SimilarityOptions sim_;
+};
+
+// A candidate pair and the 8x8 (left attr, right attr) cell channel masks
+// its probe accumulated (the layout of ProbeScratch::cell_channels), ready
+// for FeatureSpace::Grow to score.
+struct CandidatePair {
+  uint32_t left;   // index into the partition's left_entities()
+  uint32_t right;  // index into the right context's entities
+  std::array<uint8_t, kCellCount> cells;
+};
+
+// The reverse of BlockingIndex::Probe, for live ingest. It indexes the
+// PROBE-side keys of left entities — what a forward probe looks up: the
+// numeric and date neighbour buckets and every reachable gram tier — one
+// posting per (left, attribute, distinct key). Probing it with one right
+// entity's INDEX-side entries — exactly what BlockingIndex::AddRights
+// posts for that right — accumulates, per left, the same channel union,
+// gram count and cell masks that the left's forward probe accumulates for
+// that right, and applies the same min_gram_matches rule. So its
+// candidates for a new right are exactly the lefts whose forward probe
+// reaches the right, with bit-identical cell masks: one reverse probe per
+// new right replaces re-probing every old left.
+class ReverseProbeIndex {
+ public:
+  ReverseProbeIndex(const BlockingOptions& options,
+                    const sim::SimilarityOptions& sim)
+      : options_(options), sim_(sim) {}
+
+  // Posts the probe-side keys of `lefts` under the next left ids:
+  // lefts[k] gets id num_lefts() + k. Key extraction is sharded across
+  // `pool` as in BlockingIndex::Build. Into an index without postings the
+  // entries go straight to the CSR; otherwise they join the pending
+  // sidecar, as BlockingIndex::AddRights does.
+  void AddLefts(const std::vector<const PreparedEntity*>& lefts,
+                ThreadPool* pool = nullptr);
+
+  // Leaves in scratch->touched() the sorted ids of the lefts whose forward
+  // probe reaches `right`, and each one's (left attr, right attr) channel
+  // masks behind scratch->cell_channels().
+  void Probe(const PreparedEntity& right, ProbeScratch* scratch) const;
+
+  size_t num_lefts() const { return num_lefts_; }
+  uint64_t merge_count() const { return table_.merge_count(); }
+
+ private:
+  // Postings pack (left_id << 7) | channel_bit << 4 | short_value_flag << 3
+  // | min(attr_index, 7), where channel_bit is the probe key's BlockChannel
+  // as a bit index. A left's attributes from slot 7 on can yield equal
+  // postings; each is kept, since the forward probe counts every attribute.
+  PostingTable table_;
+  uint32_t num_lefts_ = 0;
   BlockingOptions options_;
   sim::SimilarityOptions sim_;
 };

@@ -278,6 +278,9 @@ struct SimilarityChannelMask {
   bool dates = true;        // date distance channel
 
   static constexpr SimilarityChannelMask All() { return {}; }
+  constexpr bool Any() const {
+    return equality || jaccard || levenshtein || numeric || dates;
+  }
 };
 
 // Allocation-light similarity on prepared values; mirrors
@@ -324,13 +327,16 @@ void BuildFeatureSetWithMasks(const PreparedEntity& left,
     for (size_t j = 0; j < inner; ++j) {
       const size_t li = rows_from_left ? i : j;
       const size_t ri = rows_from_left ? j : i;
+      const SimilarityChannelMask mask = masks.At(li, ri);
+      // A cell with every channel off scores exactly 0.0, which never
+      // beats `best`: most blocked cells share no block key at all.
+      if (!mask.Any()) continue;
       const PreparedAttribute& la = left.attributes[li];
       const PreparedAttribute& ra = right.attributes[ri];
       // Only scores that can still become this row's (>= θ) maximum need
       // to be exact; PreparedSimilarity may bail out early below that.
       double score = PreparedSimilarity(la.value, ra.value, options,
-                                        std::max(theta, best),
-                                        masks.At(li, ri));
+                                        std::max(theta, best), mask);
       if (score > best) {
         best = score;
         best_j = j;

@@ -149,6 +149,10 @@ std::vector<PairId> FeatureSpace::PairsInRange(FeatureId feature, double lo,
 }
 
 void FeatureSpace::RemapFeatures(const std::vector<FeatureId>& old_to_new) {
+  ALEX_CHECK(live_pair_count_ == pair_count() &&
+             pending_entry_count() == 0 && grown_entries_ == 0)
+      << "RemapFeatures needs a freshly built space: no tombstones, pending "
+         "or grown entries";
   std::vector<FeatureId>& features = pairs_.features;
   std::vector<double>& scores = pairs_.scores;
   for (FeatureId& id : features) id = old_to_new[id];
@@ -168,7 +172,36 @@ void FeatureSpace::RemapFeatures(const std::vector<FeatureId>& old_to_new) {
       scores[at] = score;
     }
   }
-  BuildScoreIndex();
+  // Every bucket is full (all pairs live, none pending), and renaming its
+  // feature keeps its (score, PairId) order: lay the buckets out in new-id
+  // order, as BuildScoreIndex would, and move each one whole.
+  const size_t num_features = NumFeatures();
+  if (num_features == 0) return;
+  auto width = [this](size_t f) {
+    return feature_begin_[f + 1] - feature_begin_[f];
+  };
+  FeatureId max_feature = 0;
+  for (size_t f = 0; f < num_features; ++f) {
+    if (width(f) != 0) max_feature = std::max(max_feature, old_to_new[f]);
+  }
+  std::vector<uint32_t> begin(static_cast<size_t>(max_feature) + 2, 0);
+  for (size_t f = 0; f < num_features; ++f) {
+    if (width(f) != 0) begin[old_to_new[f] + 1] = width(f);
+  }
+  for (size_t f = 1; f < begin.size(); ++f) begin[f] += begin[f - 1];
+  std::vector<double> index_scores(index_scores_.size());
+  std::vector<PairId> index_pairs(index_pairs_.size());
+  for (size_t f = 0; f < num_features; ++f) {
+    if (width(f) == 0) continue;
+    std::copy_n(index_scores_.begin() + feature_begin_[f], width(f),
+                index_scores.begin() + begin[old_to_new[f]]);
+    std::copy_n(index_pairs_.begin() + feature_begin_[f], width(f),
+                index_pairs.begin() + begin[old_to_new[f]]);
+  }
+  index_scores_ = std::move(index_scores);
+  index_pairs_ = std::move(index_pairs);
+  feature_begin_.assign(begin.begin(), begin.end());
+  ResetMaintenanceState();
 }
 
 size_t FeatureSpace::FindIndexEntry(size_t begin, size_t end, double score,
@@ -619,9 +652,9 @@ FeatureSpace FeatureSpace::Build(const rdf::TripleStore& left,
 FeatureSpace::GrowthResult FeatureSpace::Grow(
     const rdf::TripleStore& left,
     const std::vector<rdf::TermId>& new_left_subjects,
-    const std::vector<uint32_t>* candidate_old_lefts, size_t old_right_count,
+    const std::vector<CandidatePair>* old_left_pairs, size_t old_right_count,
     FeatureCatalog* catalog, const FeatureSpaceOptions& options,
-    bool rebuild_indexes, const BlockingIndex* delta_index) {
+    bool rebuild_indexes) {
   GrowthResult result;
   const std::vector<PreparedEntity>& rights = right_->entities;
   const size_t old_left_count = left_entities_.size();
@@ -646,66 +679,46 @@ FeatureSpace::GrowthResult FeatureSpace::Grow(
   ProbeScratch scratch;
   FeatureSet features;  // reused for every scored pair
   PairArrays fresh;
-  // Probe-key extraction dominates a restricted probe's cost, so the
-  // incremental path reuses cached keys per left entity (valid across
-  // epochs: keys depend only on the options). The rebuild baseline probes
-  // from scratch — it is the O(store) pass the incremental mode is measured
-  // against. Both produce bit-identical scratch state.
-  const bool use_probe_cache = !rebuild_indexes && index != nullptr;
-  if (use_probe_cache && probe_cache_.size() < left_entities_.size()) {
-    probe_cache_.resize(left_entities_.size());
-  }
-  // Which index the cached probes hit: phase 1 swaps in the delta index
-  // (new rights only, globally numbered) when the engine supplied one.
-  const BlockingIndex* probe_target = index;
+  auto keep = [&](uint32_t i, uint32_t j) {
+    ++scored_pair_count_;
+    if (features.empty()) return;  // dropped by θ-filtering
+    fresh.Append(i, j, features);
+  };
   auto score_left = [&](size_t i, uint32_t min_right) {
     const PreparedEntity& left_entity = left_entities_[i];
-    auto keep = [&](uint32_t j) {
-      ++scored_pair_count_;
-      if (features.empty()) return;  // dropped by θ-filtering
-      fresh.Append(static_cast<uint32_t>(i), j, features);
-    };
-    auto score_touched = [&] {
+    if (index != nullptr) {
+      index->Probe(left_entity, &scratch, min_right);
       for (uint32_t j : scratch.touched()) {
         BuildFeatureSetWithMasks(left_entity, rights[j], &memo, options.theta,
                                  options.similarity,
                                  CellMaskProvider{scratch.cell_channels(j)},
                                  &features);
-        keep(j);
+        keep(static_cast<uint32_t>(i), j);
       }
-    };
-    if (use_probe_cache) {
-      if (i >= probe_cache_.size()) probe_cache_.resize(left_entities_.size());
-      if (!probe_cache_[i]) {
-        probe_cache_[i] = index->PrepareProbe(left_entity, &scratch);
-      }
-      probe_target->Probe(*probe_cache_[i], &scratch, min_right);
-      score_touched();
-    } else if (index != nullptr) {
-      index->Probe(left_entity, &scratch, min_right);
-      score_touched();
     } else {
       for (uint32_t j = min_right; j < rights.size(); ++j) {
         BuildFeatureSet(left_entity, rights[j], &memo, options.theta,
                         options.similarity, &features);
-        keep(j);
+        keep(static_cast<uint32_t>(i), j);
       }
     }
   };
-  // Phase 1: old lefts against the new rights only (min_right restriction —
-  // the probe state equals a full probe restricted to the new rights).
+  // Phase 1: old lefts against the new rights only — the probed list, or a
+  // min_right-restricted forward probe of every old left (the probe state
+  // equals a full probe restricted to the new rights).
   if (old_right_count < rights.size()) {
-    const uint32_t first_new = static_cast<uint32_t>(old_right_count);
-    if (use_probe_cache && delta_index != nullptr) {
-      ALEX_CHECK(delta_index->num_rights() == rights.size());
-      probe_target = delta_index;
-    }
-    if (index != nullptr && candidate_old_lefts != nullptr) {
-      for (uint32_t i : *candidate_old_lefts) score_left(i, first_new);
+    if (old_left_pairs != nullptr && index != nullptr) {
+      for (const CandidatePair& pair : *old_left_pairs) {
+        BuildFeatureSetWithMasks(left_entities_[pair.left], rights[pair.right],
+                                 &memo, options.theta, options.similarity,
+                                 CellMaskProvider{pair.cells.data()},
+                                 &features);
+        keep(pair.left, pair.right);
+      }
     } else {
+      const uint32_t first_new = static_cast<uint32_t>(old_right_count);
       for (size_t i = 0; i < old_left_count; ++i) score_left(i, first_new);
     }
-    probe_target = index;
   }
   // Phase 2: new lefts against every right.
   for (size_t i = old_left_count; i < left_entities_.size(); ++i) {
@@ -764,20 +777,6 @@ FeatureSpace::GrowthResult FeatureSpace::Grow(
     }
   }
   return result;
-}
-
-void FeatureSpace::PrepareForwardProbes() {
-  if (right_ == nullptr || right_->index.empty()) return;
-  ProbeScratch scratch;
-  if (probe_cache_.size() < left_entities_.size()) {
-    probe_cache_.resize(left_entities_.size());
-  }
-  for (size_t i = 0; i < left_entities_.size(); ++i) {
-    if (!probe_cache_[i]) {
-      probe_cache_[i] =
-          right_->index.PrepareProbe(left_entities_[i], &scratch);
-    }
-  }
 }
 
 void FeatureSpace::MaybeCompactArena() {

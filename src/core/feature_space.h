@@ -45,7 +45,6 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -330,8 +329,9 @@ class FeatureSpace {
   // partition's newly ingested left entities (appended to left_entities()
   // in order), and right_->entities has already been extended past
   // `old_right_count`. New pairs are discovered in canonical (left, right)
-  // lexicographic order — old lefts against the new rights first, then new
-  // lefts against all rights — and appended with fresh PairIds, live.
+  // lexicographic order — old lefts against the new rights first (phase
+  // 1), then new lefts against all rights (phase 2) — and appended with
+  // fresh PairIds, live.
   //
   // With `rebuild_indexes` the score arena is rebuilt from scratch (the
   // O(space) baseline); otherwise new entries land in the per-feature
@@ -340,40 +340,24 @@ class FeatureSpace {
   // growth back into the CSR arena. Both modes yield the same logical
   // space (same PairIds, same Fingerprint()).
   //
-  // `candidate_old_lefts` (sorted, indices into left_entities()) restricts
-  // the old-left probing to a known superset of the lefts that can reach a
-  // new right — the engine derives it from a reverse probe over a left-side
-  // blocking index. Pass nullptr to probe every old left (the rebuild
-  // baseline; also the exhaustive no-blocking mode).
+  // `old_left_pairs` is phase 1 already probed: every (old left, new
+  // right) pair whose forward probe of the right index collides, sorted by
+  // (left, right), with its cell masks — the engine finds them with one
+  // ReverseProbeIndex probe per new right. Grow scores exactly that list.
+  // It is used only with blocking on and a non-empty right index; pass
+  // nullptr to forward-probe every old left against the new rights (the
+  // rebuild baseline), and without blocking phase 1 is the exhaustive
+  // cross product either way.
   struct GrowthResult {
     size_t new_pairs = 0;
     // Score entries parked in pending sidecars (incremental mode only).
     size_t overflow_entries = 0;
   };
-  // `delta_index` (optional, incremental mode only) is a blocking index
-  // covering ONLY the new rights but numbered globally (an empty Build
-  // followed by AddRights(rights, old_right_count)). Phase-1 probes hit it
-  // instead of the full index: the resulting scratch state is identical to
-  // a min_right-restricted probe of the full index — the new rights'
-  // postings are the same entries — but each key lands in a table that only
-  // holds the epoch's delta, so a probe that matches nothing costs nearly
-  // nothing. Pass nullptr to probe the full index.
   GrowthResult Grow(const rdf::TripleStore& left,
                     const std::vector<rdf::TermId>& new_left_subjects,
-                    const std::vector<uint32_t>* candidate_old_lefts,
+                    const std::vector<CandidatePair>* old_left_pairs,
                     size_t old_right_count, FeatureCatalog* catalog,
-                    const FeatureSpaceOptions& options, bool rebuild_indexes,
-                    const BlockingIndex* delta_index = nullptr);
-
-  // Precomputes and caches the probe-side block keys of every current left
-  // entity (BlockingIndex::PrepareProbe). Key extraction — gram hashing and
-  // deletion-variant expansion — dominates the cost of a rights-restricted
-  // probe, and the keys depend only on the blocking/similarity options, not
-  // on the index contents, so the cache stays valid across ingest epochs.
-  // Only the incremental Grow path consults it; the rebuild baseline stays
-  // a true from-scratch O(store) pass. Cached and uncached probes populate
-  // bit-identical scratch state, so the modes keep yielding the same pairs.
-  void PrepareForwardProbes();
+                    const FeatureSpaceOptions& options, bool rebuild_indexes);
 
   // Folds growth-pending score entries back into the CSR arena (a full,
   // counting-sort rebuild) once they outgrow compaction_threshold +
@@ -407,13 +391,16 @@ class FeatureSpace {
   // Bytes allocated for the pair layout, summed from the capacities of its
   // arrays: the per-pair index, offset and liveness arrays, the feature
   // arena, the score index with its pending buffers and bucket counters,
-  // and the pair lookup. The prepared left entities and the cached probe
-  // keys (per left entity, not per pair) are not counted.
+  // and the pair lookup. The prepared left entities (per left entity, not
+  // per pair) are not counted.
   size_t MemoryBytes() const;
 
   // Applies an old-id -> new-id permutation (from FeatureCatalog::
-  // Canonicalize) to every pair's feature set and rebuilds the score index
-  // (maintenance state is reset; liveness flags are preserved).
+  // Canonicalize) to every pair's feature set and score index. Only for a
+  // freshly built space (ALEX_CHECKed: every pair live, nothing pending or
+  // grown): renaming a feature keeps its bucket's (score, PairId) order, so
+  // each bucket moves whole to its new id's offset, with no re-sort. The
+  // result equals a score-index rebuild.
   void RemapFeatures(const std::vector<FeatureId>& old_to_new);
 
   // Raw size of the cross product this space was built from (before
@@ -519,9 +506,6 @@ class FeatureSpace {
   size_t live_pair_count_ = 0;
   size_t compaction_threshold_ = 32;
   uint64_t compaction_count_ = 0;
-  // Per-left-entity cached probe keys (index-aligned with left_entities_);
-  // filled by PrepareForwardProbes() or lazily by the incremental Grow path.
-  std::vector<std::optional<PreparedProbe>> probe_cache_;
   // Entries added by Grow() that have no CSR arena slot yet; reset by any
   // full BuildScoreIndex().
   size_t grown_entries_ = 0;

@@ -3,12 +3,18 @@
 // Fingerprint(), probe results, per-cell channel masks — to a fresh
 // Build() over the same entities, after every batch, across all key
 // channels (value/token/deletion/gram/numeric/date), the gram tier
-// boundaries, and pending-merge thresholds from eager to never.
+// boundaries, and pending-merge thresholds from eager to never. The
+// ReverseProbeIndex must find, for every new right, exactly the lefts whose
+// min_right-restricted forward probe reaches it, with the same cell masks.
 #include "core/blocking.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -281,6 +287,206 @@ TEST(BlockingGrowthTest, CandidatesAgreeAfterGrowth) {
     ASSERT_EQ(grown_out, fresh_out) << "probe " << i;
     ASSERT_EQ(grown_channels, fresh_channels) << "probe " << i;
     EXPECT_TRUE(std::is_sorted(grown_out.begin(), grown_out.end()));
+  }
+}
+
+// -- Exact reverse probe -----------------------------------------------------
+
+// Days since 1970-01-01 as an ISO date (Hinnant's civil_from_days).
+std::string IsoDate(int64_t days) {
+  days += 719468;
+  const int64_t era = (days >= 0 ? days : days - 146096) / 146097;
+  const int64_t doe = days - era * 146097;
+  const int64_t yoe = (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;
+  const int64_t doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+  const int64_t mp = (5 * doy + 2) / 153;
+  const int64_t day = doy - (153 * mp + 2) / 5 + 1;
+  const int64_t month = mp < 10 ? mp + 3 : mp - 9;
+  const int64_t year = yoe + era * 400 + (month <= 2 ? 1 : 0);
+  char buffer[48];
+  std::snprintf(buffer, sizeof(buffer), "%04lld-%02lld-%02lld",
+                static_cast<long long>(year), static_cast<long long>(month),
+                static_cast<long long>(day));
+  return buffer;
+}
+
+// Values for the corner cases of the reverse probe: short values (within
+// single_gram_value_length) and their near misses, gram-tier lengths,
+// numbers across the ±1 sign split and on both sides of logarithmic bucket
+// edges, and dates on both sides of bucket edges.
+std::vector<Term> CornerPool() {
+  std::vector<Term> pool = {
+      Term::StringLiteral("ada"),           Term::StringLiteral("kay"),
+      Term::StringLiteral("smith"),         Term::StringLiteral("smyth"),
+      Term::StringLiteral("abcdefghij"),    Term::StringLiteral("abcdefghXj"),
+      Term::StringLiteral("abcdefghijkl"),  Term::StringLiteral("abcdefghijklm"),
+      Term::StringLiteral("qrstuvwxyzabcdefgh"),
+      Term::StringLiteral("qrstuvwxyZabcdefghi"),
+      Term::StringLiteral("the quick brown fox jumps over"),
+      Term::StringLiteral("the quick brawn fox jumps over")};
+  for (double v : {-1.2, -1.05, -1.0, -0.9, 0.0, 0.9, 1.0, 1.05, 1.2}) {
+    pool.push_back(Term::DoubleLiteral(v));
+  }
+  const sim::SimilarityOptions sim;
+  for (int bucket : {3, 24}) {
+    const double edge = std::exp(bucket * std::log1p(sim.numeric_tolerance));
+    for (double v : {edge * (1 - 1e-9), edge * (1 + 1e-9)}) {
+      pool.push_back(Term::DoubleLiteral(v));
+      pool.push_back(Term::DoubleLiteral(-v));
+    }
+  }
+  const int64_t scale = static_cast<int64_t>(sim.date_scale_days);
+  for (int64_t bucket : {-3, 0, 9}) {
+    for (int64_t offset : {-1, 0, 1}) {
+      pool.push_back(Term::DateLiteral(IsoDate(bucket * scale + offset)));
+    }
+  }
+  return pool;
+}
+
+// Entities with 3, 9 and 20 attributes in turn, nothing capped. Even
+// entities draw their values from CornerPool(). Odd ones draw random
+// strings over `alphabet`, which the other side's odd entities do not use,
+// so two odd entities share keys only through `repeated`. From attribute 7
+// on, which all share the last cell slot, about half the values are one of
+// `repeated` (chosen per entity), so equal keys arrive through several
+// attributes of one entity.
+std::vector<PreparedEntity> MakeWideEntities(const std::string& prefix,
+                                             size_t count,
+                                             const std::string& alphabet,
+                                             const std::vector<Term>& repeated,
+                                             uint64_t seed) {
+  const std::vector<Term> pool = CornerPool();
+  Rng rng(seed);
+  std::vector<PreparedEntity> entities(count);
+  for (size_t i = 0; i < count; ++i) {
+    PreparedEntity& entity = entities[i];
+    entity.iri = prefix + std::to_string(i);
+    entity.subject = static_cast<rdf::TermId>(i);
+    const size_t attrs = std::vector<size_t>{3, 9, 20}[i % 3];
+    const Term& repeat = repeated[rng.NextBounded(repeated.size())];
+    for (size_t a = 0; a < attrs; ++a) {
+      Term term = pool[rng.NextBounded(pool.size())];
+      if (a >= kCellAttrCap - 1 && rng.NextBool(0.5)) {
+        term = repeat;
+      } else if (i % 2 == 1) {
+        std::string noise(3 + rng.NextBounded(4), ' ');
+        for (char& c : noise) c = alphabet[rng.NextBounded(alphabet.size())];
+        term = Term::StringLiteral(noise);
+      }
+      std::string predicate = "p";
+      predicate += std::to_string(a);
+      AddAttr(&entity, predicate, term);
+    }
+  }
+  return entities;
+}
+
+using CandidateCells = std::map<uint32_t, std::vector<uint8_t>>;
+
+// Right index -> cells, per left: what a forward probe of each left,
+// restricted to rights >= first_new, finds.
+std::vector<CandidateCells> ForwardCandidates(
+    const BlockingIndex& index, const std::vector<PreparedEntity>& lefts,
+    size_t num_lefts, uint32_t first_new) {
+  std::vector<CandidateCells> out(num_lefts);
+  ProbeScratch scratch;
+  for (size_t i = 0; i < num_lefts; ++i) {
+    index.Probe(lefts[i], &scratch, first_new);
+    for (uint32_t r : scratch.touched()) {
+      out[i][r].assign(scratch.cell_channels(r),
+                       scratch.cell_channels(r) + kCellCount);
+    }
+  }
+  return out;
+}
+
+// The same, from one reverse probe per new right.
+std::vector<CandidateCells> ReverseCandidates(
+    const ReverseProbeIndex& index, const std::vector<PreparedEntity>& rights,
+    size_t first_new) {
+  std::vector<CandidateCells> out(index.num_lefts());
+  ProbeScratch scratch;
+  for (size_t r = first_new; r < rights.size(); ++r) {
+    index.Probe(rights[r], &scratch);
+    EXPECT_TRUE(std::is_sorted(scratch.touched().begin(),
+                               scratch.touched().end()));
+    for (uint32_t left : scratch.touched()) {
+      out[left][static_cast<uint32_t>(r)].assign(
+          scratch.cell_channels(left), scratch.cell_channels(left) + kCellCount);
+    }
+  }
+  return out;
+}
+
+TEST(ReverseProbeTest, MatchesForwardProbeOfEveryOldLeft) {
+  // "zzzzqrsyyyyyy" (13 characters, not short) shares exactly one gram,
+  // "qrs", with "qrstuvwxyzabcdefgh", so whether a left's repeated
+  // attributes count separately, and whether a right's merge, decides the
+  // min_gram_matches rule.
+  const std::vector<PreparedEntity> lefts = MakeWideEntities(
+      "http://l/e", 42, "abcdefghijklm",
+      {Term::StringLiteral("zzzzqrsyyyyyy"), Term::StringLiteral("abcdefghij"),
+       Term::DoubleLiteral(1.0)},
+      0x1ef7);
+  const std::vector<PreparedEntity> all_rights = MakeWideEntities(
+      "http://r/x", 48, "nopqrstuvwxyz",
+      {Term::StringLiteral("qrstuvwxyzabcdefgh"),
+       Term::StringLiteral("abcdefghXj"), Term::DoubleLiteral(-1.05)},
+      0x5167);
+  const sim::SimilarityOptions sim_options;
+  for (uint32_t min_gram_matches : {1u, 2u, 3u}) {
+    for (size_t threshold : {size_t{0}, kNeverMerge}) {
+      SCOPED_TRACE("min_gram_matches " + std::to_string(min_gram_matches) +
+                   " threshold " + std::to_string(threshold));
+      BlockingOptions options;
+      options.min_gram_matches = min_gram_matches;
+      options.pending_merge_threshold = threshold;
+      std::vector<PreparedEntity> rights(all_rights.begin(),
+                                         all_rights.begin() + 24);
+      BlockingIndex index = BlockingIndex::Build(rights, options, sim_options);
+      ReverseProbeIndex reverse(options, sim_options);
+      auto post_lefts = [&](size_t first, size_t last) {
+        std::vector<const PreparedEntity*> batch;
+        for (size_t i = first; i < last; ++i) batch.push_back(&lefts[i]);
+        reverse.AddLefts(batch);
+      };
+      post_lefts(0, 30);
+
+      size_t pairs = 0, gram_only = 0, last_cell = 0;
+      for (int epoch = 0; epoch < 2; ++epoch) {
+        SCOPED_TRACE("epoch " + std::to_string(epoch));
+        const size_t first_new = rights.size();
+        rights.insert(rights.end(), all_rights.begin() + first_new,
+                      all_rights.begin() + first_new + 12);
+        index.AddRights(rights, first_new);
+
+        const size_t old_lefts = reverse.num_lefts();
+        const std::vector<CandidateCells> forward = ForwardCandidates(
+            index, lefts, old_lefts, static_cast<uint32_t>(first_new));
+        const std::vector<CandidateCells> reversed =
+            ReverseCandidates(reverse, rights, first_new);
+        ASSERT_EQ(reversed.size(), forward.size());
+        for (size_t i = 0; i < old_lefts; ++i) {
+          ASSERT_EQ(reversed[i], forward[i]) << "left " << i;
+          for (const auto& [right, cells] : forward[i]) {
+            ++pairs;
+            uint8_t channels = 0;
+            for (uint8_t cell : cells) channels |= cell;
+            if (channels == kBlockGram) ++gram_only;
+            if (cells.back() != 0) ++last_cell;
+          }
+        }
+        // The epoch's new lefts join through the sidecar, so the next
+        // epoch probes them too.
+        post_lefts(old_lefts, old_lefts + 6);
+      }
+      // The corner cases were reached: candidates on grams alone, and cells
+      // between two attributes from slot 7 on.
+      EXPECT_GT(pairs, 0u);
+      EXPECT_GT(gram_only, 0u);
+      EXPECT_GT(last_cell, 0u);
+    }
   }
 }
 

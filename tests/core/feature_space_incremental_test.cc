@@ -4,6 +4,7 @@
 // PairsInRangeSpan contents — to applying the same liveness flags and
 // rebuilding the score index from scratch, across compaction thresholds.
 #include <algorithm>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -228,17 +229,38 @@ TEST_F(IncrementalSpaceTest, MarkAllLiveResetsChurn) {
   ExpectLogicallyEqual(space, pristine, "after MarkAllLive");
 }
 
-TEST_F(IncrementalSpaceTest, RemapFeaturesPreservesLiveness) {
+TEST_F(IncrementalSpaceTest, RemapFeaturesMovesWholeBuckets) {
+  // Remapping a fresh space moves each score bucket whole. A twin whose
+  // score index is rebuilt from the remapped feature sets must answer every
+  // range query identically, and churn afterwards must still agree.
+  FeatureSpace moved = Build(0);
+  FeatureSpace rebuilt = Build(0);
+  ASSERT_GE(catalog_.size(), 2u);
+  ASSERT_GE(moved.pair_count(), 2u);
+  std::vector<FeatureId> reversed(catalog_.size());
+  for (FeatureId f = 0; f < reversed.size(); ++f) {
+    reversed[f] = static_cast<FeatureId>(reversed.size() - 1 - f);
+  }
+  moved.RemapFeatures(reversed);
+  rebuilt.RemapFeatures(reversed);
+  rebuilt.RebuildIndexes();
+  ExpectLogicallyEqual(moved, rebuilt, "after remap");
+  EXPECT_EQ(moved.MemoryBytes(), rebuilt.MemoryBytes());
+
+  moved.ApplyDelta({}, {0});
+  rebuilt.SetLiveness({}, {0});
+  rebuilt.RebuildIndexes();
+  EXPECT_FALSE(moved.IsLive(0));
+  ExpectLogicallyEqual(moved, rebuilt, "after churn");
+}
+
+TEST_F(IncrementalSpaceTest, RemapFeaturesRejectsAChurnedSpace) {
   FeatureSpace space = Build(0);
-  ASSERT_GE(space.pair_count(), 2u);
+  ASSERT_GE(space.pair_count(), 1u);
   space.ApplyDelta({}, {0});
-  // Identity permutation: the remap machinery must keep pair 0 dead.
   std::vector<FeatureId> identity(catalog_.size());
-  for (FeatureId f = 0; f < identity.size(); ++f) identity[f] = f;
-  const uint64_t before = space.Fingerprint();
-  space.RemapFeatures(identity);
-  EXPECT_FALSE(space.IsLive(0));
-  EXPECT_EQ(space.Fingerprint(), before);
+  std::iota(identity.begin(), identity.end(), FeatureId{0});
+  EXPECT_DEATH(space.RemapFeatures(identity), "freshly built space");
 }
 
 }  // namespace

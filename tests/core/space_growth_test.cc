@@ -274,41 +274,6 @@ TEST(SpaceGrowthTest, GrownSpaceLogicallyMatchesFromScratchBuild) {
   EXPECT_EQ(Flatten(grown), Flatten(fresh));
 }
 
-TEST(SpaceGrowthTest, FullCandidateListMatchesNullptr) {
-  Stores stores = MakeBaseStores();
-  FeatureSpaceOptions options = MakeOptions(32);
-
-  auto ctx_a = RightContext::Prepare(stores.right, stores.right.Subjects(),
-                                     options);
-  auto ctx_b = RightContext::Prepare(stores.right, stores.right.Subjects(),
-                                     options);
-  FeatureCatalog cat_a, cat_b;
-  FeatureSpace with_list = FeatureSpace::Build(
-      stores.left, stores.left.Subjects(), ctx_a, &cat_a, options);
-  FeatureSpace without = FeatureSpace::Build(
-      stores.left, stores.left.Subjects(), ctx_b, &cat_b, options);
-
-  const size_t old_left_count = stores.left.Subjects().size();
-  const size_t old_right_count = ctx_a->entities.size();
-  GrowStores(&stores, 0);
-  ExtendContext(ctx_a, stores.right, options, false);
-  ExtendContext(ctx_b, stores.right, options, false);
-  std::vector<rdf::TermId> new_lefts =
-      SubjectSuffix(stores.left, old_left_count);
-
-  // The trivial superset — every old left is a candidate — must be exactly
-  // equivalent to passing no candidate list at all.
-  std::vector<uint32_t> all_old(old_left_count);
-  for (uint32_t i = 0; i < all_old.size(); ++i) all_old[i] = i;
-  with_list.Grow(stores.left, new_lefts, &all_old, old_right_count, &cat_a,
-                 options, false);
-  without.Grow(stores.left, new_lefts, nullptr, old_right_count, &cat_b,
-               options, false);
-
-  ASSERT_EQ(with_list.pair_count(), without.pair_count());
-  EXPECT_EQ(with_list.Fingerprint(), without.Fingerprint());
-}
-
 TEST(SpaceGrowthTest, EmptyGrowthIsNoOp) {
   Stores stores = MakeBaseStores();
   FeatureSpaceOptions options = MakeOptions(32);

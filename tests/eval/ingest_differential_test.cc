@@ -12,6 +12,7 @@
 // recompile exactly when a store's mutation generation moves.
 #include "eval/ingest_driven.h"
 
+#include <algorithm>
 #include <barrier>
 #include <cstdint>
 #include <memory>
@@ -55,7 +56,24 @@ struct RunConfig {
   size_t compaction_threshold = 32;
   int threads = 1;
   int epochs = 3;
+  datagen::WorldProfile profile = datagen::TinyTestProfile();
 };
+
+// A datagen pair profile at `scale` of its entity counts.
+datagen::WorldProfile ScaledProfile(const std::string& name, double scale) {
+  datagen::WorldProfile profile;
+  EXPECT_TRUE(datagen::ProfileByName(name, &profile)) << name;
+  auto scaled = [scale](size_t n) {
+    return std::max<size_t>(1, static_cast<size_t>(n * scale));
+  };
+  profile.overlap_entities = scaled(profile.overlap_entities);
+  profile.left_only_entities = scaled(profile.left_only_entities);
+  profile.right_only_entities = scaled(profile.right_only_entities);
+  if (profile.confusable_pairs > 0) {
+    profile.confusable_pairs = scaled(profile.confusable_pairs);
+  }
+  return profile;
+}
 
 AlexOptions MakeOptions(const RunConfig& config) {
   AlexOptions options;
@@ -73,7 +91,7 @@ AlexOptions MakeOptions(const RunConfig& config) {
 // so every run over the same RunConfig-independent inputs mutates its
 // stores identically — the differential needs no shared state.
 std::vector<EpochObservation> RunGrowingRun(const RunConfig& config) {
-  datagen::WorldProfile profile = datagen::TinyTestProfile();
+  const datagen::WorldProfile& profile = config.profile;
   datagen::GeneratedWorld world = datagen::Generate(profile);
   feedback::GroundTruth truth(world.ground_truth);
   std::vector<Link> initial =
@@ -201,6 +219,36 @@ TEST(IngestDifferentialTest, SeriesBitwiseIdenticalAcrossThreadCounts) {
         inc_base, RunGrowingRun({/*incremental=*/true, 32, threads, 3}));
     ExpectIdenticalSeries(
         reb_base, RunGrowingRun({/*incremental=*/false, 32, threads, 3}));
+  }
+}
+
+TEST(IngestDifferentialTest, RealisticWorldsMatchRebuildEveryEpoch) {
+  // Two datagen worlds at a fifth of their entity counts, three epochs of
+  // 5% growth each. From the second epoch on, the previous epoch's new lefts
+  // are old lefts that only the reverse-probe index's sidecar can find.
+  for (const char* name : {"dbpedia_nytimes", "dbpedia_opencyc"}) {
+    SCOPED_TRACE(name);
+    const datagen::WorldProfile profile = ScaledProfile(name, 0.2);
+    std::vector<EpochObservation> inc_base;
+    for (int threads : {1, 2}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      std::vector<EpochObservation> inc = RunGrowingRun(
+          {/*incremental=*/true, 32, threads, /*epochs=*/3, profile});
+      std::vector<EpochObservation> reb = RunGrowingRun(
+          {/*incremental=*/false, 32, threads, /*epochs=*/3, profile});
+      ASSERT_EQ(inc.size(), 3u);
+      ExpectSameLogicalSeries(inc, reb);
+      for (const EpochObservation& obs : inc) {
+        EXPECT_GT(obs.ingest.new_pairs, 0u);
+        EXPECT_GT(obs.ingest.new_left_entities, 0u);
+        EXPECT_GT(obs.ingest.new_right_entities, 0u);
+      }
+      if (inc_base.empty()) {
+        inc_base = std::move(inc);
+      } else {
+        ExpectIdenticalSeries(inc_base, inc);
+      }
+    }
   }
 }
 
