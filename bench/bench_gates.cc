@@ -40,6 +40,7 @@
 #include "sparql/executor.h"
 #include "sparql/parser.h"
 #include "sparql/plan_cache.h"
+#include "sparql/term_oracle.h"
 
 namespace {
 
@@ -53,7 +54,6 @@ using alex::linking::Link;
 using alex::rdf::TripleStore;
 using alex::sparql::Binding;
 using alex::sparql::ExecuteOptions;
-using alex::sparql::ExecutorKind;
 using alex::sparql::Query;
 
 // Wall time of `fn` in milliseconds.
@@ -255,25 +255,35 @@ std::vector<std::string> GenerateMultiJoinQueries(const TripleStore& store,
   return queries;
 }
 
-std::vector<Binding> SortedRows(const Query& query, const TripleStore& store,
-                                const ExecuteOptions& options) {
-  alex::Result<std::vector<Binding>> rows =
-      alex::sparql::Execute(query, store, options);
+std::vector<Binding> Sorted(alex::Result<std::vector<Binding>> rows) {
   ALEX_CHECK(rows.ok()) << rows.status().ToString();
   std::vector<Binding> sorted = std::move(rows).value();
   std::sort(sorted.begin(), sorted.end());
   return sorted;
 }
 
-// Executes every query once on `pool`; returns the total row count.
+// Compiles and executes `query` with `stats`, on the greedy baseline (a
+// compile without physical plans) or by plain Execute.
+alex::Result<std::vector<Binding>> CompileAndRun(
+    const Query& query, const TripleStore& store,
+    const alex::rdf::DatasetStats& stats, bool greedy) {
+  if (greedy) return alex::sparql::ExecuteGreedy(query, store, &stats);
+  ExecuteOptions options;
+  options.stats = &stats;
+  return alex::sparql::Execute(query, store, options);
+}
+
+// Compiles and executes every query once on `pool`; returns the total row
+// count.
 uint64_t RunAll(const std::vector<Query>& queries, const TripleStore& store,
-                const ExecuteOptions& options, ThreadPool* pool) {
+                const alex::rdf::DatasetStats& stats, bool greedy,
+                ThreadPool* pool) {
   std::atomic<uint64_t> rows{0};
   pool->ParallelFor(queries.size(), 1, [&](size_t begin, size_t end) {
     uint64_t local = 0;
     for (size_t i = begin; i < end; ++i) {
       alex::Result<std::vector<Binding>> result =
-          alex::sparql::Execute(queries[i], store, options);
+          CompileAndRun(queries[i], store, stats, greedy);
       ALEX_CHECK(result.ok()) << result.status().ToString();
       local += result.value().size();
     }
@@ -307,26 +317,36 @@ void MultiJoinGate() {
     queries.push_back(std::move(parsed).value());
   }
 
-  ExecuteOptions legacy;
-  legacy.engine = ExecutorKind::kLegacy;
-  ExecuteOptions greedy;
-  greedy.engine = ExecutorKind::kGreedy;
-  greedy.stats = &stats;
-  ExecuteOptions planned;
-  planned.stats = &stats;
-
-  // The ratio only counts when the engines return the same rows.
+  // The ratio only counts when both sides return the term-space oracle's
+  // rows.
   std::string failed;
   uint64_t expected_rows = 0;
   std::vector<std::vector<Binding>> reference;
   for (const Query& query : queries) {
-    reference.push_back(SortedRows(query, store, legacy));
-    if (SortedRows(query, store, greedy) != reference.back() ||
-        SortedRows(query, store, planned) != reference.back()) {
-      failed = "engines return different rows";
+    reference.push_back(Sorted(alex::sparql::OracleExecute(query, store)));
+    if (Sorted(CompileAndRun(query, store, stats, /*greedy=*/true)) !=
+            reference.back() ||
+        Sorted(CompileAndRun(query, store, stats, /*greedy=*/false)) !=
+            reference.back()) {
+      failed = "a side's rows differ from the oracle's";
       break;
     }
     expected_rows += reference.back().size();
+  }
+
+  // A plan served by a PlanCache returns the oracle's rows too.
+  alex::sparql::PlanCache plan_cache;
+  for (size_t i = 0; failed.empty() && i < texts.size(); ++i) {
+    alex::Result<const alex::sparql::CompiledQuery*> plan =
+        plan_cache.GetPlan(texts[i], store, &stats);
+    ALEX_CHECK(plan.ok()) << plan.status().ToString();
+    ExecuteOptions cached;
+    cached.stats = &stats;
+    cached.plan = plan.value();
+    if (Sorted(alex::sparql::Execute(*plan.value()->query, store, cached)) !=
+        reference[i]) {
+      failed = "a cached plan returns different rows";
+    }
   }
 
   double greedy_ms = -1.0;
@@ -335,28 +355,17 @@ void MultiJoinGate() {
   for (int rep = 0; failed.empty() && rep < kRepeats; ++rep) {
     uint64_t greedy_rows = 0;
     uint64_t planned_rows = 0;
-    const double g = TimeMs(
-        [&] { greedy_rows = RunAll(queries, store, greedy, &pool); });
-    const double p = TimeMs(
-        [&] { planned_rows = RunAll(queries, store, planned, &pool); });
+    const double g = TimeMs([&] {
+      greedy_rows = RunAll(queries, store, stats, /*greedy=*/true, &pool);
+    });
+    const double p = TimeMs([&] {
+      planned_rows = RunAll(queries, store, stats, /*greedy=*/false, &pool);
+    });
     if (greedy_rows != expected_rows || planned_rows != expected_rows) {
       failed = "row count drifted in a timed run";
     }
     if (greedy_ms < 0.0 || g < greedy_ms) greedy_ms = g;
     if (planned_ms < 0.0 || p < planned_ms) planned_ms = p;
-  }
-
-  // A plan served by a PlanCache returns the rows a fresh compile returns.
-  alex::sparql::PlanCache plan_cache;
-  for (size_t i = 0; failed.empty() && i < texts.size(); ++i) {
-    alex::Result<const alex::sparql::CompiledQuery*> plan =
-        plan_cache.GetPlan(texts[i], store, &stats);
-    ALEX_CHECK(plan.ok()) << plan.status().ToString();
-    ExecuteOptions cached = planned;
-    cached.plan = plan.value();
-    if (SortedRows(*plan.value()->query, store, cached) != reference[i]) {
-      failed = "a cached plan returns different rows";
-    }
   }
 
   const double ratio = failed.empty() ? greedy_ms / planned_ms : 0.0;

@@ -8,12 +8,13 @@
 # and the live-ingest path's blocking-index sidecars and overflow arenas),
 # the byte-level readers and kernels (the snapshot loader's garbage and
 # truncation tests, the N-Triples and Turtle parsers, the IRI-to-id table
-# in rdf_tests, the reference and bit-parallel Levenshtein), and the
-# linking (PARIS, link I/O) and common (thread pool, strings) suites,
-# under AddressSanitizer and UBSan and runs them. A UBSan report fails the
-# run (halt_on_error) instead of only being printed. Uses its own build
-# directory so the regular build stays untouched. Override with
-# BUILD_DIR=... .
+# in rdf_tests, the reference and bit-parallel Levenshtein), the SPARQL
+# executor's register-file operators and merge-join buffers against the
+# term-space oracle in sparql_tests, and the linking (PARIS, link I/O) and
+# common (thread pool, strings) suites, under AddressSanitizer and UBSan
+# and runs them. A UBSan report fails the run (halt_on_error) instead of
+# only being printed. Uses its own build directory so the regular build
+# stays untouched. Override with BUILD_DIR=... .
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export UBSAN_OPTIONS=${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}
@@ -23,7 +24,8 @@ cmake -B "$build_dir" -S . -DALEX_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build_dir" -j "$(nproc)" \
   --target core_tests system_tests serving_tests feedback_tests ingest_tests \
-  rdf_tests similarity_tests federation_tests linking_tests common_tests
+  rdf_tests similarity_tests sparql_tests federation_tests linking_tests \
+  common_tests
 
 "$build_dir"/tests/core_tests
 "$build_dir"/tests/system_tests
@@ -32,6 +34,7 @@ cmake --build "$build_dir" -j "$(nproc)" \
 "$build_dir"/tests/ingest_tests
 "$build_dir"/tests/rdf_tests
 "$build_dir"/tests/similarity_tests
+"$build_dir"/tests/sparql_tests
 "$build_dir"/tests/federation_tests
 "$build_dir"/tests/linking_tests
 "$build_dir"/tests/common_tests

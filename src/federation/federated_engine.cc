@@ -277,8 +277,14 @@ class FederatedEvaluator {
                  std::vector<linking::Link>* provenance) {
     if (done_) return Status::Ok();
     if (remaining.empty()) {
+      // A filter counts once its variables are bound: one over a variable
+      // only a later OPTIONAL group binds is checked when that group ends
+      // (and passes when the group does not match).
       for (const auto& filter : query_.filters) {
-        if (!sparql::EvalFilter(*filter, *binding)) return Status::Ok();
+        if (sparql::FilterReady(*filter, *binding) &&
+            !sparql::EvalFilter(*filter, *binding)) {
+          return Status::Ok();
+        }
       }
       FederatedAnswer answer;
       answer.binding = project_ ? sparql::Project(query_, *binding)
@@ -359,18 +365,26 @@ class FederatedEvaluator {
       for (const Triple& t : probe.triples) {
         if (done_) break;
         std::vector<std::string> added;
+        bool consistent = true;
         auto bind_new = [&](const PatternNode& node, TermId id,
                             const PositionChoice& choice) {
           // Only bind variables that were previously unbound; bound
-          // variables were already baked into the search ids.
+          // variables were already baked into the search ids. A variable
+          // repeated inside the pattern matches only when every occurrence
+          // holds the same term.
           if (!node.is_variable || choice.id.has_value()) return;
-          binding->emplace(node.variable, dict.term(id));
-          added.push_back(node.variable);
+          auto [it, inserted] = binding->emplace(node.variable, dict.term(id));
+          if (inserted) {
+            added.push_back(node.variable);
+          } else if (it->second != dict.term(id)) {
+            consistent = false;
+          }
         };
         bind_new(pattern.subject, t.subject, sc);
         bind_new(pattern.predicate, t.predicate, pc);
         bind_new(pattern.object, t.object, oc);
-        Status st = Recurse(remaining, binding, provenance);
+        Status st = consistent ? Recurse(remaining, binding, provenance)
+                               : Status::Ok();
         for (const std::string& var : added) binding->erase(var);
         if (!st.ok()) return st;
       }

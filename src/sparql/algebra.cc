@@ -185,6 +185,20 @@ bool EvalFilter(const FilterExpr& expr, const Binding& binding) {
   }
 }
 
+bool FilterReady(const FilterExpr& expr, const Binding& binding) {
+  for (const auto& child : expr.children) {
+    if (!FilterReady(*child, binding)) return false;
+  }
+  for (const std::optional<PatternNode>* node :
+       {&expr.lhs_node, &expr.rhs_node}) {
+    if (node->has_value() && (*node)->is_variable &&
+        binding.find((*node)->variable) == binding.end()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 int CompareBindingsForOrder(const Binding& a, const Binding& b,
                             const std::vector<OrderKey>& keys) {
   for (const OrderKey& key : keys) {

@@ -127,6 +127,11 @@ using Binding = std::map<std::string, rdf::Term>;
 // false. Numeric comparisons are used when both sides parse as numbers.
 bool EvalFilter(const FilterExpr& expr, const Binding& binding);
 
+// True when every variable in `expr` is bound. The query engines evaluate
+// a FILTER only once it is ready, so a filter over a variable that a
+// solution leaves unbound (an unmatched OPTIONAL) does not reject it.
+bool FilterReady(const FilterExpr& expr, const Binding& binding);
+
 // Three-way comparison of two solutions under ORDER BY `keys`: numeric when
 // both values parse as numbers, lexical otherwise; unbound sorts first.
 int CompareBindingsForOrder(const Binding& a, const Binding& b,

@@ -197,9 +197,9 @@ CompiledQuery CompileQuery(const Query& query, const rdf::TripleStore& store,
   std::vector<VarSlot> filter_slot_scratch;
   for (const auto& filter : query.filters) {
     // Touch filter variables that exist nowhere else. Variables of `filter`
-    // that never appear in any pattern keep the legacy never-ready
-    // semantics; they still need slots so the executor can see them stay
-    // unbound.
+    // that never appear in any pattern keep the filter never ready
+    // (FilterReady); they still need slots so the executor can see them
+    // stay unbound.
     CollectFilterSlots(*filter, slots, &filter_slot_scratch);
     for (const std::optional<PatternNode>* node :
          {&filter->lhs_node, &filter->rhs_node}) {

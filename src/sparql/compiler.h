@@ -1,10 +1,10 @@
 // Query compilation: from the parsed algebra to a TermId-space plan bound
 // to one TripleStore.
 //
-// The legacy executor re-resolves every constant through the dictionary on
-// every recursive step, keys bindings by variable *name*, and orders joins
-// by the unbound-variable count alone. Compilation hoists all of that out
-// of the hot loop, once per (query, store):
+// A term-space matcher resolves constants through the dictionary, keys
+// bindings by variable *name*, and orders joins by the unbound-variable
+// count alone. Compilation hoists all of that out of the executor's hot
+// loop, once per (query, store):
 //
 //   * every constant PatternNode is resolved to its TermId (a pattern with
 //     a constant the store has never seen marks its group unmatchable);
@@ -92,7 +92,8 @@ struct CompiledQuery {
   // One physical operator tree per alternative (parallel to
   // `alternatives`), produced by sparql/plangen.h. A plan with root == -1
   // means the generator declined and the executor enumerates that group
-  // greedily. Empty when CompileOptions::build_physical_plans is false.
+  // greedily. Empty when CompileOptions::build_physical_plans is false:
+  // then every group is enumerated greedily.
   std::vector<PhysicalPlan> plans;
 
   // Slots whose values anyone outside a single pattern observes:
@@ -126,8 +127,8 @@ struct CompileOptions {
   // bitmap costs one expression evaluation per term).
   size_t max_bitmap_terms = 1u << 22;
   // Build a physical operator tree per alternative (sparql/plangen.h).
-  // The greedy executor ignores the plans; the planned executor requires
-  // them.
+  // Without them the executor enumerates every group in the greedy order
+  // above: the baseline the tests and bench_gates compare plans against.
   bool build_physical_plans = true;
 };
 

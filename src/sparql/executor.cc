@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -32,301 +31,19 @@ struct IdRowHash {
   }
 };
 
-// True when every variable in `expr` is bound.
-bool FilterReady(const FilterExpr& expr, const Binding& binding) {
-  for (const auto& child : expr.children) {
-    if (!FilterReady(*child, binding)) return false;
+// Result tail of an aggregation, whose rows carry terms the dictionary
+// does not know (the aggregate outputs): DISTINCT, ORDER BY, OFFSET, LIMIT
+// in term space.
+std::vector<Binding> FinishAggregateRows(const Query& query,
+                                         std::vector<Binding> rows) {
+  if (query.distinct) {
+    std::set<Binding> seen;
+    std::vector<Binding> unique;
+    for (Binding& row : rows) {
+      if (seen.insert(row).second) unique.push_back(std::move(row));
+    }
+    rows = std::move(unique);
   }
-  for (const std::optional<PatternNode>* node_opt :
-       {&expr.lhs_node, &expr.rhs_node}) {
-    if (node_opt->has_value() && (*node_opt)->is_variable &&
-        binding.find((*node_opt)->variable) == binding.end()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Legacy engine: term-space backtracking matcher. Kept as the differential
-// oracle for the compiled engine. Constants are resolved to ids once at
-// construction, and a parallel name -> TermId binding removes all dictionary
-// lookups from the enumeration loop.
-// ---------------------------------------------------------------------------
-
-class Matcher {
- public:
-  Matcher(const Query& query, const TripleStore& store)
-      : query_(query), store_(store) {
-    auto add = [&](const TriplePattern& pattern) {
-      ResolvedPattern resolved;
-      const PatternNode* nodes[3] = {&pattern.subject, &pattern.predicate,
-                                     &pattern.object};
-      for (int i = 0; i < 3; ++i) {
-        if (nodes[i]->is_variable) {
-          resolved.nodes[i].name = &nodes[i]->variable;
-        } else if (std::optional<TermId> id =
-                       store.dictionary().Lookup(nodes[i]->term)) {
-          resolved.nodes[i].constant = *id;
-        } else {
-          resolved.unmatchable = true;
-        }
-      }
-      resolved_.emplace(&pattern, resolved);
-    };
-    for (const std::vector<TriplePattern>* patterns : query.Alternatives()) {
-      for (const TriplePattern& pattern : *patterns) add(pattern);
-    }
-    for (const std::vector<TriplePattern>& group : query.optionals) {
-      for (const TriplePattern& pattern : group) add(pattern);
-    }
-  }
-
-  // `stop` lets the caller cut enumeration short (LIMIT / max_rows / ASK).
-  Status Enumerate(std::vector<const TriplePattern*> remaining,
-                   Binding* binding, const std::function<Status()>& emit,
-                   const bool* stop) {
-    if (*stop) return Status::Ok();
-    if (remaining.empty()) return emit();
-    // Pick the most selective pattern (fewest unbound variables).
-    size_t best = 0;
-    int best_unbound = 4;
-    for (size_t i = 0; i < remaining.size(); ++i) {
-      int unbound = remaining[i]->UnboundCount(*binding);
-      if (unbound < best_unbound) {
-        best_unbound = unbound;
-        best = i;
-      }
-    }
-    const TriplePattern* pattern = remaining[best];
-    remaining.erase(remaining.begin() + best);
-
-    const ResolvedPattern& resolved = resolved_.at(pattern);
-    if (resolved.unmatchable) return Status::Ok();
-    TermPattern positions[3];
-    for (int i = 0; i < 3; ++i) {
-      if (resolved.nodes[i].name != nullptr) {
-        auto it = id_binding_.find(*resolved.nodes[i].name);
-        if (it != id_binding_.end()) positions[i] = it->second;
-      } else {
-        positions[i] = resolved.nodes[i].constant;
-      }
-    }
-    const rdf::Dictionary& dict = store_.dictionary();
-    rdf::MatchCursor cursor =
-        store_.Scan(positions[0], positions[1], positions[2]);
-    while (const Triple* t = cursor.Next()) {
-      if (*stop) break;
-      std::vector<const std::string*> added;
-      bool consistent = true;
-      auto bind = [&](const PatternNode& node, TermId id) {
-        if (!node.is_variable) return;
-        auto [it, inserted] = id_binding_.try_emplace(node.variable, id);
-        if (inserted) {
-          binding->emplace(node.variable, dict.term(id));
-          added.push_back(&node.variable);
-        } else if (it->second != id) {
-          consistent = false;
-        }
-      };
-      bind(pattern->subject, t->subject);
-      if (consistent) bind(pattern->predicate, t->predicate);
-      if (consistent) bind(pattern->object, t->object);
-      if (consistent && EarlyFiltersPass(*binding)) {
-        Status st = Enumerate(remaining, binding, emit, stop);
-        if (!st.ok()) return st;
-      }
-      for (const std::string* var : added) {
-        binding->erase(*var);
-        id_binding_.erase(*var);
-      }
-    }
-    return Status::Ok();
-  }
-
- private:
-  struct ResolvedNode {
-    const std::string* name = nullptr;  // variable name; nullptr = constant
-    TermPattern constant;               // resolved constant id
-  };
-  struct ResolvedPattern {
-    ResolvedNode nodes[3];
-    bool unmatchable = false;  // some constant is absent from the store
-  };
-
-  bool EarlyFiltersPass(const Binding& binding) const {
-    for (const auto& filter : query_.filters) {
-      if (FilterReady(*filter, binding) && !EvalFilter(*filter, binding)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  const Query& query_;
-  const TripleStore& store_;
-  std::unordered_map<const TriplePattern*, ResolvedPattern> resolved_;
-  // Mirror of the term binding in id space; kept in sync by bind/unbind.
-  std::unordered_map<std::string, TermId> id_binding_;
-};
-
-// Groups `rows` by the GROUP BY keys and evaluates the aggregate
-// projections per group. With no GROUP BY the whole input is one group
-// (even when empty: COUNT(*) of nothing is 0). Groups are indexed by the
-// id tuple of their key terms (all key terms come from `dict` — they were
-// bound from store triples); terms foreign to the dictionary (possible only
-// for synthetic inputs) fall back to an encoding-key string index.
-std::vector<Binding> ApplyAggregates(const Query& query,
-                                     const std::vector<Binding>& rows,
-                                     const rdf::Dictionary& dict) {
-  // Group rows (stable order of first appearance).
-  std::vector<std::pair<Binding, std::vector<const Binding*>>> groups;
-  std::unordered_map<std::vector<TermId>, size_t, IdRowHash> index;
-  std::unordered_map<std::string, size_t> foreign_index;
-  for (const Binding& row : rows) {
-    std::vector<TermId> key(query.group_by.size(), rdf::kInvalidTermId);
-    Binding key_binding;
-    bool foreign = false;
-    for (size_t i = 0; i < query.group_by.size(); ++i) {
-      auto it = row.find(query.group_by[i]);
-      if (it == row.end()) continue;
-      key_binding.emplace(query.group_by[i], it->second);
-      if (std::optional<TermId> id = dict.Lookup(it->second)) {
-        key[i] = *id;
-      } else {
-        foreign = true;
-      }
-    }
-    size_t slot;
-    if (!foreign) {
-      auto [entry, inserted] = index.emplace(std::move(key), groups.size());
-      if (inserted) groups.push_back({std::move(key_binding), {}});
-      slot = entry->second;
-    } else {
-      std::string text_key;
-      for (const std::string& var : query.group_by) {
-        auto it = row.find(var);
-        if (it != row.end()) text_key += it->second.EncodingKey();
-        text_key += '\x01';
-      }
-      auto [entry, inserted] =
-          foreign_index.emplace(std::move(text_key), groups.size());
-      if (inserted) groups.push_back({std::move(key_binding), {}});
-      slot = entry->second;
-    }
-    groups[slot].second.push_back(&row);
-  }
-  if (groups.empty() && query.group_by.empty()) {
-    groups.push_back({Binding{}, {}});  // global aggregate over zero rows
-  }
-
-  std::vector<Binding> out;
-  out.reserve(groups.size());
-  for (const auto& [key_binding, members] : groups) {
-    Binding result = key_binding;
-    for (const Aggregate& agg : query.aggregates) {
-      if (agg.kind == Aggregate::Kind::kCount) {
-        size_t count = 0;
-        for (const Binding* row : members) {
-          if (agg.variable.empty() || row->count(agg.variable) > 0) ++count;
-        }
-        result.emplace(agg.as,
-                       rdf::Term::IntegerLiteral(
-                           static_cast<int64_t>(count)));
-        continue;
-      }
-      // Numeric folds over the bound, parseable values.
-      double sum = 0.0;
-      size_t n = 0;
-      const rdf::Term* min_term = nullptr;
-      const rdf::Term* max_term = nullptr;
-      double min_value = 0.0, max_value = 0.0;
-      for (const Binding* row : members) {
-        auto it = row->find(agg.variable);
-        if (it == row->end()) continue;
-        double value = 0.0;
-        if (!ParseDouble(it->second.lexical(), &value)) continue;
-        sum += value;
-        ++n;
-        if (min_term == nullptr || value < min_value) {
-          min_term = &it->second;
-          min_value = value;
-        }
-        if (max_term == nullptr || value > max_value) {
-          max_term = &it->second;
-          max_value = value;
-        }
-      }
-      switch (agg.kind) {
-        case Aggregate::Kind::kSum:
-          result.emplace(agg.as, rdf::Term::DoubleLiteral(sum));
-          break;
-        case Aggregate::Kind::kAvg:
-          result.emplace(agg.as, rdf::Term::DoubleLiteral(
-                                     n == 0 ? 0.0 : sum / n));
-          break;
-        case Aggregate::Kind::kMin:
-          if (min_term != nullptr) result.emplace(agg.as, *min_term);
-          break;
-        case Aggregate::Kind::kMax:
-          if (max_term != nullptr) result.emplace(agg.as, *max_term);
-          break;
-        case Aggregate::Kind::kCount:
-          break;  // handled above
-      }
-    }
-    out.push_back(std::move(result));
-  }
-  return out;
-}
-
-// DISTINCT over term-space rows. For plain projections the dedup index is
-// a hash set over id tuples (select-list order); rows carrying terms the
-// dictionary does not know (aggregate outputs, SELECT *) use set<Binding>.
-std::vector<Binding> DedupRows(const Query& query, std::vector<Binding> rows,
-                               const rdf::Dictionary& dict) {
-  if (query.aggregates.empty() && !query.select_all) {
-    std::vector<std::vector<TermId>> keys;
-    keys.reserve(rows.size());
-    bool ids_ok = true;
-    for (const Binding& row : rows) {
-      std::vector<TermId> key(query.select.size(), rdf::kInvalidTermId);
-      for (size_t i = 0; i < query.select.size() && ids_ok; ++i) {
-        auto it = row.find(query.select[i]);
-        if (it == row.end()) continue;
-        if (std::optional<TermId> id = dict.Lookup(it->second)) {
-          key[i] = *id;
-        } else {
-          ids_ok = false;
-        }
-      }
-      if (!ids_ok) break;
-      keys.push_back(std::move(key));
-    }
-    if (ids_ok) {
-      std::unordered_set<std::vector<TermId>, IdRowHash> seen;
-      std::vector<Binding> unique;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (seen.insert(std::move(keys[i])).second) {
-          unique.push_back(std::move(rows[i]));
-        }
-      }
-      return unique;
-    }
-  }
-  std::set<Binding> seen;
-  std::vector<Binding> unique;
-  for (Binding& row : rows) {
-    if (seen.insert(row).second) unique.push_back(std::move(row));
-  }
-  return unique;
-}
-
-// Result tail after aggregation: DISTINCT, ORDER BY, OFFSET, LIMIT.
-std::vector<Binding> FinishRowsTail(const Query& query,
-                                    std::vector<Binding> rows,
-                                    const rdf::Dictionary& dict) {
-  if (query.distinct) rows = DedupRows(query, std::move(rows), dict);
   if (!query.order_by.empty()) {
     std::stable_sort(rows.begin(), rows.end(),
                      [&query](const Binding& a, const Binding& b) {
@@ -343,20 +60,13 @@ std::vector<Binding> FinishRowsTail(const Query& query,
   return rows;
 }
 
-// Shared result tail: aggregation, DISTINCT, ORDER BY, OFFSET, LIMIT.
-std::vector<Binding> FinishTermRows(const Query& query,
-                                    std::vector<Binding> rows,
-                                    const rdf::Dictionary& dict) {
-  if (!query.aggregates.empty()) rows = ApplyAggregates(query, rows, dict);
-  return FinishRowsTail(query, std::move(rows), dict);
-}
-
-// GROUP BY / aggregation over id rows (full slot snapshots), with exactly
-// the ApplyAggregates semantics: stable first-appearance group order,
-// COUNT(?v) counts bound rows, SUM / AVG fold the parseable values, and
-// MIN / MAX keep the first term attaining a strict extremum. Only group
-// keys and winning MIN / MAX terms are decoded through the dictionary;
-// numeric parsing is memoized per TermId.
+// GROUP BY / aggregation over id rows (full slot snapshots): stable
+// first-appearance group order (with no GROUP BY the whole input is one
+// group, even when empty: COUNT(*) of nothing is 0), COUNT(?v) counts bound
+// rows, SUM / AVG fold the parseable values, and MIN / MAX keep the first
+// term attaining a strict extremum. Only group keys and winning MIN / MAX
+// terms are decoded through the dictionary; numeric parsing is memoized
+// per TermId.
 std::vector<Binding> AggregateIdRows(const CompiledQuery& plan,
                                      const std::vector<std::vector<TermId>>& rows,
                                      const rdf::Dictionary& dict) {
@@ -460,91 +170,26 @@ std::vector<Binding> AggregateIdRows(const CompiledQuery& plan,
   return out;
 }
 
-Result<std::vector<Binding>> ExecuteLegacy(const Query& query,
-                                           const rdf::TripleStore& store,
-                                           const ExecuteOptions& options) {
-  std::vector<Binding> rows;
-  bool stop = false;
-  Matcher matcher(query, store);
-
-  // OPTIONAL groups are left-outer-joined one after another: each solution
-  // is extended by every match of the group, or kept unchanged when the
-  // group has no match.
-  std::function<Status(size_t, Binding*)> apply_optionals =
-      [&](size_t index, Binding* binding) -> Status {
-    if (index >= query.optionals.size()) {
-      // Final filters (some may involve only optional variables).
-      for (const auto& filter : query.filters) {
-        if (FilterReady(*filter, *binding) &&
-            !EvalFilter(*filter, *binding)) {
-          return Status::Ok();
-        }
-      }
-      // Aggregation needs the full binding (the aggregated variables may
-      // not be projected); projection happens inside ApplyAggregates.
-      rows.push_back(query.aggregates.empty() ? Project(query, *binding)
-                                              : *binding);
-      if (rows.size() >= options.max_rows) stop = true;
-      if (query.is_ask) stop = true;
-      if (query.limit && !query.distinct && query.order_by.empty() &&
-          query.aggregates.empty() && query.offset == 0 &&
-          rows.size() >= *query.limit) {
-        stop = true;
-      }
-      return Status::Ok();
-    }
-    std::vector<const TriplePattern*> group;
-    for (const TriplePattern& p : query.optionals[index]) {
-      group.push_back(&p);
-    }
-    bool matched = false;
-    Status st = matcher.Enumerate(
-        group, binding,
-        [&]() -> Status {
-          matched = true;
-          return apply_optionals(index + 1, binding);
-        },
-        &stop);
-    if (!st.ok()) return st;
-    if (!matched) return apply_optionals(index + 1, binding);
-    return Status::Ok();
-  };
-
-  for (const std::vector<TriplePattern>* patterns : query.Alternatives()) {
-    if (stop) break;
-    std::vector<const TriplePattern*> remaining;
-    remaining.reserve(patterns->size());
-    for (const TriplePattern& p : *patterns) remaining.push_back(&p);
-    Binding binding;
-    Status st = matcher.Enumerate(
-        remaining, &binding,
-        [&]() -> Status { return apply_optionals(0, &binding); }, &stop);
-    if (!st.ok()) return st;
-  }
-
-  return FinishTermRows(query, std::move(rows), store.dictionary());
-}
-
 // ---------------------------------------------------------------------------
-// Compiled engine: id-space enumeration over a CompiledQuery. Bindings live
-// in a flat TermId array indexed by VarSlot; pattern positions resolve to
-// either a precompiled constant id or a slot read; every probe is a lazy
-// MatchCursor over one contiguous index range. Filters already proven to
-// hold along the current path are tracked in a 64-bit mask so they are
-// evaluated at most once per path (filters beyond the first 64 are simply
-// re-evaluated — same verdict, just slower).
+// Id-space execution of a CompiledQuery. Bindings live in a flat TermId
+// array indexed by VarSlot. A required group with a physical plan runs as
+// its operator tree; OPTIONAL groups, and groups without one, are
+// enumerated pattern-at-a-time in the compiled greedy order, where pattern
+// positions resolve to either a precompiled constant id or a slot read and
+// every probe is a lazy MatchCursor over one contiguous index range.
+// Filters already proven to hold along the current path are tracked in a
+// 64-bit mask so they are evaluated at most once per path (filters beyond
+// the first 64 are simply re-evaluated — same verdict, just slower).
 // ---------------------------------------------------------------------------
 
 class CompiledExecutor {
  public:
-  CompiledExecutor(const CompiledQuery& plan, const ExecuteOptions& options,
-                   bool planned)
+  CompiledExecutor(const CompiledQuery& plan, const ExecuteOptions& options)
       : plan_(plan),
         query_(*plan.query),
         store_(*plan.store),
         dict_(plan.store->dictionary()),
         options_(options),
-        planned_(planned),
         slots_(plan.num_slots, rdf::kInvalidTermId) {}
 
   // Collects per-operator produced-row counts per alternative (explain
@@ -560,7 +205,7 @@ class CompiledExecutor {
       if (group.unmatchable) continue;
       std::fill(slots_.begin(), slots_.end(), rdf::kInvalidTermId);
       const PhysicalPlan* phys =
-          planned_ && a < plan_.plans.size() ? &plan_.plans[a] : nullptr;
+          a < plan_.plans.size() ? &plan_.plans[a] : nullptr;
       if (phys != nullptr && phys->root >= 0) {
         RunPlannedGroup(group, *phys, a);
       } else {
@@ -569,9 +214,8 @@ class CompiledExecutor {
       }
     }
     if (!query_.aggregates.empty()) {
-      return FinishRowsTail(query_,
-                            AggregateIdRows(plan_, agg_id_rows_, dict_),
-                            dict_);
+      return FinishAggregateRows(query_,
+                                 AggregateIdRows(plan_, agg_id_rows_, dict_));
     }
     if (query_.distinct) DedupIdRows();
     if (!query_.order_by.empty()) OrderIdRows();
@@ -821,7 +465,6 @@ class CompiledExecutor {
   const rdf::Dictionary& dict_;
   const ExecuteOptions& options_;
 
-  const bool planned_;
   std::vector<TermId> slots_;                // current path binding
   std::vector<TermId> regs_;                 // operator-tree register file
   std::vector<std::vector<TermId>> id_rows_;  // non-aggregate results
@@ -846,10 +489,6 @@ Binding Project(const Query& query, const Binding& binding) {
 Result<std::vector<Binding>> Execute(const Query& query,
                                      const rdf::TripleStore& store,
                                      const ExecuteOptions& options) {
-  if (options.engine == ExecutorKind::kLegacy) {
-    return ExecuteLegacy(query, store, options);
-  }
-  const bool planned = options.engine == ExecutorKind::kPlanned;
   CompiledQuery local;
   const CompiledQuery* plan = options.plan;
   if (plan != nullptr) {
@@ -860,11 +499,10 @@ Result<std::vector<Binding>> Execute(const Query& query,
   } else {
     CompileOptions compile_options;
     compile_options.stats = options.stats;
-    compile_options.build_physical_plans = planned;
     local = CompileQuery(query, store, compile_options);
     plan = &local;
   }
-  return CompiledExecutor(*plan, options, planned).Run();
+  return CompiledExecutor(*plan, options).Run();
 }
 
 Result<std::string> Explain(const Query& query, const rdf::TripleStore& store,
@@ -885,7 +523,7 @@ Result<std::string> Explain(const Query& query, const rdf::TripleStore& store,
     local = CompileQuery(query, store, compile_options);
     plan = &local;
   }
-  CompiledExecutor executor(*plan, options, /*planned=*/true);
+  CompiledExecutor executor(*plan, options);
   std::vector<std::vector<size_t>> actuals(plan->alternatives.size());
   executor.set_explain_actuals(&actuals);
   Result<std::vector<Binding>> rows = executor.Run();
@@ -898,11 +536,7 @@ Result<std::string> Explain(const Query& query, const rdf::TripleStore& store,
     }
     const std::vector<size_t>* actual =
         a < actuals.size() && !actuals[a].empty() ? &actuals[a] : nullptr;
-    if (a < plan->plans.size()) {
-      out += RenderPlan(plan->plans[a], *plan, a, actual);
-    } else {
-      out += "(greedy fallback: no physical plan)\n";
-    }
+    out += RenderPlan(plan->plans[a], *plan, a, actual);
   }
   out += "rows returned: " + std::to_string(rows->size()) + "\n";
   return out;

@@ -1,24 +1,21 @@
 // Query execution over a single TripleStore.
 //
-// Three engines share one entry point:
+// One engine: the query is compiled to TermId space (sparql/compiler.h)
+// and each UNION alternative's required patterns run as the pipelined
+// physical operator tree the bottom-up DP plan generator picked
+// (sparql/plangen.h): ordered index scans, merge / hash / index-lookup
+// joins, aggregated scans, and plan-placed filters, all pull-based over a
+// flat register file. OPTIONAL groups, the groups the plan generator
+// declines (empty, unmatchable, or beyond its size cap), and every group
+// of a CompiledQuery compiled without physical plans are enumerated
+// pattern-at-a-time in the compiler's greedy join order instead. Either
+// way the row multiset is the same; enumeration ORDER depends on the join
+// order, so order-sensitive callers must use ORDER BY. GROUP BY
+// aggregation runs entirely in TermId space; only group keys and winning
+// MIN/MAX terms are decoded through the dictionary.
 //
-//   * kPlanned (default): compiles the query to TermId space
-//     (sparql/compiler.h) and runs the pipelined physical operator tree the
-//     bottom-up DP plan generator picked (sparql/plangen.h): ordered index
-//     scans, merge / hash / index-lookup joins, aggregated scans, and
-//     plan-placed filters, all pull-based over a flat register file.
-//   * kGreedy: the same compiled representation, enumerated pattern-at-a-
-//     time in the greedy statistics-driven join order (the former default;
-//     kept as a differential oracle and as the fallback for groups the plan
-//     generator declines).
-//   * kLegacy: the original backtracking matcher over string-keyed
-//     bindings, the independent term-space oracle.
-//
-// All engines produce the same row multiset; enumeration ORDER may differ
-// between them (they join in different orders), so order-sensitive callers
-// must use ORDER BY. GROUP BY aggregation for the compiled engines runs
-// entirely in TermId space; only group keys and winning MIN/MAX terms are
-// decoded through the dictionary.
+// tests/sparql/term_oracle.h holds the independent term-space matcher that
+// the differential tests and bench_gates check this engine against.
 #ifndef ALEX_SPARQL_EXECUTOR_H_
 #define ALEX_SPARQL_EXECUTOR_H_
 
@@ -32,21 +29,16 @@
 
 namespace alex::sparql {
 
-enum class ExecutorKind {
-  kPlanned,  // physical operator trees from the DP plan generator
-  kGreedy,   // greedy pattern-at-a-time compiled enumeration (oracle)
-  kLegacy,   // original term-space backtracking matcher (oracle)
-};
-
 struct ExecuteOptions {
   // Hard cap on produced rows before projection (safety valve).
   size_t max_rows = 1000000;
-  ExecutorKind engine = ExecutorKind::kPlanned;
   // Optional dataset statistics forwarded to the compiler for join
-  // ordering and the plan generator's cost model (compiled engines only).
+  // ordering and the plan generator's cost model.
   const rdf::DatasetStats* stats = nullptr;
-  // Optional precompiled plan to reuse (compiled engines only). Must have
-  // been compiled from exactly this query and store.
+  // Optional precompiled plan to reuse. Must have been compiled from
+  // exactly this query and store; one compiled without physical plans
+  // (CompileOptions::build_physical_plans = false) runs every group by
+  // greedy enumeration.
   const CompiledQuery* plan = nullptr;
 };
 
@@ -65,7 +57,7 @@ Result<bool> Ask(const Query& query, const rdf::TripleStore& store,
 // SELECT *).
 Binding Project(const Query& query, const Binding& binding);
 
-// Compiles and executes `query` with the planned engine and renders every
+// Compiles and executes `query` with physical plans and renders every
 // alternative's operator tree with per-operator cost / cardinality
 // estimates next to the rows each operator actually produced.
 Result<std::string> Explain(const Query& query, const rdf::TripleStore& store,

@@ -2,11 +2,12 @@
 //
 // The episode loop and the federated engine re-issue the same query texts
 // epoch after epoch; parsing and plan generation are deterministic, so both
-// can be done once and reused. A cached plan carries the DatasetStats
-// snapshot it was costed with: GetPlan() recompiles only when the store
-// changed identity or fresh statistics drifted past the threshold
-// (rdf::Drift), so steady link churn keeps hitting the cache while a bulk
-// load invalidates it.
+// can be done once and reused (the federated engine reuses only parses:
+// its queries do not run on compiled plans). A cached plan carries the
+// DatasetStats snapshot it was costed with: GetPlan() recompiles only when
+// the store changed identity or fresh statistics drifted past the
+// threshold (rdf::Drift), so steady link churn keeps hitting the cache
+// while a bulk load invalidates it.
 //
 // Returned pointers stay valid until Clear() or destruction (entries are
 // heap-allocated and never evicted). All methods are thread-safe, and the

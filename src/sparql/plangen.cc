@@ -12,9 +12,6 @@ using rdf::IndexOrder;
 using rdf::TermId;
 using rdf::TermPattern;
 
-// DP size cap: subset enumeration is O(3^n); beyond this the greedy
-// executor's ordering is good enough and compile time matters more.
-constexpr size_t kMaxDpPatterns = 9;
 // Arena safety valve: candidate operators created during enumeration
 // (including discarded ones) before the generator gives up.
 constexpr size_t kMaxArenaOps = 200000;

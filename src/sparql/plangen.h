@@ -28,9 +28,13 @@
 
 namespace alex::sparql {
 
+// DP size cap: subset enumeration is O(3^n); beyond this the compiler's
+// greedy order is good enough and compile time matters more.
+inline constexpr size_t kMaxDpPatterns = 9;
+
 // Builds the physical plan for compiled.alternatives[alternative]. Returns
 // a plan with root == -1 (greedy fallback) for empty or unmatchable groups
-// and for groups larger than the DP size cap.
+// and for groups larger than kMaxDpPatterns.
 PhysicalPlan BuildPhysicalPlan(const CompiledQuery& compiled,
                                size_t alternative,
                                const rdf::DatasetStats* stats);

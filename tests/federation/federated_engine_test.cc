@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "federation/link_set.h"
 #include "federation/source_selection.h"
+#include "sparql/executor.h"
 #include "sparql/parser.h"
 
 namespace alex::fed {
@@ -144,6 +146,76 @@ TEST_F(FederatedEngineTest, FilterAppliesAcrossSources) {
 TEST_F(FederatedEngineTest, ParseErrorPropagates) {
   FederatedEngine engine({&dbpedia_, &nytimes_}, links_.get());
   EXPECT_FALSE(engine.ExecuteText("SELECT bogus").ok());
+}
+
+// The rows of `text` from a one-source federation over `store` with no
+// links, and from sparql::Execute over the same store, each sorted.
+struct OneSourceRows {
+  std::vector<sparql::Binding> federated;
+  std::vector<sparql::Binding> executed;
+};
+
+OneSourceRows RunOneSource(const TripleStore& store, const std::string& text) {
+  OneSourceRows rows;
+  const LinkView no_links;
+  FederatedEngine engine({&store}, &no_links);
+  Result<FederatedResult> federated = engine.ExecuteText(text);
+  EXPECT_TRUE(federated.ok()) << federated.status().ToString();
+  if (federated.ok()) {
+    for (const FederatedAnswer& answer : federated->answers) {
+      rows.federated.push_back(answer.binding);
+    }
+  }
+  Result<sparql::Query> query = sparql::ParseQuery(text);
+  EXPECT_TRUE(query.ok()) << query.status().ToString();
+  if (query.ok()) {
+    Result<std::vector<sparql::Binding>> executed =
+        sparql::Execute(*query, store);
+    EXPECT_TRUE(executed.ok()) << executed.status().ToString();
+    if (executed.ok()) rows.executed = std::move(executed).value();
+  }
+  std::sort(rows.federated.begin(), rows.federated.end());
+  std::sort(rows.executed.begin(), rows.executed.end());
+  return rows;
+}
+
+TEST(FederatedEvaluatorTest, RepeatedVariableBindsOneTerm) {
+  // Only the self-loop matches ?x <p> ?x: both occurrences of ?x must hold
+  // the same term.
+  TripleStore store("loops");
+  const Term p = Term::Iri("http://ex/p");
+  store.Add(Term::Iri("http://ex/a"), p, Term::Iri("http://ex/a"));
+  store.Add(Term::Iri("http://ex/a"), p, Term::Iri("http://ex/b"));
+  store.Add(Term::Iri("http://ex/b"), p, Term::Iri("http://ex/c"));
+  OneSourceRows rows =
+      RunOneSource(store, "SELECT ?x WHERE { ?x <http://ex/p> ?x }");
+  ASSERT_EQ(rows.federated.size(), 1u);
+  EXPECT_EQ(rows.federated[0].at("x").lexical(), "http://ex/a");
+  EXPECT_EQ(rows.federated, rows.executed);
+}
+
+TEST(FederatedEvaluatorTest, FilterWaitsForOptionalVariables) {
+  // FILTER(?y != "foo") is checked once ?y is bound: it drops a's "foo"
+  // extension (a stays, unextended), keeps b's "bar", and passes c, whose
+  // OPTIONAL group does not match.
+  TripleStore store("optional");
+  const Term p = Term::Iri("http://ex/p");
+  const Term q = Term::Iri("http://ex/q");
+  store.Add(Term::Iri("http://ex/a"), p, Term::Iri("http://ex/z1"));
+  store.Add(Term::Iri("http://ex/b"), p, Term::Iri("http://ex/z2"));
+  store.Add(Term::Iri("http://ex/c"), p, Term::Iri("http://ex/z3"));
+  store.Add(Term::Iri("http://ex/a"), q, Term::StringLiteral("foo"));
+  store.Add(Term::Iri("http://ex/b"), q, Term::StringLiteral("bar"));
+  OneSourceRows rows = RunOneSource(
+      store,
+      "SELECT ?x ?y WHERE { ?x <http://ex/p> ?z . "
+      "OPTIONAL { ?x <http://ex/q> ?y } FILTER(?y != \"foo\") }");
+  ASSERT_EQ(rows.federated.size(), 3u);
+  EXPECT_EQ(rows.federated, rows.executed);
+  const sparql::Binding b_bar = {{"x", Term::Iri("http://ex/b")},
+                                 {"y", Term::StringLiteral("bar")}};
+  EXPECT_NE(std::find(rows.federated.begin(), rows.federated.end(), b_bar),
+            rows.federated.end());
 }
 
 TEST(SourceSelectionTest, PredicateExistenceFilters) {

@@ -1,9 +1,10 @@
 // Targeted tests for the DP plan generator, the Explain rendering, and the
 // plan cache: join-method selection on shapes designed to make one method
 // clearly cheapest, aggregated-scan elimination under DISTINCT, and the
-// cache's hit / recompile / drift-invalidation behavior. Identity between
-// the planned engine and the legacy oracle is asserted on every executed
-// query; the randomized cross-engine sweep lives in differential_test.cc.
+// cache's hit / recompile / drift-invalidation behavior, and the greedy
+// fallback for groups the generator declines. Identity between the
+// executor and the term-space oracle is asserted on every executed query;
+// the randomized sweep lives in differential_test.cc.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "sparql/parser.h"
 #include "sparql/plan_cache.h"
 #include "sparql/plangen.h"
+#include "sparql/term_oracle.h"
 
 namespace alex::sparql {
 namespace {
@@ -40,15 +42,10 @@ bool PlanContains(const PhysicalPlan& plan, PlanOpKind kind) {
   return false;
 }
 
-// Runs `text` under `engine` and returns the canonically sorted rows.
-std::vector<Binding> SortedRows(const std::string& text,
-                                const rdf::TripleStore& store,
-                                ExecutorKind engine) {
-  Result<Query> query = ParseQuery(text);
-  EXPECT_TRUE(query.ok()) << text << ": " << query.status().ToString();
-  ExecuteOptions options;
-  options.engine = engine;
-  Result<std::vector<Binding>> rows = Execute(query.value(), store, options);
+// The canonically sorted rows of `rows`, or none (and a failure) when it
+// is an error.
+std::vector<Binding> Sorted(Result<std::vector<Binding>> rows,
+                            const std::string& text) {
   EXPECT_TRUE(rows.ok()) << text << ": " << rows.status().ToString();
   std::vector<Binding> out =
       rows.ok() ? std::move(rows).value() : std::vector<Binding>{};
@@ -56,10 +53,22 @@ std::vector<Binding> SortedRows(const std::string& text,
   return out;
 }
 
-void ExpectPlannedMatchesLegacy(const std::string& text,
+// Runs `text` through Execute (or, with `oracle`, the term-space oracle)
+// and returns the canonically sorted rows.
+std::vector<Binding> SortedRows(const std::string& text,
+                                const rdf::TripleStore& store,
+                                bool oracle = false) {
+  Result<Query> query = ParseQuery(text);
+  EXPECT_TRUE(query.ok()) << text << ": " << query.status().ToString();
+  if (!query.ok()) return {};
+  return Sorted(oracle ? OracleExecute(query.value(), store)
+                       : Execute(query.value(), store),
+                text);
+}
+
+void ExpectPlannedMatchesOracle(const std::string& text,
                                 const rdf::TripleStore& store) {
-  EXPECT_EQ(SortedRows(text, store, ExecutorKind::kPlanned),
-            SortedRows(text, store, ExecutorKind::kLegacy))
+  EXPECT_EQ(SortedRows(text, store), SortedRows(text, store, /*oracle=*/true))
       << text;
 }
 
@@ -85,7 +94,7 @@ TEST(PlanGenTest, MergeJoinChosenWhenOrdersAlign) {
   ASSERT_GE(compiled.plans[0].root, 0);
   EXPECT_TRUE(PlanContains(compiled.plans[0], PlanOpKind::kMergeJoin))
       << RenderPlan(compiled.plans[0], compiled, 0);
-  ExpectPlannedMatchesLegacy(text, store);
+  ExpectPlannedMatchesOracle(text, store);
 }
 
 TEST(PlanGenTest, LookupJoinChosenForAnchoredPattern) {
@@ -109,7 +118,7 @@ TEST(PlanGenTest, LookupJoinChosenForAnchoredPattern) {
   ASSERT_GE(compiled.plans[0].root, 0);
   EXPECT_TRUE(PlanContains(compiled.plans[0], PlanOpKind::kIndexLookupJoin))
       << RenderPlan(compiled.plans[0], compiled, 0);
-  ExpectPlannedMatchesLegacy(text, store);
+  ExpectPlannedMatchesOracle(text, store);
 }
 
 TEST(PlanGenTest, AggregatedScanForDistinctProjection) {
@@ -140,10 +149,9 @@ TEST(PlanGenTest, AggregatedScanForDistinctProjection) {
   EXPECT_TRUE(
       PlanContains(compiled.plans[0], PlanOpKind::kAggregatedIndexScan))
       << RenderPlan(compiled.plans[0], compiled, 0);
-  std::vector<Binding> planned =
-      SortedRows(text, store, ExecutorKind::kPlanned);
+  std::vector<Binding> planned = SortedRows(text, store);
   EXPECT_EQ(planned.size(), 3u);
-  EXPECT_EQ(planned, SortedRows(text, store, ExecutorKind::kLegacy));
+  EXPECT_EQ(planned, SortedRows(text, store, /*oracle=*/true));
 }
 
 TEST(PlanGenTest, ExplainReportsEstimatesAndActuals) {
@@ -168,18 +176,73 @@ TEST(PlanGenTest, ExplainReportsEstimatesAndActuals) {
 
 TEST(PlanGenTest, GroupByAggregatesMatchLegacy) {
   // Id-space aggregation (COUNT / SUM / AVG / MIN / MAX) must reproduce
-  // the legacy term-space results exactly, including group order.
+  // the oracle's term-space results exactly.
   rdf::TripleStore store("agg");
   for (int i = 0; i < 12; ++i) {
     rdf::Term subject = Iri("s" + std::to_string(i));
     store.Add(subject, Iri("bucket"), Iri("b" + std::to_string(i % 3)));
     store.Add(subject, Iri("score"), rdf::Term::IntegerLiteral(i * 7 % 11));
   }
-  ExpectPlannedMatchesLegacy(
+  ExpectPlannedMatchesOracle(
       "SELECT ?b (COUNT(?s) AS ?n) (SUM(?v) AS ?sum) (AVG(?v) AS ?avg) "
       "(MIN(?v) AS ?lo) (MAX(?v) AS ?hi) WHERE { "
       "?s <http://ex/bucket> ?b . ?s <http://ex/score> ?v } GROUP BY ?b",
       store);
+}
+
+TEST(PlanGenTest, GroupBeyondDpCapRunsGreedyThroughExecute) {
+  // A chain of kMaxDpPatterns + 1 patterns: the generator declines the
+  // group, so plain Execute enumerates it in the compiler's greedy order,
+  // with the FILTER checked along the way, and Explain says so.
+  rdf::TripleStore store("chain");
+  const size_t length = kMaxDpPatterns + 1;
+  for (size_t k = 0; k < length; ++k) {
+    const rdf::Term predicate = Iri("p" + std::to_string(k));
+    for (int i = 0; i < 6; ++i) {
+      store.Add(Iri("n" + std::to_string(i)), predicate,
+                Iri("n" + std::to_string((i + k) % 6)));
+      if (i % 2 == 0) {
+        store.Add(Iri("n" + std::to_string(i)), predicate,
+                  Iri("n" + std::to_string((i * 5 + 1) % 6)));
+      }
+    }
+  }
+  std::string text = "SELECT ?x0 ?x" + std::to_string(length) + " WHERE { ";
+  for (size_t k = 0; k < length; ++k) {
+    text += "?x" + std::to_string(k) + " <http://ex/p" + std::to_string(k) +
+            "> ?x" + std::to_string(k + 1) + " . ";
+  }
+  text += "FILTER(?x0 != ?x" + std::to_string(length) + ") }";
+  Result<Query> query = ParseQuery(text);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  rdf::DatasetStats stats = rdf::ComputeStats(store);
+  CompiledQuery compiled = CompileText(query.value(), store, &stats);
+  ASSERT_EQ(compiled.plans.size(), 1u);
+  EXPECT_LT(compiled.plans[0].root, 0);
+
+  std::vector<Binding> oracle = SortedRows(text, store, /*oracle=*/true);
+  ASSERT_FALSE(oracle.empty());
+  EXPECT_EQ(SortedRows(text, store), oracle);
+  Result<std::string> explained = Explain(query.value(), store);
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  EXPECT_NE(explained->find("(greedy fallback: no physical plan)"),
+            std::string::npos)
+      << *explained;
+  EXPECT_NE(explained->find("rows returned: " + std::to_string(oracle.size())),
+            std::string::npos)
+      << *explained;
+
+  // A plan-less compile passed as ExecuteOptions::plan takes the same
+  // greedy path, here and on a group the generator would plan.
+  const std::string small =
+      "SELECT ?a ?c WHERE { ?a <http://ex/p0> ?b . ?b <http://ex/p1> ?c }";
+  for (const std::string& greedy_text : {text, small}) {
+    Result<Query> parsed = ParseQuery(greedy_text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(Sorted(ExecuteGreedy(parsed.value(), store, &stats), greedy_text),
+              SortedRows(greedy_text, store, /*oracle=*/true))
+        << greedy_text;
+  }
 }
 
 TEST(PlanCacheTest, ParseAndPlanHitsAccumulate) {
