@@ -2,10 +2,10 @@
 # Builds the test suites most exposed to the parallel paths (feature-space
 # construction, blocking-index build, parallel episodes, the shared oracle,
 # the concurrent serving tier's reader streams and link-store readers that
-# follow publishes, the federated query cache shared by reader streams and
-# the parallel per-source fan-out, and the sharded feedback aggregator's
-# concurrent vote writers, plus the ingest differential's multi-threaded
-# engine pairs) under ThreadSanitizer and runs them. Uses its own build
+# follow publishes, the federated query cache and parse cache shared by
+# reader streams, the sharded feedback aggregator's concurrent vote
+# writers, and the ingest differential's multi-threaded engine pairs)
+# under ThreadSanitizer and runs them. Uses its own build
 # directory so the regular build stays untouched.
 # Override with BUILD_DIR=... ; pass ALEX_SANITIZE=address the same way via
 # CMake directly if needed.

@@ -710,20 +710,7 @@ size_t AlexEngine::CloseEpisode(const PartitionAlex::FeedbackCounts& counts,
   return changed;
 }
 
-EpisodeStats AlexEngine::RunEpisode(const FeedbackFn& feedback) {
-  ALEX_CHECK(initialized_) << "call Initialize() first";
-  Stopwatch episode_timer;
-  ++episodes_run_;
-
-  // Allocate each shard's feedback quota up front: episode_size multinomial
-  // draws from the engine RNG, weighted by the episode-START candidate
-  // counts (partitions first, spaceless extras last). After this, each
-  // shard's work is a pure function of its own state and RNG stream, so
-  // shards can run concurrently — and the serial path, which runs the same
-  // per-shard code in partition order, produces bitwise-identical results.
-  // Within its quota a partition still samples LIVE from its own evolving
-  // candidate set, preserving the paper's uniform-over-candidates feedback
-  // model within each shard.
+std::vector<size_t> AlexEngine::DrawQuotas(size_t count) {
   std::vector<size_t> sizes(partitions_.size() + 1, 0);
   for (size_t p = 0; p < partitions_.size(); ++p) {
     sizes[p] = partitions_[p].candidates().size();
@@ -732,18 +719,34 @@ EpisodeStats AlexEngine::RunEpisode(const FeedbackFn& feedback) {
   size_t total = 0;
   for (size_t size : sizes) total += size;
   std::vector<size_t> quota(sizes.size(), 0);
-  if (total > 0) {
-    for (size_t item = 0; item < options_.episode_size; ++item) {
-      uint64_t r = rng_.NextBounded(total);
-      for (size_t s = 0; s < sizes.size(); ++s) {
-        if (r < sizes[s]) {
-          ++quota[s];
-          break;
-        }
-        r -= sizes[s];
+  if (total == 0) return quota;
+  for (size_t item = 0; item < count; ++item) {
+    uint64_t r = rng_.NextBounded(total);
+    for (size_t s = 0; s < sizes.size(); ++s) {
+      if (r < sizes[s]) {
+        ++quota[s];
+        break;
       }
+      r -= sizes[s];
     }
   }
+  return quota;
+}
+
+EpisodeStats AlexEngine::RunEpisode(const FeedbackFn& feedback) {
+  ALEX_CHECK(initialized_) << "call Initialize() first";
+  Stopwatch episode_timer;
+  ++episodes_run_;
+
+  // Allocate each shard's feedback quota up front, weighted by the
+  // episode-START candidate counts. After this, each shard's work is a pure
+  // function of its own state and RNG stream, so shards can run
+  // concurrently — and the serial path, which runs the same per-shard code
+  // in partition order, produces bitwise-identical results. Within its
+  // quota a partition still samples LIVE from its own evolving candidate
+  // set, preserving the paper's uniform-over-candidates feedback model
+  // within each shard.
+  const std::vector<size_t> quota = DrawQuotas(options_.episode_size);
 
   // One slice per partition, then the extras' slice.
   std::vector<PartitionAlex::FeedbackCounts> shard(partitions_.size() + 1);
@@ -851,28 +854,8 @@ std::vector<AlexEngine::FeatureUsage> AlexEngine::FeatureUsageSummary()
 void AlexEngine::SampleFeedbackLinks(size_t count,
                                      std::vector<linking::Link>* out) {
   ALEX_CHECK(initialized_) << "call Initialize() first";
-  // RunEpisode's quota schedule: count multinomial draws from the engine
-  // RNG, weighted by current candidate counts, partitions first and the
-  // spaceless extras last.
-  std::vector<size_t> sizes(partitions_.size() + 1, 0);
-  for (size_t p = 0; p < partitions_.size(); ++p) {
-    sizes[p] = partitions_[p].candidates().size();
-  }
-  sizes.back() = extras_alive_.size();
-  size_t total = 0;
-  for (size_t size : sizes) total += size;
-  if (total == 0) return;
-  std::vector<size_t> quota(sizes.size(), 0);
-  for (size_t item = 0; item < count; ++item) {
-    uint64_t r = rng_.NextBounded(total);
-    for (size_t s = 0; s < sizes.size(); ++s) {
-      if (r < sizes[s]) {
-        ++quota[s];
-        break;
-      }
-      r -= sizes[s];
-    }
-  }
+  // RunEpisode's quota schedule.
+  const std::vector<size_t> quota = DrawQuotas(count);
   // Links are drawn DISTINCT within one call (rejection with a bounded
   // attempt budget): an epoch's judgment sample is a set of links handed to
   // the user population, and duplicates would only burn vote budget past

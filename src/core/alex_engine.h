@@ -151,8 +151,9 @@ struct EpisodeStats {
   // only; zero when the episode was not query-driven or no cache was used).
   size_t query_cache_hits = 0;
   size_t query_cache_misses = 0;
-  // SPARQL plan-cache traffic during the episode (query-driven loop only;
-  // parsed-query reuse across epochs — zero when no plan cache attached).
+  // SPARQL parse-cache traffic during the episode (query-driven loop only):
+  // sparql::PlanCache reusing parsed queries across epochs; it compiles no
+  // plans despite the name. Zero when no cache is attached.
   size_t plan_cache_hits = 0;
   size_t plan_cache_misses = 0;
   // Fault-tolerant federation accounting (query-driven loop over unreliable
@@ -607,6 +608,12 @@ class AlexEngine {
   // reverse-probe index. EqualSizePartition deals the subjects round-robin,
   // so global index g is slot g / P of partition g % P.
   void IndexLefts(size_t first, size_t last);
+
+  // Splits `count` feedback items among the partitions and the spaceless
+  // extras (the last slot): `count` multinomial draws from the engine RNG,
+  // weighted by the current candidate counts. No draws, and all-zero
+  // quotas, when there are no candidates.
+  std::vector<size_t> DrawQuotas(size_t count);
 
   // Processes up to `quota` feedback items on the spaceless extras,
   // sampling live with the engine RNG (extras have no partition worker;

@@ -138,8 +138,8 @@ void TakeCacheStats(fed::FederatedQueryCache* cache,
   }
   if (plan_cache != nullptr) {
     const sparql::PlanCache::Stats taken = plan_cache->TakeStats();
-    stats->plan_cache_hits = taken.parse_hits + taken.plan_hits;
-    stats->plan_cache_misses = taken.parse_misses + taken.plan_misses;
+    stats->plan_cache_hits = taken.parse_hits;
+    stats->plan_cache_misses = taken.parse_misses;
   }
 }
 

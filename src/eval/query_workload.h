@@ -76,7 +76,9 @@ void JudgeQueryAnswers(core::AlexEngine* engine,
                        core::EpisodeStats* stats);
 
 // Moves the traffic counters of the caches since the last call into
-// `stats`; either cache may be null (not attached).
+// `stats`: the result cache's hits and misses, and the parse cache's
+// (sparql::PlanCache parses; it compiles no plans) as plan_cache_hits and
+// plan_cache_misses. Either cache may be null (not attached).
 void TakeCacheStats(fed::FederatedQueryCache* cache,
                     sparql::PlanCache* plan_cache, core::EpisodeStats* stats);
 

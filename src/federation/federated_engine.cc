@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "federation/query_cache.h"
 #include "federation/source_selection.h"
 #include "sparql/executor.h"
@@ -37,10 +36,8 @@ uint64_t PatternKey(rdf::TermPattern t) {
   return t.has_value() ? static_cast<uint64_t>(*t) + 1 : 0;
 }
 
-// Per-branch fault accounting. Everything in here is a commutative monoid
-// over the multiset of probes (sums, ORs, per-endpoint bit unions), so
-// merging branch logs in any order yields identical totals — the pillar of
-// thread-count-invariant failure accounting.
+// One query's fault accounting: what its probes cost and which endpoints
+// failed, truncated or were short-circuited.
 struct ProbeLog {
   explicit ProbeLog(size_t num_endpoints)
       : probed(num_endpoints, 0),
@@ -58,21 +55,6 @@ struct ProbeLog {
   std::vector<uint8_t> failed;    // some probe of it ultimately failed
   std::vector<uint8_t> degraded;  // it answered, but truncated
   std::vector<uint8_t> denied;    // open breaker short-circuited it
-
-  void MergeFrom(const ProbeLog& other) {
-    probes += other.probes;
-    retries += other.retries;
-    short_circuits += other.short_circuits;
-    micros += other.micros;
-    truncated = truncated || other.truncated;
-    row_capped = row_capped || other.row_capped;
-    for (size_t i = 0; i < probed.size(); ++i) {
-      probed[i] |= other.probed[i];
-      failed[i] |= other.failed[i];
-      degraded[i] |= other.degraded[i];
-      denied[i] |= other.denied[i];
-    }
-  }
 };
 
 // Marks a resilient query in flight on its Federation for its scope, and
@@ -94,7 +76,7 @@ class ResilientQueryScope {
   std::atomic<bool>* busy_;
 };
 
-// Issues pattern probes for one evaluation branch. On the reliable path it
+// Issues one query's pattern probes. On the reliable path it
 // is a plain passthrough (the seed engine, bit-for-bit); on the resilient
 // path it short-circuits breaker-open endpoints and retries retryable
 // failures with deterministic exponential backoff, charging all virtual
@@ -174,26 +156,21 @@ struct PositionChoice {
 class FederatedEvaluator {
  public:
   // `consulted` (optional) collects every IRI whose link neighborhood is
-  // consulted. `top_source` (optional) restricts the FIRST join step to one
-  // source, which partitions the evaluation across sources: the sequential
-  // enumeration is exactly the concatenation of the per-source runs in
-  // ascending source order. All store reads go through `driver`, which
-  // models the (possibly fallible) endpoint round trips.
+  // consulted. All store reads go through `driver`, which models the
+  // (possibly fallible) endpoint round trips.
   FederatedEvaluator(const Query& query,
                      const std::vector<TriplePattern>& patterns,
                      const std::vector<const TripleStore*>& sources,
                      const LinkView& links, const FederatedOptions& options,
                      ProbeDriver* driver,
-                     std::unordered_set<std::string>* consulted = nullptr,
-                     std::optional<size_t> top_source = std::nullopt)
+                     std::unordered_set<std::string>* consulted)
       : query_(query),
         patterns_(patterns),
         sources_(sources),
         links_(links),
         options_(options),
         driver_(driver),
-        consulted_(consulted),
-        top_source_(top_source) {
+        consulted_(consulted) {
     selected_ = SelectSourcesFor(patterns, sources);
   }
 
@@ -314,15 +291,11 @@ class FederatedEvaluator {
         best_pos = i;
       }
     }
-    const bool top = remaining.size() == patterns_.size();
     size_t pattern_idx = remaining[best_pos];
     remaining.erase(remaining.begin() + best_pos);
     const TriplePattern& pattern = patterns_[pattern_idx];
 
     for (size_t source_idx : selected_[pattern_idx]) {
-      if (top && top_source_.has_value() && source_idx != *top_source_) {
-        continue;
-      }
       const TripleStore& source = *sources_[source_idx];
       // Subjects and objects may be bridged across sources; predicates are
       // vocabulary, never bridged.
@@ -400,7 +373,6 @@ class FederatedEvaluator {
   const FederatedOptions& options_;
   ProbeDriver* driver_;
   std::unordered_set<std::string>* consulted_ = nullptr;
-  std::optional<size_t> top_source_;
   std::vector<std::vector<size_t>> selected_;
   std::vector<FederatedAnswer>* out_ = nullptr;
   bool done_ = false;
@@ -517,7 +489,7 @@ Result<FederatedResult> FederatedEngine::ExecuteInternal(
   const size_t num_endpoints = endpoints.size();
   ProbeLog log(num_endpoints);
   // Breaker snapshot for the whole query: every probe sees the same
-  // allow/deny decision, so per-source branches cannot race transitions.
+  // allow/deny decision, and transitions happen only between queries.
   // Counters are snapshotted first because AllowProbe itself may perform
   // the open -> half-open transition.
   EndpointHealth::Counters counters_before;
@@ -535,82 +507,14 @@ Result<FederatedResult> FederatedEngine::ExecuteInternal(
   std::vector<FederatedAnswer> answers;
   const bool has_optionals = !query.optionals.empty();
   for (const std::vector<TriplePattern>* patterns : query.Alternatives()) {
-    // Rows this alternative may add. The sequential evaluator caps the
-    // SHARED answer vector at max_rows but only notices after an emission,
-    // so an alternative starting at or past the cap still adds one row;
-    // the branch merge below replicates that exactly.
-    const size_t base = answers.size();
-    size_t budget = base >= options.max_rows ? 1 : options.max_rows - base;
-    if (query.is_ask) budget = 1;
-    // Resilient executions always decompose into per-source branches (run
-    // inline when no pool is attached) so the multiset of probes — and
-    // therefore every fault, retry and latency charge — is identical at
-    // any thread count.
-    const bool branch_mode =
-        sources.size() > 1 && !patterns->empty() &&
-        (resilient || (options.pool != nullptr &&
-                       options.pool->num_threads() > 1));
-    if (!branch_mode) {
-      FederatedEvaluator evaluator(query, *patterns, sources, *links_,
-                                   options, &driver, consulted);
-      evaluator.set_project(!has_optionals);
-      Status st = evaluator.Run(&answers);
-      if (!st.ok()) return st;
-    } else {
-      // One branch per source: each evaluates the whole group with its
-      // first join step pinned to that source. Concatenating the branch
-      // outputs in ascending source order reproduces the sequential
-      // enumeration, and no branch can place more than max_rows rows into
-      // the first `budget` merged rows, so the truncation below yields a
-      // result bitwise-identical to the single-threaded run.
-      struct Branch {
-        explicit Branch(size_t num_endpoints) : log(num_endpoints) {}
-        std::vector<FederatedAnswer> answers;
-        std::unordered_set<std::string> consulted;
-        ProbeLog log;
-        Status status = Status::Ok();
-      };
-      std::vector<Branch> branches;
-      branches.reserve(sources.size());
-      for (size_t s = 0; s < sources.size(); ++s) {
-        branches.emplace_back(num_endpoints);
-      }
-      // Force index builds up front; concurrent first reads of a freshly
-      // written store are not thread-safe (see TripleStore::Scan).
-      for (const rdf::TripleStore* source : sources) source->size();
-      auto run_branch = [&, patterns](size_t s) {
-        Branch& branch = branches[s];
-        ProbeDriver branch_driver(endpoints, resilient, retry, allowed,
-                                  fault_salt, &branch.log);
-        FederatedEvaluator evaluator(
-            query, *patterns, sources, *links_, options, &branch_driver,
-            consulted != nullptr ? &branch.consulted : nullptr, s);
-        evaluator.set_project(!has_optionals);
-        branch.status = evaluator.Run(&branch.answers);
-      };
-      if (options.pool != nullptr && options.pool->num_threads() > 1) {
-        for (size_t s = 0; s < sources.size(); ++s) {
-          options.pool->Schedule([&run_branch, s] { run_branch(s); });
-        }
-        options.pool->Wait();
-      } else {
-        for (size_t s = 0; s < sources.size(); ++s) run_branch(s);
-      }
-      for (Branch& branch : branches) {
-        if (!branch.status.ok()) return branch.status;
-        for (FederatedAnswer& answer : branch.answers) {
-          answers.push_back(std::move(answer));
-        }
-        if (consulted != nullptr) {
-          consulted->insert(branch.consulted.begin(), branch.consulted.end());
-        }
-        log.MergeFrom(branch.log);
-      }
-    }
-    if (answers.size() > base + budget) {
-      answers.resize(base + budget);
-      if (!query.is_ask) log.row_capped = true;
-    }
+    // The alternatives share `answers`, so max_rows caps their total; an
+    // alternative that starts at the cap still adds the one row after which
+    // the evaluator notices it.
+    FederatedEvaluator evaluator(query, *patterns, sources, *links_, options,
+                                 &driver, consulted);
+    evaluator.set_project(!has_optionals);
+    Status st = evaluator.Run(&answers);
+    if (!st.ok()) return st;
     if (query.is_ask && !answers.empty()) break;
   }
   // OPTIONAL groups: left-outer-join each group against the answers so
@@ -670,10 +574,6 @@ Result<FederatedResult> FederatedEngine::ExecuteInternal(
     result.retries = log.retries;
     result.short_circuits = log.short_circuits;
     result.virtual_micros = log.micros;
-    if (options.deadline_micros > 0 &&
-        log.micros > options.deadline_micros) {
-      result.deadline_exceeded = true;
-    }
     for (size_t i = 0; i < num_endpoints; ++i) {
       if (log.failed[i] || log.denied[i] || log.degraded[i]) {
         result.failed_sources.push_back(i);
@@ -701,7 +601,6 @@ Result<FederatedResult> FederatedEngine::ExecuteInternal(
     ++federation.fault_stats_.queries;
   }
   result.complete = !result.row_capped && !result.truncated &&
-                    !result.deadline_exceeded &&
                     result.failed_sources.empty();
   if (resilient && !result.complete) ++federation.fault_stats_.degraded;
   return result;

@@ -23,10 +23,17 @@
 // query-driven episode (eval::JudgeQueryAnswers) never derives feedback
 // from them.
 //
+// Evaluation is one sequential backtracking join: every query, reliable or
+// resilient, enumerates its answers in the same order (per UNION
+// alternative, the most selective remaining pattern first; per pattern,
+// each selected source in ascending index, each way to bind its subject,
+// predicate and object — the bound term, then its sameAs counterparts —
+// and the probe's triples in order).
+//
 // All failure handling runs in virtual time (common/clock.h): retry backoff
 // and breaker cooldowns cost simulated microseconds, never wall sleeps, and
 // with deterministic endpoints (fault_injection.h) the entire failure
-// timeline is bitwise-identical at any thread count.
+// timeline replays bit for bit.
 #ifndef ALEX_FEDERATION_FEDERATED_ENGINE_H_
 #define ALEX_FEDERATION_FEDERATED_ENGINE_H_
 
@@ -48,10 +55,6 @@
 #include "rdf/triple_store.h"
 #include "sparql/algebra.h"
 
-namespace alex {
-class ThreadPool;
-}  // namespace alex
-
 namespace alex::sparql {
 class PlanCache;
 }  // namespace alex::sparql
@@ -69,17 +72,6 @@ struct FederatedAnswer {
 
 struct FederatedOptions {
   size_t max_rows = 100000;
-  // When set, each UNION alternative fans out one evaluation branch per
-  // source (the branch opens the join on that source) and the branch
-  // outputs are merged in ascending source order — bitwise-identical to the
-  // sequential result. nullptr = single-threaded.
-  ThreadPool* pool = nullptr;
-  // Per-query budget of simulated endpoint time, in virtual microseconds
-  // (0 = unlimited). A query whose probe latencies and retry backoffs
-  // together exceed it is marked incomplete with deadline_exceeded set.
-  // Purely an accounting budget over deterministic virtual time — it never
-  // aborts evaluation, so results stay thread-count-invariant.
-  int64_t deadline_micros = 0;
   // Salts deterministic fault decisions when running a pre-parsed query
   // through Execute(). ExecuteText derives the salt from the query
   // fingerprint instead, so each distinct query text sees independent
@@ -91,7 +83,7 @@ struct FederatedOptions {
 // Answers plus completeness metadata. `complete` means the answer set is
 // exactly what a fully reliable federation would have produced; any
 // degradation — a failed or breaker-blocked source, a truncated endpoint
-// result, the max_rows cap, a blown deadline budget — clears it.
+// result, the max_rows cap — clears it.
 struct FederatedResult {
   std::vector<FederatedAnswer> answers;
   bool complete = true;
@@ -101,9 +93,6 @@ struct FederatedResult {
   bool row_capped = false;
   // Some endpoint returned a truncated probe result.
   bool truncated = false;
-  // The per-query virtual-time budget (FederatedOptions::deadline_micros)
-  // was exceeded.
-  bool deadline_exceeded = false;
   // Endpoints that could not fully contribute: ultimately-failed probes,
   // open-breaker short circuits, or truncated results. Ascending, unique.
   std::vector<size_t> failed_sources;

@@ -57,18 +57,4 @@ DatasetStats ComputeStats(const TripleStore& store) {
   return stats;
 }
 
-double Drift(const DatasetStats& a, const DatasetStats& b) {
-  auto rel = [](size_t x, size_t y) {
-    size_t hi = std::max(x, y);
-    size_t lo = std::min(x, y);
-    if (hi == 0) return 0.0;
-    return static_cast<double>(hi - lo) / static_cast<double>(hi);
-  };
-  double drift = rel(a.triples, b.triples);
-  drift = std::max(drift, rel(a.subjects, b.subjects));
-  drift = std::max(drift, rel(a.predicates, b.predicates));
-  drift = std::max(drift, rel(a.distinct_objects, b.distinct_objects));
-  return drift;
-}
-
 }  // namespace alex::rdf

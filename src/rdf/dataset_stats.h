@@ -49,12 +49,6 @@ struct DatasetStats {
 // Computes statistics in one pass over the store.
 DatasetStats ComputeStats(const TripleStore& store);
 
-// Relative drift between two snapshots of the same store, in [0, 1]: the
-// largest relative change across triple, subject, predicate, and distinct
-// object counts. Plan caches compare the snapshot a plan was costed with
-// against fresh statistics and recompile only past a threshold.
-double Drift(const DatasetStats& a, const DatasetStats& b);
-
 }  // namespace alex::rdf
 
 #endif  // ALEX_RDF_DATASET_STATS_H_

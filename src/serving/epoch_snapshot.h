@@ -4,7 +4,7 @@
 // consistent point of the learning timeline: the frozen link view published
 // at an episode boundary, the per-epoch federated result cache (cloned from
 // the parent epoch minus the entries the epoch delta invalidated), the
-// SPARQL parse/plan cache and the fed::Federation (endpoints and breaker
+// SPARQL parse cache and the fed::Federation (endpoints and breaker
 // state) shared across epochs, and a FederatedEngine wired over all of
 // them. Once constructed it never changes, so any number of
 // reader threads execute against it without locks; the caches it holds are
@@ -43,7 +43,7 @@ class EpochSnapshot {
     std::shared_ptr<const fed::LinkView> links;
     // Per-epoch result cache; may be null (caching off).
     std::shared_ptr<fed::FederatedQueryCache> cache;
-    // Plan cache, typically SHARED with other epochs; may be null.
+    // Parse cache, typically SHARED with other epochs; may be null.
     std::shared_ptr<sparql::PlanCache> plan_cache;
     // The endpoints over immutable stores, with their failure state,
     // typically SHARED with other epochs. Required.

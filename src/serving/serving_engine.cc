@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/stopwatch.h"
-
 namespace alex::serving {
 
 ServingEngine::ServingEngine(ServingOptions options,
@@ -87,11 +85,9 @@ Result<fed::FederatedResult> ServingEngine::ExecuteText(
                                    seen_max, readers,
                                    std::memory_order_relaxed)) {
   }
-  Stopwatch timer;
   std::shared_ptr<const EpochSnapshot> pinned = Pin();
   Result<fed::FederatedResult> result =
       pinned->ExecuteText(query_text, options);
-  latency_.Record(static_cast<int64_t>(timer.ElapsedSeconds() * 1e6));
   queries_served_.fetch_add(1, std::memory_order_relaxed);
   active_readers_.fetch_sub(1, std::memory_order_acq_rel);
   if (pinned_out != nullptr) *pinned_out = std::move(pinned);
@@ -105,8 +101,6 @@ ServingEngine::Stats ServingEngine::stats() const {
   out.max_concurrent_readers = max_readers_.load(std::memory_order_relaxed);
   out.queries_served = queries_served_.load(std::memory_order_relaxed);
   out.link_merges = out.epochs_published;
-  std::shared_ptr<const EpochSnapshot> pinned = Pin();
-  out.current_epoch = pinned == nullptr ? 0 : pinned->epoch();
   return out;
 }
 

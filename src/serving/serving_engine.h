@@ -13,7 +13,7 @@
 //
 // Publish() merges the staged delta into a new immutable EpochSnapshot —
 // links view, result cache carried forward from the parent epoch minus the
-// delta-invalidated entries, one parse/plan cache and one fed::Federation
+// delta-invalidated entries, one parse cache and one fed::Federation
 // (the endpoints and their breaker state) shared by every epoch — and swaps
 // it in with an RCU-style atomic store. Queries that pinned the
 // old epoch keep running against it unperturbed; the old snapshot is
@@ -38,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "common/latency_histogram.h"
 #include "common/status.h"
 #include "federation/fault_injection.h"
 #include "federation/federated_engine.h"
@@ -56,7 +55,7 @@ struct ServingOptions {
   // Carry federated results across queries and epochs (exact epoch-delta
   // invalidation at publish time).
   bool use_query_cache = true;
-  // Share one parse/plan cache across epochs.
+  // Share one parse cache (sparql::PlanCache) across epochs.
   bool use_plan_cache = true;
   // Endpoint fault model. A zero profile (the default) federates directly
   // over the stores. A non-zero profile wraps every source in a
@@ -151,8 +150,8 @@ class ServingEngine {
   // held, no matter how many epochs are published meanwhile.
   std::shared_ptr<const EpochSnapshot> Pin() const;
 
-  // Pins the current epoch and executes against it, recording serving
-  // latency and concurrent-reader accounting. When `pinned` is non-null it
+  // Pins the current epoch and executes against it, recording
+  // concurrent-reader accounting. When `pinned` is non-null it
   // receives the snapshot the query actually ran against (for replay
   // verification — the caller cannot learn it from a separate Pin(), which
   // could race a publish).
@@ -171,13 +170,8 @@ class ServingEngine {
     uint64_t queries_served = 0;
     // Link-store merges; every publish merges, so equals epochs_published.
     uint64_t link_merges = 0;
-    uint64_t current_epoch = 0;
   };
   Stats stats() const;
-
-  // Serving-side query latency (ExecuteText only), mergeable and readable
-  // while streams are live.
-  const LatencyHistogram& latency() const { return latency_; }
 
   // The endpoints and their failure state, which every epoch's engine
   // shares. Publisher thread only.
@@ -204,7 +198,6 @@ class ServingEngine {
   std::atomic<uint64_t> queries_served_{0};
   std::atomic<uint64_t> active_readers_{0};
   std::atomic<uint64_t> max_readers_{0};
-  LatencyHistogram latency_;
 };
 
 }  // namespace alex::serving

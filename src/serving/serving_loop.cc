@@ -28,7 +28,6 @@ struct StreamRecord {
   size_t query_index = 0;
   uint64_t epoch = 0;
   uint64_t answers_hash = 0;
-  size_t rows = 0;
 };
 
 }  // namespace
@@ -130,7 +129,6 @@ Result<ServingRunResult> RunServingExperiment(
               record.query_index = index;
               record.epoch = pinned->epoch();
               record.answers_hash = HashAnswers(executed.value().answers);
-              record.rows = executed.value().answers.size();
               records.push_back(record);
             }
             if (aggregator != nullptr) {
@@ -169,11 +167,7 @@ Result<ServingRunResult> RunServingExperiment(
     // reader streams are doing.
     eval::JudgeQueryAnswers(
         engine, workload,
-        [&](const std::string& text) {
-          fed::FederatedOptions learner;
-          learner.pool = options.pool;
-          return current->ExecuteText(text, learner);
-        },
+        [&](const std::string& text) { return current->ExecuteText(text); },
         &oracle, &rng, &stats);
 
     // Per-epoch cache traffic. Under concurrent streams these counters
@@ -228,7 +222,6 @@ Result<ServingRunResult> RunServingExperiment(
   for (const std::vector<StreamRecord>& records : stream_records) {
     out.stream_queries += records.size();
     for (const StreamRecord& record : records) {
-      out.stream_rows += record.rows;
       if (!options.verify_identity) continue;
       auto it = retained.find(record.epoch);
       if (it == retained.end()) continue;  // cannot happen: epochs retained
@@ -243,12 +236,6 @@ Result<ServingRunResult> RunServingExperiment(
   }
 
   out.serving = serving.stats();
-  const LatencyHistogram& latency = serving.latency();
-  out.latency_p50_ms = latency.PercentileMicros(0.50) / 1000.0;
-  out.latency_p90_ms = latency.PercentileMicros(0.90) / 1000.0;
-  out.latency_p99_ms = latency.PercentileMicros(0.99) / 1000.0;
-  out.latency_max_ms = static_cast<double>(latency.max_micros()) / 1000.0;
-  out.latency_mean_ms = latency.MeanMicros() / 1000.0;
   return out;
 }
 

@@ -58,10 +58,6 @@ struct ServingLoopOptions {
   bool use_plan_cache = true;
   fed::FaultProfile fault_profile;
   fed::Resilience resilience;
-  // Optional pool for the learner's per-source parallel federated
-  // evaluation (results stay deterministic; see FederatedOptions::pool).
-  // Reader streams do not use it.
-  ThreadPool* pool = nullptr;
   // Concurrent reader streams executing the workload against the serving
   // engine while the learner runs. 0 = learner only (no reader threads).
   size_t num_streams = 0;
@@ -92,9 +88,8 @@ struct ServingRunResult {
   // The learner series.
   eval::ExperimentResult experiment;
   ServingEngine::Stats serving;
-  // Reader-stream traffic.
+  // Reader-stream queries recorded (at most max_stream_records a stream).
   size_t stream_queries = 0;
-  uint64_t stream_rows = 0;
   // Identity gate: recorded stream queries replayed against their pinned
   // epoch, and how many replays hashed identically. verified == replayed
   // iff snapshot isolation held. Both 0 when verify_identity was off or
@@ -105,12 +100,6 @@ struct ServingRunResult {
   // streams cast, and how many drained verdicts the learner applied.
   size_t stream_votes = 0;
   size_t crowd_verdicts = 0;
-  // Serving-side latency (stream ExecuteText calls), milliseconds.
-  double latency_p50_ms = 0.0;
-  double latency_p90_ms = 0.0;
-  double latency_p99_ms = 0.0;
-  double latency_max_ms = 0.0;
-  double latency_mean_ms = 0.0;
 
   bool identity_ok() const { return identity_verified == identity_replayed; }
 };

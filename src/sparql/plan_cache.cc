@@ -7,24 +7,9 @@
 
 namespace alex::sparql {
 
-PlanCache::Entry* PlanCache::GetEntryLocked(const std::string& text) {
-  auto it = entries_.find(text);
-  if (it != entries_.end()) {
-    parse_hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second.get();
-  }
-  parse_misses_.fetch_add(1, std::memory_order_relaxed);
-  auto entry = std::make_unique<Entry>();
-  Result<Query> parsed = ParseQuery(text);
-  if (parsed.ok()) {
-    entry->parse_status = Status::Ok();
-    entry->query = std::move(*parsed);
-  } else {
-    entry->parse_status = parsed.status();
-  }
-  Entry* raw = entry.get();
-  entries_.emplace(text, std::move(entry));
-  return raw;
+Result<const Query*> PlanCache::Parsed(const Entry& entry) {
+  if (!entry.parse_status.ok()) return entry.parse_status;
+  return &entry.query;
 }
 
 Result<const Query*> PlanCache::GetParsed(const std::string& text) {
@@ -36,89 +21,34 @@ Result<const Query*> PlanCache::GetParsed(const std::string& text) {
     auto it = entries_.find(text);
     if (it != entries_.end()) {
       parse_hits_.fetch_add(1, std::memory_order_relaxed);
-      Entry* entry = it->second.get();
-      if (!entry->parse_status.ok()) return entry->parse_status;
-      return static_cast<const Query*>(&entry->query);
+      return Parsed(*it->second);
     }
   }
   std::unique_lock lock(mu_);
-  Entry* entry = GetEntryLocked(text);
-  if (!entry->parse_status.ok()) return entry->parse_status;
-  return static_cast<const Query*>(&entry->query);
-}
-
-bool PlanCache::PlanIsFresh(const Entry& entry, const rdf::TripleStore& store,
-                            const rdf::DatasetStats* stats) const {
-  if (!entry.has_plan || entry.store != &store ||
-      entry.store_generation != store.generation()) {
-    return false;
+  // Re-check under the exclusive lock: another thread may have parsed the
+  // text between the two lock acquisitions.
+  auto it = entries_.find(text);
+  if (it != entries_.end()) {
+    parse_hits_.fetch_add(1, std::memory_order_relaxed);
+    return Parsed(*it->second);
   }
-  if (stats != nullptr && entry.has_snapshot &&
-      rdf::Drift(entry.snapshot, *stats) > drift_threshold_) {
-    return false;
-  }
-  return true;
-}
-
-Result<const CompiledQuery*> PlanCache::GetPlan(
-    const std::string& text, const rdf::TripleStore& store,
-    const rdf::DatasetStats* stats) {
-  {
-    // Fast path: a still-fresh plan exists; serve it under the shared lock.
-    std::shared_lock lock(mu_);
-    auto it = entries_.find(text);
-    if (it != entries_.end()) {
-      Entry* entry = it->second.get();
-      if (!entry->parse_status.ok()) {
-        parse_hits_.fetch_add(1, std::memory_order_relaxed);
-        return entry->parse_status;
-      }
-      if (PlanIsFresh(*entry, store, stats)) {
-        parse_hits_.fetch_add(1, std::memory_order_relaxed);
-        plan_hits_.fetch_add(1, std::memory_order_relaxed);
-        return static_cast<const CompiledQuery*>(&entry->plan);
-      }
-    }
-  }
-
-  std::unique_lock lock(mu_);
-  Entry* entry = GetEntryLocked(text);
-  if (!entry->parse_status.ok()) return entry->parse_status;
-
-  // Re-check under the exclusive lock: another thread may have rebuilt the
-  // plan between the two lock acquisitions.
-  if (PlanIsFresh(*entry, store, stats)) {
-    plan_hits_.fetch_add(1, std::memory_order_relaxed);
-    return static_cast<const CompiledQuery*>(&entry->plan);
-  }
-
-  plan_misses_.fetch_add(1, std::memory_order_relaxed);
-  // An entry that had a plan but failed the freshness check was invalidated
-  // (store identity change or stats drift); a first compile was not.
-  if (entry->has_plan) invalidations_.fetch_add(1, std::memory_order_relaxed);
-  CompileOptions options;
-  options.stats = stats;
-  options.build_physical_plans = true;
-  entry->plan = CompileQuery(entry->query, store, options);
-  entry->store = &store;
-  entry->store_generation = store.generation();
-  entry->has_plan = true;
-  if (stats != nullptr) {
-    entry->snapshot = *stats;
-    entry->has_snapshot = true;
+  parse_misses_.fetch_add(1, std::memory_order_relaxed);
+  auto entry = std::make_unique<Entry>();
+  Result<Query> parsed = ParseQuery(text);
+  if (parsed.ok()) {
+    entry->query = std::move(*parsed);
   } else {
-    entry->has_snapshot = false;
+    entry->parse_status = parsed.status();
   }
-  return static_cast<const CompiledQuery*>(&entry->plan);
+  const Entry& inserted = *entry;
+  entries_.emplace(text, std::move(entry));
+  return Parsed(inserted);
 }
 
 PlanCache::Stats PlanCache::TakeStats() {
   Stats out;
   out.parse_hits = parse_hits_.exchange(0, std::memory_order_relaxed);
   out.parse_misses = parse_misses_.exchange(0, std::memory_order_relaxed);
-  out.plan_hits = plan_hits_.exchange(0, std::memory_order_relaxed);
-  out.plan_misses = plan_misses_.exchange(0, std::memory_order_relaxed);
-  out.invalidations = invalidations_.exchange(0, std::memory_order_relaxed);
   return out;
 }
 
@@ -126,20 +56,7 @@ PlanCache::Stats PlanCache::stats() const {
   Stats out;
   out.parse_hits = parse_hits_.load(std::memory_order_relaxed);
   out.parse_misses = parse_misses_.load(std::memory_order_relaxed);
-  out.plan_hits = plan_hits_.load(std::memory_order_relaxed);
-  out.plan_misses = plan_misses_.load(std::memory_order_relaxed);
-  out.invalidations = invalidations_.load(std::memory_order_relaxed);
   return out;
-}
-
-void PlanCache::Clear() {
-  std::unique_lock lock(mu_);
-  entries_.clear();
-  parse_hits_.store(0, std::memory_order_relaxed);
-  parse_misses_.store(0, std::memory_order_relaxed);
-  plan_hits_.store(0, std::memory_order_relaxed);
-  plan_misses_.store(0, std::memory_order_relaxed);
-  invalidations_.store(0, std::memory_order_relaxed);
 }
 
 size_t PlanCache::size() const {

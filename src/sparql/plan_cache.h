@@ -1,27 +1,20 @@
-// Caches parsed queries and compiled physical plans keyed by query text.
+// Caches parsed queries keyed by query text.
 //
-// The episode loop and the federated engine re-issue the same query texts
-// epoch after epoch; parsing and plan generation are deterministic, so both
-// can be done once and reused (the federated engine reuses only parses:
-// its queries do not run on compiled plans). A cached plan carries the
-// DatasetStats snapshot it was costed with: GetPlan() recompiles only when
-// the store changed identity or fresh statistics drifted past the
-// threshold (rdf::Drift), so steady link churn keeps hitting the cache
-// while a bulk load invalidates it.
+// The episode loop and the serving tier re-issue the same query texts epoch
+// after epoch, and the federated engine parses each one through this cache
+// (FederatedEngine::set_plan_cache): parsing is deterministic, so it is done
+// once per distinct text and reused. Federated queries do not run on
+// compiled plans, so the cache holds parses only.
 //
-// Returned pointers stay valid until Clear() or destruction (entries are
+// Returned pointers stay valid until destruction (entries are
 // heap-allocated and never evicted). All methods are thread-safe, and the
-// steady-state path — the entry exists and is still valid — takes only a
-// SHARED lock, so the many query streams of a serving epoch never serialize
-// on each other just to reuse a parse. Only a miss or a drift-forced
-// recompile takes the exclusive lock. Because entries are never evicted and
-// a parsed Query is never mutated after creation, a pointer handed out
-// under the shared lock stays stable. (A *plan* pointer can be recompiled
-// in place by a later drift-invalidating GetPlan; callers that share a
-// PlanCache across threads must keep store + stats fixed while readers are
-// in flight — exactly what a serving epoch guarantees.) The cache never
-// changes *what* a query returns, only whether parse/compile work is
-// repeated, so cached and uncached runs are bitwise identical.
+// steady-state path — the text was parsed before — takes only a SHARED
+// lock, so the many query streams of a serving epoch never serialize on
+// each other just to reuse a parse. Only a miss takes the exclusive lock.
+// Because entries are never evicted and a parsed Query is never mutated
+// after creation, a pointer handed out under the shared lock stays stable.
+// The cache never changes *what* a query returns, only whether parse work
+// is repeated, so cached and uncached runs are bitwise identical.
 #ifndef ALEX_SPARQL_PLAN_CACHE_H_
 #define ALEX_SPARQL_PLAN_CACHE_H_
 
@@ -33,10 +26,7 @@
 #include <unordered_map>
 
 #include "common/status.h"
-#include "rdf/dataset_stats.h"
-#include "rdf/triple_store.h"
 #include "sparql/algebra.h"
-#include "sparql/compiler.h"
 
 namespace alex::sparql {
 
@@ -45,28 +35,15 @@ class PlanCache {
   struct Stats {
     size_t parse_hits = 0;
     size_t parse_misses = 0;
+    // Always 0: the cache compiles no plans. Kept for readers of the
+    // counters that report parse and plan traffic together.
     size_t plan_hits = 0;
     size_t plan_misses = 0;
-    size_t invalidations = 0;  // recompiles forced by store change / drift
   };
-
-  // `drift_threshold`: a cached plan is recompiled when Drift(snapshot,
-  // fresh stats) exceeds this fraction (default 20% relative change).
-  explicit PlanCache(double drift_threshold = 0.2)
-      : drift_threshold_(drift_threshold) {}
 
   // Returns the parsed form of `text`, parsing at most once per distinct
   // text. Parse errors are cached too (repeating a bad query is cheap).
   Result<const Query*> GetParsed(const std::string& text);
-
-  // Returns a compiled plan (with physical plans built) for `text` against
-  // `store`, recompiling when none exists, the store changed, or `stats`
-  // drifted past the threshold since the plan was costed. `stats` may be
-  // null (plans then cost from live CountMatches probes and never
-  // drift-invalidate).
-  Result<const CompiledQuery*> GetPlan(const std::string& text,
-                                       const rdf::TripleStore& store,
-                                       const rdf::DatasetStats* stats);
 
   // Returns counters accumulated since the last TakeStats() and resets
   // them.
@@ -74,44 +51,23 @@ class PlanCache {
   // Snapshot of the counters without resetting.
   Stats stats() const;
 
-  // Drops every entry (borrowed pointers become dangling).
-  void Clear();
-
   size_t size() const;
-  double drift_threshold() const { return drift_threshold_; }
 
  private:
   struct Entry {
     Status parse_status;  // OK iff `query` is valid
     Query query;
-    bool has_plan = false;
-    CompiledQuery plan;
-    const rdf::TripleStore* store = nullptr;
-    // Store mutation counter at compile time: live triple ingest mutates a
-    // store in place, so pointer identity alone would serve plans costed
-    // against data that no longer exists.
-    uint64_t store_generation = 0;
-    bool has_snapshot = false;
-    rdf::DatasetStats snapshot;
   };
 
-  // Finds or creates (and parses) the entry for `text`; mu_ must be held
-  // exclusively.
-  Entry* GetEntryLocked(const std::string& text);
-  // True when the entry's plan can be served as-is for (store, stats).
-  bool PlanIsFresh(const Entry& entry, const rdf::TripleStore& store,
-                   const rdf::DatasetStats* stats) const;
+  // The entry's parsed query, or its cached parse error.
+  static Result<const Query*> Parsed(const Entry& entry);
 
   mutable std::shared_mutex mu_;
-  const double drift_threshold_;
   std::unordered_map<std::string, std::unique_ptr<Entry>> entries_;
   // Counters are atomics so the shared-lock fast path can bump them without
   // upgrading to the exclusive lock.
   std::atomic<size_t> parse_hits_{0};
   std::atomic<size_t> parse_misses_{0};
-  std::atomic<size_t> plan_hits_{0};
-  std::atomic<size_t> plan_misses_{0};
-  std::atomic<size_t> invalidations_{0};
 };
 
 }  // namespace alex::sparql

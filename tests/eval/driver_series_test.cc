@@ -2,7 +2,7 @@
 //
 // Fourteen runs cover the four drivers on the tiny world: batch (oracle
 // error 0 and 0.1, at 1 and 2 threads), ingest, query-driven (plain, noisy,
-// faulted without the cache, faulted on a 2-thread pool, and faulted with
+// faulted without the cache, faulted at 2 engine threads, and faulted with
 // breakers that open, half-open and close mid-run), vote-driven (uniform
 // and prioritized) and serving (0 and 2 reader streams, votes off). The
 // query-driven runs are the serving loop with zero reader streams, so
@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "datagen/profiles.h"
 #include "eval/experiment.h"
 #include "eval/ingest_driven.h"
@@ -118,8 +117,7 @@ fed::Resilience FastBreakers() {
 }
 
 // Query-driven variants: a noisy oracle, a fault profile with its
-// resilience settings, the result cache, and a federation pool (with as
-// many engine threads).
+// resilience settings, the result cache, and the engine's thread count.
 struct QueryVariant {
   double error_rate = 0.0;
   fed::FaultProfile faults = {};
@@ -142,8 +140,6 @@ ExperimentResult RunQuery(const World& w, const QueryVariant& variant,
   options.use_query_cache = variant.use_query_cache;
   options.fault_profile = variant.faults;
   options.resilience = variant.resilience;
-  ThreadPool pool(variant.threads);
-  options.pool = variant.threads > 1 ? &pool : nullptr;
   return serving::RunServingExperiment(&engine, w.world, w.truth, options)
       ->experiment;
 }

@@ -31,7 +31,6 @@
 #include "rdf/triple_store.h"
 #include "serving/serving_engine.h"
 #include "serving/serving_loop.h"
-#include "sparql/plan_cache.h"
 
 namespace alex::eval {
 namespace {
@@ -478,36 +477,6 @@ TEST(ServingIngestTest, ReadersStayPinnedAcrossIngestEpochs) {
 
   EXPECT_EQ(serving.stats().epochs_published, rounds.size() + 1);
   EXPECT_GE(serving.stats().max_concurrent_readers, 1u);
-}
-
-TEST(ServingIngestTest, PlanCacheRecompilesWhenStoreGenerationMoves) {
-  rdf::TripleStore store("src");
-  store.Add(Term::Iri("http://ex/e1"), Term::Iri("http://ex/name"),
-            Term::StringLiteral("Ada"));
-  const std::string query =
-      "SELECT ?s WHERE { ?s <http://ex/name> \"Ada\" }";
-
-  sparql::PlanCache cache;
-  ASSERT_TRUE(cache.GetPlan(query, store, nullptr).ok());
-  ASSERT_TRUE(cache.GetPlan(query, store, nullptr).ok());
-  sparql::PlanCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.plan_misses, 1u);
-  EXPECT_EQ(stats.plan_hits, 1u);
-  EXPECT_EQ(stats.invalidations, 0u);
-
-  // Live ingest mutates the store in place: same pointer, new generation.
-  rdf::IngestBatch batch;
-  batch.adds.push_back({store.InternTerm(Term::Iri("http://ex/e2")),
-                        store.InternTerm(Term::Iri("http://ex/name")),
-                        store.InternTerm(Term::StringLiteral("Alan"))});
-  store.Ingest(batch);
-
-  ASSERT_TRUE(cache.GetPlan(query, store, nullptr).ok());
-  stats = cache.stats();
-  EXPECT_EQ(stats.invalidations, 1u);
-  // And the recompiled plan is fresh again.
-  ASSERT_TRUE(cache.GetPlan(query, store, nullptr).ok());
-  EXPECT_EQ(cache.stats().plan_hits, 2u);
 }
 
 }  // namespace

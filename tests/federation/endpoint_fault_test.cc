@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "datagen/profiles.h"
 #include "datagen/world.h"
 #include "eval/experiment.h"
@@ -355,6 +354,65 @@ class FaultyEngineTest : public ::testing::Test {
         "?article <http://nyt.com/about> ?player }";
   }
 
+  // Runs three queries in order on a fresh engine over endpoints with
+  // transient errors, truncation, latency spikes and timeouts, capped at
+  // `max_rows`, and renders each result — its completeness flags, probe
+  // counters, virtual cost, failed sources, then its answers with their
+  // links — followed by the federation's final virtual clock.
+  std::string FaultTimeline(size_t max_rows) const {
+    FaultProfile profile;
+    profile.seed = 777;
+    profile.transient_error_rate = 0.3;
+    profile.truncation_rate = 0.2;
+    profile.truncation_keep_fraction = 0.5;
+    profile.base_latency_micros = 50;
+    profile.latency_jitter_micros = 200;
+    profile.spike_rate = 0.1;
+    profile.spike_latency_micros = 5000;
+    profile.probe_timeout_micros = 4000;
+    const std::vector<std::string> queries = {
+        lebron_q_,
+        "SELECT ?s ?p ?o WHERE { ?s ?p ?o }",
+        "SELECT ?award WHERE { ?article <http://nyt.com/about> ?person . "
+        "?person <http://dbpedia.org/award> ?award }",
+    };
+
+    LocalEndpoint local0(&dbpedia_), local1(&nytimes_);
+    FaultInjectingEndpoint faulty0(&local0, 0, profile);
+    FaultInjectingEndpoint faulty1(&local1, 1, profile);
+    std::vector<Endpoint*> endpoints = {&faulty0, &faulty1};
+    FederatedEngine engine(endpoints, links_.get());
+    FederatedOptions options;
+    options.max_rows = max_rows;
+    std::ostringstream out;
+    for (const std::string& text : queries) {
+      Result<FederatedResult> result = engine.ExecuteText(text, options);
+      if (!result.ok()) {
+        out << "error " << result.status().ToString() << "\n";
+        continue;
+      }
+      out << "complete " << result->complete << " truncated "
+          << result->truncated << " row_capped " << result->row_capped
+          << " probes " << result->probes << " retries " << result->retries
+          << " short_circuits " << result->short_circuits << " micros "
+          << result->virtual_micros << " failed";
+      for (size_t source : result->failed_sources) out << ' ' << source;
+      out << "\n";
+      for (const FederatedAnswer& answer : result->answers) {
+        out << ' ';
+        for (const auto& [var, term] : answer.binding) {
+          out << ' ' << var << '=' << term.ToString();
+        }
+        for (const Link& link : answer.links_used) {
+          out << " via " << link.left << ' ' << link.right;
+        }
+        out << "\n";
+      }
+    }
+    out << "clock " << engine.federation().virtual_now_micros() << "\n";
+    return out.str();
+  }
+
   TripleStore dbpedia_;
   TripleStore nytimes_;
   std::shared_ptr<const LinkView> links_;
@@ -427,32 +485,6 @@ TEST_F(FaultyEngineTest, TruncatedProbeMarksResultIncomplete) {
   EXPECT_EQ(result->answers.size(), 1u);
   ASSERT_EQ(result->failed_sources.size(), 1u);
   EXPECT_EQ(result->failed_sources[0], 1u);
-}
-
-TEST_F(FaultyEngineTest, DeadlineBudgetMarksSlowQueriesIncomplete) {
-  LocalEndpoint local0(&dbpedia_), local1(&nytimes_);
-  FaultProfile slow;
-  slow.seed = 8;
-  slow.base_latency_micros = 1000;
-  FaultInjectingEndpoint faulty0(&local0, 0, slow), faulty1(&local1, 1, slow);
-  std::vector<Endpoint*> endpoints = {&faulty0, &faulty1};
-  FederatedEngine engine(endpoints, links_.get());
-
-  FederatedOptions relaxed;
-  relaxed.deadline_micros = 0;  // unlimited
-  auto ok_result = engine.ExecuteText(lebron_q_, relaxed);
-  ASSERT_TRUE(ok_result.ok());
-  EXPECT_TRUE(ok_result->complete);
-  EXPECT_GT(ok_result->virtual_micros, 0);
-
-  FederatedOptions tight;
-  tight.deadline_micros = 1;  // smaller than one probe's latency
-  auto late = engine.ExecuteText(lebron_q_, tight);
-  ASSERT_TRUE(late.ok());
-  EXPECT_TRUE(late->deadline_exceeded);
-  EXPECT_FALSE(late->complete);
-  // The deadline is an accounting budget: answers are still produced.
-  EXPECT_EQ(late->answers.size(), ok_result->answers.size());
 }
 
 TEST_F(FaultyEngineTest, BreakerOpensShortCircuitsAndRecovers) {
@@ -560,66 +592,101 @@ TEST_F(FaultyEngineTest, IncompleteResultsAreNeverCached) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-// With a fixed fault seed, the full result — answers, fault counters,
-// virtual time — is identical whether branches run inline or on 2/4-thread
-// pools, and across repeated runs on fresh engines.
-TEST_F(FaultyEngineTest, FaultSeededExecutionIsThreadCountInvariant) {
-  FaultProfile profile;
-  profile.seed = 777;
-  profile.transient_error_rate = 0.3;
-  profile.truncation_rate = 0.2;
-  profile.truncation_keep_fraction = 0.5;
-  profile.base_latency_micros = 50;
-  profile.latency_jitter_micros = 200;
-  profile.spike_rate = 0.1;
-  profile.spike_latency_micros = 5000;
-  profile.probe_timeout_micros = 4000;
+// With a fixed fault seed, two fresh engines report the same timeline.
+TEST_F(FaultyEngineTest, FaultSeededExecutionReplaysOnFreshEngines) {
+  for (size_t max_rows : {size_t{100000}, size_t{1}}) {
+    EXPECT_EQ(FaultTimeline(max_rows), FaultTimeline(max_rows))
+        << "max_rows " << max_rows;
+  }
+}
 
-  const std::vector<std::string> queries = {
-      lebron_q_,
-      "SELECT ?s ?p ?o WHERE { ?s ?p ?o }",
-      "SELECT ?award WHERE { ?article <http://nyt.com/about> ?person . "
-      "?person <http://dbpedia.org/award> ?award }",
-  };
+// The resilient timeline is pinned at three row caps: every answer and its
+// links, the completeness flags, probe counters, virtual cost and failed
+// sources of each query, and the final virtual clock. The caps of 3 and 1
+// stop enumeration inside a query, where a change of evaluation order would
+// change which rows are kept and which probes are issued.
+TEST_F(FaultyEngineTest, ResilientTimelineIsPinned) {
+  EXPECT_EQ(FaultTimeline(100000),
+            "complete 1 truncated 0 row_capped 0 probes 3 retries 1 "
+            "short_circuits 0 micros 1025 failed\n"
+            "  article=<http://nyt.com/article/1> via "
+            "http://dbpedia.org/LeBron_James http://nyt.com/person/lebron\n"
+            "  article=<http://nyt.com/article/2> via "
+            "http://dbpedia.org/LeBron_James http://nyt.com/person/lebron\n"
+            "complete 1 truncated 0 row_capped 0 probes 3 retries 1 "
+            "short_circuits 0 micros 1798 failed\n"
+            "  o=\"NBA MVP 2013\" p=<http://dbpedia.org/award> "
+            "s=<http://dbpedia.org/LeBron_James>\n"
+            "  o=<http://nyt.com/person/lebron> p=<http://nyt.com/about> "
+            "s=<http://nyt.com/article/1>\n"
+            "  o=<http://nyt.com/person/lebron> p=<http://nyt.com/about> "
+            "s=<http://nyt.com/article/2>\n"
+            "complete 1 truncated 0 row_capped 0 probes 3 retries 0 "
+            "short_circuits 0 micros 629 failed\n"
+            "  award=\"NBA MVP 2013\" via http://dbpedia.org/LeBron_James "
+            "http://nyt.com/person/lebron\n"
+            "  award=\"NBA MVP 2013\" via http://dbpedia.org/LeBron_James "
+            "http://nyt.com/person/lebron\n"
+            "clock 3455\n");
+  EXPECT_EQ(FaultTimeline(3),
+            "complete 1 truncated 0 row_capped 0 probes 2 retries 0 "
+            "short_circuits 0 micros 300 failed\n"
+            "  article=<http://nyt.com/article/1> via "
+            "http://dbpedia.org/LeBron_James http://nyt.com/person/lebron\n"
+            "  article=<http://nyt.com/article/2> via "
+            "http://dbpedia.org/LeBron_James http://nyt.com/person/lebron\n"
+            "complete 0 truncated 1 row_capped 0 probes 2 retries 0 "
+            "short_circuits 0 micros 303 failed 1\n"
+            "  o=\"NBA MVP 2013\" p=<http://dbpedia.org/award> "
+            "s=<http://dbpedia.org/LeBron_James>\n"
+            "  o=<http://nyt.com/person/lebron> p=<http://nyt.com/about> "
+            "s=<http://nyt.com/article/1>\n"
+            "complete 1 truncated 0 row_capped 0 probes 3 retries 0 "
+            "short_circuits 0 micros 575 failed\n"
+            "  award=\"NBA MVP 2013\" via http://dbpedia.org/LeBron_James "
+            "http://nyt.com/person/lebron\n"
+            "  award=\"NBA MVP 2013\" via http://dbpedia.org/LeBron_James "
+            "http://nyt.com/person/lebron\n"
+            "clock 1181\n");
+  EXPECT_EQ(FaultTimeline(1),
+            "complete 0 truncated 0 row_capped 1 probes 2 retries 0 "
+            "short_circuits 0 micros 315 failed\n"
+            "  article=<http://nyt.com/article/1> via "
+            "http://dbpedia.org/LeBron_James http://nyt.com/person/lebron\n"
+            "complete 0 truncated 1 row_capped 1 probes 4 retries 2 "
+            "short_circuits 0 micros 4633 failed 0 1\n"
+            "  o=<http://nyt.com/person/lebron> p=<http://nyt.com/about> "
+            "s=<http://nyt.com/article/1>\n"
+            "complete 0 truncated 1 row_capped 0 probes 4 retries 2 "
+            "short_circuits 0 micros 10987 failed 0 1\n"
+            "clock 15938\n");
+}
 
-  auto run_series = [&](ThreadPool* pool) {
-    LocalEndpoint local0(&dbpedia_), local1(&nytimes_);
-    FaultInjectingEndpoint faulty0(&local0, 0, profile);
-    FaultInjectingEndpoint faulty1(&local1, 1, profile);
-    std::vector<Endpoint*> endpoints = {&faulty0, &faulty1};
-    FederatedEngine engine(endpoints, links_.get());
-    FederatedOptions options;
-    options.pool = pool;
-    std::ostringstream series;
-    for (const std::string& text : queries) {
-      auto result = engine.ExecuteText(text, options);
-      if (!result.ok()) {
-        series << "err(" << result.status().ToString() << ");";
-        continue;
-      }
-      series << "q[" << result->answers.size() << "," << result->complete
-             << "," << result->truncated << "," << result->probes << ","
-             << result->retries << "," << result->short_circuits << ","
-             << result->virtual_micros << ",f=";
-      for (size_t s : result->failed_sources) series << s << "+";
-      for (const FederatedAnswer& answer : result->answers) {
-        for (const auto& [var, term] : answer.binding) {
-          series << var << "=" << term.lexical() << "|";
-        }
-        series << "/" << answer.links_used.size() << ";";
-      }
-      series << "]";
-    }
-    series << "clock=" << engine.federation().virtual_now_micros();
-    return series.str();
-  };
+// A capped query stops probing once its cap fills, on the resilient path as
+// on the reliable one: the first source's triple fills a cap of 1, so the
+// second source is never probed or charged.
+TEST_F(FaultyEngineTest, RowCapStopsProbing) {
+  FaultProfile slow;
+  slow.seed = 5;
+  slow.base_latency_micros = 100;
+  LocalEndpoint local0(&dbpedia_), local1(&nytimes_);
+  FaultInjectingEndpoint faulty0(&local0, 0, slow), faulty1(&local1, 1, slow);
+  std::vector<Endpoint*> endpoints = {&faulty0, &faulty1};
+  FederatedEngine engine(endpoints, links_.get());
+  ASSERT_TRUE(engine.federation().resilient());
+  FederatedOptions capped;
+  capped.max_rows = 1;
 
-  const std::string sequential = run_series(nullptr);
-  ThreadPool pool2(2), pool4(4);
-  EXPECT_EQ(sequential, run_series(&pool2));
-  EXPECT_EQ(sequential, run_series(&pool4));
-  // Determinism across repeated runs, too.
-  EXPECT_EQ(sequential, run_series(nullptr));
+  auto result = engine.ExecuteText("SELECT ?s ?p ?o WHERE { ?s ?p ?o }",
+                                   capped);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->answers.size(), 1u);
+  EXPECT_EQ(result->answers[0].binding.at("s"),
+            Term::Iri("http://dbpedia.org/LeBron_James"));
+  EXPECT_TRUE(result->row_capped);
+  EXPECT_EQ(result->probes, 1u);
+  EXPECT_EQ(result->virtual_micros, 100);
+  EXPECT_TRUE(result->failed_sources.empty());
 }
 
 // Graceful degradation, not a cliff: the dbpedia_nytimes world's 250-query

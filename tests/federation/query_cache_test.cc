@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "datagen/profiles.h"
 #include "federation/federated_engine.h"
 #include "federation/link_set.h"
@@ -370,57 +369,6 @@ TEST_F(CachedEngineTest, CompiledPlanReuseSurvivesLinkInvalidation) {
   EXPECT_TRUE(SameAnswers(fed_before->answers, fed_after->answers));
 }
 
-TEST_F(CachedEngineTest, ParallelExecutionMatchesSequential) {
-  FederatedEngine engine({&dbpedia_, &nytimes_}, links_.get());
-  ThreadPool pool(4);
-  // Warm the lazily built indexes before sharing the stores across workers.
-  (void)dbpedia_.size();
-  (void)nytimes_.size();
-
-  const std::vector<std::string> queries = {
-      "SELECT ?article WHERE { "
-      "?player <http://dbpedia.org/award> \"NBA MVP 2013\" . "
-      "?article <http://nyt.com/about> ?player }",
-      "SELECT ?award WHERE { "
-      "?article <http://nyt.com/about> ?person . "
-      "?person <http://dbpedia.org/award> ?award }",
-      "SELECT ?s ?o WHERE { ?s <http://dbpedia.org/award> ?o }",
-      "ASK WHERE { ?player <http://dbpedia.org/award> \"NBA MVP 2013\" . "
-      "?article <http://nyt.com/about> ?player }",
-  };
-  for (const std::string& text : queries) {
-    FederatedOptions sequential;
-    FederatedOptions parallel;
-    parallel.pool = &pool;
-    auto seq = engine.ExecuteText(text, sequential);
-    auto par = engine.ExecuteText(text, parallel);
-    ASSERT_TRUE(seq.ok()) << text;
-    ASSERT_TRUE(par.ok()) << text;
-    // Bitwise-identical including row ORDER: branches merge in ascending
-    // source order, which is the sequential enumeration order.
-    EXPECT_TRUE(SameAnswers(seq->answers, par->answers)) << text;
-  }
-}
-
-TEST_F(CachedEngineTest, ParallelRespectsMaxRows) {
-  ThreadPool pool(4);
-  (void)dbpedia_.size();
-  (void)nytimes_.size();
-  FederatedEngine engine({&dbpedia_, &nytimes_}, links_.get());
-  const std::string text = "SELECT ?s ?p ?o WHERE { ?s ?p ?o }";
-  for (size_t cap : {1u, 2u, 3u, 100u}) {
-    FederatedOptions sequential;
-    sequential.max_rows = cap;
-    FederatedOptions parallel = sequential;
-    parallel.pool = &pool;
-    auto seq = engine.ExecuteText(text, sequential);
-    auto par = engine.ExecuteText(text, parallel);
-    ASSERT_TRUE(seq.ok());
-    ASSERT_TRUE(par.ok());
-    EXPECT_TRUE(SameAnswers(seq->answers, par->answers)) << "cap=" << cap;
-  }
-}
-
 // A result truncated by max_rows is incomplete and must never enter the
 // cache: a later execution with the same fingerprint would otherwise be
 // served the capped rows as if they were the full answer set.
@@ -467,7 +415,7 @@ TEST(QueryDrivenCacheTest, SeriesIdenticalWithAndWithoutCache) {
   std::vector<Link> initial = linking::FilterByScore(
       linking::RunParis(world.left, world.right), 0.95);
 
-  auto run = [&](bool use_cache, ThreadPool* pool) {
+  auto run = [&](bool use_cache) {
     core::AlexOptions alex_options;
     alex_options.num_partitions = 2;
     alex_options.num_threads = 1;
@@ -478,15 +426,12 @@ TEST(QueryDrivenCacheTest, SeriesIdenticalWithAndWithoutCache) {
     serving::ServingLoopOptions options;
     options.workload.num_queries = 80;
     options.use_query_cache = use_cache;
-    options.pool = pool;
     return serving::RunServingExperiment(&engine, world, truth, options)
         ->experiment;
   };
 
-  eval::ExperimentResult cached = run(true, nullptr);
-  eval::ExperimentResult uncached = run(false, nullptr);
-  ThreadPool pool(4);
-  eval::ExperimentResult parallel = run(true, &pool);
+  eval::ExperimentResult cached = run(true);
+  eval::ExperimentResult uncached = run(false);
 
   auto check_same_series = [](const eval::ExperimentResult& a,
                               const eval::ExperimentResult& b) {
@@ -505,7 +450,6 @@ TEST(QueryDrivenCacheTest, SeriesIdenticalWithAndWithoutCache) {
     }
   };
   check_same_series(cached, uncached);
-  check_same_series(cached, parallel);
 
   size_t total_hits = 0;
   size_t uncached_hits = 0;
@@ -520,8 +464,8 @@ TEST(QueryDrivenCacheTest, SeriesIdenticalWithAndWithoutCache) {
 }
 
 // Same property for the sparql::PlanCache: parsed queries reused across
-// episodes must not change a single number in the series, at any thread
-// count, and the cached run must actually hit once query texts repeat.
+// episodes must not change a single number in the series, and the cached
+// run must actually hit once query texts repeat.
 TEST(QueryDrivenCacheTest, PlanCacheSeriesIdenticalOnOrOff) {
   datagen::GeneratedWorld world =
       datagen::Generate(datagen::TinyTestProfile());
@@ -529,7 +473,7 @@ TEST(QueryDrivenCacheTest, PlanCacheSeriesIdenticalOnOrOff) {
   std::vector<Link> initial = linking::FilterByScore(
       linking::RunParis(world.left, world.right), 0.95);
 
-  auto run = [&](bool use_plan_cache, ThreadPool* pool) {
+  auto run = [&](bool use_plan_cache) {
     core::AlexOptions alex_options;
     alex_options.num_partitions = 2;
     alex_options.num_threads = 1;
@@ -540,15 +484,12 @@ TEST(QueryDrivenCacheTest, PlanCacheSeriesIdenticalOnOrOff) {
     serving::ServingLoopOptions options;
     options.workload.num_queries = 80;
     options.use_plan_cache = use_plan_cache;
-    options.pool = pool;
     return serving::RunServingExperiment(&engine, world, truth, options)
         ->experiment;
   };
 
-  eval::ExperimentResult with_cache = run(true, nullptr);
-  eval::ExperimentResult without_cache = run(false, nullptr);
-  ThreadPool pool(4);
-  eval::ExperimentResult parallel = run(true, &pool);
+  eval::ExperimentResult with_cache = run(true);
+  eval::ExperimentResult without_cache = run(false);
 
   auto check_same_series = [](const eval::ExperimentResult& a,
                               const eval::ExperimentResult& b) {
@@ -567,7 +508,6 @@ TEST(QueryDrivenCacheTest, PlanCacheSeriesIdenticalOnOrOff) {
     }
   };
   check_same_series(with_cache, without_cache);
-  check_same_series(with_cache, parallel);
 
   size_t cached_hits = 0;
   size_t uncached_hits = 0;

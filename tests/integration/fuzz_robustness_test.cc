@@ -18,7 +18,6 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/alex_engine.h"
 #include "core/engine_state.h"
 #include "datagen/profiles.h"
@@ -447,8 +446,6 @@ FaultRegimeOutcome RunFaultRegime(const datagen::GeneratedWorld& world,
   query_options.workload.num_queries = 80;
   query_options.use_query_cache = use_cache;
   query_options.fault_profile = profile;
-  ThreadPool pool(threads);
-  query_options.pool = threads > 1 ? &pool : nullptr;
 
   Result<serving::ServingRunResult> run =
       serving::RunServingExperiment(&engine, world, truth, query_options);
