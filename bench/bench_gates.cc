@@ -48,7 +48,6 @@ using alex::ThreadPool;
 using alex::core::AlexEngine;
 using alex::core::FeatureCatalog;
 using alex::core::FeatureSpace;
-using alex::core::PairId;
 using alex::linking::Link;
 using alex::rdf::TripleStore;
 using alex::sparql::Binding;
@@ -360,66 +359,6 @@ void MultiJoinGate() {
                         : failed);
 }
 
-// -- Incremental frontier >= 10x rebuild at 1% churn ------------------------
-
-void IncrementalFrontierGate() {
-  const int kEpisodes = 60;
-  alex::eval::ExperimentConfig config =
-      alex::bench::MakeConfig("dbpedia_nytimes");
-  alex::datagen::GeneratedWorld world =
-      alex::datagen::Generate(config.profile);
-  FeatureCatalog catalog;
-  FeatureSpace incremental = FeatureSpace::Build(
-      world.left, world.left.Subjects(), world.right, world.right.Subjects(),
-      &catalog, config.alex.space);
-  FeatureSpace rebuilt = FeatureSpace::Build(
-      world.left, world.left.Subjects(), world.right, world.right.Subjects(),
-      &catalog, config.alex.space);
-
-  // Both spaces see the same delta sequence: 1% of the pairs toggle
-  // liveness per episode.
-  const size_t num_pairs = incremental.pair_count();
-  const size_t churn = std::max<size_t>(1, num_pairs / 100);
-  Rng rng(0x5eed);
-  std::vector<uint8_t> live(num_pairs, 1);
-  double incremental_ms = 0.0;
-  double rebuild_ms = 0.0;
-  std::string failed;
-  for (int episode = 0; episode < kEpisodes; ++episode) {
-    std::vector<PairId> touched;
-    while (touched.size() < churn) {
-      PairId id = static_cast<PairId>(rng.NextBounded(num_pairs));
-      if (std::find(touched.begin(), touched.end(), id) == touched.end()) {
-        touched.push_back(id);
-      }
-    }
-    std::vector<PairId> added;
-    std::vector<PairId> removed;
-    for (PairId id : touched) {
-      (live[id] ? removed : added).push_back(id);
-      live[id] ^= 1;
-    }
-    std::sort(added.begin(), added.end());
-    std::sort(removed.begin(), removed.end());
-
-    incremental_ms += TimeMs([&] { incremental.ApplyDelta(added, removed); });
-    rebuild_ms += TimeMs([&] {
-      rebuilt.SetLiveness(added, removed);
-      rebuilt.RebuildIndexes();
-    });
-    if (incremental.Fingerprint() != rebuilt.Fingerprint()) {
-      failed = "fingerprints differ at episode " + std::to_string(episode);
-      break;
-    }
-  }
-  const double ratio = failed.empty() ? rebuild_ms / incremental_ms : 0.0;
-  Report("incremental frontier vs rebuild", Format("%.1fx", ratio), ">= 10x",
-         failed.empty() && ratio >= 10.0,
-         failed.empty() ? Format("(incremental %.1f ms, ", incremental_ms) +
-                              Format("rebuild %.1f ms)", rebuild_ms)
-                        : failed);
-}
-
 // -- Ingest >= 10x rebuild at 1% growth ------------------------------------
 
 // One engine over its own copy of the world: ingest mutates the stores.
@@ -699,7 +638,6 @@ int main() {
               ALEX_GATES_BUILD_TYPE);
   BlockedBuildGate();
   MultiJoinGate();
-  IncrementalFrontierGate();
   IngestGate();
   PinIndirectionGate();
   ShardedAggregatorGate();

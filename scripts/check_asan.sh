@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Builds every tier-1 test suite under AddressSanitizer and UBSan and runs
 # them. The suites cover the in-place index maintenance paths
-# (tombstone/pending-buffer churn, bucket compaction, rollback resurrection,
-# the parallel episode loop, epoch-snapshot reclamation in the serving tier,
+# (liveness-flag churn under the score spans, growth pending sidecars and
+# arena folds, rollback resurrection, the parallel episode loop, epoch-snapshot reclamation in the serving tier,
 # the id-keyed link store, the federated query cache's carry-forward and the
 # resilient federation's fault paths, the sharded feedback aggregator's
 # id-keyed tally churn, the engine's id-keyed verdict lookup, and the

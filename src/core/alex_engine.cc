@@ -194,24 +194,16 @@ PartitionAlex::FeedbackOutcome PartitionAlex::ProcessFeedback(PairId pair,
 
 void PartitionAlex::SyncSpaceToCandidates() {
   // Episode-boundary background compaction: fold ingest-grown score entries
-  // back into the CSR arena once they outgrow the dirt threshold. Runs
-  // before the delta fold (and regardless of candidate churn) so the next
-  // episode's span probes walk a compact arena. No-op when nothing grew;
-  // physical-only, so the logical fingerprint is unchanged.
+  // back into the CSR arena once they outgrow the threshold, regardless of
+  // candidate churn, so the next episode's span probes walk a compact
+  // arena. No-op when nothing grew; physical-only, so the logical
+  // fingerprint is unchanged.
   space_.MaybeCompactArena();
   candidates_.SortedEpochDelta(&delta_added_scratch_, &delta_removed_scratch_);
-  if (delta_added_scratch_.empty() && delta_removed_scratch_.empty()) return;
   // Polarity flips at this boundary: a link that BECAME a candidate leaves
-  // the explorable frontier (space removal), one that was removed returns
-  // to it (space addition).
-  if (options_->incremental_space_maintenance) {
-    space_.ApplyDelta(/*added=*/delta_removed_scratch_,
-                      /*removed=*/delta_added_scratch_);
-  } else {
-    space_.SetLiveness(/*added=*/delta_removed_scratch_,
-                       /*removed=*/delta_added_scratch_);
-    space_.RebuildIndexes();
-  }
+  // the explorable frontier, one that was removed returns to it.
+  space_.SetLiveness(/*added=*/delta_removed_scratch_,
+                     /*removed=*/delta_added_scratch_);
 }
 
 void PartitionAlex::BeginEpisode() { learner_.BeginEpisode(); }

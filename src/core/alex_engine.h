@@ -89,15 +89,6 @@ struct AlexOptions {
   // Equal-size partitions of the left data set (§6.2). The paper used 27 on
   // a 64-core machine; scaled down here.
   int num_partitions = 8;
-  // Keep each partition's explorable frontier — the feature-space pairs
-  // that are NOT current candidates — indexed incrementally: at every
-  // episode boundary the candidate set's net epoch delta is folded into the
-  // partition's FeatureSpace with ApplyDelta (O(changed links), tombstones
-  // + pending buffers + threshold compaction). When false, the liveness
-  // flags are applied and the score index rebuilt from scratch instead —
-  // the O(space) baseline; both modes yield bitwise-identical episode
-  // series (asserted by the link-churn fuzz regime).
-  bool incremental_space_maintenance = true;
   // Live triple ingest (IngestTriples): when true, the engine folds newly
   // ingested entities into its structures incrementally — AddRights on the
   // shared right-side blocking index, one exact reverse probe per new right
@@ -298,15 +289,17 @@ class PartitionAlex {
   void BeginEpisode();
   void EndEpisode();  // policy improvement at all states visited
 
-  // Folds the candidate set's net epoch delta into the feature space's
-  // live set (new candidates leave the explorable frontier, removed ones
-  // return to it), in ascending-PairId order, and keeps that delta in
-  // synced_added() / synced_removed(). Called by the engine at every
-  // episode boundary, BEFORE TakeEpochChanges, on a pool worker when the
-  // engine has a pool (it touches only this partition); the exploration
-  // span probes of the next episode then see the updated frontier. Honors
-  // AlexOptions::incremental_space_maintenance. Public mainly for white-box
-  // tests driving ProcessFeedback directly.
+  // The frontier's boundary rule, in one place: flips the liveness flags
+  // of the candidate set's net epoch delta with FeatureSpace::SetLiveness
+  // (new candidates leave the explorable frontier, removed ones return to
+  // it), in O(changed pairs), and keeps that delta in synced_added() /
+  // synced_removed(). It first lets the space fold pending ingest growth
+  // into its arena (FeatureSpace::MaybeCompactArena). Called by the engine
+  // at every episode boundary, BEFORE TakeEpochChanges, on a pool worker
+  // when the engine has a pool (it touches only this partition). Between
+  // two calls the frontier stays as of the last one: a candidate removed
+  // mid-episode becomes explorable only at the next boundary. Public
+  // mainly for white-box tests driving ProcessFeedback directly.
   void SyncSpaceToCandidates();
 
   // The net epoch delta of the last SyncSpaceToCandidates, ascending PairId:
@@ -328,8 +321,9 @@ class PartitionAlex {
       size_t old_right_count, FeatureCatalog* catalog, bool rebuild_indexes);
 
   // Persistence hooks (see core/engine_state.h). ClearCandidates also
-  // restores the full feature space as explorable frontier, since the
-  // per-pair delta trail is lost with the set.
+  // marks every pair of the space live again (the whole space becomes the
+  // explorable frontier), since the per-pair delta trail is lost with the
+  // set.
   void ClearCandidates() {
     candidates_ = CandidateSet(space_.pair_count());
     space_.MarkAllLive();

@@ -97,8 +97,8 @@ struct BlockingOptions {
   // Incremental maintenance (AddRights): newly ingested rights post into a
   // sorted pending sidecar that probes consult alongside the CSR blocks;
   // the sidecar is merged back into the CSR once it outgrows
-  // pending_merge_threshold + postings/8 — the same dirt-threshold
-  // compaction pattern as FeatureSpace::ApplyDelta.
+  // pending_merge_threshold + postings/8 — the same threshold pattern as
+  // FeatureSpace::MaybeCompactArena.
   size_t pending_merge_threshold = 1024;
 };
 
@@ -210,9 +210,9 @@ void AppendBlockKeyHashes(const PreparedValue& value,
 // maps each hash to its contiguous block, sorted within the block — plus a
 // sorted pending sidecar of the (hash, posting) entries added since the
 // last rebuild. The sidecar is merged back into the CSR once it outgrows
-// merge_threshold + postings/8, the same dirt-threshold compaction pattern
-// as FeatureSpace::ApplyDelta. Lookups see CSR and sidecar as one multimap,
-// so merge timing never shows in results.
+// merge_threshold + postings/8, the same threshold pattern as
+// FeatureSpace::MaybeCompactArena. Lookups see CSR and sidecar as one
+// multimap, so merge timing never shows in results.
 class PostingTable {
  public:
   using Entry = std::pair<uint64_t, uint32_t>;  // (key hash, posting)

@@ -63,7 +63,7 @@ class CandidateSet {
   // The net changes since the epoch mark split into ascending-PairId lists
   // (added = entered the set, removed = left it), into caller-owned scratch
   // buffers (cleared first). This is the canonical delta order consumed by
-  // FeatureSpace::ApplyDelta and the engine's link-change observer: a pure
+  // FeatureSpace::SetLiveness and the engine's link-change observer: a pure
   // function of the membership history. O(t log t) in the t pairs touched
   // this epoch.
   void SortedEpochDelta(std::vector<PairId>* added,

@@ -116,7 +116,7 @@ FeatureSpace::ScoreSpan FeatureSpace::PairsInRangeSpan(FeatureId feature,
                                                        double hi) const {
   if (static_cast<size_t>(feature) >= NumFeatures()) return {};
   const double* scores = index_scores_.data();
-  const double* end = scores + feature_live_end_[feature];
+  const double* end = scores + feature_begin_[feature + 1];
   const double* first =
       std::lower_bound(scores + feature_begin_[feature], end, lo);
   const double* last = std::upper_bound(first, end, hi);
@@ -126,9 +126,9 @@ FeatureSpace::ScoreSpan FeatureSpace::PairsInRangeSpan(FeatureId feature,
       pending.data(), pending.data() + pending.size(), lo);
   const ScoreEntry* plast =
       UpperByScore(pfirst, pending.data() + pending.size(), hi);
-  // A bucket without tombstones skips the per-entry liveness load entirely.
+  // A space whose pairs are all live skips the per-entry liveness load.
   const uint8_t* alive =
-      dead_in_bucket_[feature] == 0 ? nullptr : pair_alive_.data();
+      live_pair_count_ == pair_count() ? nullptr : pair_alive_.data();
   return ScoreSpan(first, pairs + (first - scores), pairs + (last - scores),
                    pfirst, plast, alive);
 }
@@ -149,10 +149,9 @@ std::vector<PairId> FeatureSpace::PairsInRange(FeatureId feature, double lo,
 }
 
 void FeatureSpace::RemapFeatures(const std::vector<FeatureId>& old_to_new) {
-  ALEX_CHECK(live_pair_count_ == pair_count() &&
-             pending_entry_count() == 0 && grown_entries_ == 0)
-      << "RemapFeatures needs a freshly built space: no tombstones, pending "
-         "or grown entries";
+  ALEX_CHECK(live_pair_count_ == pair_count() && grown_entries_ == 0)
+      << "RemapFeatures needs a freshly built space: every pair live, no "
+         "grown entries";
   std::vector<FeatureId>& features = pairs_.features;
   std::vector<double>& scores = pairs_.scores;
   for (FeatureId& id : features) id = old_to_new[id];
@@ -172,7 +171,7 @@ void FeatureSpace::RemapFeatures(const std::vector<FeatureId>& old_to_new) {
       scores[at] = score;
     }
   }
-  // Every bucket is full (all pairs live, none pending), and renaming its
+  // Every bucket holds all its entries (none pending), and renaming its
   // feature keeps its (score, PairId) order: lay the buckets out in new-id
   // order, as BuildScoreIndex would, and move each one whole.
   const size_t num_features = NumFeatures();
@@ -201,63 +200,7 @@ void FeatureSpace::RemapFeatures(const std::vector<FeatureId>& old_to_new) {
   index_scores_ = std::move(index_scores);
   index_pairs_ = std::move(index_pairs);
   feature_begin_.assign(begin.begin(), begin.end());
-  ResetMaintenanceState();
-}
-
-size_t FeatureSpace::FindIndexEntry(size_t begin, size_t end, double score,
-                                    PairId pair) const {
-  const double* scores = index_scores_.data();
-  const double* first = std::lower_bound(scores + begin, scores + end, score);
-  const double* last = std::upper_bound(first, scores + end, score);
-  const PairId* pairs = index_pairs_.data();
-  const PairId* it =
-      std::lower_bound(pairs + (first - scores), pairs + (last - scores), pair);
-  return it != pairs + (last - scores) && *it == pair
-             ? static_cast<size_t>(it - pairs)
-             : end;
-}
-
-void FeatureSpace::ApplyDelta(const std::vector<PairId>& added,
-                              const std::vector<PairId>& removed) {
-  for (PairId id : removed) {
-    if (!pair_alive_[id]) continue;
-    pair_alive_[id] = 0;
-    --live_pair_count_;
-    for (const auto& [feature, score] : pair(id).features) {
-      const ScoreEntry entry{score, id};
-      std::vector<ScoreEntry>& pending = pending_[feature];
-      auto it = std::lower_bound(pending.begin(), pending.end(), entry);
-      if (it != pending.end() && *it == entry) {
-        // The entry never made it back into the CSR arena; un-queue it.
-        pending.erase(it);
-      } else {
-        // Its arena slot becomes a tombstone (probes skip non-live pairs).
-        ++dead_in_bucket_[feature];
-        MaybeCompactBucket(feature);
-      }
-    }
-  }
-  for (PairId id : added) {
-    if (pair_alive_[id]) continue;
-    pair_alive_[id] = 1;
-    ++live_pair_count_;
-    for (const auto& [feature, score] : pair(id).features) {
-      const size_t live_end = feature_live_end_[feature];
-      if (FindIndexEntry(feature_begin_[feature], live_end, score, id) !=
-          live_end) {
-        // The tombstoned slot is still in the arena; the liveness flip
-        // above already resurrected it.
-        --dead_in_bucket_[feature];
-      } else {
-        // Compaction reclaimed the slot; queue a sorted pending insert.
-        const ScoreEntry entry{score, id};
-        std::vector<ScoreEntry>& pending = pending_[feature];
-        pending.insert(
-            std::lower_bound(pending.begin(), pending.end(), entry), entry);
-        MaybeCompactBucket(feature);
-      }
-    }
-  }
+  pending_.assign(NumFeatures(), {});
 }
 
 void FeatureSpace::SetLiveness(const std::vector<PairId>& added,
@@ -274,17 +217,14 @@ void FeatureSpace::SetLiveness(const std::vector<PairId>& added,
   }
 }
 
-void FeatureSpace::RebuildIndexes() { BuildScoreIndex(); }
-
 void FeatureSpace::MarkAllLive() {
   pair_alive_.assign(pair_count(), 1);
   live_pair_count_ = pair_count();
-  BuildScoreIndex();
 }
 
 uint64_t FeatureSpace::Fingerprint() const {
-  // FNV-1a over the logical live contents, in PairId order. Tombstones,
-  // pending buffers and compaction history never enter the hash.
+  // FNV-1a over the logical live contents, in PairId order. Pending growth
+  // and fold history never enter the hash.
   uint64_t hash = 1469598103934665603ull;
   auto mix = [&hash](uint64_t value) {
     hash ^= value;
@@ -309,20 +249,6 @@ uint64_t FeatureSpace::Fingerprint() const {
   return hash;
 }
 
-size_t FeatureSpace::tombstone_count() const {
-  size_t total = 0;
-  for (uint32_t dead : dead_in_bucket_) total += dead;
-  return total;
-}
-
-size_t FeatureSpace::pending_entry_count() const {
-  size_t total = 0;
-  for (const std::vector<ScoreEntry>& pending : pending_) {
-    total += pending.size();
-  }
-  return total;
-}
-
 size_t FeatureSpace::MemoryBytes() const {
   auto bytes = [](const auto& array) {
     return array.capacity() * sizeof(array[0]);
@@ -332,96 +258,21 @@ size_t FeatureSpace::MemoryBytes() const {
                  bytes(pairs_.scores) + bytes(pair_alive_) +
                  bytes(build_pairs_of_left_) + bytes(grown_pairs_) +
                  bytes(index_scores_) + bytes(index_pairs_) +
-                 bytes(feature_begin_) + bytes(feature_live_end_) +
-                 bytes(dead_in_bucket_) + bytes(pending_);
+                 bytes(feature_begin_) + bytes(pending_);
   for (const std::vector<ScoreEntry>& pending : pending_) {
     total += bytes(pending);
   }
   return total;
 }
 
-void FeatureSpace::MaybeCompactBucket(FeatureId feature) {
-  const size_t dirt = dead_in_bucket_[feature] + pending_[feature].size();
-  const size_t live =
-      feature_live_end_[feature] - feature_begin_[feature] -
-      dead_in_bucket_[feature] + pending_[feature].size();
-  if (dirt > compaction_threshold_ + live / 8) CompactBucket(feature);
-}
-
-void FeatureSpace::CompactBucket(FeatureId feature) {
-  // Merge the bucket's live entries and its pending inserts back into the
-  // arena. Under link churn alone live + pending never exceeds the
-  // bucket's Build-time capacity (every pair with this feature has a
-  // Build-time slot); entries added by Grow() can overflow it — those stay
-  // in the pending sidecar until MaybeCompactArena() rebuilds the arena.
-  const size_t begin = feature_begin_[feature];
-  const size_t live_end = feature_live_end_[feature];
-  std::vector<ScoreEntry>& pending = pending_[feature];
-  const size_t live_in_bucket = live_end - begin - dead_in_bucket_[feature];
-  if (begin + live_in_bucket + pending.size() > feature_begin_[feature + 1]) {
-    return;
-  }
-  // Squeeze the live entries to the bucket's front, then merge the pending
-  // inserts in from the back: every write lands at or past the entry it
-  // reads, so the merge needs no scratch buffer.
-  double* scores = index_scores_.data();
-  PairId* pairs = index_pairs_.data();
-  size_t live = begin;
-  for (size_t i = begin; i < live_end; ++i) {
-    if (!pair_alive_[pairs[i]]) continue;
-    scores[live] = scores[i];
-    pairs[live] = pairs[i];
-    ++live;
-  }
-  size_t out = live + pending.size();
-  feature_live_end_[feature] = static_cast<uint32_t>(out);
-  for (size_t j = pending.size(); j > 0;) {
-    --out;
-    if (live > begin &&
-        pending[j - 1] < ScoreEntry{scores[live - 1], pairs[live - 1]}) {
-      --live;
-      scores[out] = scores[live];
-      pairs[out] = pairs[live];
-    } else {
-      --j;
-      scores[out] = pending[j].score;
-      pairs[out] = pending[j].pair;
-    }
-  }
-  dead_in_bucket_[feature] = 0;
-  pending.clear();
-  ++compaction_count_;
-}
-
-void FeatureSpace::ResetMaintenanceState() {
-  const size_t num_features = NumFeatures();
-  feature_live_end_.assign(num_features, 0);
-  for (size_t f = 0; f < num_features; ++f) {
-    feature_live_end_[f] = feature_begin_[f + 1];
-  }
-  dead_in_bucket_.assign(num_features, 0);
-  pending_.assign(num_features, {});
-  for (PairId id = 0; id < pair_count(); ++id) {
-    if (pair_alive_[id]) continue;
-    for (uint32_t k = pairs_.set_begin[id]; k < pairs_.set_begin[id + 1];
-         ++k) {
-      ++dead_in_bucket_[pairs_.features[k]];
-    }
-  }
-}
-
 void FeatureSpace::BuildScoreIndex() {
   // Counting sort into a CSR arena: count entries per feature, prefix-sum
   // into offsets, scatter, then sort each feature's bucket by (score, pair).
   // Exactly-sized allocations — no incremental map/vector growth. Every
-  // pair's entries are materialized regardless of liveness — non-live pairs
-  // become tombstones, which keeps the arena at full capacity so later
-  // resurrections and compactions always fit in place.
+  // pair's entries are materialized regardless of liveness: the liveness
+  // flags alone say which are explorable, so link churn never touches the
+  // index.
   const size_t num_pairs = pair_count();
-  if (pair_alive_.size() != num_pairs) {
-    pair_alive_.assign(num_pairs, 1);
-    live_pair_count_ = num_pairs;
-  }
   grown_entries_ = 0;  // every entry gets an arena slot below
   const std::vector<FeatureId>& features = pairs_.features;
   const size_t total = features.size();
@@ -429,7 +280,7 @@ void FeatureSpace::BuildScoreIndex() {
     index_scores_.clear();
     index_pairs_.clear();
     feature_begin_.clear();
-    ResetMaintenanceState();
+    pending_.clear();
     return;
   }
   // The bucket offsets are 32-bit, like the feature arena's.
@@ -463,7 +314,7 @@ void FeatureSpace::BuildScoreIndex() {
     index_scores_[i] = entries[i].score;
     index_pairs_[i] = entries[i].pair;
   }
-  ResetMaintenanceState();
+  pending_.assign(NumFeatures(), {});
 }
 
 void FeatureSpace::PairArrays::Reserve(size_t pairs, size_t entries) {
@@ -763,8 +614,6 @@ FeatureSpace::GrowthResult FeatureSpace::Grow(
     for (const auto& [feature, score] : pair(id).features) {
       while (feature_begin_.size() < static_cast<size_t>(feature) + 2) {
         feature_begin_.push_back(arena_end);
-        feature_live_end_.push_back(arena_end);
-        dead_in_bucket_.push_back(0);
         pending_.emplace_back();
       }
       const ScoreEntry entry{score, id};
@@ -773,7 +622,6 @@ FeatureSpace::GrowthResult FeatureSpace::Grow(
                      entry);
       ++grown_entries_;
       ++result.overflow_entries;
-      MaybeCompactBucket(feature);
     }
   }
   return result;
@@ -783,7 +631,6 @@ void FeatureSpace::MaybeCompactArena() {
   if (grown_entries_ == 0) return;
   if (grown_entries_ > compaction_threshold_ + index_scores_.size() / 8) {
     BuildScoreIndex();  // resets grown_entries_: every entry gets a slot
-    ++arena_compaction_count_;
   }
 }
 

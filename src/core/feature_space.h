@@ -30,14 +30,15 @@
 // no heap block of its own. pair(id) returns a non-owning view of it. The
 // score index is split the same way, into a score array and a PairId array.
 //
-// Incremental maintenance (§4's feedback loop adds/removes links every
-// episode): each pair carries a liveness flag, and ApplyDelta() updates the
-// per-feature score indexes in place — tombstones for removals, per-feature
-// sorted pending buffers for re-insertions after compaction, and
-// threshold-triggered per-bucket compaction — so churn costs O(changed
-// pairs), not O(space). Probes stay allocation-free: PairsInRangeSpan
-// merges the bucket range (skipping tombstones) with the pending range
-// lazily. See DESIGN.md, "Incremental feature-space maintenance".
+// The explorable frontier (§4's feedback loop adds and removes links every
+// episode) is one liveness byte per pair. SetLiveness flips the bytes of
+// the pairs that changed, in O(changed pairs), and link churn never edits
+// the score index: PairsInRangeSpan skips non-live entries as it walks a
+// band. Only Build, RemapFeatures and ingest growth write the index; Grow
+// parks new entries in sorted per-feature pending sidecars until
+// MaybeCompactArena folds them back. Probes stay allocation-free: the span
+// merges the bucket range with the pending range lazily. See DESIGN.md,
+// "The explorable frontier: one liveness flag per pair".
 #ifndef ALEX_CORE_FEATURE_SPACE_H_
 #define ALEX_CORE_FEATURE_SPACE_H_
 
@@ -66,10 +67,10 @@ struct FeatureSpaceOptions {
   sim::SimilarityOptions similarity;
   // Candidate blocking for the pairwise scoring loop (see core/blocking.h).
   BlockingOptions blocking;
-  // A score bucket is compacted when its tombstone + pending-entry count
-  // exceeds compaction_threshold + live_size/8 (see FeatureSpace::
-  // ApplyDelta). 0 compacts eagerly; larger values amortize more churn per
-  // compaction.
+  // Growth-pending score entries are folded back into the CSR arena once
+  // they exceed compaction_threshold + arena_size/8 (see FeatureSpace::
+  // MaybeCompactArena). 0 folds at the first boundary after any growth;
+  // larger values amortize more growth per fold.
   size_t compaction_threshold = 32;
 };
 
@@ -106,10 +107,11 @@ class FeatureSpace {
  public:
   // Non-owning, allocation-free view of one feature's live entries in a
   // score band: a lazy (score, pair)-ordered merge of the bucket range of the
-  // split score index (tombstoned entries skipped via the liveness flags)
-  // and the bucket's sorted pending-insert range. Iterating yields
-  // ScoreEntry values. Valid until the space is destroyed, mutated
-  // (ApplyDelta / RebuildIndexes / MarkAllLive / Grow), or remapped.
+  // split score index and the bucket's sorted range of growth not yet folded
+  // into the arena, both streams skipping non-live pairs via the liveness
+  // flags. Iterating yields ScoreEntry values. Valid until the space is
+  // destroyed, mutated (SetLiveness / MarkAllLive / Grow /
+  // MaybeCompactArena), or remapped.
   class ScoreSpan {
    public:
     class Iterator {
@@ -140,10 +142,10 @@ class FeatureSpace {
         if (TakeBucket()) {
           ++score_;
           ++pair_;
-          SkipDead();
         } else {
           ++pending_;
         }
+        SkipDead();
         return *this;
       }
       Iterator operator++(int) {
@@ -161,11 +163,16 @@ class FeatureSpace {
         if (pending_ == pending_end_) return true;
         return ScoreEntry{*score_, *pair_} < *pending_;
       }
+      // Moves both cursors past non-live pairs. The pending stream needs
+      // it too: a grown pair can become a candidate before the fold.
       void SkipDead() {
-        if (alive_ == nullptr) return;  // no tombstones in this bucket
+        if (alive_ == nullptr) return;
         while (pair_ != pair_end_ && !alive_[*pair_]) {
           ++score_;
           ++pair_;
+        }
+        while (pending_ != pending_end_ && !alive_[pending_->pair]) {
+          ++pending_;
         }
       }
 
@@ -176,6 +183,8 @@ class FeatureSpace {
       const PairId* pair_end_ = nullptr;
       const ScoreEntry* pending_ = nullptr;
       const ScoreEntry* pending_end_ = nullptr;
+      // The liveness flags; null when every pair of the space is live, so
+      // no flag is read.
       const uint8_t* alive_ = nullptr;
     };
 
@@ -265,9 +274,10 @@ class FeatureSpace {
 
   // Pair lookup by entity indexes (left_entities(), the right context's
   // entities); kInvalidPairId when the pair was filtered out of the space
-  // (or never existed). Membership-agnostic: tombstoned (non-live) pairs
-  // are still found — callers that care about liveness check IsLive(). A
-  // binary search over the left's Build pairs or the grown-pair sidecar.
+  // (or never existed). Membership-agnostic: non-live pairs (current
+  // candidates) are still found — callers that care about liveness check
+  // IsLive(). A binary search over the left's Build pairs or the grown-pair
+  // sidecar.
   PairId FindPairByIndex(uint32_t left_index, uint32_t right_index) const;
   // The same by entity IRIs (the first entity of each IRI). It scans the
   // entities, so it serves tests and diagnostics; the engine maps IRIs to
@@ -276,9 +286,11 @@ class FeatureSpace {
                   const std::string& right_iri) const;
 
   // All LIVE pairs whose score for `feature` lies in [lo, hi] (the
-  // exploration action primitive). O(log n + answer) and allocation-free:
-  // the returned span lazily merges the CSR bucket range with the bucket's
-  // pending inserts, sorted by (score, pair).
+  // exploration action primitive). O(log n + entries in the band) and
+  // allocation-free: the returned span lazily merges the CSR bucket range
+  // with the bucket's pending growth, sorted by (score, pair), and steps
+  // over the band's non-live entries. A space whose pairs are all live
+  // reads no liveness byte.
   ScoreSpan PairsInRangeSpan(FeatureId feature, double lo, double hi) const;
 
   // Same query into a caller-owned scratch buffer (cleared first).
@@ -289,38 +301,20 @@ class FeatureSpace {
   std::vector<PairId> PairsInRange(FeatureId feature, double lo,
                                    double hi) const;
 
-  // ---- Incremental maintenance under link churn ----------------------
+  // ---- The explorable frontier ----------------------------------------
   //
-  // Every pair is live after Build. ApplyDelta flips liveness and updates
-  // the score indexes in place: a removal tombstones the pair's bucket
-  // entries (or erases them from pending buffers); an addition resurrects
-  // the tombstoned entries in place, or — when compaction already reclaimed
-  // them — inserts into the bucket's sorted pending buffer. A bucket whose
-  // tombstone + pending count exceeds compaction_threshold + live_size/8 is
-  // compacted (live entries and pending merged back into the CSR arena;
-  // the arena keeps the Build-time capacity, so compaction never
-  // reallocates). All decisions are pure functions of the delta sequence —
-  // the physical index state is bit-identical for identical delta
-  // histories, whatever thread count produced them.
-  //
-  // Pairs already in the requested state are ignored (idempotent); removals
-  // are applied before additions.
-  void ApplyDelta(const std::vector<PairId>& added,
-                  const std::vector<PairId>& removed);
-
-  // Flips liveness flags only, leaving the score indexes stale — the
-  // rebuild baseline's first half. Callers MUST follow with
-  // RebuildIndexes() before probing.
+  // A pair is live while it is explorable: not a current candidate of its
+  // partition. Build makes every pair live, and Grow's new pairs join
+  // live. SetLiveness clears
+  // the flags of `removed` and sets those of `added`, in O(changed pairs);
+  // it is the frontier's one write, and it leaves the score index alone
+  // (probes skip non-live entries). Pairs already in the requested state
+  // are ignored (idempotent); removals are applied before additions.
   void SetLiveness(const std::vector<PairId>& added,
                    const std::vector<PairId>& removed);
 
-  // From-scratch score-index rebuild from the current liveness flags: the
-  // O(space) baseline ApplyDelta is differential-tested against. Resets all
-  // tombstone / pending / compaction state.
-  void RebuildIndexes();
-
-  // Marks every pair live and rebuilds (the ReplaceCandidates reset path,
-  // where per-pair deltas are not available).
+  // Marks every pair live, a plain flag reset (ImportEngineState's reset
+  // path, where per-pair deltas are not available).
   void MarkAllLive();
 
   // ---- Frontier growth under triple ingest ---------------------------
@@ -335,10 +329,9 @@ class FeatureSpace {
   //
   // With `rebuild_indexes` the score arena is rebuilt from scratch (the
   // O(space) baseline); otherwise new entries land in the per-feature
-  // pending sidecars in O(new pairs) — buckets whose Build-time capacity
-  // they exceed keep them pending until MaybeCompactArena() folds the
-  // growth back into the CSR arena. Both modes yield the same logical
-  // space (same PairIds, same Fingerprint()).
+  // sorted pending sidecars in O(new pairs), where they stay until
+  // MaybeCompactArena() folds the growth back into the CSR arena. Both
+  // modes yield the same logical space (same PairIds, same Fingerprint()).
   //
   // `old_left_pairs` is phase 1 already probed: every (old left, new
   // right) pair whose forward probe of the right index collides, sorted by
@@ -364,7 +357,6 @@ class FeatureSpace {
   // arena/8 — the episode-boundary "background compaction" hook. No-op
   // when nothing grew.
   void MaybeCompactArena();
-  uint64_t arena_compaction_count() const { return arena_compaction_count_; }
   // Growth entries currently outside the CSR arena.
   size_t grown_entry_count() const { return grown_entries_; }
 
@@ -373,34 +365,23 @@ class FeatureSpace {
 
   // Order-independent hash of the LOGICAL live contents — live pairs, their
   // entity indexes and feature sets — independent of physical index state
-  // (tombstones, pending buffers, compaction history). Two spaces with the
-  // same live contents fingerprint equal regardless of how churn was
-  // applied.
+  // (pending growth, fold history). Two spaces with the same live contents
+  // fingerprint equal however their churn and growth were applied.
   uint64_t Fingerprint() const;
-
-  // Compaction tuning/telemetry (see FeatureSpaceOptions::
-  // compaction_threshold; the setter serves threshold-sweep tests).
-  void set_compaction_threshold(size_t threshold) {
-    compaction_threshold_ = threshold;
-  }
-  size_t compaction_threshold() const { return compaction_threshold_; }
-  uint64_t compaction_count() const { return compaction_count_; }
-  size_t tombstone_count() const;
-  size_t pending_entry_count() const;
 
   // Bytes allocated for the pair layout, summed from the capacities of its
   // arrays: the per-pair index, offset and liveness arrays, the feature
-  // arena, the score index with its pending buffers and bucket counters,
+  // arena, the score index with its bucket offsets and pending buffers,
   // and the pair lookup. The prepared left entities (per left entity, not
   // per pair) are not counted.
   size_t MemoryBytes() const;
 
   // Applies an old-id -> new-id permutation (from FeatureCatalog::
   // Canonicalize) to every pair's feature set and score index. Only for a
-  // freshly built space (ALEX_CHECKed: every pair live, nothing pending or
-  // grown): renaming a feature keeps its bucket's (score, PairId) order, so
-  // each bucket moves whole to its new id's offset, with no re-sort. The
-  // result equals a score-index rebuild.
+  // freshly built space (ALEX_CHECKed: every pair live, nothing grown):
+  // renaming a feature keeps its bucket's (score, PairId) order, so each
+  // bucket moves whole to its new id's offset, with no re-sort. The result
+  // equals a score-index rebuild.
   void RemapFeatures(const std::vector<FeatureId>& old_to_new);
 
   // Raw size of the cross product this space was built from (before
@@ -458,16 +439,6 @@ class FeatureSpace {
   };
 
   void BuildScoreIndex();
-  // Position of the entry (score, pair) in [begin, end) of the score index,
-  // or `end` when it is not there.
-  size_t FindIndexEntry(size_t begin, size_t end, double score,
-                        PairId pair) const;
-  // Re-derives feature_live_end_ / dead_in_bucket_ / pending_ after a full
-  // score-index (re)build: buckets hold every entry, dead ones tombstoned.
-  void ResetMaintenanceState();
-  void CompactBucket(FeatureId feature);
-  void MaybeCompactBucket(FeatureId feature);
-  // Bucket region of one feature: [begin, live_end).
   size_t NumFeatures() const {
     return feature_begin_.empty() ? 0 : feature_begin_.size() - 1;
   }
@@ -488,28 +459,23 @@ class FeatureSpace {
   std::vector<uint32_t> build_pairs_of_left_;
   std::vector<GrownPair> grown_pairs_;
   // CSR score index, split into parallel score and PairId arrays (12 bytes
-  // an entry): it holds every (score, pair), grouped by feature and sorted
-  // by (score, pair) within each group; feature f's entries occupy
-  // [feature_begin_[f], feature_live_end_[f]) — the tail up to
-  // feature_begin_[f + 1] is capacity reclaimed by compaction. A bucket
-  // entry whose pair is not live is a tombstone (skipped by probes, counted
-  // in dead_in_bucket_); live entries whose slot was compacted away sit in
-  // pending_[f], sorted by (score, pair).
+  // an entry): it holds the (score, pair) of every pair, live or not, at
+  // its last build, grouped by feature and sorted by (score, pair) within
+  // each group; feature f's entries occupy [feature_begin_[f],
+  // feature_begin_[f + 1]). Entries Grow() added since sit in pending_[f],
+  // sorted by (score, pair).
   std::vector<double> index_scores_;
   std::vector<PairId> index_pairs_;
   std::vector<uint32_t> feature_begin_;
-  std::vector<uint32_t> feature_live_end_;
-  std::vector<uint32_t> dead_in_bucket_;
   std::vector<std::vector<ScoreEntry>> pending_;
-  // Liveness flags (uint8_t for cheap random access in probe loops).
+  // Liveness flags, the frontier (uint8_t for cheap random access in probe
+  // loops).
   std::vector<uint8_t> pair_alive_;
   size_t live_pair_count_ = 0;
   size_t compaction_threshold_ = 32;
-  uint64_t compaction_count_ = 0;
-  // Entries added by Grow() that have no CSR arena slot yet; reset by any
-  // full BuildScoreIndex().
+  // Entries in pending_, added by Grow() and not yet given a CSR arena
+  // slot; reset by any full BuildScoreIndex().
   size_t grown_entries_ = 0;
-  uint64_t arena_compaction_count_ = 0;
   uint64_t total_pair_count_ = 0;
   uint64_t scored_pair_count_ = 0;
   const FeatureCatalog* catalog_ = nullptr;

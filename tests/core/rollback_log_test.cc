@@ -111,7 +111,7 @@ TEST(RollbackLogTest, NegativeOnUnknownPairIsNoop) {
   EXPECT_TRUE(log.AddNegative(123, 1).empty());
 }
 
-// ---- RollbackLog × incremental frontier indexes ----------------------
+// ---- RollbackLog × the explorable frontier ----------------------------
 //
 // A rollback undoes a multi-link exploration action by removing its
 // generated candidates; after the next space sync, the partition's
@@ -192,9 +192,8 @@ TEST_F(RollbackFingerprintTest, RollbackRestoresPreActionFingerprint) {
 }
 
 TEST_F(RollbackFingerprintTest, RestoresFingerprintAcrossMidEpisodeSyncs) {
-  // Sync after EVERY feedback item with eager compaction, so the rollback's
-  // resurrections hit compacted buckets (the pending-buffer path).
-  options_.space.compaction_threshold = 0;
+  // Sync after EVERY feedback item, so the frontier flips at each strike
+  // and the rollback's removals return over several boundaries.
   PartitionAlex part = MakePartition();
   PairId seed = part.space().FindPair("http://l/e0", "http://r/x0");
   ASSERT_NE(seed, kInvalidPairId);
@@ -212,7 +211,6 @@ TEST_F(RollbackFingerprintTest, RestoresFingerprintAcrossMidEpisodeSyncs) {
     Sync(&part);
   }
   ASSERT_EQ(rollbacks, 1u);
-  EXPECT_GT(part.space().compaction_count(), 0u);
   EXPECT_EQ(part.space().Fingerprint(), pre_action);
 }
 
@@ -251,41 +249,45 @@ TEST_F(RollbackFingerprintTest, ConfirmedLinkSurvivesRollbackInFrontier) {
   EXPECT_EQ(part.space().Fingerprint(), pre_action);
 }
 
-TEST_F(RollbackFingerprintTest, IncrementalMatchesRebuildUnderRollback) {
-  // Two identically-seeded partitions, one maintaining its frontier with
-  // ApplyDelta, one rebuilding from liveness flags, driven through the
-  // same explore-confirm-rollback sequence: fingerprints agree at every
-  // sync point.
-  AlexOptions rebuild_options = options_;
-  rebuild_options.incremental_space_maintenance = false;
-  FeatureSpace inc_space =
-      FeatureSpace::Build(left_, left_.Subjects(), right_, right_.Subjects(),
-                          &catalog_, options_.space);
-  FeatureSpace reb_space =
-      FeatureSpace::Build(left_, left_.Subjects(), right_, right_.Subjects(),
-                          &catalog_, rebuild_options.space);
-  PartitionAlex inc(std::move(inc_space), &options_, 7);
-  PartitionAlex reb(std::move(reb_space), &rebuild_options, 7);
+// The frontier's boundary rule: exploration sees the frontier as of the
+// last SyncSpaceToCandidates. A candidate removed mid-episode is not
+// explorable again until the next boundary, even when a positive item's
+// band contains it; after the boundary the same item re-adds it.
+using FrontierBoundaryTest = RollbackFingerprintTest;
 
-  PairId seed = inc.space().FindPair("http://l/e0", "http://r/x0");
+TEST_F(FrontierBoundaryTest, RemovedCandidateReturnsOnlyAtNextBoundary) {
+  PartitionAlex part = MakePartition();
+  const PairId seed = part.space().FindPair("http://l/e0", "http://r/x0");
+  const PairId rejected = part.space().FindPair("http://l/e1", "http://r/x1");
   ASSERT_NE(seed, kInvalidPairId);
-  for (PartitionAlex* part : {&inc, &reb}) {
-    part->AddInitialCandidate(seed);
-    Sync(part);
-    part->BeginEpisode();
-    ASSERT_GE(part->ProcessFeedback(seed, true).added, 2u);
-    Sync(part);
-  }
-  ASSERT_EQ(inc.space().Fingerprint(), reb.space().Fingerprint());
-  PairId victim = PickGenerated(inc, seed);
-  ASSERT_EQ(victim, PickGenerated(reb, seed));
-  for (int strike = 0; strike < options_.rollback_threshold; ++strike) {
-    inc.ProcessFeedback(victim, false);
-    reb.ProcessFeedback(victim, false);
-    Sync(&inc);
-    Sync(&reb);
-    EXPECT_EQ(inc.space().Fingerprint(), reb.space().Fingerprint());
-  }
+  ASSERT_NE(rejected, kInvalidPairId);
+  part.AddInitialCandidate(seed);
+  part.AddInitialCandidate(rejected);
+  Sync(&part);
+  ASSERT_FALSE(part.space().IsLive(rejected));
+
+  // Mid-episode: the rejection removes the candidate, and the positive
+  // item's band (every pair scores 1.0) explores everything else.
+  part.BeginEpisode();
+  ASSERT_TRUE(part.ProcessFeedback(rejected, false).removed);
+  ASSERT_FALSE(part.candidates().Contains(rejected));
+  const PartitionAlex::FeedbackOutcome first =
+      part.ProcessFeedback(seed, true);
+  EXPECT_EQ(first.added, part.space().pair_count() - 2);
+  EXPECT_FALSE(part.candidates().Contains(rejected))
+      << "a candidate removed mid-episode re-entered the frontier before "
+         "the boundary";
+
+  // The boundary flips the rejected pair back on: the same item re-adds it,
+  // and nothing else, since every other pair is now a candidate.
+  Sync(&part);
+  EXPECT_TRUE(part.space().IsLive(rejected));
+  EXPECT_EQ(part.space().live_pair_count(), 1u);
+  part.BeginEpisode();
+  const PartitionAlex::FeedbackOutcome second =
+      part.ProcessFeedback(seed, true);
+  EXPECT_EQ(second.added, 1u);
+  EXPECT_TRUE(part.candidates().Contains(rejected));
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Robustness "fuzz" tests: the parsers, the two state loaders (binary store
 // snapshots and saved engine state) and the executors must never crash or
 // hang on malformed input — they return parse errors (Status) instead, and
-// the engine's incremental frontier maintenance must survive arbitrary link
-// churn bit-identically to a rebuild-every-epoch engine.
+// the engine's episode series under heavy link churn must be bit-identical
+// at every thread count.
 // Deterministic pseudo-random mutation keeps these reproducible.
 #include <gtest/gtest.h>
 
@@ -271,12 +271,10 @@ TEST(FuzzTest, TokenizerHandlesAllByteValues) {
 
 // ---------------------------------------------------------------------------
 // Link-churn fuzz regime: a noisy oracle drives episodes full of negative
-// feedback, rollbacks and blacklist hits, and the engine maintaining its
-// explorable frontier incrementally (ApplyDelta) must produce an episode
-// series — stats, quality-relevant counts, per-partition frontier
-// fingerprints, and the final link set — byte-identical to an engine that
-// rebuilds its score indexes from liveness flags every epoch, at every
-// thread count.
+// feedback, rollbacks and blacklist hits, which flip the explorable
+// frontier's liveness flags at every boundary; the episode series — stats,
+// quality-relevant counts, per-partition frontier fingerprints, and the
+// final link set — must be byte-identical at every thread count.
 
 void AppendBits(std::ostringstream* out, double v) {
   uint64_t bits;
@@ -290,15 +288,13 @@ struct ChurnOutcome {
   uint64_t negative_feedback = 0;
   uint64_t rollbacks = 0;
   size_t blacklist_entries = 0;
-  uint64_t compactions = 0;
 };
 
-// One full run of the churn regime. `incremental` selects the maintenance
-// strategy under test; everything else is held fixed.
+// One full run of the churn regime at `threads` workers; everything else
+// is held fixed.
 ChurnOutcome RunChurnRegime(const datagen::GeneratedWorld& world,
                             const std::vector<linking::Link>& initial,
-                            const feedback::GroundTruth& truth,
-                            bool incremental, int threads) {
+                            const feedback::GroundTruth& truth, int threads) {
   core::AlexOptions options;
   options.num_partitions = 4;
   options.num_threads = threads;
@@ -306,11 +302,6 @@ ChurnOutcome RunChurnRegime(const datagen::GeneratedWorld& world,
   options.max_episodes = 10;
   options.blacklist_strikes = 2;
   options.seed = 77;
-  options.incremental_space_maintenance = incremental;
-  // Eager compaction: every tombstone/pending entry beyond the live/8 slack
-  // triggers a bucket rewrite, maximizing physical churn under test. The
-  // threshold only affects physical layout, never logical contents.
-  options.space.compaction_threshold = 0;
 
   core::AlexEngine engine(&world.left, &world.right, options);
   Status status = engine.Initialize(initial);
@@ -362,13 +353,12 @@ ChurnOutcome RunChurnRegime(const datagen::GeneratedWorld& world,
   }
   for (const core::PartitionAlex& partition : engine.partitions()) {
     outcome.blacklist_entries += partition.blacklist().size();
-    outcome.compactions += partition.space().compaction_count();
   }
   outcome.series = series.str();
   return outcome;
 }
 
-TEST(FuzzTest, LinkChurnIncrementalMatchesRebuildEngine) {
+TEST(FuzzTest, LinkChurnSeriesMatchesAtEveryThreadCount) {
   datagen::WorldProfile profile = datagen::TinyTestProfile();
   profile.confusable_pairs = 6;
   datagen::GeneratedWorld world = datagen::Generate(profile);
@@ -378,29 +368,19 @@ TEST(FuzzTest, LinkChurnIncrementalMatchesRebuildEngine) {
   ASSERT_GE(initial.size(), 10u) << "profile too small for churn regime";
 
   std::string reference;
-  for (bool incremental : {true, false}) {
-    for (int threads : {1, 2, 4}) {
-      ChurnOutcome outcome =
-          RunChurnRegime(world, initial, truth, incremental, threads);
-      if (reference.empty()) {
-        reference = outcome.series;
-        // The regime must actually exercise churn, not just confirm links:
-        // noisy feedback has to produce negatives, rollbacks, and repeat
-        // offenders hitting the blacklist.
-        EXPECT_GT(outcome.negative_feedback, 0u);
-        EXPECT_GT(outcome.rollbacks, 0u);
-        EXPECT_GT(outcome.blacklist_entries, 0u);
-      } else {
-        EXPECT_EQ(outcome.series, reference)
-            << (incremental ? "incremental" : "rebuild") << " engine at "
-            << threads << " thread(s) diverged";
-      }
-      if (incremental) {
-        // The incremental engine really maintained in place: with the eager
-        // threshold, churn must have forced bucket compactions rather than
-        // quietly falling back to full rebuilds.
-        EXPECT_GT(outcome.compactions, 0u);
-      }
+  for (int threads : {1, 2, 4}) {
+    ChurnOutcome outcome = RunChurnRegime(world, initial, truth, threads);
+    if (reference.empty()) {
+      reference = outcome.series;
+      // The regime must actually exercise churn, not just confirm links:
+      // noisy feedback has to produce negatives, rollbacks, and repeat
+      // offenders hitting the blacklist.
+      EXPECT_GT(outcome.negative_feedback, 0u);
+      EXPECT_GT(outcome.rollbacks, 0u);
+      EXPECT_GT(outcome.blacklist_entries, 0u);
+    } else {
+      EXPECT_EQ(outcome.series, reference)
+          << "engine at " << threads << " thread(s) diverged";
     }
   }
 }
