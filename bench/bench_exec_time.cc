@@ -23,8 +23,8 @@ void Report(const std::string& title, alex::eval::ExperimentConfig config) {
   alex::datagen::GeneratedWorld world =
       alex::datagen::Generate(config.profile);
   std::vector<alex::linking::Link> initial = alex::linking::FilterByScore(
-      alex::linking::RunParis(world.left, world.right, config.paris),
-      config.paris_threshold);
+      alex::linking::RunParis(world.left, world.right),
+      alex::linking::kParisThreshold);
 
   auto prepare_start = std::chrono::steady_clock::now();
   config.right_context = alex::core::RightContext::Prepare(

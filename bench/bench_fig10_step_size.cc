@@ -17,8 +17,8 @@ int main() {
   alex::datagen::GeneratedWorld world =
       alex::datagen::Generate(config.profile);
   std::vector<alex::linking::Link> initial = alex::linking::FilterByScore(
-      alex::linking::RunParis(world.left, world.right, config.paris),
-      config.paris_threshold);
+      alex::linking::RunParis(world.left, world.right),
+      alex::linking::kParisThreshold);
 
   const double kSteps[] = {0.01, 0.05, 0.1};
   std::vector<alex::eval::ExperimentResult> results;

@@ -15,8 +15,8 @@ int main() {
   alex::datagen::GeneratedWorld world =
       alex::datagen::Generate(config.profile);
   std::vector<alex::linking::Link> initial = alex::linking::FilterByScore(
-      alex::linking::RunParis(world.left, world.right, config.paris),
-      config.paris_threshold);
+      alex::linking::RunParis(world.left, world.right),
+      alex::linking::kParisThreshold);
 
   const size_t kSizes[] = {500, 1000, 1500};
   std::vector<alex::eval::ExperimentResult> results;

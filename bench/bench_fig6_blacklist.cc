@@ -14,8 +14,8 @@ int main() {
   alex::datagen::GeneratedWorld world =
       alex::datagen::Generate(config.profile);
   std::vector<alex::linking::Link> initial = alex::linking::FilterByScore(
-      alex::linking::RunParis(world.left, world.right, config.paris),
-      config.paris_threshold);
+      alex::linking::RunParis(world.left, world.right),
+      alex::linking::kParisThreshold);
 
   config.alex.use_blacklist = true;
   alex::Result<alex::eval::ExperimentResult> with_bl =

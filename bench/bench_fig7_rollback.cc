@@ -67,8 +67,8 @@ int main() {
   alex::datagen::GeneratedWorld world =
       alex::datagen::Generate(config.profile);
   std::vector<Link> initial = alex::linking::FilterByScore(
-      alex::linking::RunParis(world.left, world.right, config.paris),
-      config.paris_threshold);
+      alex::linking::RunParis(world.left, world.right),
+      alex::linking::kParisThreshold);
   alex::feedback::GroundTruth truth(world.ground_truth);
 
   AlexEngine engine(&world.left, &world.right, config.alex);

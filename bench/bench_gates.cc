@@ -372,7 +372,7 @@ struct IngestRun {
     engine = std::make_unique<AlexEngine>(&world.left, &world.right, options);
     const std::vector<Link> initial = alex::linking::FilterByScore(
         alex::linking::RunParis(world.left, world.right),
-        config.paris_threshold);
+        alex::linking::kParisThreshold);
     alex::Status status = engine->Initialize(initial);
     ALEX_CHECK(status.ok()) << status.message();
     // An untimed empty ingest builds the one-time lazy ingest structures,
@@ -463,8 +463,8 @@ void PinIndirectionGate() {
   alex::datagen::GeneratedWorld world =
       alex::datagen::Generate(config.profile);
   const std::vector<Link> initial = alex::linking::FilterByScore(
-      alex::linking::RunParis(world.left, world.right, config.paris),
-      config.paris_threshold);
+      alex::linking::RunParis(world.left, world.right),
+      alex::linking::kParisThreshold);
   alex::eval::WorkloadOptions workload_options;
   workload_options.num_queries = 250;
   const std::vector<alex::eval::WorkloadQuery> workload =

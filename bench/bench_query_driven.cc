@@ -21,8 +21,8 @@ int main() {
       alex::datagen::Generate(config.profile);
   alex::feedback::GroundTruth truth(world.ground_truth);
   std::vector<alex::linking::Link> initial = alex::linking::FilterByScore(
-      alex::linking::RunParis(world.left, world.right, config.paris),
-      config.paris_threshold);
+      alex::linking::RunParis(world.left, world.right),
+      alex::linking::kParisThreshold);
 
   // Oracle-driven (the paper's §7.1 methodology).
   alex::Result<alex::eval::ExperimentResult> oracle_run =

@@ -45,7 +45,8 @@ int main() {
   alex::datagen::GeneratedWorld world = alex::datagen::Generate(profile);
   alex::feedback::GroundTruth truth(world.ground_truth);
   std::vector<Link> initial = alex::linking::FilterByScore(
-      alex::linking::RunParis(world.left, world.right), 0.95);
+      alex::linking::RunParis(world.left, world.right),
+      alex::linking::kParisThreshold);
 
   std::cout << std::fixed << std::setprecision(3);
 

@@ -69,9 +69,8 @@ int main() {
 
   // 2. Automatic linking: PARIS needs exact values, so it only finds the
   // clean spellings.
-  std::vector<Link> initial =
-      alex::linking::FilterByScore(alex::linking::RunParis(left, right),
-                                   0.95);
+  std::vector<Link> initial = alex::linking::FilterByScore(
+      alex::linking::RunParis(left, right), alex::linking::kParisThreshold);
   std::cout << "PARIS found " << initial.size() << " / " << truth.size()
             << " links:\n";
   for (const Link& link : initial) {

@@ -19,8 +19,8 @@ int main() {
   alex::datagen::GeneratedWorld world =
       alex::datagen::Generate(config.profile);
   std::vector<alex::linking::Link> initial = alex::linking::FilterByScore(
-      alex::linking::RunParis(world.left, world.right, config.paris),
-      config.paris_threshold);
+      alex::linking::RunParis(world.left, world.right),
+      alex::linking::kParisThreshold);
 
   std::cout << std::fixed << std::setprecision(3);
   bool improved = true;

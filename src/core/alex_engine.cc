@@ -13,6 +13,10 @@ namespace alex::core {
 
 namespace {
 
+// Reward of positive feedback (§4.3); AlexOptions::negative_reward is the
+// negative one.
+constexpr double kPositiveReward = 1.0;
+
 // Calls fn(pair, added) for every pair of two disjoint ascending lists, in
 // ascending PairId order.
 template <typename Fn>
@@ -36,6 +40,7 @@ PartitionAlex::PartitionAlex(FeatureSpace space, const AlexOptions* options,
     : space_(std::move(space)),
       options_(options),
       candidates_(space_.pair_count()),
+      sampler_(FeedbackSamplerOptions{.theta = options->space.theta}),
       pair_state_(space_.pair_count()),
       policy_(options->epsilon),
       rollback_(space_.pair_count()),
@@ -106,8 +111,7 @@ double PartitionAlex::TopFeatureScore(PairId pair) const {
 PartitionAlex::FeedbackOutcome PartitionAlex::ProcessFeedback(PairId pair,
                                                               bool positive) {
   FeedbackOutcome outcome;
-  const double reward =
-      positive ? options_->positive_reward : options_->negative_reward;
+  const double reward = positive ? kPositiveReward : options_->negative_reward;
   // Fold the item into the pair's uncertainty tally (prioritized sampling
   // only; no-op for unregistered pairs).
   if (options_->prioritized_sampling) {
@@ -272,7 +276,7 @@ AlexEngine::AlexEngine(const rdf::TripleStore* left,
     : left_(left),
       right_(right),
       options_(options),
-      reverse_index_(options.space.blocking, options.space.similarity),
+      reverse_index_(options.space.blocking),
       rng_(options.seed) {}
 
 Status AlexEngine::Initialize(
@@ -547,7 +551,7 @@ Status AlexEngine::IngestTriples(IngestStats* stats_out) {
     auto* context = const_cast<RightContext*>(right_context_.get());
     for (rdf::TermId subject : new_rights) {
       context->entities.push_back(
-          PrepareEntity(*right_, subject, options_.space.max_attributes));
+          PrepareEntity(*right_, subject, kMaxAttributes));
     }
     RegisterRights(old_right_count);
     if (options_.space.blocking.enabled) {
@@ -556,7 +560,7 @@ Status AlexEngine::IngestTriples(IngestStats* stats_out) {
       } else {
         context->index =
             BlockingIndex::Build(context->entities, options_.space.blocking,
-                                 options_.space.similarity, pool_.get());
+                                 pool_.get());
       }
     }
   }

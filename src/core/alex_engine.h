@@ -44,7 +44,7 @@
 namespace alex::core {
 
 struct AlexOptions {
-  // Feature space construction (θ filtering, attribute caps).
+  // Feature space construction (θ filtering, blocking).
   FeatureSpaceOptions space;
   // Exploration offset around the chosen feature's score (§4.2; default
   // from §7.1).
@@ -54,9 +54,9 @@ struct AlexOptions {
   size_t episode_size = 1000;
   // ε of the ε-greedy policy.
   double epsilon = 0.05;
-  // Rewards translated from feedback (§4.3; negative feedback may be
-  // penalized more by increasing its magnitude).
-  double positive_reward = 1.0;
+  // Reward of negative feedback (§4.3; positive feedback earns 1, the
+  // kPositiveReward of alex_engine.cc, and negative feedback may be
+  // penalized more by increasing this magnitude).
   double negative_reward = -1.0;
   // Optimizations (§6.3).
   bool use_blacklist = true;
@@ -102,17 +102,13 @@ struct AlexOptions {
   bool incremental_ingest = true;
   // Prioritized feedback sampling: draw each episode's feedback links by
   // uncertainty weight (tally entropy × proximity of the pair's best
-  // feature score to θ; see core/feedback_sampler.h) instead of uniformly
-  // over the candidate set. OFF by default: the paper's uniform feedback
-  // model (§7.1) — and every bitwise-identity baseline built on it — stays
-  // the default behavior, with the prioritized path opt-in.
+  // feature score to space.theta; see core/feedback_sampler.h) instead of
+  // uniformly over the candidate set. A quarter of the draws stay uniform,
+  // and no weight falls below 1e-3 (FeedbackSamplerOptions' defaults). OFF
+  // by default: the paper's uniform feedback model (§7.1) — and every
+  // bitwise-identity baseline built on it — stays the default behavior,
+  // with the prioritized path opt-in.
   bool prioritized_sampling = false;
-  // Fraction of prioritized draws that remain uniform over all candidates
-  // (the exploration floor of the sampler; clamped to [0, 1]).
-  double sampler_uniform_mix = 0.25;
-  // Floor on a candidate's uncertainty weight; keeps unanimous or
-  // far-from-θ links reachable in the weighted arm too.
-  double sampler_min_weight = 1e-3;
   // Worker threads (0 = one per hardware thread) for parallel feature-space
   // construction AND parallel episode execution. During Initialize the
   // left-entity loop of every partition build is sharded across these

@@ -5,11 +5,11 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
-#include <limits>
 #include <string_view>
 #include <unordered_set>
 
 #include "common/logging.h"
+#include "similarity/value_similarity.h"
 
 namespace alex::core {
 namespace {
@@ -51,29 +51,50 @@ uint64_t MixInt(char tag, uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// Size-tiered gram selection: every indexed value emits q-grams of ONE
+// length chosen by the value's own length — trigrams up to
+// kTrigramValueLength, kGramLength-grams above it. (Short and mid-length
+// values can be borderline Levenshtein matches at edit rates that destroy
+// every 4-gram, e.g. 15 vs 17 chars at distance 7, while long values are
+// where trigram postings explode.) The probe side emits the gram length of
+// every tier whose value-length range intersects
+// [noise_floor * len, len / noise_floor]: no pair outside that length ratio
+// can clear the Levenshtein noise floor, so the counterpart's tier is always
+// among the probed ones. kMinGramTokenLength is the minimum value length for
+// the gram channel to kick in (shorter values are fully covered by the
+// token/deletion channels).
+constexpr size_t kGramLength = 4;
+constexpr size_t kMinGramTokenLength = 3;
+constexpr size_t kTrigramValueLength = 18;
+// Exception to BlockingOptions::min_gram_matches: when BOTH values are at
+// most this long, a single shared gram counts double. Short values emit so
+// few grams that a genuine borderline match (e.g. 7 vs 10 chars at edit
+// distance 4) can have exactly one survivor.
+constexpr size_t kSingleGramValueLength = 12;
+// Tokens up to this length additionally emit their deletion variants
+// (every distinct string reachable by up to kMaxDeletionDistance character
+// deletions, SymSpell-style). Two tokens within edit distance d always
+// share a variant when d <= kMaxDeletionDistance: a substitution, indel, or
+// transposition each costs at most one deletion per side. This covers the
+// short-token typo pairs where trigrams fail (e.g. "smith" / "smyth", or
+// the distance-2 "cuglia" / "hugia").
+constexpr size_t kMaxDeletionTokenLength = 12;
+constexpr size_t kMaxDeletionDistance = 2;
+
 // Logarithmic magnitude bucket: values whose NumericSimilarity can be
 // positive (|a-b| <= tolerance * max(|a|, |b|, 1)) land at most two buckets
 // apart, so the query probes ±2.
-int64_t NumericBucket(double v, double tolerance) {
+int64_t NumericBucket(double v) {
   double magnitude = std::max(std::fabs(v), 1.0);
-  if (tolerance <= 0.0) {
-    // Only exact equality scores; bucket by bit pattern.
-    int64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    return bits;
-  }
   return static_cast<int64_t>(
-      std::floor(std::log(magnitude) / std::log1p(tolerance)));
+      std::floor(std::log(magnitude) / std::log1p(sim::kNumericTolerance)));
 }
 
 // Shared channel walk behind both the human-readable (string) and hashed
 // key emitters: calls `emit(tag, body)` for every string-bodied key and
 // `emit_int(tag, negative, bucket)` for numeric/date bucket keys.
 template <typename EmitStr, typename EmitInt>
-void ForEachValueKey(const PreparedValue& value,
-                     const BlockingOptions& options,
-                     const sim::SimilarityOptions& sim, bool probe_neighbors,
+void ForEachValueKey(const PreparedValue& value, bool probe_neighbors,
                      EmitStr&& emit, EmitInt&& emit_int) {
   // Exact-match catch-all (covers booleans, date-vs-string equality, and
   // values whose normalization leaves no tokens, e.g. empty strings).
@@ -84,40 +105,34 @@ void ForEachValueKey(const PreparedValue& value,
   // INDEXED value emits exactly one gram family, chosen by its own length —
   // short and mid values need trigrams to survive borderline edit rates
   // (e.g. 7 vs 10 chars at distance 4 destroys every 4-gram), long values
-  // afford the more selective `gram_length`-grams, and one family per value
+  // afford the more selective kGramLength-grams, and one family per value
   // keeps the posting lists small. The PROBE side emits the gram length of
   // every tier a Levenshtein-matchable counterpart could be indexed under:
   // raw similarity is at most min_len/max_len, so clearing the noise floor
   // requires the counterpart's length in [floor * len, len / floor].
   const size_t len = value.lowered.size();
-  if (len >= options.min_gram_token_length) {
+  if (len >= kMinGramTokenLength) {
     auto emit_grams = [&](size_t q) {
       if (len < q) return;
       for (size_t i = 0; i + q <= len; ++i) {
         emit(kGramTag, std::string_view(value.lowered).substr(i, q));
       }
     };
-    const double tier_bound =
-        static_cast<double>(options.trigram_value_length);
+    constexpr double tier_bound = static_cast<double>(kTrigramValueLength);
     if (!probe_neighbors) {
-      emit_grams(len <= options.trigram_value_length ? 3
-                                                     : options.gram_length);
+      emit_grams(len <= kTrigramValueLength ? 3 : kGramLength);
     } else {
-      const double floor = sim.string_noise_floor;
-      const double lo =
-          floor > 0.0 ? floor * static_cast<double>(len) : 0.0;
-      const double hi = floor > 0.0
-                            ? static_cast<double>(len) / floor
-                            : std::numeric_limits<double>::infinity();
+      constexpr double floor = sim::kStringNoiseFloor;
+      const double lo = floor * static_cast<double>(len);
+      const double hi = static_cast<double>(len) / floor;
       if (lo <= tier_bound) emit_grams(3);
-      if (hi > tier_bound) emit_grams(options.gram_length);
+      if (hi > tier_bound) emit_grams(kGramLength);
     }
   }
   if (value.has_numeric) {
-    const double tolerance = sim.numeric_tolerance;
     const bool negative = value.numeric < -1.0;
-    const int64_t bucket = NumericBucket(value.numeric, tolerance);
-    if (!probe_neighbors || tolerance <= 0.0) {
+    const int64_t bucket = NumericBucket(value.numeric);
+    if (!probe_neighbors) {
       emit_int(kNumericTag, negative, bucket);
     } else {
       for (int64_t b = bucket - 2; b <= bucket + 2; ++b) {
@@ -132,12 +147,9 @@ void ForEachValueKey(const PreparedValue& value,
     }
   }
   if (!value.is_iri && value.type == rdf::LiteralType::kDate) {
-    const double scale = sim.date_scale_days;
-    int64_t bucket =
-        scale > 0.0 ? static_cast<int64_t>(std::floor(
-                          static_cast<double>(value.date_days) / scale))
-                    : value.date_days;
-    int64_t radius = (probe_neighbors && scale > 0.0) ? 1 : 0;
+    const int64_t bucket = static_cast<int64_t>(std::floor(
+        static_cast<double>(value.date_days) / sim::kDateScaleDays));
+    const int64_t radius = probe_neighbors ? 1 : 0;
     for (int64_t b = bucket - radius; b <= bucket + radius; ++b) {
       emit_int(kDateTag, false, b);
     }
@@ -180,7 +192,7 @@ uint64_t MixIntKey(char tag, bool negative, int64_t bucket) {
 }
 
 // Posting layout: (right_index << 4) | short_flag << 3 | min(attr_index, 7).
-// The short flag marks values no longer than single_gram_value_length; a
+// The short flag marks values no longer than kSingleGramValueLength; a
 // gram collision between two short values counts double toward
 // min_gram_matches (see Probe).
 constexpr uint32_t kPostingShortBit = 1u << 3;
@@ -223,20 +235,18 @@ using Entry = PostingTable::Entry;
 // shared by the chunked Build() extraction and the AddRights() delta path
 // so both derive the exact same entry multiset per entity.
 void AppendEntityEntries(const PreparedEntity& right, uint32_t r,
-                         const BlockingOptions& options,
-                         const sim::SimilarityOptions& sim,
                          ProbeScratch* scratch,
                          std::vector<TaggedKeyHash>* keys,
                          std::vector<Entry>* entries) {
   for (size_t a = 0; a < right.attributes.size(); ++a) {
     const uint32_t attr_slot =
         static_cast<uint32_t>(a < kCellAttrCap - 1 ? a : kCellAttrCap - 1);
-    const bool is_short = right.attributes[a].value.lowered.size() <=
-                          options.single_gram_value_length;
+    const bool is_short =
+        right.attributes[a].value.lowered.size() <= kSingleGramValueLength;
     const uint32_t posting =
         (r << 4) | (is_short ? kPostingShortBit : 0u) | attr_slot;
     keys->clear();
-    AppendBlockKeyHashes(right.attributes[a].value, options, sim,
+    AppendBlockKeyHashes(right.attributes[a].value,
                          /*probe_neighbors=*/false, scratch, keys);
     // The same key can repeat within one value (duplicate grams); post it
     // once.
@@ -330,18 +340,16 @@ constexpr uint32_t kMaxLeftIds = 1u << (32 - kLeftIdShift);
 // probe-side keys deduplicated by (hash, channel) exactly as
 // BlockingIndex::Probe deduplicates them.
 void AppendLeftEntries(const PreparedEntity& left, uint32_t left_id,
-                       const BlockingOptions& options,
-                       const sim::SimilarityOptions& sim,
                        ProbeScratch* scratch,
                        std::vector<TaggedKeyHash>* keys,
                        std::vector<Entry>* entries) {
   for (size_t a = 0; a < left.attributes.size(); ++a) {
     const uint32_t attr_slot =
         static_cast<uint32_t>(a < kCellAttrCap - 1 ? a : kCellAttrCap - 1);
-    const bool is_short = left.attributes[a].value.lowered.size() <=
-                          options.single_gram_value_length;
+    const bool is_short =
+        left.attributes[a].value.lowered.size() <= kSingleGramValueLength;
     keys->clear();
-    AppendBlockKeyHashes(left.attributes[a].value, options, sim,
+    AppendBlockKeyHashes(left.attributes[a].value,
                          /*probe_neighbors=*/true, scratch, keys);
     SortUniqueProbeKeys(keys);
     for (const TaggedKeyHash& key : *keys) {
@@ -356,12 +364,10 @@ void AppendLeftEntries(const PreparedEntity& left, uint32_t left_id,
 
 }  // namespace
 
-void AppendBlockKeys(const PreparedValue& value,
-                     const BlockingOptions& options,
-                     const sim::SimilarityOptions& sim, bool probe_neighbors,
+void AppendBlockKeys(const PreparedValue& value, bool probe_neighbors,
                      std::vector<std::string>* keys) {
   ForEachValueKey(
-      value, options, sim, probe_neighbors,
+      value, probe_neighbors,
       [keys](char tag, std::string_view body) {
         keys->push_back(MakeKey(tag, body));
       },
@@ -373,8 +379,8 @@ void AppendBlockKeys(const PreparedValue& value,
       });
   for (const std::string& token : value.tokens) {
     keys->push_back(MakeKey(kTokenTag, token));
-    if (token.size() <= options.max_deletion_token_length) {
-      ForEachDeletionVariant(token, options.max_deletion_distance,
+    if (token.size() <= kMaxDeletionTokenLength) {
+      ForEachDeletionVariant(token, kMaxDeletionDistance,
                              [keys](const std::string& variant) {
                                keys->push_back(
                                    MakeKey(kDeletionTag, variant));
@@ -383,13 +389,11 @@ void AppendBlockKeys(const PreparedValue& value,
   }
 }
 
-void AppendBlockKeyHashes(const PreparedValue& value,
-                          const BlockingOptions& options,
-                          const sim::SimilarityOptions& sim,
-                          bool probe_neighbors, ProbeScratch* scratch,
+void AppendBlockKeyHashes(const PreparedValue& value, bool probe_neighbors,
+                          ProbeScratch* scratch,
                           std::vector<TaggedKeyHash>* keys) {
   ForEachValueKey(
-      value, options, sim, probe_neighbors,
+      value, probe_neighbors,
       [keys](char tag, std::string_view body) {
         keys->push_back({HashKey(tag, body), ChannelOf(tag)});
       },
@@ -405,8 +409,8 @@ void AppendBlockKeyHashes(const PreparedValue& value,
     if (inserted) {
       std::vector<TaggedKeyHash>& memo = it->second;
       memo.push_back({HashKey(kTokenTag, token), kBlockToken});
-      if (token.size() <= options.max_deletion_token_length) {
-        ForEachDeletionVariant(token, options.max_deletion_distance,
+      if (token.size() <= kMaxDeletionTokenLength) {
+        ForEachDeletionVariant(token, kMaxDeletionDistance,
                                [&memo](const std::string& variant) {
                                  memo.push_back(
                                      {HashKey(kDeletionTag, variant),
@@ -420,18 +424,16 @@ void AppendBlockKeyHashes(const PreparedValue& value,
 
 BlockingIndex BlockingIndex::Build(const std::vector<PreparedEntity>& rights,
                                    const BlockingOptions& options,
-                                   const sim::SimilarityOptions& sim,
                                    ThreadPool* pool) {
   BlockingIndex index;
   index.options_ = options;
-  index.sim_ = sim;
   index.num_rights_ = static_cast<uint32_t>(rights.size());
   std::vector<Entry> entries = SortedEntries(
       rights.size(), pool,
       [&](size_t r, ProbeScratch* scratch, std::vector<TaggedKeyHash>* keys,
           std::vector<Entry>* out) {
-        AppendEntityEntries(rights[r], static_cast<uint32_t>(r), options,
-                            sim, scratch, keys, out);
+        AppendEntityEntries(rights[r], static_cast<uint32_t>(r), scratch,
+                            keys, out);
       });
   entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
   index.table_.Assign(entries);
@@ -449,8 +451,8 @@ void BlockingIndex::AddRights(const std::vector<PreparedEntity>& rights,
   std::vector<TaggedKeyHash> keys;
   std::vector<Entry> fresh;
   for (size_t r = first_new; r < rights.size(); ++r) {
-    AppendEntityEntries(rights[r], static_cast<uint32_t>(r), options_, sim_,
-                        &scratch, &keys, &fresh);
+    AppendEntityEntries(rights[r], static_cast<uint32_t>(r), &scratch, &keys,
+                        &fresh);
   }
   std::sort(fresh.begin(), fresh.end());
   fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
@@ -625,10 +627,10 @@ void BlockingIndex::Probe(const PreparedEntity& left, ProbeScratch* scratch,
   std::vector<TaggedKeyHash>& keys = scratch->keys_;
   for (size_t a = 0; a < left.attributes.size(); ++a) {
     const size_t attr_slot = a < kCellAttrCap - 1 ? a : kCellAttrCap - 1;
-    const bool left_is_short = left.attributes[a].value.lowered.size() <=
-                               options_.single_gram_value_length;
+    const bool left_is_short =
+        left.attributes[a].value.lowered.size() <= kSingleGramValueLength;
     keys.clear();
-    AppendBlockKeyHashes(left.attributes[a].value, options_, sim_,
+    AppendBlockKeyHashes(left.attributes[a].value,
                          /*probe_neighbors=*/true, scratch, &keys);
     SortUniqueProbeKeys(&keys);
     // Dense per-cell accumulation: O(postings touched), no string compares.
@@ -679,7 +681,7 @@ void ReverseProbeIndex::AddLefts(
       [&](size_t k, ProbeScratch* scratch, std::vector<TaggedKeyHash>* keys,
           std::vector<Entry>* out) {
         AppendLeftEntries(*lefts[k], first_id + static_cast<uint32_t>(k),
-                          options_, sim_, scratch, keys, out);
+                          scratch, keys, out);
       });
   num_lefts_ += static_cast<uint32_t>(lefts.size());
   if (table_.empty()) {
@@ -698,8 +700,7 @@ void ReverseProbeIndex::Probe(const PreparedEntity& right,
   // and attribute slot, and deduplicating by (hash, posting) merges the
   // attributes from slot 7 on just as the right index does.
   std::vector<Entry> entries;
-  AppendEntityEntries(right, 0, options_, sim_, scratch, &scratch->keys_,
-                      &entries);
+  AppendEntityEntries(right, 0, scratch, &scratch->keys_, &entries);
   std::sort(entries.begin(), entries.end());
   entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
   for (const auto& [hash, right_posting] : entries) {

@@ -31,6 +31,12 @@
 //                                     query probes neighbor buckets)
 //   * a coarse date bucket          — covers DateSimilarity ≥ θ (ditto)
 //
+// The key parameters (gram lengths and tiers, the deletion depth) are
+// constants of blocking.cc, and the scores they cover are those of the
+// similarity constants sim::kNumericTolerance, sim::kDateScaleDays and
+// sim::kStringNoiseFloor, so an index can never be keyed for other scores
+// than the ones the feature space computes.
+//
 // The numeric, date, token, boolean and exact-match similarity channels are
 // fully covered: any pair scoring ≥ θ through them shares a block. The pure
 // Levenshtein channel on long garbled values is covered heuristically by
@@ -50,7 +56,6 @@
 
 #include "common/thread_pool.h"
 #include "core/feature_set.h"
-#include "similarity/value_similarity.h"
 
 namespace alex::core {
 
@@ -58,42 +63,13 @@ struct BlockingOptions {
   // When false, FeatureSpace::Build scores the full cross product (the
   // paper's literal pre-processing; also the reference for equality tests).
   bool enabled = true;
-  // Size-tiered gram selection: every indexed value emits q-grams of ONE
-  // length chosen by the value's own length — trigrams up to
-  // trigram_value_length, `gram_length`-grams above it. (Short and
-  // mid-length values can be borderline Levenshtein matches at edit rates
-  // that destroy every 4-gram, e.g. 15 vs 17 chars at distance 7, while
-  // long values are where trigram postings explode.) The probe side emits
-  // the gram length of every tier whose value-length range intersects
-  // [noise_floor * len, len / noise_floor]: no pair outside that length
-  // ratio can clear the Levenshtein noise floor, so the counterpart's tier
-  // is always among the probed ones. min_gram_token_length is the minimum
-  // value length for the gram channel to kick in (shorter values are fully
-  // covered by the token/deletion channels).
-  size_t gram_length = 4;
-  size_t min_gram_token_length = 3;
-  size_t trigram_value_length = 18;
   // Candidates whose ONLY collisions are q-gram keys must share at least
-  // this many distinct gram keys. Borderline Levenshtein matches between
-  // mid-length values share a handful of intact grams; unrelated values
-  // that happen to contain one common syllable share exactly one, and they
-  // are the bulk of the gram channel's junk. Set to 1 to admit single-gram
-  // collisions.
+  // this many distinct gram keys (a gram shared by two short values counts
+  // double). Borderline Levenshtein matches between mid-length values share
+  // a handful of intact grams; unrelated values that happen to contain one
+  // common syllable share exactly one, and they are the bulk of the gram
+  // channel's junk. Set to 1 to admit single-gram collisions.
   uint32_t min_gram_matches = 2;
-  // Exception to min_gram_matches: when BOTH values are at most this long,
-  // a single shared gram counts double. Short values emit so few grams that
-  // a genuine borderline match (e.g. 7 vs 10 chars at edit distance 4) can
-  // have exactly one survivor.
-  size_t single_gram_value_length = 12;
-  // Tokens up to this length additionally emit their deletion variants
-  // (every distinct string reachable by up to max_deletion_distance
-  // character deletions, SymSpell-style). Two tokens within edit distance d
-  // always share a variant when d <= max_deletion_distance: a substitution,
-  // indel, or transposition each costs at most one deletion per side. This
-  // covers the short-token typo pairs where trigrams fail (e.g. "smith" /
-  // "smyth", or the distance-2 "cuglia" / "hugia").
-  size_t max_deletion_token_length = 12;
-  size_t max_deletion_distance = 2;
   // Incremental maintenance (AddRights): newly ingested rights post into a
   // sorted pending sidecar that probes consult alongside the CSR blocks;
   // the sidecar is merged back into the CSR once it outgrows
@@ -106,9 +82,7 @@ struct BlockingOptions {
 // (query side) the numeric/date bucket keys also cover adjacent buckets so
 // that near-equal values falling across a bucket boundary still collide.
 // (Human-readable variant, used by tests; the index itself stores hashes.)
-void AppendBlockKeys(const PreparedValue& value,
-                     const BlockingOptions& options,
-                     const sim::SimilarityOptions& sim, bool probe_neighbors,
+void AppendBlockKeys(const PreparedValue& value, bool probe_neighbors,
                      std::vector<std::string>* keys);
 
 // Which key channel a candidate collided on. A candidate's channel bitmask
@@ -160,10 +134,7 @@ class ProbeScratch {
  private:
   friend class BlockingIndex;
   friend class ReverseProbeIndex;
-  friend void AppendBlockKeyHashes(const PreparedValue&,
-                                   const BlockingOptions&,
-                                   const sim::SimilarityOptions&, bool,
-                                   ProbeScratch*,
+  friend void AppendBlockKeyHashes(const PreparedValue&, bool, ProbeScratch*,
                                    std::vector<TaggedKeyHash>*);
   // Sizes the buffers for candidate ids [0, candidates) and clears the
   // previous probe's state.
@@ -199,10 +170,8 @@ class ProbeScratch {
 };
 
 // Hashed-key variant of AppendBlockKeys; `scratch` memoizes per-token keys.
-void AppendBlockKeyHashes(const PreparedValue& value,
-                          const BlockingOptions& options,
-                          const sim::SimilarityOptions& sim,
-                          bool probe_neighbors, ProbeScratch* scratch,
+void AppendBlockKeyHashes(const PreparedValue& value, bool probe_neighbors,
+                          ProbeScratch* scratch,
                           std::vector<TaggedKeyHash>* keys);
 
 // The storage behind both block-key indexes: a multimap from key hash to
@@ -317,7 +286,6 @@ class BlockingIndex {
   // at any thread count (asserted by the fingerprint test).
   static BlockingIndex Build(const std::vector<PreparedEntity>& rights,
                              const BlockingOptions& options,
-                             const sim::SimilarityOptions& sim,
                              ThreadPool* pool = nullptr);
 
   // Extends the index over rights[first_new..] (rights[0..first_new) must
@@ -377,7 +345,6 @@ class BlockingIndex {
   PostingTable table_;
   uint32_t num_rights_ = 0;
   BlockingOptions options_;
-  sim::SimilarityOptions sim_;
 };
 
 // A candidate pair and the 8x8 (left attr, right attr) cell channel masks
@@ -402,9 +369,8 @@ struct CandidatePair {
 // new right replaces re-probing every old left.
 class ReverseProbeIndex {
  public:
-  ReverseProbeIndex(const BlockingOptions& options,
-                    const sim::SimilarityOptions& sim)
-      : options_(options), sim_(sim) {}
+  explicit ReverseProbeIndex(const BlockingOptions& options)
+      : options_(options) {}
 
   // Posts the probe-side keys of `lefts` under the next left ids:
   // lefts[k] gets id num_lefts() + k. Key extraction is sharded across
@@ -430,7 +396,6 @@ class ReverseProbeIndex {
   PostingTable table_;
   uint32_t num_lefts_ = 0;
   BlockingOptions options_;
-  sim::SimilarityOptions sim_;
 };
 
 }  // namespace alex::core

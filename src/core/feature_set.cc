@@ -4,6 +4,7 @@
 
 #include "common/strings.h"
 #include "similarity/string_metrics.h"
+#include "similarity/value_similarity.h"
 
 namespace alex::core {
 
@@ -261,21 +262,19 @@ bool IsTypedNumeric(const PreparedValue& v) {
 }  // namespace
 
 double PreparedSimilarity(const PreparedValue& a, const PreparedValue& b,
-                          const sim::SimilarityOptions& options,
                           double min_interesting,
                           const SimilarityChannelMask& mask) {
-  auto calibrated_string = [&options, min_interesting, &mask](
-                               const PreparedValue& x,
-                               const PreparedValue& y) {
+  auto calibrated_string = [min_interesting, &mask](const PreparedValue& x,
+                                                    const PreparedValue& y) {
     // Token Jaccard is cheap; compute it first so the Levenshtein pass can
     // skip a pair whose lengths alone cannot beat max(jaccard,
     // min_interesting).
     double jaccard =
         mask.jaccard ? SortedTokenJaccard(x.tokens, y.tokens) : 0.0;
     if (!mask.levenshtein) return jaccard;
-    const double floor = options.string_noise_floor;
-    double raw_cutoff = std::max(jaccard, min_interesting);
-    if (floor > 0.0) raw_cutoff = floor + raw_cutoff * (1.0 - floor);
+    constexpr double floor = sim::kStringNoiseFloor;
+    const double raw_cutoff =
+        floor + std::max(jaccard, min_interesting) * (1.0 - floor);
     double lev = sim::RescaleAboveFloor(
         FastNormalizedLevenshtein(x.lowered, y.lowered, raw_cutoff), floor);
     return std::max(lev, jaccard);
@@ -288,12 +287,12 @@ double PreparedSimilarity(const PreparedValue& a, const PreparedValue& b,
     if (IsTypedNumeric(a) && IsTypedNumeric(b)) {
       if (!mask.numeric) return 0.0;
       return sim::NumericSimilarity(a.numeric, b.numeric,
-                                    options.numeric_tolerance);
+                                    sim::kNumericTolerance);
     }
     if (IsDate(a) && IsDate(b)) {
       if (!mask.dates) return 0.0;
       return sim::DateSimilarity(a.date_days, b.date_days,
-                                 options.date_scale_days);
+                                 sim::kDateScaleDays);
     }
     if (IsBoolean(a) && IsBoolean(b)) {
       if (!mask.equality) return 0.0;
@@ -304,7 +303,7 @@ double PreparedSimilarity(const PreparedValue& a, const PreparedValue& b,
         (IsTypedNumeric(a) != IsTypedNumeric(b))) {
       if (!mask.numeric) return 0.0;
       return sim::NumericSimilarity(a.numeric, b.numeric,
-                                    options.numeric_tolerance);
+                                    sim::kNumericTolerance);
     }
     if (IsDate(a) != IsDate(b)) {
       if (!mask.equality) return 0.0;

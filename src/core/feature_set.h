@@ -35,7 +35,6 @@
 #include "rdf/entity_view.h"
 #include "rdf/term.h"
 #include "rdf/triple_store.h"
-#include "similarity/value_similarity.h"
 
 namespace alex::core {
 
@@ -289,7 +288,6 @@ struct SimilarityChannelMask {
 // it is >= min_interesting and may be an under-approximation below it.
 // `mask` suppresses channels that provably cannot reach min_interesting.
 double PreparedSimilarity(const PreparedValue& a, const PreparedValue& b,
-                          const sim::SimilarityOptions& options = {},
                           double min_interesting = 0.0,
                           const SimilarityChannelMask& mask = {});
 
@@ -309,9 +307,8 @@ struct UniformMaskProvider {
 template <typename Interner, typename MaskProvider>
 void BuildFeatureSetWithMasks(const PreparedEntity& left,
                               const PreparedEntity& right, Interner* interner,
-                              double theta,
-                              const sim::SimilarityOptions& options,
-                              const MaskProvider& masks, FeatureSet* set) {
+                              double theta, const MaskProvider& masks,
+                              FeatureSet* set) {
   set->clear();
   const size_t n = left.attributes.size();
   const size_t m = right.attributes.size();
@@ -335,8 +332,8 @@ void BuildFeatureSetWithMasks(const PreparedEntity& left,
       const PreparedAttribute& ra = right.attributes[ri];
       // Only scores that can still become this row's (>= θ) maximum need
       // to be exact; PreparedSimilarity may bail out early below that.
-      double score = PreparedSimilarity(la.value, ra.value, options,
-                                        std::max(theta, best), mask);
+      double score =
+          PreparedSimilarity(la.value, ra.value, std::max(theta, best), mask);
       if (score > best) {
         best = score;
         best_j = j;
@@ -358,10 +355,9 @@ void BuildFeatureSetWithMasks(const PreparedEntity& left,
 // feature-space build uses one per thread).
 template <typename Interner>
 void BuildFeatureSet(const PreparedEntity& left, const PreparedEntity& right,
-                     Interner* interner, double theta,
-                     const sim::SimilarityOptions& options, FeatureSet* set) {
-  BuildFeatureSetWithMasks(left, right, interner, theta, options,
-                           UniformMaskProvider{}, set);
+                     Interner* interner, double theta, FeatureSet* set) {
+  BuildFeatureSetWithMasks(left, right, interner, theta, UniformMaskProvider{},
+                           set);
 }
 
 }  // namespace alex::core

@@ -361,7 +361,7 @@ std::shared_ptr<const RightContext> RightContext::Prepare(
   auto prepare_range = [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       context->entities[i] =
-          PrepareEntity(right, right_subjects[i], options.max_attributes);
+          PrepareEntity(right, right_subjects[i], kMaxAttributes);
     }
   };
   if (pool != nullptr && pool->num_threads() > 1) {
@@ -371,7 +371,7 @@ std::shared_ptr<const RightContext> RightContext::Prepare(
   }
   if (options.blocking.enabled) {
     context->index = BlockingIndex::Build(context->entities, options.blocking,
-                                          options.similarity, pool);
+                                          pool);
   }
   return context;
 }
@@ -388,7 +388,7 @@ FeatureSpace FeatureSpace::Build(const rdf::TripleStore& left,
   space.left_entities_.reserve(left_subjects.size());
   for (rdf::TermId subject : left_subjects) {
     space.left_entities_.push_back(
-        PrepareEntity(left, subject, options.max_attributes));
+        PrepareEntity(left, subject, kMaxAttributes));
   }
   const std::vector<PreparedEntity>& rights = space.right_->entities;
   space.total_pair_count_ =
@@ -437,8 +437,7 @@ FeatureSpace FeatureSpace::Build(const rdf::TripleStore& left,
       if (index != nullptr) {
         index->Probe(left_entity, &scratch);
         for (uint32_t j : scratch.touched()) {
-          BuildFeatureSetWithMasks(left_entity, rights[j], &memo,
-                                   options.theta, options.similarity,
+          BuildFeatureSetWithMasks(left_entity, rights[j], &memo, options.theta,
                                    CellMaskProvider{scratch.cell_channels(j)},
                                    &features);
           keep(j);
@@ -446,7 +445,7 @@ FeatureSpace FeatureSpace::Build(const rdf::TripleStore& left,
       } else {
         for (uint32_t j = 0; j < rights.size(); ++j) {
           BuildFeatureSet(left_entity, rights[j], &memo, options.theta,
-                          options.similarity, &features);
+                          &features);
           keep(j);
         }
       }
@@ -518,8 +517,7 @@ FeatureSpace::GrowthResult FeatureSpace::Grow(
       static_cast<uint64_t>(new_left_subjects.size()) * rights.size();
 
   for (rdf::TermId subject : new_left_subjects) {
-    left_entities_.push_back(
-        PrepareEntity(left, subject, options.max_attributes));
+    left_entities_.push_back(PrepareEntity(left, subject, kMaxAttributes));
   }
 
   // Delta discovery runs serially on purpose: ingest deltas are small, and
@@ -541,7 +539,6 @@ FeatureSpace::GrowthResult FeatureSpace::Grow(
       index->Probe(left_entity, &scratch, min_right);
       for (uint32_t j : scratch.touched()) {
         BuildFeatureSetWithMasks(left_entity, rights[j], &memo, options.theta,
-                                 options.similarity,
                                  CellMaskProvider{scratch.cell_channels(j)},
                                  &features);
         keep(static_cast<uint32_t>(i), j);
@@ -549,7 +546,7 @@ FeatureSpace::GrowthResult FeatureSpace::Grow(
     } else {
       for (uint32_t j = min_right; j < rights.size(); ++j) {
         BuildFeatureSet(left_entity, rights[j], &memo, options.theta,
-                        options.similarity, &features);
+                        &features);
         keep(static_cast<uint32_t>(i), j);
       }
     }
@@ -561,7 +558,7 @@ FeatureSpace::GrowthResult FeatureSpace::Grow(
     if (old_left_pairs != nullptr && index != nullptr) {
       for (const CandidatePair& pair : *old_left_pairs) {
         BuildFeatureSetWithMasks(left_entities_[pair.left], rights[pair.right],
-                                 &memo, options.theta, options.similarity,
+                                 &memo, options.theta,
                                  CellMaskProvider{pair.cells.data()},
                                  &features);
         keep(pair.left, pair.right);

@@ -59,12 +59,14 @@ namespace alex::core {
 using PairId = uint32_t;
 inline constexpr PairId kInvalidPairId = 0xffffffffu;
 
+// Cap on the attributes of an entity that its pairs are scored on: the
+// feature spaces, the right context and ingest prepare every entity with
+// PrepareEntity(store, subject, kMaxAttributes).
+inline constexpr size_t kMaxAttributes = 16;
+
 struct FeatureSpaceOptions {
   // Similarity scores below theta are zeroed (§6.1; default from the paper).
   double theta = 0.3;
-  // Cap on attributes considered per entity (0 = unlimited).
-  size_t max_attributes = 16;
-  sim::SimilarityOptions similarity;
   // Candidate blocking for the pairwise scoring loop (see core/blocking.h).
   BlockingOptions blocking;
   // Growth-pending score entries are folded back into the CSR arena once

@@ -77,10 +77,8 @@ Result<ExperimentResult> RunExperiment(
     const ExperimentConfig& config,
     const std::function<void(const EpisodePoint&)>& on_point) {
   datagen::GeneratedWorld world = datagen::Generate(config.profile);
-  std::vector<linking::Link> paris_links =
-      linking::RunParis(world.left, world.right, config.paris);
   std::vector<linking::Link> initial = linking::FilterByScore(
-      std::move(paris_links), config.paris_threshold);
+      linking::RunParis(world.left, world.right), linking::kParisThreshold);
   return RunExperimentOnWorld(config, world, initial, on_point);
 }
 

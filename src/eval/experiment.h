@@ -23,9 +23,6 @@ namespace alex::eval {
 struct ExperimentConfig {
   datagen::WorldProfile profile;
   core::AlexOptions alex;
-  linking::ParisOptions paris;
-  // Links with PARIS score <= this are dropped (§7.1 uses 0.95).
-  double paris_threshold = 0.95;
   // Fraction of incorrect feedback (Appendix C uses 0.1).
   double feedback_error_rate = 0.0;
   uint64_t oracle_seed = 99;

@@ -53,7 +53,7 @@ ExperimentResult RunVoteDrivenExperiment(core::AlexEngine* engine,
         const linking::Link& link = drawn[v / static_cast<size_t>(users)];
         bool vote = truth.Contains(link);
         if (options.vote_error_rate > 0.0 &&
-            feedback::HashToUnit(options.vote_seed, link, v) <
+            feedback::HashToUnit(kVoteSeed, link, v) <
                 options.vote_error_rate) {
           vote = !vote;
         }

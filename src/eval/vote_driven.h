@@ -30,6 +30,11 @@
 
 namespace alex::eval {
 
+// Seed of every simulated vote's flip, feedback::HashToUnit(kVoteSeed, link,
+// vote index): the vote-driven loop and the serving loop's crowd votes
+// share it.
+inline constexpr uint64_t kVoteSeed = 777;
+
 struct VoteDrivenOptions {
   // Distinct candidate links drawn for user judgment per episode
   // (prioritized when the engine's AlexOptions::prioritized_sampling is
@@ -41,7 +46,6 @@ struct VoteDrivenOptions {
   // Per-user probability of voting wrong (cf. Appendix C's 10% noise —
   // here per vote, to be outvoted by the quorum).
   double vote_error_rate = 0.1;
-  uint64_t vote_seed = 777;
   // Concurrent vote-stream writers into the aggregator (votes are striped
   // across them). The series is identical at any count.
   int vote_threads = 1;

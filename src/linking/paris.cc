@@ -45,6 +45,15 @@ std::string ValueKey(const Term& term) {
   return "";  // IRIs and blanks are handled through entity equality.
 }
 
+// Number of equality-propagation rounds.
+constexpr int kIterations = 3;
+// Links with final probability below this are dropped from the output
+// (the caller applies the paper's > kParisThreshold cut).
+constexpr double kMinScore = 0.05;
+// Values shared by more than this many subjects within one data set are
+// ignored as evidence (stop-value pruning, as in PARIS' implementation).
+constexpr size_t kMaxValueGroup = 50;
+
 struct PairHash {
   size_t operator()(const std::pair<TermId, TermId>& p) const {
     return std::hash<uint64_t>{}((static_cast<uint64_t>(p.first) << 32) |
@@ -72,12 +81,10 @@ std::unordered_map<std::string, std::vector<SubjectPred>> BuildValueIndex(
   return index;
 }
 
-double InverseFunctionality(const rdf::DatasetStats& stats, TermId predicate,
-                            double smoothing) {
+double InverseFunctionality(const rdf::DatasetStats& stats, TermId predicate) {
   const rdf::PredicateStats* ps = stats.Find(predicate);
   if (ps == nullptr) return 0.0;
-  double inv = ps->InverseFunctionality();
-  return std::max(0.0, std::min(1.0, inv - smoothing));
+  return std::max(0.0, std::min(1.0, ps->InverseFunctionality()));
 }
 
 }  // namespace
@@ -91,8 +98,7 @@ std::vector<Link> FilterByScore(std::vector<Link> links, double threshold) {
   return links;
 }
 
-std::vector<Link> RunParis(const TripleStore& left, const TripleStore& right,
-                           const ParisOptions& options) {
+std::vector<Link> RunParis(const TripleStore& left, const TripleStore& right) {
   const rdf::DatasetStats left_stats = rdf::ComputeStats(left);
   const rdf::DatasetStats right_stats = rdf::ComputeStats(right);
   auto left_index = BuildValueIndex(left);
@@ -128,7 +134,7 @@ std::vector<Link> RunParis(const TripleStore& left, const TripleStore& right,
     right_iri_by_lexical[right.dictionary().term(obj).lexical()] = obj;
   }
 
-  for (int round = 0; round < std::max(1, options.iterations); ++round) {
+  for (int round = 0; round < kIterations; ++round) {
     std::unordered_map<Pair, double, PairHash> log_not_equal;
 
     auto add_evidence = [&](TermId x, TermId y, double weight) {
@@ -142,16 +148,14 @@ std::vector<Link> RunParis(const TripleStore& left, const TripleStore& right,
       auto it = right_index.find(key);
       if (it == right_index.end()) continue;
       const auto& right_occurrences = it->second;
-      if (left_occurrences.size() > options.max_value_group ||
-          right_occurrences.size() > options.max_value_group) {
+      if (left_occurrences.size() > kMaxValueGroup ||
+          right_occurrences.size() > kMaxValueGroup) {
         continue;  // stop-value: too common to be informative
       }
       for (const SubjectPred& l : left_occurrences) {
-        double inv_l = InverseFunctionality(left_stats, l.predicate,
-                                            options.smoothing);
+        double inv_l = InverseFunctionality(left_stats, l.predicate);
         for (const SubjectPred& r : right_occurrences) {
-          double inv_r = InverseFunctionality(right_stats, r.predicate,
-                                              options.smoothing);
+          double inv_r = InverseFunctionality(right_stats, r.predicate);
           double weight = inv_l * inv_r;
           if (round > 0) {
             auto rel = relation_weight.find({l.predicate, r.predicate});
@@ -172,12 +176,10 @@ std::vector<Link> RunParis(const TripleStore& left, const TripleStore& right,
             left.dictionary().term(lt.object).lexical();
         // Counterparts: identical IRI in the right store...
         auto same = right_iri_by_lexical.find(obj_lex);
-        double inv_l = InverseFunctionality(left_stats, lt.predicate,
-                                            options.smoothing);
+        double inv_l = InverseFunctionality(left_stats, lt.predicate);
         if (same != right_iri_by_lexical.end()) {
           for (const SubjectPred& r : right_by_iri_object[same->second]) {
-            double inv_r = InverseFunctionality(right_stats, r.predicate,
-                                                options.smoothing);
+            double inv_r = InverseFunctionality(right_stats, r.predicate);
             add_evidence(lt.subject, r.subject, inv_l * inv_r);
           }
         }
@@ -193,11 +195,9 @@ std::vector<Link> RunParis(const TripleStore& left, const TripleStore& right,
         if (rit == right_by_iri_object.end()) continue;
         for (const Triple& lt : left.Match(std::nullopt, std::nullopt,
                                            pair.first)) {
-          double inv_l = InverseFunctionality(left_stats, lt.predicate,
-                                              options.smoothing);
+          double inv_l = InverseFunctionality(left_stats, lt.predicate);
           for (const SubjectPred& r : rit->second) {
-            double inv_r = InverseFunctionality(right_stats, r.predicate,
-                                                options.smoothing);
+            double inv_r = InverseFunctionality(right_stats, r.predicate);
             add_evidence(lt.subject, r.subject, prob * inv_l * inv_r);
           }
         }
@@ -217,8 +217,8 @@ std::vector<Link> RunParis(const TripleStore& left, const TripleStore& right,
     for (const auto& [key, left_occurrences] : left_index) {
       auto it = right_index.find(key);
       if (it == right_index.end()) continue;
-      if (left_occurrences.size() > options.max_value_group ||
-          it->second.size() > options.max_value_group) {
+      if (left_occurrences.size() > kMaxValueGroup ||
+          it->second.size() > kMaxValueGroup) {
         continue;
       }
       for (const SubjectPred& l : left_occurrences) {
@@ -254,7 +254,7 @@ std::vector<Link> RunParis(const TripleStore& left, const TripleStore& right,
 
   std::vector<Link> links;
   for (const auto& [pair, prob] : equality) {
-    if (prob < options.min_score) continue;
+    if (prob < kMinScore) continue;
     const auto& bl = best_left[pair.first];
     const auto& br = best_right[pair.second];
     if (bl.first != pair.second || br.first != pair.first) continue;

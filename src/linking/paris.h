@@ -20,7 +20,6 @@
 #ifndef ALEX_LINKING_PARIS_H_
 #define ALEX_LINKING_PARIS_H_
 
-#include <cstddef>
 #include <vector>
 
 #include "linking/link.h"
@@ -28,28 +27,18 @@
 
 namespace alex::linking {
 
-struct ParisOptions {
-  // Number of equality-propagation rounds.
-  int iterations = 3;
-  // Links with final probability below this are dropped from the output.
-  // The paper keeps links with score > 0.95; that cut is applied by the
-  // caller so the full distribution is observable.
-  double min_score = 0.05;
-  // Values shared by more than this many subjects within one data set are
-  // ignored as evidence (stop-value pruning, as in PARIS' implementation).
-  size_t max_value_group = 50;
-  // Smoothing added to inverse functionality estimates.
-  double smoothing = 0.0;
-};
+// The paper keeps PARIS links with score > 0.95 as ALEX's initial candidate
+// links (§7.1): the cut for FilterByScore. RunParis itself keeps the full
+// distribution above 0.05 so that it stays observable.
+inline constexpr double kParisThreshold = 0.95;
 
 // Runs PARIS between `left` and `right` and returns scored candidate links
 // (both directions considered jointly; one link per entity pair), sorted by
 // descending score.
 std::vector<Link> RunParis(const rdf::TripleStore& left,
-                           const rdf::TripleStore& right,
-                           const ParisOptions& options = {});
+                           const rdf::TripleStore& right);
 
-// Keeps only links with score > `threshold` (paper: 0.95).
+// Keeps only links with score > `threshold` (paper: kParisThreshold).
 std::vector<Link> FilterByScore(std::vector<Link> links, double threshold);
 
 }  // namespace alex::linking

@@ -69,7 +69,6 @@ std::vector<Link> RunRuleMatcher(const TripleStore& left,
   if (total_weight <= 0.0) return {};
 
   std::vector<Link> links;
-  sim::SimilarityOptions sim_options;
   for (const auto& [l, r] : candidates) {
     double score = 0.0;
     for (const MatchRule& rule : options.rules) {
@@ -81,10 +80,9 @@ std::vector<Link> RunRuleMatcher(const TripleStore& left,
       double best = 0.0;
       for (TermId lo : left.Objects(l, *lp)) {
         for (TermId ro : right.Objects(r, *rp)) {
-          best = std::max(best, sim::ValueSimilarity(
-                                    left.dictionary().term(lo),
-                                    right.dictionary().term(ro),
-                                    sim_options));
+          best = std::max(best,
+                          sim::ValueSimilarity(left.dictionary().term(lo),
+                                               right.dictionary().term(ro)));
         }
       }
       if (best >= rule.min_similarity) score += rule.weight * best;

@@ -13,6 +13,10 @@
 namespace alex::serving {
 namespace {
 
+// Each reader stream records at most this many query results (bounds
+// replay memory); streams keep serving unrecorded after the cap.
+constexpr size_t kMaxStreamRecords = 4096;
+
 void MixBytes(uint64_t* hash, const std::string& bytes) {
   for (unsigned char c : bytes) {
     *hash ^= c;
@@ -124,7 +128,7 @@ Result<ServingRunResult> RunServingExperiment(
               streams_started.count_down();
             }
             if (!executed.ok()) continue;
-            if (records.size() < options.max_stream_records) {
+            if (records.size() < kMaxStreamRecords) {
               StreamRecord record;
               record.query_index = index;
               record.epoch = pinned->epoch();
@@ -138,7 +142,7 @@ Result<ServingRunResult> RunServingExperiment(
                   for (int v = 0; v < votes_per_link; ++v) {
                     bool vote = truth.Contains(link);
                     if (options.vote_error_rate > 0.0 &&
-                        feedback::HashToUnit(options.vote_seed, link,
+                        feedback::HashToUnit(eval::kVoteSeed, link,
                                              vote_index) <
                             options.vote_error_rate) {
                       vote = !vote;

@@ -61,9 +61,6 @@ struct ServingLoopOptions {
   // Concurrent reader streams executing the workload against the serving
   // engine while the learner runs. 0 = learner only (no reader threads).
   size_t num_streams = 0;
-  // Stop recording per-stream results after this many per stream (bounds
-  // replay memory); streams keep serving unrecorded after the cap.
-  size_t max_stream_records = 4096;
   // Retain every published snapshot and, after the streams drain, re-execute
   // each recorded stream query sequentially against its pinned epoch,
   // comparing answer hashes. Costs memory (snapshots survive the run) and
@@ -79,8 +76,8 @@ struct ServingLoopOptions {
   // intentionally depends on stream timing; epoch-pinned answer identity
   // still holds and is still verified.
   int votes_per_answer_link = 0;
+  // Each vote's flip is feedback::HashToUnit(eval::kVoteSeed, link, index).
   double vote_error_rate = 0.1;
-  uint64_t vote_seed = 777;
   feedback::AggregatorOptions aggregator;
 };
 
@@ -88,7 +85,7 @@ struct ServingRunResult {
   // The learner series.
   eval::ExperimentResult experiment;
   ServingEngine::Stats serving;
-  // Reader-stream queries recorded (at most max_stream_records a stream).
+  // Reader-stream queries recorded (at most 4096 a stream).
   size_t stream_queries = 0;
   // Identity gate: recorded stream queries replayed against their pinned
   // epoch, and how many replays hashed identically. verified == replayed

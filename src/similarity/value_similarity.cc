@@ -54,26 +54,23 @@ bool IsNumeric(const Term& t) {
 
 }  // namespace
 
-double ValueSimilarity(const Term& a, const Term& b,
-                       const SimilarityOptions& options) {
+double ValueSimilarity(const Term& a, const Term& b) {
   // IRIs: identity, else fuzzy match on local names (links between resources
   // often differ only in namespace).
   if (a.is_iri() && b.is_iri()) {
     if (a.lexical() == b.lexical()) return 1.0;
     return CalibratedStringSimilarity(IriLocalName(a.lexical()),
                                       IriLocalName(b.lexical()),
-                                      options.string_noise_floor);
+                                      kStringNoiseFloor);
   }
   if (a.is_literal() && b.is_literal()) {
     LiteralType ta = a.literal_type();
     LiteralType tb = b.literal_type();
     if (IsNumeric(a) && IsNumeric(b)) {
-      return NumericSimilarity(a.AsDouble(), b.AsDouble(),
-                               options.numeric_tolerance);
+      return NumericSimilarity(a.AsDouble(), b.AsDouble(), kNumericTolerance);
     }
     if (ta == LiteralType::kDate && tb == LiteralType::kDate) {
-      return DateSimilarity(a.AsDateDays(), b.AsDateDays(),
-                            options.date_scale_days);
+      return DateSimilarity(a.AsDateDays(), b.AsDateDays(), kDateScaleDays);
     }
     if (ta == LiteralType::kBoolean && tb == LiteralType::kBoolean) {
       return a.AsBoolean() == b.AsBoolean() ? 1.0 : 0.0;
@@ -84,7 +81,7 @@ double ValueSimilarity(const Term& a, const Term& b,
     if ((IsNumeric(a) || ta == LiteralType::kString) &&
         (IsNumeric(b) || tb == LiteralType::kString) && (ta != tb)) {
       if (ParseDouble(a.lexical(), &da) && ParseDouble(b.lexical(), &db)) {
-        return NumericSimilarity(da, db, options.numeric_tolerance);
+        return NumericSimilarity(da, db, kNumericTolerance);
       }
     }
     // Date vs string: exact lexical match only.
@@ -92,16 +89,16 @@ double ValueSimilarity(const Term& a, const Term& b,
       return a.lexical() == b.lexical() ? 1.0 : 0.0;
     }
     return CalibratedStringSimilarity(a.lexical(), b.lexical(),
-                                      options.string_noise_floor);
+                                      kStringNoiseFloor);
   }
   // IRI vs literal: match literal against the IRI local name.
   if (a.is_iri() && b.is_literal()) {
     return CalibratedStringSimilarity(IriLocalName(a.lexical()), b.lexical(),
-                                      options.string_noise_floor);
+                                      kStringNoiseFloor);
   }
   if (a.is_literal() && b.is_iri()) {
     return CalibratedStringSimilarity(a.lexical(), IriLocalName(b.lexical()),
-                                      options.string_noise_floor);
+                                      kStringNoiseFloor);
   }
   // Blank nodes carry no comparable value.
   return 0.0;

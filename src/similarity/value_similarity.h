@@ -8,22 +8,26 @@
 
 namespace alex::sim {
 
-struct SimilarityOptions {
-  // Dates further apart than this many days score 0.
-  double date_scale_days = 1200.0;
-  // Numeric relative difference beyond this fraction scores 0 (see
-  // NumericSimilarity).
-  double numeric_tolerance = 0.1;
-  // Raw normalized-Levenshtein similarity below this floor is treated as 0
-  // and the range above it is rescaled to [0, 1]. Random same-alphabet
-  // strings have raw edit similarity around 0.2-0.4, so without this floor
-  // the θ = 0.3 filter (paper §6.1) would keep most of the pair space.
-  double string_noise_floor = 0.4;
-};
+// The three parameters of the generic similarity function. Everything that
+// scores values or covers their scores with block keys reads these, so a
+// feature space, its blocking index and a prepared right context always
+// agree on them.
+//
+// Dates further apart than this many days score 0.
+inline constexpr double kDateScaleDays = 1200.0;
+// Numeric relative difference beyond this fraction scores 0 (see
+// NumericSimilarity).
+inline constexpr double kNumericTolerance = 0.1;
+// Raw normalized-Levenshtein similarity below this floor is treated as 0
+// and the range above it is rescaled to [0, 1]. Random same-alphabet
+// strings have raw edit similarity around 0.2-0.4, so without this floor
+// the θ = 0.3 filter (paper §6.1) would keep most of the pair space.
+inline constexpr double kStringNoiseFloor = 0.4;
 
 // Similarity between two numeric values: 1 - rel/tolerance clamped to
 // [0, 1], where rel = |a-b| / max(|a|, |b|, 1).
-double NumericSimilarity(double a, double b, double tolerance = 0.1);
+double NumericSimilarity(double a, double b,
+                         double tolerance = kNumericTolerance);
 
 // Similarity between two dates in days-since-epoch.
 double DateSimilarity(int64_t a_days, int64_t b_days, double scale_days);
@@ -38,8 +42,7 @@ double DateSimilarity(int64_t a_days, int64_t b_days, double scale_days);
 //  * mixed numeric/string          -> NumericSimilarity when both parse as
 //                                     numbers, else lowercase string match
 //  * anything else                 -> StringSimilarity of lexical forms
-double ValueSimilarity(const rdf::Term& a, const rdf::Term& b,
-                       const SimilarityOptions& options = {});
+double ValueSimilarity(const rdf::Term& a, const rdf::Term& b);
 
 // The local name of an IRI: the part after the last '#' or '/'.
 std::string_view IriLocalName(std::string_view iri);

@@ -102,6 +102,10 @@ double EstimatePatternRows(const CompiledPattern& pattern,
 
 namespace {
 
+// Dictionaries larger than this skip filter-bitmap construction (the
+// bitmap costs one expression evaluation per term).
+constexpr size_t kMaxBitmapTerms = 1u << 22;
+
 // Greedily orders `patterns` by estimated cardinality: repeatedly pick the
 // cheapest pattern under the slots bound so far (ties by original pattern
 // index, so the order is deterministic). `pre_bound` holds slots bound
@@ -269,7 +273,7 @@ CompiledQuery CompileQuery(const Query& query, const rdf::TripleStore& store,
 
   // Single-variable filters compile to a truth bit per dictionary term.
   const rdf::Dictionary& dict = store.dictionary();
-  if (dict.size() <= options.max_bitmap_terms) {
+  if (dict.size() <= kMaxBitmapTerms) {
     for (CompiledFilter& cf : compiled.filters) {
       if (cf.slots.size() != 1) continue;
       cf.bitmap_slot = cf.slots[0];

@@ -123,9 +123,6 @@ struct CompileOptions {
   // much a bound variable shrinks a pattern's index range. Without them the
   // compiler still orders by the exact constant-prefix range counts.
   const rdf::DatasetStats* stats = nullptr;
-  // Dictionaries larger than this skip filter-bitmap construction (the
-  // bitmap costs one expression evaluation per term).
-  size_t max_bitmap_terms = 1u << 22;
   // Build a physical operator tree per alternative (sparql/plangen.h).
   // Without them the executor enumerates every group in the greedy order
   // above: the baseline the tests and bench_gates compare plans against.

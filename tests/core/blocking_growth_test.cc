@@ -22,6 +22,7 @@
 #include "common/rng.h"
 #include "core/feature_set.h"
 #include "rdf/term.h"
+#include "similarity/value_similarity.h"
 
 namespace alex::core {
 namespace {
@@ -83,10 +84,11 @@ std::vector<Term> DeletionPool() {
 }
 
 std::vector<Term> GramTierPool() {
-  // Value lengths straddling both gram tiers of the default options:
-  // single_gram_value_length = 12 (11/12/13) and trigram_value_length = 18
-  // (17/18/19), plus a long 4-gram-tier value. Perturbed copies keep most
-  // grams shared while the whole-value channel misses.
+  // Value lengths straddling both gram tiers of the block keys (constants of
+  // blocking.cc): kSingleGramValueLength = 12 (11/12/13) and
+  // kTrigramValueLength = 18 (17/18/19), plus a long 4-gram-tier value.
+  // Perturbed copies keep most grams shared while the whole-value channel
+  // misses.
   return {Term::StringLiteral("abcdefghijk"),          // 11
           Term::StringLiteral("abcdefghijkl"),         // 12
           Term::StringLiteral("abcdefghijklm"),        // 13
@@ -151,20 +153,19 @@ void ExpectSameProbes(const BlockingIndex& grown, const BlockingIndex& fresh,
 // counter assertions.
 BlockingIndex GrowAndCheck(const std::vector<PreparedEntity>& all,
                            size_t base, size_t batch, size_t threshold) {
-  sim::SimilarityOptions sim_options;
   BlockingOptions options;
   options.pending_merge_threshold = threshold;
 
   std::vector<PreparedEntity> covered(all.begin(),
                                       all.begin() + std::min(base, all.size()));
-  BlockingIndex grown = BlockingIndex::Build(covered, options, sim_options);
+  BlockingIndex grown = BlockingIndex::Build(covered, options);
   while (covered.size() < all.size()) {
     const size_t first_new = covered.size();
     const size_t next = std::min(all.size(), first_new + batch);
     covered.insert(covered.end(), all.begin() + first_new, all.begin() + next);
     grown.AddRights(covered, first_new);
 
-    BlockingIndex fresh = BlockingIndex::Build(covered, options, sim_options);
+    BlockingIndex fresh = BlockingIndex::Build(covered, options);
     const std::string context = "threshold " + std::to_string(threshold) +
                                 " covered " + std::to_string(covered.size());
     EXPECT_EQ(grown.num_rights(), fresh.num_rights()) << context;
@@ -221,25 +222,23 @@ TEST(BlockingGrowthTest, ThresholdsSteerSidecarMerges) {
 
 TEST(BlockingGrowthTest, GrowthFromEmptyIndexMatchesFreshBuild) {
   std::vector<PreparedEntity> all = MakeEntities(MixedPool(), 30, 0xe0);
-  sim::SimilarityOptions sim_options;
   BlockingOptions options;
   BlockingIndex grown =
-      BlockingIndex::Build(std::vector<PreparedEntity>{}, options, sim_options);
+      BlockingIndex::Build(std::vector<PreparedEntity>{}, options);
   EXPECT_TRUE(grown.empty());
   grown.AddRights(all, 0);
-  BlockingIndex fresh = BlockingIndex::Build(all, options, sim_options);
+  BlockingIndex fresh = BlockingIndex::Build(all, options);
   EXPECT_EQ(grown.Fingerprint(), fresh.Fingerprint());
   ExpectSameProbes(grown, fresh, all, "from empty");
 }
 
 TEST(BlockingGrowthTest, MinRightProbeEqualsRestrictedFullProbe) {
   std::vector<PreparedEntity> all = MakeEntities(MixedPool(), 60, 0x3141);
-  sim::SimilarityOptions sim_options;
   BlockingOptions options;
   options.pending_merge_threshold = kNeverMerge;  // keep a live sidecar
 
   std::vector<PreparedEntity> base(all.begin(), all.begin() + 40);
-  BlockingIndex index = BlockingIndex::Build(base, options, sim_options);
+  BlockingIndex index = BlockingIndex::Build(base, options);
   index.AddRights(all, 40);
   ASSERT_GT(index.pending_count(), 0u)
       << "fixture must exercise the pending-sidecar probe path";
@@ -269,14 +268,13 @@ TEST(BlockingGrowthTest, MinRightProbeEqualsRestrictedFullProbe) {
 
 TEST(BlockingGrowthTest, CandidatesAgreeAfterGrowth) {
   std::vector<PreparedEntity> all = MakeEntities(MixedPool(), 50, 0x777);
-  sim::SimilarityOptions sim_options;
   BlockingOptions options;
   options.pending_merge_threshold = 1;
 
   std::vector<PreparedEntity> base(all.begin(), all.begin() + 25);
-  BlockingIndex grown = BlockingIndex::Build(base, options, sim_options);
+  BlockingIndex grown = BlockingIndex::Build(base, options);
   grown.AddRights(all, 25);
-  BlockingIndex fresh = BlockingIndex::Build(all, options, sim_options);
+  BlockingIndex fresh = BlockingIndex::Build(all, options);
 
   ProbeScratch scratch;
   std::vector<uint32_t> grown_out, fresh_out;
@@ -311,7 +309,7 @@ std::string IsoDate(int64_t days) {
 }
 
 // Values for the corner cases of the reverse probe: short values (within
-// single_gram_value_length) and their near misses, gram-tier lengths,
+// kSingleGramValueLength) and their near misses, gram-tier lengths,
 // numbers across the ±1 sign split and on both sides of logarithmic bucket
 // edges, and dates on both sides of bucket edges.
 std::vector<Term> CornerPool() {
@@ -327,15 +325,14 @@ std::vector<Term> CornerPool() {
   for (double v : {-1.2, -1.05, -1.0, -0.9, 0.0, 0.9, 1.0, 1.05, 1.2}) {
     pool.push_back(Term::DoubleLiteral(v));
   }
-  const sim::SimilarityOptions sim;
   for (int bucket : {3, 24}) {
-    const double edge = std::exp(bucket * std::log1p(sim.numeric_tolerance));
+    const double edge = std::exp(bucket * std::log1p(sim::kNumericTolerance));
     for (double v : {edge * (1 - 1e-9), edge * (1 + 1e-9)}) {
       pool.push_back(Term::DoubleLiteral(v));
       pool.push_back(Term::DoubleLiteral(-v));
     }
   }
-  const int64_t scale = static_cast<int64_t>(sim.date_scale_days);
+  const int64_t scale = static_cast<int64_t>(sim::kDateScaleDays);
   for (int64_t bucket : {-3, 0, 9}) {
     for (int64_t offset : {-1, 0, 1}) {
       pool.push_back(Term::DateLiteral(IsoDate(bucket * scale + offset)));
@@ -434,7 +431,6 @@ TEST(ReverseProbeTest, MatchesForwardProbeOfEveryOldLeft) {
       {Term::StringLiteral("qrstuvwxyzabcdefgh"),
        Term::StringLiteral("abcdefghXj"), Term::DoubleLiteral(-1.05)},
       0x5167);
-  const sim::SimilarityOptions sim_options;
   for (uint32_t min_gram_matches : {1u, 2u, 3u}) {
     for (size_t threshold : {size_t{0}, kNeverMerge}) {
       SCOPED_TRACE("min_gram_matches " + std::to_string(min_gram_matches) +
@@ -444,8 +440,8 @@ TEST(ReverseProbeTest, MatchesForwardProbeOfEveryOldLeft) {
       options.pending_merge_threshold = threshold;
       std::vector<PreparedEntity> rights(all_rights.begin(),
                                          all_rights.begin() + 24);
-      BlockingIndex index = BlockingIndex::Build(rights, options, sim_options);
-      ReverseProbeIndex reverse(options, sim_options);
+      BlockingIndex index = BlockingIndex::Build(rights, options);
+      ReverseProbeIndex reverse(options);
       auto post_lefts = [&](size_t first, size_t last) {
         std::vector<const PreparedEntity*> batch;
         for (size_t i = first; i < last; ++i) batch.push_back(&lefts[i]);

@@ -23,8 +23,7 @@ PreparedValue Prepare(const char* text) {
 std::vector<std::string> KeysOf(const PreparedValue& value,
                                 bool probe_neighbors) {
   std::vector<std::string> keys;
-  AppendBlockKeys(value, BlockingOptions{}, sim::SimilarityOptions{},
-                  probe_neighbors, &keys);
+  AppendBlockKeys(value, probe_neighbors, &keys);
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   return keys;
@@ -67,7 +66,7 @@ TEST(BlockKeysTest, NearbyNumbersShareKeysUnderTolerance) {
   auto num = [](int64_t value) {
     return PrepareValue(rdf::Term::IntegerLiteral(value));
   };
-  // Default numeric_tolerance scores these > 0, so they must collide.
+  // sim::kNumericTolerance scores these > 0, so they must collide.
   EXPECT_TRUE(ShareKey(num(1000), num(1001)));
   EXPECT_TRUE(ShareKey(num(999), num(1001)));
   EXPECT_TRUE(ShareKey(num(5), num(5)));
@@ -97,8 +96,7 @@ TEST(BlockingIndexTest, CandidatesAreSortedUniqueAndComplete) {
   add_attr(&rights[1], "p", "Zyx Wvu");
   add_attr(&rights[2], "p", "Ada Byron");
 
-  BlockingIndex index =
-      BlockingIndex::Build(rights, BlockingOptions{}, sim::SimilarityOptions{});
+  BlockingIndex index = BlockingIndex::Build(rights, BlockingOptions{});
   EXPECT_FALSE(index.empty());
   EXPECT_GT(index.block_count(), 0u);
   EXPECT_GT(index.posting_count(), 0u);
@@ -258,13 +256,12 @@ TEST(ParallelBlockingBuildTest, FingerprintIdenticalAcrossThreadCounts) {
     rights.push_back(PrepareEntity(world.right, subject));
   }
 
-  BlockingIndex serial = BlockingIndex::Build(rights, BlockingOptions{},
-                                              sim::SimilarityOptions{});
+  BlockingIndex serial = BlockingIndex::Build(rights, BlockingOptions{});
   const uint64_t expected = serial.Fingerprint();
   for (int threads : {2, 4, 8}) {
     ThreadPool pool(threads);
-    BlockingIndex parallel = BlockingIndex::Build(
-        rights, BlockingOptions{}, sim::SimilarityOptions{}, &pool);
+    BlockingIndex parallel =
+        BlockingIndex::Build(rights, BlockingOptions{}, &pool);
     EXPECT_EQ(parallel.block_count(), serial.block_count())
         << threads << " threads";
     EXPECT_EQ(parallel.posting_count(), serial.posting_count())
@@ -290,11 +287,9 @@ TEST(ParallelBlockingBuildTest, FingerprintDetectsContentChange) {
   };
   add_attr(&rights[0], "p", "Ada Lovelace");
   add_attr(&rights[1], "p", "Alan Turing");
-  BlockingIndex a = BlockingIndex::Build(rights, BlockingOptions{},
-                                         sim::SimilarityOptions{});
+  BlockingIndex a = BlockingIndex::Build(rights, BlockingOptions{});
   add_attr(&rights[1], "p", "Enigma");
-  BlockingIndex b = BlockingIndex::Build(rights, BlockingOptions{},
-                                         sim::SimilarityOptions{});
+  BlockingIndex b = BlockingIndex::Build(rights, BlockingOptions{});
   EXPECT_NE(a.Fingerprint(), b.Fingerprint());
 }
 

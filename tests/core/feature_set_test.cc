@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "similarity/string_metrics.h"
+#include "similarity/value_similarity.h"
 
 namespace alex::core {
 namespace {
@@ -143,7 +144,6 @@ TEST(PrepareValueTest, DateDays) {
 }
 
 TEST(PreparedSimilarityTest, MatchesValueSimilaritySemantics) {
-  sim::SimilarityOptions options;
   struct Case {
     Term a, b;
   };
@@ -157,9 +157,8 @@ TEST(PreparedSimilarityTest, MatchesValueSimilaritySemantics) {
        Term::StringLiteral("same text here")},
   };
   for (const Case& c : cases) {
-    double fast = PreparedSimilarity(PrepareValue(c.a), PrepareValue(c.b),
-                                     options);
-    double slow = sim::ValueSimilarity(c.a, c.b, options);
+    double fast = PreparedSimilarity(PrepareValue(c.a), PrepareValue(c.b));
+    double slow = sim::ValueSimilarity(c.a, c.b);
     EXPECT_NEAR(fast, slow, 1e-9)
         << c.a.ToString() << " vs " << c.b.ToString();
   }
@@ -205,7 +204,7 @@ TEST_F(FeatureSetBuilderTest, PairsUpMatchingAttributes) {
       {{"http://r/label", Term::StringLiteral("Marie Curie")},
        {"http://r/birthYear", Term::IntegerLiteral(1867)}});
   FeatureSet set;
-  BuildFeatureSet(l, r, &catalog_, 0.3, {}, &set);
+  BuildFeatureSet(l, r, &catalog_, 0.3, &set);
   EXPECT_EQ(set.size(), 2u);
   FeatureId name = catalog_.Intern({"http://l/name", "http://r/label"});
   FeatureId year = catalog_.Intern({"http://l/born", "http://r/birthYear"});
@@ -219,7 +218,7 @@ TEST_F(FeatureSetBuilderTest, ThetaFiltersWeakFeatures) {
   PreparedEntity r = MakeRight(
       {{"http://r/label", Term::StringLiteral("unrelated words")}});
   FeatureSet set;
-  BuildFeatureSet(l, r, &catalog_, 0.3, {}, &set);
+  BuildFeatureSet(l, r, &catalog_, 0.3, &set);
   EXPECT_TRUE(set.empty());
 }
 
@@ -228,7 +227,7 @@ TEST_F(FeatureSetBuilderTest, EmptyEntityYieldsEmptySet) {
                                 Term::StringLiteral("a")}});
   PreparedEntity empty;
   FeatureSet set;
-  BuildFeatureSet(l, empty, &catalog_, 0.3, {}, &set);
+  BuildFeatureSet(l, empty, &catalog_, 0.3, &set);
   EXPECT_TRUE(set.empty());
 }
 
@@ -241,7 +240,7 @@ TEST_F(FeatureSetBuilderTest, RowMaximaWhenLeftLarger) {
   PreparedEntity r =
       MakeRight({{"http://r/label", Term::StringLiteral("alpha")}});
   FeatureSet set;
-  BuildFeatureSet(l, r, &catalog_, 0.3, {}, &set);
+  BuildFeatureSet(l, r, &catalog_, 0.3, &set);
   EXPECT_EQ(set.size(), 2u);
 }
 
@@ -252,7 +251,7 @@ TEST_F(FeatureSetBuilderTest, ColumnMaximaWhenRightLarger) {
       MakeRight({{"http://r/label", Term::StringLiteral("alpha")},
                  {"http://r/alias", Term::StringLiteral("alpha")}});
   FeatureSet set;
-  BuildFeatureSet(l, r, &catalog_, 0.3, {}, &set);
+  BuildFeatureSet(l, r, &catalog_, 0.3, &set);
   EXPECT_EQ(set.size(), 2u);
 }
 
@@ -265,7 +264,7 @@ TEST_F(FeatureSetBuilderTest, DuplicateFeatureKeyKeepsMax) {
   PreparedEntity r =
       MakeRight({{"http://r/label", Term::StringLiteral("alpha")}});
   FeatureSet set;
-  BuildFeatureSet(l, r, &catalog_, 0.3, {}, &set);
+  BuildFeatureSet(l, r, &catalog_, 0.3, &set);
   FeatureId id = catalog_.Intern({"http://l/name", "http://r/label"});
   ASSERT_EQ(set.size(), 1u);
   EXPECT_DOUBLE_EQ(set.Get(id), 1.0);
@@ -279,10 +278,10 @@ TEST_F(FeatureSetBuilderTest, MemoOverloadMatchesCatalogOverload) {
       MakeRight({{"http://r/label", Term::StringLiteral("alpha betta")},
                  {"http://r/birthYear", Term::IntegerLiteral(1912)}});
   FeatureSet direct;
-  BuildFeatureSet(l, r, &catalog_, 0.3, {}, &direct);
+  BuildFeatureSet(l, r, &catalog_, 0.3, &direct);
   CatalogMemo memo(&catalog_);
   FeatureSet memoized;
-  BuildFeatureSet(l, r, &memo, 0.3, {}, &memoized);
+  BuildFeatureSet(l, r, &memo, 0.3, &memoized);
   ASSERT_EQ(direct.size(), memoized.size());
   EXPECT_EQ(direct.ids, memoized.ids);
   EXPECT_EQ(direct.scores, memoized.scores);

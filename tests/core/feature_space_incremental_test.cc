@@ -93,7 +93,7 @@ class IncrementalSpaceTest : public ::testing::Test {
     const std::vector<rdf::TermId> rights = right_.Subjects();
     for (size_t i = old_rights; i < rights.size(); ++i) {
       context->entities.push_back(
-          PrepareEntity(right_, rights[i], options.max_attributes));
+          PrepareEntity(right_, rights[i], kMaxAttributes));
     }
     context->index.AddRights(context->entities, old_rights);
     std::vector<rdf::TermId> new_lefts = left_.Subjects();

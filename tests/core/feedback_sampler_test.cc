@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/alex_engine.h"
+#include "datagen/profiles.h"
+#include "datagen/world.h"
 
 namespace alex::core {
 namespace {
@@ -177,6 +181,37 @@ TEST(FeedbackSamplerTest, ClearDropsEverything) {
   EXPECT_EQ(sampler.Sample(&rng), kInvalidPairId);
   sampler.Add(4, 0.4);
   EXPECT_EQ(sampler.Sample(&rng), 4u);
+}
+
+// The engine's sampler measures proximity to the space's θ, not to the
+// sampler's default 0.3: at θ = 0.5 a never-judged candidate whose best
+// feature score is s < 1 weighs max(1e-3, 1 - (s - 0.5) / 0.5).
+TEST(FeedbackSamplerTest, EngineSamplerUsesTheSpaceTheta) {
+  const datagen::GeneratedWorld world =
+      datagen::Generate(datagen::TinyTestProfile());
+  AlexOptions options;
+  options.num_partitions = 2;
+  options.num_threads = 1;
+  options.prioritized_sampling = true;
+  options.space.theta = 0.5;
+  AlexEngine engine(&world.left, &world.right, options);
+  ASSERT_TRUE(engine.Initialize({}).ok());
+  size_t checked = 0;
+  for (PartitionAlex& partition : engine.mutable_partitions()) {
+    for (PairId pair = 0; pair < partition.space().pair_count(); ++pair) {
+      double best = 0.0;
+      for (const auto& entry : partition.space().pair(pair).features) {
+        best = std::max(best, entry.second);
+      }
+      if (best >= 1.0) continue;
+      partition.AddInitialCandidate(pair);
+      EXPECT_DOUBLE_EQ(partition.sampler().Weight(pair),
+                       std::max(1e-3, 1.0 - (best - 0.5) / 0.5))
+          << "pair " << pair << " best score " << best;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 }  // namespace

@@ -135,9 +135,8 @@ void CheckProfile(datagen::WorldProfile profile, double error_rate) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     profile.seed += seed;  // vary the data along with the engine seed
     datagen::GeneratedWorld world = datagen::Generate(profile);
-    linking::ParisOptions paris;
     std::vector<linking::Link> initial = linking::FilterByScore(
-        linking::RunParis(world.left, world.right, paris), 0.95);
+        linking::RunParis(world.left, world.right), 0.95);
     // Two spaceless extras, so the observer walk always has extras to put
     // last.
     initial.push_back({"http://l/ghost1", "http://r/ghost1", 1.0});

@@ -78,13 +78,10 @@ void ExtendContext(const std::shared_ptr<const RightContext>& ctx,
   const size_t old_count = mut->entities.size();
   std::vector<rdf::TermId> subjects = right.Subjects();
   for (size_t i = old_count; i < subjects.size(); ++i) {
-    mut->entities.push_back(
-        PrepareEntity(right, subjects[i], options.max_attributes));
+    mut->entities.push_back(PrepareEntity(right, subjects[i], kMaxAttributes));
   }
   if (rebuild) {
-    mut->index =
-        BlockingIndex::Build(mut->entities, options.blocking,
-                             options.similarity);
+    mut->index = BlockingIndex::Build(mut->entities, options.blocking);
   } else {
     mut->index.AddRights(mut->entities, old_count);
   }

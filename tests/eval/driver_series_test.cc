@@ -10,9 +10,13 @@
 // Each run's series is rendered as text and hashed against a pinned
 // constant: code that only restructures the drivers leaves every hash as
 // it is, and a change to what a driver learns re-pins them and says so.
+// KnobLivenessTest reuses the batch run to check that every learner knob
+// of AlexOptions changes the series.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -58,12 +62,20 @@ core::AlexOptions EngineOptions(int threads) {
   return options;
 }
 
-ExperimentResult RunBatch(const World& w, double error_rate, int threads) {
+// The batch runs' engine options: 100 feedback items an episode, at most
+// 12 episodes.
+core::AlexOptions BatchOptions(int threads) {
+  core::AlexOptions alex = EngineOptions(threads);
+  alex.episode_size = 100;
+  alex.max_episodes = 12;
+  return alex;
+}
+
+ExperimentResult RunBatch(const World& w, double error_rate,
+                          const core::AlexOptions& alex) {
   ExperimentConfig config;
   config.profile = datagen::TinyTestProfile();
-  config.alex = EngineOptions(threads);
-  config.alex.episode_size = 100;
-  config.alex.max_episodes = 12;
+  config.alex = alex;
   config.feedback_error_rate = error_rate;
   Result<ExperimentResult> result =
       RunExperimentOnWorld(config, w.world, w.initial);
@@ -255,10 +267,11 @@ class DriverSeriesTest : public ::testing::Test {
       runs_->push_back(
           {std::move(name), mode, reader_traffic, std::move(result)});
     };
-    add("batch", Mode::kBatch, RunBatch(w, 0.0, 1));
-    add("batch/2 threads", Mode::kBatch, RunBatch(w, 0.0, 2));
-    add("batch/noisy", Mode::kBatch, RunBatch(w, 0.1, 1));
-    add("batch/noisy/2 threads", Mode::kBatch, RunBatch(w, 0.1, 2));
+    add("batch", Mode::kBatch, RunBatch(w, 0.0, BatchOptions(1)));
+    add("batch/2 threads", Mode::kBatch, RunBatch(w, 0.0, BatchOptions(2)));
+    add("batch/noisy", Mode::kBatch, RunBatch(w, 0.1, BatchOptions(1)));
+    add("batch/noisy/2 threads", Mode::kBatch,
+        RunBatch(w, 0.1, BatchOptions(2)));
     add("ingest", Mode::kIngest, RunIngest());
     add("query", Mode::kQuery, RunQuery(w, {}));
     add("query/noisy", Mode::kQuery, RunQuery(w, {.error_rate = 0.1}));
@@ -378,6 +391,56 @@ TEST_F(DriverSeriesTest, ExternalLoopsHonorRelaxedChangeFraction) {
     }
     EXPECT_GT(first, 0) << name << ": every episode changed 90% or more";
     EXPECT_EQ(result.relaxed_episode, first) << name;
+  }
+}
+
+
+// Every learner knob a caller can set is live: moved off its default, each
+// one changes the rendered batch series of the tiny world. A knob that no
+// code reads fails here. negative_reward is checked under the noisy
+// oracle: with a perfect one, this world's series is the same at a
+// five-fold penalty. The settings that must not change results
+// (num_threads, incremental_ingest, blocking.enabled and the merge and
+// compaction thresholds) are the identity suites' business.
+TEST(KnobLivenessTest, EveryLearnerKnobChangesTheSeries) {
+  const World w;
+  struct Knob {
+    const char* name;
+    double error_rate;
+    std::function<void(core::AlexOptions*)> set;
+  };
+  using Options = core::AlexOptions;
+  const std::vector<Knob> knobs = {
+      {"step_size", 0.0, [](Options* o) { o->step_size = 0.15; }},
+      {"episode_size", 0.0, [](Options* o) { o->episode_size = 40; }},
+      {"epsilon", 0.0, [](Options* o) { o->epsilon = 0.3; }},
+      {"negative_reward", 0.1, [](Options* o) { o->negative_reward = -5.0; }},
+      {"use_blacklist", 0.0, [](Options* o) { o->use_blacklist = false; }},
+      {"use_rollback", 0.0, [](Options* o) { o->use_rollback = false; }},
+      {"use_feature_prior", 0.0,
+       [](Options* o) { o->use_feature_prior = true; }},
+      {"blacklist_strikes", 0.0, [](Options* o) { o->blacklist_strikes = 1; }},
+      {"rollback_threshold", 0.0,
+       [](Options* o) { o->rollback_threshold = 6; }},
+      {"num_partitions", 0.0, [](Options* o) { o->num_partitions = 3; }},
+      {"prioritized_sampling", 0.0,
+       [](Options* o) { o->prioritized_sampling = true; }},
+      {"seed", 0.0, [](Options* o) { o->seed = 7; }},
+      {"space.theta", 0.0, [](Options* o) { o->space.theta = 0.5; }},
+  };
+  std::map<double, std::string> defaults;
+  for (double error_rate : {0.0, 0.1}) {
+    defaults[error_rate] =
+        Render({"default", Mode::kBatch, false,
+                RunBatch(w, error_rate, BatchOptions(1))});
+  }
+  for (const Knob& knob : knobs) {
+    Options alex = BatchOptions(1);
+    knob.set(&alex);
+    const std::string series = Render(
+        {knob.name, Mode::kBatch, false, RunBatch(w, knob.error_rate, alex)});
+    EXPECT_NE(series, defaults[knob.error_rate])
+        << knob.name << " changes nothing";
   }
 }
 

@@ -55,8 +55,7 @@ TEST(ExperimentTest, ReusesWorldAcrossConfigs) {
   ExperimentConfig config = TinyConfig();
   datagen::GeneratedWorld world = datagen::Generate(config.profile);
   std::vector<linking::Link> initial = linking::FilterByScore(
-      linking::RunParis(world.left, world.right, config.paris),
-      config.paris_threshold);
+      linking::RunParis(world.left, world.right), linking::kParisThreshold);
   Result<ExperimentResult> a =
       RunExperimentOnWorld(config, world, initial);
   ASSERT_TRUE(a.ok());
@@ -114,8 +113,7 @@ TEST(ExperimentTest, IncrementalQualityMatchesRescanEveryEpisode) {
   config.alex.max_episodes = 10;
   datagen::GeneratedWorld world = datagen::Generate(config.profile);
   std::vector<linking::Link> initial = linking::FilterByScore(
-      linking::RunParis(world.left, world.right, config.paris),
-      config.paris_threshold);
+      linking::RunParis(world.left, world.right), linking::kParisThreshold);
   feedback::GroundTruth truth(world.ground_truth);
 
   core::AlexEngine engine(&world.left, &world.right, config.alex);
@@ -159,8 +157,7 @@ TEST(ExperimentTest, PreparedRightContextGivesIdenticalResults) {
   config.alex.max_episodes = 8;
   datagen::GeneratedWorld world = datagen::Generate(config.profile);
   std::vector<linking::Link> initial = linking::FilterByScore(
-      linking::RunParis(world.left, world.right, config.paris),
-      config.paris_threshold);
+      linking::RunParis(world.left, world.right), linking::kParisThreshold);
 
   Result<ExperimentResult> own = RunExperimentOnWorld(config, world, initial);
   ASSERT_TRUE(own.ok());

@@ -309,7 +309,7 @@ TEST(IngestDifferentialTest, IngestDrivenExperimentCarriesCounters) {
   datagen::GeneratedWorld world = datagen::Generate(config.profile);
   const size_t base_truth = world.ground_truth.size();
   std::vector<Link> initial = linking::FilterByScore(
-      linking::RunParis(world.left, world.right), config.paris_threshold);
+      linking::RunParis(world.left, world.right), linking::kParisThreshold);
 
   Result<ExperimentResult> result =
       RunIngestDrivenExperiment(config, ingest, &world, initial);

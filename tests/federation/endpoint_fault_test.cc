@@ -699,8 +699,8 @@ TEST(FaultSweepTest, CompletenessDegradesGracefully) {
   datagen::GeneratedWorld world = datagen::Generate(config.profile);
   StagedLinkSet staged;
   for (const Link& link : linking::FilterByScore(
-           linking::RunParis(world.left, world.right, config.paris),
-           config.paris_threshold)) {
+           linking::RunParis(world.left, world.right),
+           linking::kParisThreshold)) {
     staged.Stage(link, true);
   }
   const std::shared_ptr<const LinkView> links = staged.Publish();

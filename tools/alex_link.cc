@@ -120,7 +120,7 @@ int RunParisCmd(const CommandLine& cmd) {
   if (cmd.positional.size() < 3) return Usage();
   rdf::TripleStore left = LoadStoreOrDie(cmd.positional[1]);
   rdf::TripleStore right = LoadStoreOrDie(cmd.positional[2]);
-  double threshold = cmd.GetDouble("threshold", 0.95);
+  double threshold = cmd.GetDouble("threshold", linking::kParisThreshold);
   std::vector<linking::Link> links = linking::FilterByScore(
       linking::RunParis(left, right), threshold);
   Status st = WriteLinkOutputs(cmd, links);
